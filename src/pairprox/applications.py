@@ -232,33 +232,33 @@ def least_squares_iterate(
     engine = resolvents.build_engine(f, v, 1.0)
     ab = a @ b
 
-    def opt_residual(pt: np.ndarray) -> float:
-        return float(np.linalg.norm(a @ (a @ pt) - ab))
-
-    def data_error(pt: np.ndarray) -> float:
-        return float(np.linalg.norm(a @ pt - b))
+    def errors(pt: np.ndarray) -> tuple[float, float]:
+        """(r, e) at pt, from a single product A pt."""
+        apt = a @ pt
+        return float(np.linalg.norm(a @ apt - ab)), float(np.linalg.norm(apt - b))
 
     trace = None if cfg.trace_level is solvers.TraceLevel.NONE else solvers.IterationTrace()
     if trace is not None:
         trace.err_to_ref = []
         if cfg.trace_level is solvers.TraceLevel.FULL:
             trace.iterates = [x.copy()]
-    rs = [opt_residual(x)]
-    es = [data_error(x)]
+    r0, e0 = errors(x)
+    rs, es = [r0], [e0]
     t0 = time.perf_counter()
 
     if rs[0] <= cfg.tol_residual:
         result = solvers.SolveResult(solvers.Status.CONVERGED, None, x, a @ x + 2.0 * kappa * x, 0, trace)
         return LeastSquaresSolution(result, rs, es)
 
+    # each step inverts at v(x_k), the image the previous step returned
+    w = ops.evaluate_point(v, x)
     status, reason, iters = solvers.Status.MAX_ITERS, None, cfg.max_iters
     for k in range(cfg.max_iters):
-        out = resolvents.warped(engine, x)
+        out = resolvents.transformed(engine, w)
         x_next = out.preimage
         if not np.all(np.isfinite(x_next)):
             raise NonFiniteIterateError(f"iterate {k + 1} contains NaN/Inf")
-        r = opt_residual(x_next)
-        e = data_error(x_next)
+        r, e = errors(x_next)
         step = float(np.linalg.norm(x - x_next))
         rs.append(r)
         es.append(e)
@@ -269,7 +269,7 @@ def least_squares_iterate(
             trace.seconds.append(time.perf_counter() - t0)
             if trace.iterates is not None:
                 trace.iterates.append(x_next.copy())
-        x = x_next
+        x, w = x_next, out.image
         if r <= cfg.tol_residual:
             status, iters = solvers.Status.CONVERGED, k + 1
             break

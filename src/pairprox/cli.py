@@ -63,6 +63,10 @@ class BenchSpec:
             raise ValueError("tolerance must be positive")
         if (self.kappa is None) == (self.kappa_fraction is None):
             raise ValueError("set exactly one of kappa (absolute) or kappa_fraction")
+        if self.kappa is not None:
+            _require_kappa(self.kappa)
+        if len(self.spectrum) != 2:
+            raise ValueError(f"spectrum must be an interval 'lo,hi', got {self.spectrum!r}")
 
 
 @dataclass(frozen=True)
@@ -188,6 +192,19 @@ def _parse_pair(text: str) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _require_kappa(kappa: float) -> None:
+    if not 0.0 < kappa < float("inf"):
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
+
+
+def _check_solve_args(args) -> None:
+    """Reject out-of-range options before any file is read or solve runs."""
+    if args.kappa is not None:
+        _require_kappa(args.kappa)
+    if not args.tol >= 0.0:
+        raise ValueError(f"--tol must be nonnegative, got {args.tol!r}")
+
+
 def _resolve_kappa(args, matrix: np.ndarray) -> float:
     if args.kappa is not None:
         return args.kappa
@@ -200,6 +217,7 @@ def _resolve_kappa(args, matrix: np.ndarray) -> float:
 
 
 def cmd_solve_kkt(args) -> int:
+    _check_solve_args(args)
     qp = apps.read_qp(args.problem)
     kkt = apps.build_kkt(qp)
     kappa = _resolve_kappa(args, kkt.matrix)
@@ -218,6 +236,7 @@ def cmd_solve_kkt(args) -> int:
 
 
 def cmd_least_squares(args) -> int:
+    _check_solve_args(args)
     a = linalg.read_matrix(args.matrix)
     b = linalg.read_vector(args.rhs)
     kappa = _resolve_kappa(args, a)
@@ -244,7 +263,7 @@ def cmd_bench(args) -> int:
         kappa=args.kappa,
         kappa_fraction=args.kappa_fraction,
         tolerance=args.tol,
-        spectrum=(args.spectrum[0], args.spectrum[1]),
+        spectrum=args.spectrum,
         zero_fraction=args.zero_fraction,
         max_iters=args.max_iters,
     )

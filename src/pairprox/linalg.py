@@ -1,6 +1,13 @@
 """Dense linear algebra kernels: BLAS-1/2 helpers, LU with partial pivoting,
 and a cyclic Jacobi eigensolver for symmetric matrices.
 
+The LU factorization eliminates in column panels and then inverts each
+diagonal block of L and U once. A solve is blocked forward and back
+substitution on those cached inverses (Golub & Van Loan, Matrix
+Computations, section 3.1): per block, one matrix-vector product for the
+part already solved and one small product with the block's inverse, so no
+Python loop runs over the rows.
+
 Everything operates on plain float64 numpy arrays; matrices are row-major
 2-D arrays, vectors are 1-D arrays.
 """
@@ -80,12 +87,20 @@ def require_symmetric(a: np.ndarray, rtol: float = _SYMMETRY_RTOL) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class LUFactorization:
-    """Packed PA = LU with partial pivoting (unit lower triangle implied)."""
+    """Packed PA = LU with partial pivoting (unit lower triangle implied).
+
+    `lower_blocks` and `upper_blocks` hold (start, stop, inverse) for each
+    diagonal block of L and of U, in the order the forward and the back
+    substitution visit them (U's in reverse); both are empty when the
+    matrix is flagged singular.
+    """
 
     dim: int
     perm: np.ndarray
     packed: np.ndarray
     singular: bool
+    lower_blocks: tuple[tuple[int, int, np.ndarray], ...] = ()
+    upper_blocks: tuple[tuple[int, int, np.ndarray], ...] = ()
 
 
 def lu_factorize(a: np.ndarray, block: int = 64) -> LUFactorization:
@@ -126,24 +141,39 @@ def lu_factorize(a: np.ndarray, block: int = 64) -> LUFactorization:
             for r in range(1, jb):
                 tail[r] -= panel[r, :r] @ tail[:r]
             lu[end:, end:] -= lu[end:, j:end] @ tail
-    return LUFactorization(n, perm, lu, False)
+    # all inverses share one allocation: as separate small arrays that live
+    # through a whole solve they fragmented the heap, and peak RSS then grew
+    # by a full n x n matrix in about half of the benchmark's runs
+    bounds = [(j, min(j + block, n)) for j in range(0, n, block)]
+    inverses = np.empty((2, n, min(block, n)))
+    for j, end in bounds:
+        inverses[0, j:end, : end - j] = np.linalg.inv(np.tril(lu[j:end, j:end], -1) + np.eye(end - j))
+        inverses[1, j:end, : end - j] = np.linalg.inv(np.triu(lu[j:end, j:end]))
+    lower = tuple((j, end, inverses[0, j:end, : end - j]) for j, end in bounds)
+    upper = tuple((j, end, inverses[1, j:end, : end - j]) for j, end in reversed(bounds))
+    return LUFactorization(n, perm, lu, False, lower, upper)
 
 
 def lu_solve(fact: LUFactorization, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b by blocked substitution; `b` is left unmodified."""
     b = as_vector(b)
     if fact.singular:
         raise SingularMatrixError("factorization is singular")
     if b.size != fact.dim:
         raise DimensionMismatchError(f"rhs has size {b.size}, matrix is {fact.dim}")
     lu = fact.packed
-    x = b[fact.perm].copy()
     n = fact.dim
-    for i in range(1, n):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i] -= lu[i, i + 1 :] @ x[i + 1 :]
-        x[i] /= lu[i, i]
+    x = b[fact.perm]  # fancy indexing copies
+    # tiny systems are solved very often, so the empty products of the
+    # first and last block are skipped rather than computed
+    for start, stop, inverse in fact.lower_blocks:
+        if start:
+            x[start:stop] -= lu[start:stop, :start].dot(x[:start])
+        x[start:stop] = inverse.dot(x[start:stop])
+    for start, stop, inverse in fact.upper_blocks:
+        if stop < n:
+            x[start:stop] -= lu[start:stop, stop:].dot(x[stop:])
+        x[start:stop] = inverse.dot(x[start:stop])
     return x
 
 

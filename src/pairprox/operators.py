@@ -576,11 +576,8 @@ def load_operator(path: str) -> OperatorExpr:
 
 
 def save_operator(path: str, op: OperatorExpr, matrix_dir: str | None = None) -> None:
-    if matrix_dir is None:
-        matrix_dir_resolved = None
-    else:
-        matrix_dir_resolved = matrix_dir
+    if matrix_dir is not None:
         os.makedirs(matrix_dir, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(operator_to_json(op, matrix_dir_resolved), fh, indent=2)
+        json.dump(operator_to_json(op, matrix_dir), fh, indent=2)
         fh.write("\n")

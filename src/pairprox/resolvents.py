@@ -373,15 +373,16 @@ def _check_membership(engine: ResolventEngine, target: np.ndarray, z: np.ndarray
 
 
 def warped(engine: ResolventEngine, x: np.ndarray) -> ResolventOutput:
-    """z in (gamma*F + v)^{-1}(v(x)); fixed points are zeros of F."""
+    """z in (gamma*F + v)^{-1}(v(x)); fixed points are zeros of F.
+
+    This is `transformed` at v(x). An iteration that already holds v(x),
+    as the image of its previous step, should call `transformed` on it
+    directly and save one evaluation of v per step.
+    """
     x = linalg.as_vector(x)
     if x.size != engine.dim:
         raise DimensionMismatchError(f"engine dim {engine.dim}, input dim {x.size}")
-    w = ops.evaluate_point(engine.v, x)
-    z = _invert(engine, w)
-    vz = ops.evaluate_point(engine.v, z)
-    _check_membership(engine, w, z, vz)
-    return ResolventOutput(z, vz)
+    return transformed(engine, ops.evaluate_point(engine.v, x))
 
 
 def transformed(engine: ResolventEngine, x: np.ndarray) -> ResolventOutput:

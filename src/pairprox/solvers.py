@@ -194,7 +194,8 @@ def gppa(
     """Warped-resolvent iteration x_{n+1} = J_{gamma_n F}^v(x_n).
 
     `reference`, when given, is a known zero of F; the trace then records
-    ||v(x_{n+1}) - v(reference)|| per step.
+    ||v(x_{n+1}) - v(reference)|| per step. Each step inverts at the image
+    v(x_n) that the previous step returned, so v is evaluated once per step.
     """
     cfg = cfg or SolverConfig()
     x = linalg.as_vector(x0).copy()
@@ -206,7 +207,7 @@ def gppa(
 
     for n in range(cfg.max_iters):
         gamma = cfg.gamma_at(n)
-        out = resolvents.warped(cache.get(gamma), x)
+        out = resolvents.transformed(cache.get(gamma), w)
         x_next, w_next = out.preimage, out.image
         _require_finite(x_next, f"iterate {n + 1}")
         residual = float(np.linalg.norm(w - w_next)) / gamma

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pairprox import applications as apps
-from pairprox import solvers
+from pairprox import resolvents, solvers
 from pairprox.errors import AllEigenvaluesZeroError, NotSymmetricError
 
 FULL = solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL)
@@ -153,6 +153,29 @@ class TestLeastSquares:
         assert sol.result.preimage[0] == pytest.approx(1.0, abs=1e-9)
         assert sol.data_errors[-1] == pytest.approx(1.0, abs=1e-9)
         assert all(b <= a + 1e-10 for a, b in zip(sol.data_errors, sol.data_errors[1:]))
+
+    def test_matches_hand_warped_loop_bitwise(self):
+        system = apps.generate_inconsistent_system(16, 9)
+        a, b = system.matrix, system.rhs
+        sol = apps.least_squares_iterate(a, b, kappa=0.2, cfg=FULL)
+        engine = resolvents.build_engine(*apps.kkt_operator_pair(a, b, 0.2), 1.0)
+        ab = a @ b
+        x = np.zeros(16)
+        iterates = [x]
+        rs = [float(np.linalg.norm(a @ (a @ x) - ab))]
+        es = [float(np.linalg.norm(a @ x - b))]
+        for _ in range(sol.result.iterations):
+            x = resolvents.warped(engine, x).preimage
+            iterates.append(x)
+            rs.append(float(np.linalg.norm(a @ (a @ x) - ab)))
+            es.append(float(np.linalg.norm(a @ x - b)))
+        assert sol.result.status is solvers.Status.CONVERGED
+        assert sol.result.iterations > 1
+        assert len(sol.result.trace.iterates) == len(iterates)
+        for got, want in zip(sol.result.trace.iterates, iterates):
+            assert np.array_equal(got, want)
+        assert sol.optimality_residuals == rs
+        assert sol.data_errors == es
 
     def test_consistent_rhs_drives_both_errors_to_zero(self):
         system = apps.generate_consistent_system(12, 13)

@@ -127,6 +127,55 @@ class TestBenchCommand:
             cli.BenchSpec(sizes=(4,), kappa=None, kappa_fraction=None)
         with pytest.raises(ValueError):
             cli.BenchSpec(sizes=(4,), kappa=0.2, kappa_fraction=0.3)
+        with pytest.raises(ValueError, match="kappa"):
+            cli.BenchSpec(sizes=(4,), kappa=-1.0)
+        with pytest.raises(ValueError, match="spectrum"):
+            cli.BenchSpec(sizes=(4,), spectrum=(1.0,))
+
+
+def write_least_squares_files(tmp_path):
+    mat = tmp_path / "a.mat"
+    rhs = tmp_path / "b.txt"
+    linalg.write_matrix(mat, np.diag([1.0, 0.0]))
+    linalg.write_vector(rhs, np.array([1.0, 1.0]))
+    return [str(mat), str(rhs)]
+
+
+class TestOutOfRangeOptions:
+    """Input errors exit 1 with a message and never reach a solve."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a solve ran on rejected options")
+
+        monkeypatch.setattr(apps, "solve_kkt", fail)
+        monkeypatch.setattr(apps, "least_squares_iterate", fail)
+
+    def command(self, name, tmp_path):
+        if name == "solve-kkt":
+            return ["solve-kkt", str(write_example_problem(tmp_path))]
+        if name == "least-squares":
+            return ["least-squares", *write_least_squares_files(tmp_path)]
+        return ["bench", "--sizes", "4", "--trials", "1"]
+
+    @pytest.mark.parametrize("kappa", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("name", ["solve-kkt", "least-squares", "bench"])
+    def test_kappa_must_be_positive(self, name, kappa, tmp_path, capsys):
+        assert cli.main([*self.command(name, tmp_path), f"--kappa={kappa}"]) == 1
+        assert "kappa must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["solve-kkt", "least-squares"])
+    def test_negative_tol_rejected(self, name, tmp_path, capsys):
+        assert cli.main([*self.command(name, tmp_path), "--tol=-1e-8"]) == 1
+        assert "--tol must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spectrum", ["1", "0.5,1,2"])
+    def test_bench_spectrum_must_be_an_interval(self, spectrum, tmp_path, capsys):
+        assert cli.main([*self.command("bench", tmp_path), "--spectrum", spectrum]) == 1
+        err = capsys.readouterr().err
+        assert "spectrum must be an interval" in err
+        assert "Traceback" not in err
 
 
 class TestCheckPairCommand:

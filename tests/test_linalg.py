@@ -81,6 +81,92 @@ class TestLU:
             assert np.linalg.norm(a @ x - b) <= 1e-8 * (1 + np.linalg.norm(b))
 
 
+BLOCKED_SIZES = (1, 2, 63, 64, 65, 128, 129, 300)
+BLOCKS = (1, 7, 64, 256)
+EPS = np.finfo(float).eps
+
+
+def conditioned_system(n, seed):
+    """Nonsymmetric A = Q1 diag(lam) Q2^T with lam in [0.1, 10] (condition
+    number at most 100) and a Gaussian right-hand side."""
+    rng = SplitMix64(seed)
+    q1, _ = np.linalg.qr(rng.normal(n * n).reshape(n, n))
+    q2, _ = np.linalg.qr(rng.normal(n * n).reshape(n, n))
+    lam = rng.uniform(n, 0.1, 10.0)
+    return (q1 * lam) @ q2.T, rng.normal(n)
+
+
+def reference_elimination(a, block):
+    """The panel elimination with partial pivoting that lu_factorize ran
+    before its solve was blocked: (packed, perm), or None when singular."""
+    n = a.shape[0]
+    lu = a.copy()
+    perm = np.arange(n)
+    maxabs = float(np.max(np.abs(a)))
+    if maxabs == 0.0:
+        return None
+    threshold = 1e-12 * maxabs
+    for j in range(0, n, block):
+        jb = min(block, n - j)
+        for k in range(j, j + jb):
+            p = k + int(np.argmax(np.abs(lu[k:, k])))
+            if abs(lu[p, k]) < threshold:
+                return None
+            if p != k:
+                lu[[k, p], :] = lu[[p, k], :]
+                perm[[k, p]] = perm[[p, k]]
+            lu[k + 1 :, k] /= lu[k, k]
+            if k + 1 < j + jb:
+                lu[k + 1 :, k + 1 : j + jb] -= lu[k + 1 :, k : k + 1] * lu[k : k + 1, k + 1 : j + jb]
+        end = j + jb
+        if end < n:
+            panel = lu[j:end, j:end]
+            tail = lu[j:end, end:]
+            for r in range(1, jb):
+                tail[r] -= panel[r, :r] @ tail[:r]
+            lu[end:, end:] -= lu[end:, j:end] @ tail
+    return lu, perm
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("n", BLOCKED_SIZES)
+class TestBlockedSolve:
+    def test_matches_numpy_solve(self, n, block):
+        # backward error n*eps*(||A|| ||x|| + ||b||), forward error that
+        # times cond(A) <= 100; both measured below 0.3 of these bounds
+        a, b = conditioned_system(n, 1000 * n + block)
+        x = linalg.lu_solve(linalg.lu_factorize(a, block=block), b)
+        expected = np.linalg.solve(a, b)
+        a_norm = np.linalg.norm(a)
+        assert np.linalg.norm(a @ x - b) <= n * EPS * (a_norm * np.linalg.norm(x) + np.linalg.norm(b))
+        assert np.linalg.norm(x - expected) <= 100.0 * n * EPS * np.linalg.norm(expected)
+
+    def test_rhs_left_unmodified(self, n, block):
+        a, b = conditioned_system(n, 7 * n + block)
+        original = b.copy()
+        linalg.lu_solve(linalg.lu_factorize(a, block=block), b)
+        assert np.array_equal(b, original)
+
+    def test_singular_flagged_and_raises(self, n, block):
+        a, _ = conditioned_system(n, 3 * n + block)
+        if n == 1:
+            a[0, 0] = 0.0
+        else:
+            a[-1] = a[0]  # the duplicate row eliminates to exact zeros
+        fact = linalg.lu_factorize(a, block=block)
+        assert fact.singular
+        assert reference_elimination(a, block) is None
+        with pytest.raises(SingularMatrixError):
+            linalg.lu_solve(fact, np.ones(n))
+
+    def test_elimination_bitwise_unchanged(self, n, block):
+        a, _ = conditioned_system(n, 1000 * n + block)
+        fact = linalg.lu_factorize(a, block=block)
+        packed, perm = reference_elimination(a, block)
+        assert np.array_equal(fact.packed, packed)
+        assert np.array_equal(fact.perm, perm)
+
+
 @given(
     st.integers(2, 6).flatmap(
         lambda n: st.tuples(

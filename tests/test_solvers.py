@@ -5,7 +5,7 @@ import pytest
 
 from pairprox import applications as apps
 from pairprox import operators as ops
-from pairprox import solvers
+from pairprox import resolvents, solvers
 from pairprox.errors import NonFiniteIterateError, TraceDisabledError
 from pairprox.rng import SplitMix64
 
@@ -52,6 +52,26 @@ class TestGppa:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteIterateError):
                 solvers.gppa(f, v, np.array([1.0, 1.0]), solvers.SolverConfig(max_iters=5000))
+
+    @pytest.mark.parametrize("kind", ["affine", "sign"])
+    def test_iterates_match_hand_warped_loop_bitwise(self, kind):
+        # gppa inverts at the image its previous step returned; that must be
+        # exactly the v(x) a fresh warped evaluation computes
+        if kind == "affine":
+            system = apps.generate_consistent_system(12, 3)
+            f, v = apps.kkt_operator_pair(system.matrix, system.rhs, 0.2)
+            x0 = np.zeros(12)
+        else:
+            f, v = ops.sign_swap_operator(), ops.swap_operator()
+            x0 = np.array([5.0, -3.0])
+        res = solvers.gppa(f, v, x0, FULL)
+        engine = resolvents.build_engine(f, v, 1.0)
+        x = x0
+        for iterate in res.trace.iterates[1:]:
+            x = resolvents.warped(engine, x).preimage
+            assert np.array_equal(iterate, x)
+        assert res.iterations == len(res.trace.iterates) - 1 > 1
+        assert np.array_equal(res.image, ops.evaluate_point(v, x))
 
     def test_reference_tracks_image_distance(self):
         f, v = qp_pair()
