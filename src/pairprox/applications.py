@@ -12,17 +12,12 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, operators as ops, resolvents, solvers
-from .errors import (
-    AllEigenvaluesZeroError,
-    DimensionMismatchError,
-    NonFiniteIterateError,
-)
+from .errors import AllEigenvaluesZeroError, DimensionMismatchError
 from .rng import SplitMix64
 
 DEFAULT_KAPPA_FRACTION = 0.4
@@ -231,53 +226,34 @@ def least_squares_iterate(
     f, v = kkt_operator_pair(a, b, kappa)
     engine = resolvents.build_engine(f, v, 1.0)
     ab = a @ b
+    rs: list[float] = []
+    es: list[float] = []
 
-    def errors(pt: np.ndarray) -> tuple[float, float]:
-        """(r, e) at pt, from a single product A pt."""
+    def measure(pt: np.ndarray) -> np.ndarray:
+        """Append r and e at pt, from a single product A pt, and return it;
+        the trace records e as the distance from A pt to b."""
         apt = a @ pt
-        return float(np.linalg.norm(a @ apt - ab)), float(np.linalg.norm(apt - b))
+        rs.append(float(np.linalg.norm(a @ apt - ab)))
+        es.append(float(np.linalg.norm(apt - b)))
+        return apt
 
-    trace = None if cfg.trace_level is solvers.TraceLevel.NONE else solvers.IterationTrace()
-    if trace is not None:
-        trace.err_to_ref = []
-        if cfg.trace_level is solvers.TraceLevel.FULL:
-            trace.iterates = [x.copy()]
-    r0, e0 = errors(x)
-    rs, es = [r0], [e0]
-    t0 = time.perf_counter()
+    rec = solvers._Recorder(cfg, x, b)
+    measure(x)
+    status, reason, iters = solvers.Status.CONVERGED, None, 0
+    if rs[0] > cfg.tol_residual:
+        # each step inverts at v(x_k), the image the previous step returned
+        w = ops.evaluate_point(v, x)
 
-    if rs[0] <= cfg.tol_residual:
-        result = solvers.SolveResult(solvers.Status.CONVERGED, None, x, a @ x + 2.0 * kappa * x, 0, trace)
-        return LeastSquaresSolution(result, rs, es)
+        def step(k, x):
+            nonlocal w
+            out = resolvents.transformed(engine, w)
+            w = out.image
+            apt = measure(out.preimage)
+            return out.preimage, rs[-1], apt, None
 
-    # each step inverts at v(x_k), the image the previous step returned
-    w = ops.evaluate_point(v, x)
-    status, reason, iters = solvers.Status.MAX_ITERS, None, cfg.max_iters
-    for k in range(cfg.max_iters):
-        out = resolvents.transformed(engine, w)
-        x_next = out.preimage
-        if not np.all(np.isfinite(x_next)):
-            raise NonFiniteIterateError(f"iterate {k + 1} contains NaN/Inf")
-        r, e = errors(x_next)
-        step = float(np.linalg.norm(x - x_next))
-        rs.append(r)
-        es.append(e)
-        if trace is not None:
-            trace.residuals.append(r)
-            trace.steps.append(step)
-            trace.err_to_ref.append(e)
-            trace.seconds.append(time.perf_counter() - t0)
-            if trace.iterates is not None:
-                trace.iterates.append(x_next.copy())
-        x, w = x_next, out.image
-        if r <= cfg.tol_residual:
-            status, iters = solvers.Status.CONVERGED, k + 1
-            break
-        if step <= cfg.tol_step:
-            status, reason, iters = solvers.Status.FAILED, "step-stalled", k + 1
-            break
+        status, reason, iters, x = solvers._iterate(cfg, rec, x, step)
 
-    result = solvers.SolveResult(status, reason, x, a @ x + 2.0 * kappa * x, iters, trace)
+    result = solvers.SolveResult(status, reason, x, a @ x + 2.0 * kappa * x, iters, rec.trace)
     return LeastSquaresSolution(result, rs, es)
 
 
@@ -387,7 +363,8 @@ def read_qp(path: str) -> QPProblem:
     with open(path) as fh:
         doc = json.load(fh)
     base = os.path.dirname(os.path.abspath(path))
-    for key in ("Q", "c"):
+    # d is required with C: defaulting it would invent the data of C y = d
+    for key in ("Q", "c") if doc.get("C") is None else ("Q", "c", "d"):
         if key not in doc:
             raise ValueError(f"QP file missing required key {key!r}")
     q = linalg.read_matrix(os.path.join(base, doc["Q"]))

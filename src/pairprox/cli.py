@@ -67,6 +67,8 @@ class BenchSpec:
             _require_kappa(self.kappa)
         if len(self.spectrum) != 2:
             raise ValueError(f"spectrum must be an interval 'lo,hi', got {self.spectrum!r}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -192,6 +194,17 @@ def _parse_pair(text: str) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _parse_box(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = _parse_float_list(text)
+        ok = float("-inf") < lo < hi < float("inf")
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"--box must be 'lo,hi' with finite numbers lo < hi, got {text!r}")
+    return lo, hi
+
+
 def _require_kappa(kappa: float) -> None:
     if not 0.0 < kappa < float("inf"):
         raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
@@ -203,6 +216,8 @@ def _check_solve_args(args) -> None:
         _require_kappa(args.kappa)
     if not args.tol >= 0.0:
         raise ValueError(f"--tol must be nonnegative, got {args.tol!r}")
+    if args.max_iters < 1:
+        raise ValueError(f"--max-iters must be >= 1, got {args.max_iters!r}")
 
 
 def _resolve_kappa(args, matrix: np.ndarray) -> float:
@@ -279,12 +294,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check_pair(args) -> int:
+    box = _parse_box(args.box) if args.box is not None else None
     f = ops.load_operator(args.f_operator)
     v = ops.load_operator(args.v_operator)
-    box = None
-    if args.box:
-        lo, hi = _parse_float_list(args.box)
-        box = (lo, hi)
     include = [_parse_pair(p) for p in args.include_pair]
     report = ops.check_pair_monotone(f, v, box=box, samples=args.samples, seed=args.seed, include=include)
     print(f"verdict: {report.verdict.value}")

@@ -47,46 +47,6 @@ def scalar_sign_affine_inverse(s: float, c: float, d: float, y: float) -> float:
 # structural reductions
 
 
-def _try_affine(op: ops.OperatorExpr, dim: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Reduce an expression to (A, c) meaning x -> Ax + c, or None."""
-    if isinstance(op, ops.Affine):
-        return op.matrix, op.offset
-    if isinstance(op, ops.Permutation):
-        return op.as_matrix(), np.zeros(dim)
-    if isinstance(op, ops.Pointwise):
-        if op.name == "identity":
-            return np.eye(dim), np.zeros(dim)
-        if op.name == "negation":
-            return -np.eye(dim), np.zeros(dim)
-        return None
-    if isinstance(op, ops.Scale):
-        inner = _try_affine(op.inner, dim)
-        if inner is None:
-            return None
-        return op.gamma * inner[0], op.gamma * inner[1]
-    if isinstance(op, ops.Sum):
-        a = np.zeros((dim, dim))
-        c = np.zeros(dim)
-        for t in op.terms:
-            part = _try_affine(t, dim)
-            if part is None:
-                return None
-            a = a + part[0]
-            c = c + part[1]
-        return a, c
-    if isinstance(op, ops.Stack):
-        a = np.zeros((dim, dim))
-        c = np.zeros(dim)
-        for start, stop, sub in op.blocks:
-            part = _try_affine(sub, stop - start)
-            if part is None:
-                return None
-            a[start:stop, start:stop] = part[0]
-            c[start:stop] = part[1]
-        return a, c
-    return None
-
-
 @dataclass
 class _SignAffineForm:
     """gamma*F + v as y_i in s_i * Sign(x_{sel(i)}) + (B x)_i + d_i."""
@@ -97,7 +57,24 @@ class _SignAffineForm:
     offset: np.ndarray
 
 
+def _affine_form(matrix: np.ndarray, offset: np.ndarray) -> _SignAffineForm:
+    dim = offset.size
+    return _SignAffineForm(np.zeros(dim), np.full(dim, -1, dtype=int), matrix, offset)
+
+
 def _try_sign_affine(op: ops.OperatorExpr, dim: int) -> _SignAffineForm | None:
+    """Reduce an expression to its Sign-plus-affine form, or None; affine
+    expressions reduce to a form whose scales are all zero."""
+    if isinstance(op, ops.Affine):
+        return _affine_form(op.matrix, op.offset)
+    if isinstance(op, ops.Permutation):
+        return _affine_form(op.as_matrix(), np.zeros(dim))
+    if isinstance(op, ops.Pointwise):
+        if op.name == "identity":
+            return _affine_form(np.eye(dim), np.zeros(dim))
+        if op.name == "negation":
+            return _affine_form(-np.eye(dim), np.zeros(dim))
+        return None
     if isinstance(op, ops.SignBlock):
         return _SignAffineForm(
             np.full(dim, op.scale),
@@ -105,9 +82,6 @@ def _try_sign_affine(op: ops.OperatorExpr, dim: int) -> _SignAffineForm | None:
             np.zeros((dim, dim)),
             np.zeros(dim),
         )
-    affine = _try_affine(op, dim)
-    if affine is not None:
-        return _SignAffineForm(np.zeros(dim), np.full(dim, -1, dtype=int), affine[0], affine[1])
     if isinstance(op, ops.Scale):
         inner = _try_sign_affine(op.inner, dim)
         if inner is None:
@@ -116,26 +90,23 @@ def _try_sign_affine(op: ops.OperatorExpr, dim: int) -> _SignAffineForm | None:
             op.gamma * inner.scales, inner.sign_var, op.gamma * inner.matrix, op.gamma * inner.offset
         )
     if isinstance(op, ops.Sum):
-        acc = _SignAffineForm(np.zeros(dim), np.full(dim, -1, dtype=int), np.zeros((dim, dim)), np.zeros(dim))
+        acc = _affine_form(np.zeros((dim, dim)), np.zeros(dim))
         for t in op.terms:
             part = _try_sign_affine(t, dim)
             if part is None:
                 return None
             acc.matrix = acc.matrix + part.matrix
             acc.offset = acc.offset + part.offset
-            for i in range(dim):
-                if part.scales[i] == 0.0:
-                    continue
-                if acc.scales[i] == 0.0:
-                    acc.scales[i] = part.scales[i]
-                    acc.sign_var[i] = part.sign_var[i]
-                elif acc.sign_var[i] == part.sign_var[i]:
-                    acc.scales[i] += part.scales[i]
-                else:
-                    return None  # two distinct Sign terms on one row
+            signed = part.scales != 0.0
+            held = acc.scales != 0.0
+            if np.any(signed & held & (acc.sign_var != part.sign_var)):
+                return None  # two distinct Sign terms on one row
+            taken = signed & ~held
+            acc.sign_var[taken] = part.sign_var[taken]
+            acc.scales[signed] += part.scales[signed]
         return acc
     if isinstance(op, ops.Stack):
-        acc = _SignAffineForm(np.zeros(dim), np.full(dim, -1, dtype=int), np.zeros((dim, dim)), np.zeros(dim))
+        acc = _affine_form(np.zeros((dim, dim)), np.zeros(dim))
         for start, stop, sub in op.blocks:
             part = _try_sign_affine(sub, stop - start)
             if part is None:
@@ -204,23 +175,17 @@ def build_engine(
     if (f.dim is not None and f.dim != n) or (v.dim is not None and v.dim != n):
         raise DimensionMismatchError("F and v disagree on dimension")
 
-    fa = _try_affine(f, n)
-    va = _try_affine(v, n)
-    if fa is not None and va is not None:
-        m = gamma * fa[0] + va[0]
-        offset = gamma * fa[1] + va[1]
-        fact = linalg.lu_factorize(m)
-        return ResolventEngine(f, v, gamma, n, StrategyKind.AFFINE_AFFINE, _AffineStrategy(fact, offset))
-
-    if va is not None:
-        form = _try_sign_affine(f, n)
-        if form is not None:
-            scales = gamma * form.scales
-            matrix = gamma * form.matrix + va[0]
-            offset = gamma * form.offset + va[1]
-            strategy = _assemble_sign_strategy(scales, form.sign_var, matrix, offset, n)
-            if strategy is not None:
-                return ResolventEngine(f, v, gamma, n, StrategyKind.SIGN_SEPARABLE, strategy)
+    form = _try_sign_affine(f, n)
+    va = _try_sign_affine(v, n)
+    if form is not None and va is not None and not np.any(va.scales):
+        matrix = gamma * form.matrix + va.matrix
+        offset = gamma * form.offset + va.offset
+        if not np.any(form.scales):
+            fact = linalg.lu_factorize(matrix)
+            return ResolventEngine(f, v, gamma, n, StrategyKind.AFFINE_AFFINE, _AffineStrategy(fact, offset))
+        strategy = _assemble_sign_strategy(gamma * form.scales, form.sign_var, matrix, offset, n)
+        if strategy is not None:
+            return ResolventEngine(f, v, gamma, n, StrategyKind.SIGN_SEPARABLE, strategy)
 
     return ResolventEngine(f, v, gamma, n, StrategyKind.UNSUPPORTED, None)
 

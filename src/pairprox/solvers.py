@@ -14,6 +14,7 @@ import csv
 import io
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -184,6 +185,43 @@ class _EngineCache:
         return eng
 
 
+def _iterate(
+    cfg: SolverConfig,
+    rec: _Recorder,
+    x: np.ndarray,
+    step: Callable[[int, np.ndarray], tuple],
+    diverge_above: float | None = None,
+) -> tuple[Status, str | None, int, np.ndarray]:
+    """The proximal-point loop every solver runs.
+
+    `step(n, x)` takes iteration n from the iterate x and returns
+    (x_next, residual, image, preimage); image and preimage only feed the
+    trace. A non-finite x_next raises NonFiniteIterateError, unless
+    `diverge_above` is set: then the loop stops as Failed('Diverged')
+    without counting that step. After a finite step is recorded, the first
+    rule that holds stops the loop: residual above `diverge_above`
+    (Diverged), residual within tol_residual (Converged), step norm within
+    tol_step (step-stalled). Returns (status, reason, iterations, last
+    finite iterate).
+    """
+    for n in range(cfg.max_iters):
+        x_next, residual, image, preimage = step(n, x)
+        if not np.all(np.isfinite(x_next)):
+            if diverge_above is not None:
+                return Status.FAILED, "Diverged", n, x
+            raise NonFiniteIterateError(f"iterate {n + 1} contains NaN/Inf")
+        dx = float(np.linalg.norm(x - x_next))
+        rec.record(residual, dx, image, x_next, preimage)
+        x = x_next
+        if diverge_above is not None and residual > diverge_above:
+            return Status.FAILED, "Diverged", n + 1, x
+        if residual <= cfg.tol_residual:
+            return Status.CONVERGED, None, n + 1, x
+        if dx <= cfg.tol_step:
+            return Status.FAILED, "step-stalled", n + 1, x
+    return Status.MAX_ITERS, None, cfg.max_iters, x
+
+
 def gppa(
     f: ops.OperatorExpr,
     v: ops.OperatorExpr,
@@ -205,20 +243,16 @@ def gppa(
     rec = _Recorder(cfg, x, v_ref)
     w = ops.evaluate_point(v, x)
 
-    for n in range(cfg.max_iters):
+    def step(n, x):
+        nonlocal w
         gamma = cfg.gamma_at(n)
         out = resolvents.transformed(cache.get(gamma), w)
-        x_next, w_next = out.preimage, out.image
-        _require_finite(x_next, f"iterate {n + 1}")
-        residual = float(np.linalg.norm(w - w_next)) / gamma
-        step = float(np.linalg.norm(x - x_next))
-        rec.record(residual, step, w_next, x_next, None)
-        x, w = x_next, w_next
-        if residual <= cfg.tol_residual:
-            return SolveResult(Status.CONVERGED, None, x, w, n + 1, rec.trace)
-        if step <= cfg.tol_step:
-            return SolveResult(Status.FAILED, "step-stalled", x, w, n + 1, rec.trace)
-    return SolveResult(Status.MAX_ITERS, None, x, w, cfg.max_iters, rec.trace)
+        residual = float(np.linalg.norm(w - out.image)) / gamma
+        w = out.image
+        return out.preimage, residual, w, None
+
+    status, reason, iterations, x = _iterate(cfg, rec, x, step)
+    return SolveResult(status, reason, x, w, iterations, rec.trace)
 
 
 def gppa1(
@@ -242,20 +276,15 @@ def gppa1(
     rec = _Recorder(cfg, x, linalg.as_vector(reference) if reference is not None else None)
     z = x
 
-    for n in range(cfg.max_iters):
+    def step(n, x):
+        nonlocal z
         gamma = cfg.gamma_at(n)
         out = resolvents.transformed(cache.get(gamma), x)
-        z, x_next = out.preimage, out.image
-        _require_finite(x_next, f"iterate {n + 1}")
-        residual = float(np.linalg.norm(x - x_next)) / gamma
-        step = float(np.linalg.norm(x - x_next))
-        rec.record(residual, step, x_next, x_next, z)
-        x = x_next
-        if residual <= cfg.tol_residual:
-            return SolveResult(Status.CONVERGED, None, z, x, n + 1, rec.trace)
-        if step <= cfg.tol_step:
-            return SolveResult(Status.FAILED, "step-stalled", z, x, n + 1, rec.trace)
-    return SolveResult(Status.MAX_ITERS, None, z, x, cfg.max_iters, rec.trace)
+        z = out.preimage
+        return out.image, float(np.linalg.norm(x - out.image)) / gamma, out.image, z
+
+    status, reason, iterations, x = _iterate(cfg, rec, x, step)
+    return SolveResult(status, reason, z, x, iterations, rec.trace)
 
 
 def gppa2(
@@ -282,21 +311,16 @@ def gppa2(
     gamma = float(cfg.gamma_schedule)
     z = x
 
-    for k in range(cfg.max_iters):
+    def step(k, x):
+        nonlocal z
         out = resolvents.transformed(engine, x)
         z = out.preimage
         alpha = cfg.halpern.alpha(k)
         x_next = alpha * anchor + (1.0 - alpha) * out.image
-        _require_finite(x_next, f"iterate {k + 1}")
-        residual = float(np.linalg.norm(x - x_next)) / gamma
-        step = float(np.linalg.norm(x - x_next))
-        rec.record(residual, step, x_next, x_next, z)
-        x = x_next
-        if residual <= cfg.tol_residual:
-            return SolveResult(Status.CONVERGED, None, z, ops.evaluate_point(v, z), k + 1, rec.trace)
-        if step <= cfg.tol_step:
-            return SolveResult(Status.FAILED, "step-stalled", z, ops.evaluate_point(v, z), k + 1, rec.trace)
-    return SolveResult(Status.MAX_ITERS, None, z, ops.evaluate_point(v, z), cfg.max_iters, rec.trace)
+        return x_next, float(np.linalg.norm(x - x_next)) / gamma, x_next, z
+
+    status, reason, iterations, _ = _iterate(cfg, rec, x, step)
+    return SolveResult(status, reason, z, ops.evaluate_point(v, z), iterations, rec.trace)
 
 
 _DIVERGENCE_FACTOR = 1e8
@@ -323,24 +347,14 @@ def dca_baseline(
     if fact.singular:
         raise SingularMatrixError("A + m*I is singular")
     e0 = float(np.linalg.norm(a @ x - b))
-    cap = _DIVERGENCE_FACTOR * (1.0 + e0)
     rec = _Recorder(cfg, x, None)
 
-    for k in range(cfg.max_iters):
+    def step(k, x):
         x_next = linalg.lu_solve(fact, m * x + b)
-        if not np.all(np.isfinite(x_next)):
-            return SolveResult(Status.FAILED, "Diverged", x, x, k, rec.trace)
-        e = float(np.linalg.norm(a @ x_next - b))
-        step = float(np.linalg.norm(x - x_next))
-        rec.record(e, step, x_next, x_next, None)
-        x = x_next
-        if e > cap:
-            return SolveResult(Status.FAILED, "Diverged", x, x, k + 1, rec.trace)
-        if e <= cfg.tol_residual:
-            return SolveResult(Status.CONVERGED, None, x, x, k + 1, rec.trace)
-        if step <= cfg.tol_step:
-            return SolveResult(Status.FAILED, "step-stalled", x, x, k + 1, rec.trace)
-    return SolveResult(Status.MAX_ITERS, None, x, x, cfg.max_iters, rec.trace)
+        return x_next, float(np.linalg.norm(a @ x_next - b)), x_next, None
+
+    status, reason, iterations, x = _iterate(cfg, rec, x, step, _DIVERGENCE_FACTOR * (1.0 + e0))
+    return SolveResult(status, reason, x, x, iterations, rec.trace)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from pairprox import applications as apps
 from pairprox import resolvents, solvers
-from pairprox.errors import AllEigenvaluesZeroError, NotSymmetricError
+from pairprox.errors import AllEigenvaluesZeroError, NonFiniteIterateError, NotSymmetricError
 
 FULL = solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL)
 
@@ -207,6 +209,40 @@ class TestLeastSquares:
             assert np.linalg.norm(system.matrix @ (xs[-1] - xs[-2])) <= 1e-6
 
 
+class TestLeastSquaresStopRules:
+    # every reachable stop path, pinned before the iteration loop was shared;
+    # the zero-iteration start is test_zero_matrix_converges_immediately
+    @pytest.mark.parametrize(
+        "cfg, expected",
+        [
+            (solvers.SolverConfig(tol_residual=1e-6, max_iters=5000), ("Converged", None, 25)),
+            (solvers.SolverConfig(tol_residual=0.0, max_iters=5), ("MaxIters", None, 5)),
+            (
+                solvers.SolverConfig(tol_residual=0.0, tol_step=1e-3, max_iters=5000),
+                ("Failed", "step-stalled", 12),
+            ),
+        ],
+        ids=["converged", "max-iters", "step-stalled"],
+    )
+    def test_stop_paths(self, cfg, expected):
+        sol = apps.least_squares_iterate(
+            np.diag([1.0, 0.0]), np.array([1.0, 0.0]), kappa=0.2, x0=np.array([0.3, -0.7]), cfg=cfg
+        )
+        res = sol.result
+        assert (res.status.value, res.reason, res.iterations) == expected
+        assert len(res.trace.residuals) == res.iterations
+        assert len(sol.optimality_residuals) == len(sol.data_errors) == res.iterations + 1
+
+    def test_non_finite_iterate_raises(self):
+        # kappa = 0.2 is outside (0, |alpha|/2) for alpha = -0.15: one mode
+        # grows by 2.5 per step until overflow
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterateError):
+            apps.least_squares_iterate(
+                np.diag([1.0, -0.15]), np.array([1.0, 1.0]), kappa=0.2, x0=np.array([0.3, -0.7]),
+                cfg=solvers.SolverConfig(tol_residual=0.0, max_iters=5000),
+            )
+
+
 class TestCounterexampleRegression:
     def test_remark_inner_product_is_exactly_minus_half(self):
         x = np.array([0.0, -3.0, 2.0])
@@ -261,3 +297,23 @@ class TestQPFiles:
         path.write_text('{"c": [0, 0]}')
         with pytest.raises(ValueError, match="missing required key"):
             apps.read_qp(str(path))
+
+    def test_constraints_require_d(self, tmp_path):
+        # C y = d needs its right-hand side; read_qp does not invent one
+        path = tmp_path / "problem.json"
+        apps.write_qp(str(path), example_qp())
+        doc = json.loads(path.read_text())
+        del doc["d"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="missing required key 'd'"):
+            apps.read_qp(str(path))
+
+    def test_null_constraints_need_no_d(self, tmp_path):
+        path = tmp_path / "problem.json"
+        apps.write_qp(str(path), example_qp())
+        doc = json.loads(path.read_text())
+        doc["C"] = None
+        del doc["d"]
+        path.write_text(json.dumps(doc))
+        qp = apps.read_qp(str(path))
+        assert qp.n_dual == 0

@@ -1,4 +1,6 @@
 import io
+import json
+import re
 import subprocess
 import sys
 
@@ -46,6 +48,14 @@ class TestSolveKKTCommand:
     def test_missing_file_exits_one(self, capsys):
         assert cli.main(["solve-kkt", "/nonexistent/problem.json"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_constraints_without_d_exit_one(self, tmp_path, capsys):
+        problem = write_example_problem(tmp_path)
+        doc = json.loads(problem.read_text())
+        del doc["d"]
+        problem.write_text(json.dumps(doc))
+        assert cli.main(["solve-kkt", str(problem), "--kappa", "0.2"]) == 1
+        assert "missing required key 'd'" in capsys.readouterr().err
 
 
 class TestLeastSquaresCommand:
@@ -177,6 +187,25 @@ class TestOutOfRangeOptions:
         assert "spectrum must be an interval" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["solve-kkt", "least-squares", "bench"])
+    def test_max_iters_must_be_positive(self, name, tmp_path, capsys):
+        assert cli.main([*self.command(name, tmp_path), "--max-iters", "0"]) == 1
+        assert re.search(r"max[-_]iters must be >= 1", capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve-kkt", "missing.json"], ["least-squares", "missing.mat", "b.txt"]],
+        ids=["solve-kkt", "least-squares"],
+    )
+    def test_max_iters_checked_before_files_are_read(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*argv, "--max-iters", "0"]) == 1
+        assert "--max-iters must be >= 1" in capsys.readouterr().err
+
+    def test_bench_spec_rejects_max_iters(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            cli.BenchSpec(sizes=(4,), max_iters=0)
+
 
 class TestCheckPairCommand:
     def test_monotone_pair_exits_zero(self, tmp_path, capsys):
@@ -216,6 +245,15 @@ class TestCheckPairCommand:
         ops.save_operator(str(path), ops.identity_operator(2))
         code = cli.main(["check-pair", str(path), str(path), "--include-pair", "1,2"])
         assert code == 1
+
+    @pytest.mark.parametrize("box", ["1", "1,2,3", "3,-3", "1,inf"])
+    def test_box_must_be_a_finite_interval(self, box, tmp_path, capsys):
+        path = tmp_path / "id.json"
+        ops.save_operator(str(path), ops.identity_operator(2))
+        assert cli.main(["check-pair", str(path), str(path), f"--box={box}"]) == 1
+        err = capsys.readouterr().err
+        assert "--box must be 'lo,hi'" in err
+        assert "unpack" not in err
 
 
 class TestDemoCommand:

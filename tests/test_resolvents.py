@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pairprox import applications as apps
 from pairprox import operators as ops
-from pairprox import resolvents
+from pairprox import linalg, resolvents
 from pairprox.errors import (
     DimensionMismatchError,
     NonPositiveSlopeError,
@@ -122,6 +122,104 @@ class TestBuildEngine:
     def test_dim_inference_failure(self):
         with pytest.raises(DimensionMismatchError):
             resolvents.build_engine(ops.Pointwise("identity"), ops.Pointwise("identity"), 1.0)
+
+
+# structural dispatch, one row per tree shape: the affine rows give the
+# matrix and offset F reduces to, the Sign rows the per-row Sign scales and
+# the variable each one reads
+_A3 = np.array([[2.0, 1.0, 0.0], [0.5, 3.0, -1.0], [0.0, 1.0, 4.0]])
+_C3 = np.array([1.0, -2.0, 0.5])
+_PERM3 = ops.Permutation((2, 0, 1), signs=(1.0, -1.0, 1.0))
+_PERM3_MATRIX = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+_B2 = np.array([[1.0, 2.0], [0.0, 1.0]])
+_STACK3 = ops.Stack(3, ((0, 1, ops.Pointwise("negation")), (1, 3, ops.Affine(_B2, np.array([0.25, -0.5])))))
+_STACK3_MATRIX = np.block([[-np.ones((1, 1)), np.zeros((1, 2))], [np.zeros((2, 1)), _B2]])
+_STACK3_OFFSET = np.array([0.0, 0.25, -0.5])
+_V3 = ops.Affine(4.0 * np.eye(3) + 0.5 * np.ones((3, 3)), np.array([0.0, 1.0, -1.0]))
+_GAMMA = 0.75
+
+AFFINE_TREES = [
+    ("affine", ops.Affine(_A3, _C3), _A3, _C3),
+    ("permutation", _PERM3, _PERM3_MATRIX, np.zeros(3)),
+    ("identity", ops.Pointwise("identity"), np.eye(3), np.zeros(3)),
+    ("negation", ops.Pointwise("negation"), -np.eye(3), np.zeros(3)),
+    ("scale", ops.Scale(2.5, ops.Affine(_A3, _C3)), 2.5 * _A3, 2.5 * _C3),
+    ("sum", ops.Sum((ops.Affine(_A3, _C3), _PERM3)), _A3 + _PERM3_MATRIX, _C3),
+    ("stack", _STACK3, _STACK3_MATRIX, _STACK3_OFFSET),
+    (
+        "nested",
+        ops.Scale(0.5, ops.Sum((_STACK3, ops.Scale(3.0, _PERM3), ops.Pointwise("identity")))),
+        0.5 * (_STACK3_MATRIX + 3.0 * _PERM3_MATRIX + np.eye(3)),
+        0.5 * _STACK3_OFFSET,
+    ),
+]
+
+_SIGN_SWAP = ops.SignBlock(1.0, (1, 0))
+SIGN_TREES = [
+    # (id, F, v, Sign scale per row, variable per row or None if unsupported)
+    ("sign-block", _SIGN_SWAP, ops.swap_operator(), [1.0, 1.0], [1, 0]),
+    (
+        "same-variable-terms-add",
+        ops.Sum((_SIGN_SWAP, ops.Scale(0.5, _SIGN_SWAP), ops.Affine(np.diag([1.0, -1.0])))),
+        ops.swap_operator(),
+        [1.5, 1.5],
+        [1, 0],
+    ),
+    (
+        "distinct-terms-on-one-row",
+        ops.Sum((ops.SignBlock(1.0, (0, 1)), _SIGN_SWAP)),
+        ops.swap_operator(),
+        None,
+        None,
+    ),
+    (
+        "stack",
+        ops.Sum((ops.Stack(3, ((0, 2, _SIGN_SWAP), (2, 3, ops.Pointwise("negation")))), _PERM3)),
+        _V3,
+        [1.0, 1.0, 0.0],
+        [1, 0, 2],
+    ),
+    (
+        "nested",
+        ops.Scale(2.0, ops.Sum((ops.Stack(3, ((1, 3, ops.Scale(0.5, _SIGN_SWAP)),)), ops.Pointwise("identity")))),
+        _V3,
+        [0.0, 1.0, 1.0],
+        [0, 2, 1],
+    ),
+    ("sign-kernel", ops.Affine(np.eye(2)), ops.Sum((_SIGN_SWAP, ops.Affine(np.eye(2)))), None, None),
+    ("registry-map", ops.trig_block_operator(), ops.swap_operator(), None, None),
+]
+
+
+class TestStructuralDispatch:
+    @pytest.mark.parametrize("f, matrix, offset", [row[1:] for row in AFFINE_TREES], ids=[row[0] for row in AFFINE_TREES])
+    def test_affine_trees(self, f, matrix, offset):
+        engine = resolvents.build_engine(f, _V3, _GAMMA)
+        assert engine.kind is resolvents.StrategyKind.AFFINE_AFFINE
+        expected = linalg.lu_factorize(_GAMMA * matrix + _V3.matrix)
+        fact = engine._strategy.factorization
+        assert np.array_equal(fact.packed, expected.packed)
+        assert np.array_equal(fact.perm, expected.perm)
+        assert np.array_equal(engine._strategy.offset, _GAMMA * offset + _V3.offset)
+
+    @pytest.mark.parametrize(
+        "f, v, scales, variables", [row[1:] for row in SIGN_TREES], ids=[row[0] for row in SIGN_TREES]
+    )
+    def test_sign_trees(self, f, v, scales, variables):
+        engine = resolvents.build_engine(f, v, _GAMMA)
+        if scales is None:
+            assert engine.kind is resolvents.StrategyKind.UNSUPPORTED
+            return
+        assert engine.kind is resolvents.StrategyKind.SIGN_SEPARABLE
+        strategy = engine._strategy
+        assert np.array_equal(strategy.scales, _GAMMA * np.array(scales))
+        signed = np.array(scales) > 0.0
+        assert np.array_equal(strategy.sigma[signed], np.array(variables)[signed])
+        # a consistent inverse: the input lies in (gamma*F + v)(z)
+        w = np.array([2.0, -3.0, 0.5])[: engine.dim]
+        out = resolvents.transformed(engine, w)
+        fz = f.evaluate(out.preimage)
+        assert ops.ValueSet(_GAMMA * fz.lower, _GAMMA * fz.upper).contains(w - out.image, tol=1e-9)
 
 
 class TestWarped:

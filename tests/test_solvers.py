@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -262,6 +263,92 @@ class TestInvariants:
         res = solvers.gppa(f, v, np.zeros(2), cfg)
         assert res.status is solvers.Status.FAILED
         assert res.reason == "step-stalled"
+
+
+# every reachable stop path of each solver, pinned before the iteration loop
+# was shared: (status, reason, iterations); the trace holds one row per step
+STOP_CONFIGS = {
+    "converged": solvers.SolverConfig(tol_residual=1e-6, max_iters=5000),
+    "max-iters": solvers.SolverConfig(tol_residual=0.0, max_iters=5),
+    "step-stalled": solvers.SolverConfig(tol_residual=0.0, tol_step=1e-3, max_iters=5000),
+    "non-finite": solvers.SolverConfig(tol_residual=0.0, max_iters=5000),
+}
+
+
+class TestStopRules:
+    @pytest.mark.parametrize(
+        "solver, path, expected",
+        [
+            ("gppa", "converged", ("Converged", None, 25)),
+            ("gppa", "max-iters", ("MaxIters", None, 5)),
+            ("gppa", "step-stalled", ("Failed", "step-stalled", 12)),
+            ("gppa", "non-finite", NonFiniteIterateError),
+            ("gppa1", "converged", ("Converged", None, 26)),
+            ("gppa1", "max-iters", ("MaxIters", None, 5)),
+            ("gppa1", "step-stalled", ("Failed", "step-stalled", 13)),
+            ("gppa1", "non-finite", NonFiniteIterateError),
+            ("gppa2", "converged", ("Converged", None, 981)),
+            ("gppa2", "max-iters", ("MaxIters", None, 5)),
+            ("gppa2", "step-stalled", ("Failed", "step-stalled", 32)),
+            ("gppa2", "non-finite", NonFiniteIterateError),
+        ],
+    )
+    def test_proximal_iterations(self, solver, path, expected):
+        # the non-finite runs use kappa = 0.2 outside (0, |alpha|/2) for
+        # alpha = -0.15, so one mode grows by 2.5 per step until overflow
+        if path == "non-finite":
+            f, v = qp_pair(a=np.diag([1.0, -0.15]), b=np.zeros(2))
+        else:
+            f, v = qp_pair()
+        cfg = STOP_CONFIGS[path]
+        if solver == "gppa2":
+            cfg = dataclasses.replace(cfg, halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)))
+        run = lambda: getattr(solvers, solver)(f, v, np.array([0.3, -0.7]), cfg)
+        if expected is NonFiniteIterateError:
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterateError):
+                run()
+            return
+        res = run()
+        assert (res.status.value, res.reason, res.iterations) == expected
+        assert len(res.trace.residuals) == res.iterations
+
+    @pytest.mark.parametrize(
+        "path, expected",
+        [
+            ("converged", ("Converged", None, 21)),
+            ("max-iters", ("MaxIters", None, 5)),
+            ("step-stalled", ("Failed", "step-stalled", 11)),
+        ],
+    )
+    def test_dca(self, path, expected):
+        res = solvers.dca_baseline(np.eye(2), np.ones(2), m=1.0, x0=np.zeros(2), cfg=STOP_CONFIGS[path])
+        assert (res.status.value, res.reason, res.iterations) == expected
+        assert len(res.trace.residuals) == res.iterations
+
+    def test_dca_error_cap_divergence(self):
+        # e_k doubles per step and passes 1e8 * (1 + e_0) at step 28
+        res = solvers.dca_baseline(
+            np.diag([1.0, -1.0]), np.zeros(2), m=2.0, x0=np.ones(2),
+            cfg=solvers.SolverConfig(max_iters=10_000),
+        )
+        assert (res.status.value, res.reason, res.iterations) == ("Failed", "Diverged", 28)
+        assert len(res.trace.residuals) == 28
+        assert res.trace.residuals[-1] > 1e8
+
+    def test_dca_non_finite_divergence(self):
+        # from 1e300 the iterate overflows at step 28 while e_k is still
+        # below the cap; the non-finite step counts neither as an iteration
+        # nor as a trace row, and the last finite iterate is returned
+        x0 = np.array([1e300, 1e300])
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = solvers.dca_baseline(
+                np.diag([1.0, -1.0]), np.zeros(2), m=2.0, x0=x0,
+                cfg=solvers.SolverConfig(max_iters=10_000),
+            )
+        assert (res.status.value, res.reason, res.iterations) == ("Failed", "Diverged", 27)
+        assert len(res.trace.residuals) == 27
+        assert np.all(np.isfinite(res.preimage))
+        assert res.preimage[1] == 2.0**27 * 1e300
 
 
 class TestConfig:
