@@ -93,6 +93,13 @@ def build_kkt(qp: QPProblem) -> KKTSystem:
 # kernel-shift selection and the pair lemma
 
 
+def _smallest_nonzero_abs(values: np.ndarray, zero_threshold: float) -> float:
+    """Smallest |lambda| above zero_threshold * max|lambda|; 0.0 if none is."""
+    absvals = np.abs(values)
+    nonzero = absvals[absvals > zero_threshold * absvals.max(initial=0.0)]
+    return float(nonzero.min()) if nonzero.size else 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class KappaSelection:
     alpha_abs: float  # smallest absolute nonzero eigenvalue
@@ -109,12 +116,9 @@ def select_kappa(
     if not 0.0 < fraction < 0.5:
         raise ValueError("fraction must lie in (0, 0.5)")
     eigen = linalg.jacobi_eigendecomposition(a)
-    absvals = np.abs(eigen.values)
-    max_abs = float(absvals.max()) if absvals.size else 0.0
-    nonzero = absvals[absvals > zero_threshold * max_abs] if max_abs > 0 else np.array([])
-    if nonzero.size == 0:
+    alpha_abs = _smallest_nonzero_abs(eigen.values, zero_threshold)
+    if alpha_abs == 0.0:
         raise AllEigenvaluesZeroError("matrix has no eigenvalue above the zero threshold")
-    alpha_abs = float(nonzero.min())
     return KappaSelection(alpha_abs, fraction * alpha_abs, eigen)
 
 
@@ -137,10 +141,7 @@ def verify_pair_lemma(a: np.ndarray, kappa: float, zero_threshold: float = DEFAU
     vals = eigen.values
     products = vals * (vals + 2.0 * kappa)
     min_value = float(products.min())
-    absvals = np.abs(vals)
-    max_abs = float(absvals.max()) if absvals.size else 0.0
-    nonzero = absvals[absvals > zero_threshold * max_abs] if max_abs > 0 else np.array([])
-    alpha_abs = float(nonzero.min()) if nonzero.size else 0.0
+    alpha_abs = _smallest_nonzero_abs(vals, zero_threshold)
     return PairLemmaReport(
         min_value=min_value,
         monotone=min_value >= -1e-12,

@@ -65,6 +65,8 @@ class BenchSpec:
             raise ValueError("set exactly one of kappa (absolute) or kappa_fraction")
         if self.kappa is not None:
             _require_kappa(self.kappa)
+        if self.kappa_fraction is not None:
+            _require_kappa_fraction(self.kappa_fraction)
         if len(self.spectrum) != 2:
             raise ValueError(f"spectrum must be an interval 'lo,hi', got {self.spectrum!r}")
         if self.max_iters < 1:
@@ -175,8 +177,14 @@ def bench_summary(records: list[RunRecord]) -> str:
 # argument helpers
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok)
+def _parse_sizes(text: str) -> tuple[int, ...]:
+    try:
+        sizes = tuple(int(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        sizes = ()
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"--sizes must be 'n1,n2,...' with positive integers, got {text!r}")
+    return sizes
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -210,10 +218,17 @@ def _require_kappa(kappa: float) -> None:
         raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
 
 
+def _require_kappa_fraction(fraction: float) -> None:
+    if not 0.0 < fraction < 0.5:
+        raise ValueError(f"--kappa-fraction must lie in (0, 0.5), got {fraction!r}")
+
+
 def _check_solve_args(args) -> None:
     """Reject out-of-range options before any file is read or solve runs."""
     if args.kappa is not None:
         _require_kappa(args.kappa)
+    if args.kappa_fraction is not None:
+        _require_kappa_fraction(args.kappa_fraction)
     if not args.tol >= 0.0:
         raise ValueError(f"--tol must be nonnegative, got {args.tol!r}")
     if args.max_iters < 1:
@@ -221,7 +236,16 @@ def _check_solve_args(args) -> None:
 
 
 def _resolve_kappa(args, matrix: np.ndarray) -> float:
+    """A selected kappa lies inside (0, |alpha|/2) by construction; an
+    explicit --kappa is checked against that bound and only warned about."""
     if args.kappa is not None:
+        report = apps.verify_pair_lemma(matrix, args.kappa)
+        if not report.kappa_within_bound:
+            print(
+                f"warning: kappa={args.kappa:g} is not below |alpha|/2={report.alpha_abs / 2:g}, "
+                "so the pair lemma does not guarantee a monotone pair",
+                file=sys.stderr,
+            )
         return args.kappa
     fraction = args.kappa_fraction if args.kappa_fraction is not None else apps.DEFAULT_KAPPA_FRACTION
     return apps.select_kappa(matrix, fraction=fraction).kappa
@@ -272,7 +296,7 @@ def cmd_bench(args) -> int:
     if args.kappa is None and args.kappa_fraction is None:
         args.kappa = 0.2
     spec = BenchSpec(
-        sizes=_parse_int_list(args.sizes),
+        sizes=_parse_sizes(args.sizes),
         trials=args.trials,
         seed=args.seed,
         kappa=args.kappa,

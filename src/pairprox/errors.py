@@ -21,10 +21,6 @@ class NotSymmetricError(PairproxError):
     """A symmetric matrix was required."""
 
 
-class NoConvergenceError(PairproxError):
-    """An iterative kernel exhausted its sweep budget."""
-
-
 class UnknownRegistryKeyError(PairproxError):
     """A pointwise map name is not registered."""
 

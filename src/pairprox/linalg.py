@@ -1,5 +1,5 @@
-"""Dense linear algebra kernels: BLAS-1/2 helpers, LU with partial pivoting,
-and a cyclic Jacobi eigensolver for symmetric matrices.
+"""Dense linear algebra kernels: LU with partial pivoting, the symmetric
+eigendecomposition behind the kernel-shift selection, and matrix text I/O.
 
 The LU factorization eliminates in column panels and then inverts each
 diagonal block of L and U once. A solve is blocked forward and back
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    NoConvergenceError,
     NonSquareError,
     NotSymmetricError,
     SingularMatrixError,
@@ -41,33 +40,6 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
     return m
-
-
-def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    a, x = as_matrix(a), as_vector(x)
-    if a.shape[1] != x.size:
-        raise DimensionMismatchError(f"matvec: {a.shape} by {x.size}")
-    return a @ x
-
-
-def dot(x: np.ndarray, y: np.ndarray) -> float:
-    x, y = as_vector(x), as_vector(y)
-    if x.size != y.size:
-        raise DimensionMismatchError(f"dot: {x.size} vs {y.size}")
-    return float(x @ y)
-
-
-def norm2(x: np.ndarray) -> float:
-    x = as_vector(x)
-    return float(np.sqrt(x @ x))
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """alpha * x + y."""
-    x, y = as_vector(x), as_vector(y)
-    if x.size != y.size:
-        raise DimensionMismatchError(f"axpy: {x.size} vs {y.size}")
-    return alpha * x + y
 
 
 def max_asymmetry(a: np.ndarray) -> float:
@@ -185,66 +157,18 @@ class SymmetricEigenDecomposition:
     vectors: np.ndarray
 
 
-def jacobi_eigendecomposition(a: np.ndarray, max_sweeps: int = 100) -> SymmetricEigenDecomposition:
-    """Cyclic Jacobi rotations until the off-diagonal Frobenius norm falls
-    below 1e-12 * ||A||_F (or the sweep budget runs out)."""
+def jacobi_eigendecomposition(a: np.ndarray) -> SymmetricEigenDecomposition:
+    """LAPACK's symmetric eigensolver (numpy.linalg.eigh) on 0.5 (A + A^T).
+
+    The name predates the switch from cyclic Jacobi rotations and stays
+    because the benchmark's per-layer metric is keyed on it.
+    """
+    # LAPACK returns finite-looking eigenvalues for some NaN inputs
+    if not np.all(np.isfinite(as_matrix(a))):
+        raise ValueError("matrix has non-finite entries")
     a = require_symmetric(a)
-    n = a.shape[0]
-    b = 0.5 * (a + a.T)
-    v = np.eye(n)
-    norm_f = float(np.linalg.norm(a))
-    target = 1e-12 * norm_f
-    if n == 1 or norm_f == 0.0:
-        return _sorted_eigen(np.diag(b).copy(), v)
-    skip = target / n
-
-    for _ in range(max_sweeps):
-        off = _offdiag_norm(b)
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = b[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (b[q, q] - b[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau < 0.0:
-                    t = -t
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                _rotate(b, v, p, q, c, s)
-    else:
-        if _offdiag_norm(b) > target:
-            raise NoConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
-    return _sorted_eigen(np.diag(b).copy(), v)
-
-
-def _offdiag_norm(b: np.ndarray) -> float:
-    off = b - np.diag(np.diag(b))
-    return float(np.linalg.norm(off))
-
-
-def _rotate(b: np.ndarray, v: np.ndarray, p: int, q: int, c: float, s: float) -> None:
-    bp = b[:, p].copy()
-    bq = b[:, q].copy()
-    b[:, p] = c * bp - s * bq
-    b[:, q] = s * bp + c * bq
-    bp = b[p, :].copy()
-    bq = b[q, :].copy()
-    b[p, :] = c * bp - s * bq
-    b[q, :] = s * bp + c * bq
-    b[p, q] = 0.0
-    b[q, p] = 0.0
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
-
-
-def _sorted_eigen(values: np.ndarray, vectors: np.ndarray) -> SymmetricEigenDecomposition:
-    order = np.argsort(values, kind="stable")
-    return SymmetricEigenDecomposition(values[order], vectors[:, order])
+    values, vectors = np.linalg.eigh(0.5 * (a + a.T))
+    return SymmetricEigenDecomposition(values, vectors)
 
 
 def write_matrix(path, a: np.ndarray) -> None:

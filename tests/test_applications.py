@@ -99,6 +99,44 @@ class TestVerifyPairLemma:
             assert report.kappa_within_bound
 
 
+class TestEigenParity:
+    """select_kappa's |alpha| is the smallest nonzero |eigenvalue| that
+    numpy's symmetric eigenvalue routine finds."""
+
+    @staticmethod
+    def check_parity(a):
+        absvals = np.abs(np.linalg.eigvalsh(a))
+        scale = absvals.max()
+        alpha = absvals[absvals > apps.DEFAULT_ZERO_EIG_RTOL * scale].min()
+        sel = apps.select_kappa(a)
+        assert abs(sel.alpha_abs - alpha) <= 1e-12 * scale
+        return sel
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_seeded_consistent_systems(self, trial):
+        n = 10 * (trial + 1)  # 10 .. 200
+        system = apps.generate_consistent_system(n, 5000 + trial)
+        sel = self.check_parity(system.matrix)
+        planted = np.abs(system.eigenvalues[system.eigenvalues != 0.0])
+        assert sel.alpha_abs == pytest.approx(planted.min(), abs=1e-10)
+
+    def test_planted_qp_kkt_matrix(self):
+        rng = np.random.default_rng(42)
+        n, m = 60, 20
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q = (basis * rng.uniform(0.5, 2.0, n)) @ basis.T
+        q = 0.5 * (q + q.T)
+        con = rng.standard_normal((m, n)) / np.sqrt(n)
+        y_star, lam_star = rng.standard_normal(n), rng.standard_normal(m)
+        qp = apps.QPProblem(q, -(q @ y_star + con.T @ lam_star), con, con @ y_star)
+        kkt = apps.build_kkt(qp)
+        sel = self.check_parity(kkt.matrix)
+        # a saddle matrix with full-rank C: indefinite and nonsingular
+        assert 0.0 < sel.kappa < sel.alpha_abs / 2.0
+        assert sel.eigen.values[0] < 0.0 < sel.eigen.values[-1]
+        assert np.allclose(kkt.matrix @ np.concatenate([y_star, lam_star]), kkt.rhs, atol=1e-12)
+
+
 class TestSolveKKT:
     def test_hand_checked_solution(self):
         kkt = apps.build_kkt(example_qp())

@@ -207,6 +207,105 @@ class TestOutOfRangeOptions:
             cli.BenchSpec(sizes=(4,), max_iters=0)
 
 
+    @pytest.mark.parametrize("fraction", ["0", "0.5", "0.7", "nan"])
+    @pytest.mark.parametrize("name", ["solve-kkt", "least-squares", "bench"])
+    def test_kappa_fraction_must_lie_in_open_interval(self, name, fraction, tmp_path, capsys):
+        assert cli.main([*self.command(name, tmp_path), f"--kappa-fraction={fraction}"]) == 1
+        assert "--kappa-fraction must lie in (0, 0.5)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve-kkt", "missing.json"], ["least-squares", "missing.mat", "b.txt"]],
+        ids=["solve-kkt", "least-squares"],
+    )
+    def test_kappa_fraction_checked_before_files_are_read(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*argv, "--kappa-fraction", "0.7"]) == 1
+        assert "--kappa-fraction must lie in (0, 0.5), got 0.7" in capsys.readouterr().err
+
+    def test_bench_kappa_fraction_checked_before_generation(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a system was generated for rejected options")
+
+        monkeypatch.setattr(apps, "generate_consistent_system", fail)
+        assert cli.main(["bench", "--sizes", "4", "--trials", "1", "--kappa-fraction", "0.7"]) == 1
+        assert "--kappa-fraction must lie in (0, 0.5), got 0.7" in capsys.readouterr().err
+
+    def test_bench_spec_rejects_kappa_fraction(self):
+        with pytest.raises(ValueError, match=r"--kappa-fraction must lie in \(0, 0\.5\)"):
+            cli.BenchSpec(sizes=(4,), kappa=None, kappa_fraction=0.7)
+
+    @pytest.mark.parametrize("flags", [[], ["--kappa", "0.2"]], ids=["selected", "explicit"])
+    def test_non_finite_matrix_rejected(self, flags, tmp_path, capsys):
+        mat, rhs = write_least_squares_files(tmp_path)
+        linalg.write_matrix(mat, np.array([[np.nan, 1.0], [1.0, 0.0]]))
+        assert cli.main(["least-squares", mat, rhs, *flags]) == 1
+        assert "matrix has non-finite entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sizes", ["a", "4,x", "2.5", "0", "4,-1", ","])
+    def test_bench_sizes_must_be_positive_integers(self, sizes, capsys):
+        assert cli.main(["bench", f"--sizes={sizes}", "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"--sizes must be 'n1,n2,...' with positive integers, got {sizes!r}" in err
+        assert "Traceback" not in err
+
+
+class TestPairLemmaWarning:
+    """An explicit --kappa outside (0, |alpha|/2) draws one warning on
+    stderr; the exit code stays that of the solve."""
+
+    @staticmethod
+    def warnings(err):
+        return [line for line in err.splitlines() if line.startswith("warning:")]
+
+    def test_solve_kkt_kappa_outside_bound(self, tmp_path, capsys):
+        # KKT_EXAMPLE's eigenvalues are 2 and 1 +- sqrt(3): |alpha|/2 = 0.366025
+        problem = write_example_problem(tmp_path)
+        assert cli.main(["solve-kkt", str(problem), "--kappa", "0.4"]) == 0
+        captured = capsys.readouterr()
+        assert self.warnings(captured.err) == [
+            "warning: kappa=0.4 is not below |alpha|/2=0.366025, "
+            "so the pair lemma does not guarantee a monotone pair"
+        ]
+        assert "Converged" in captured.out
+
+    def test_least_squares_kappa_outside_bound(self, tmp_path, capsys):
+        # diag(1, 0): |alpha|/2 = 0.5; the pair stays monotone without negative eigenvalues
+        assert cli.main(["least-squares", *write_least_squares_files(tmp_path), "--kappa", "0.6"]) == 0
+        warnings = self.warnings(capsys.readouterr().err)
+        assert len(warnings) == 1
+        assert "kappa=0.6" in warnings[0] and "|alpha|/2=0.5" in warnings[0]
+
+    def command(self, name, tmp_path):
+        if name == "solve-kkt":
+            return ["solve-kkt", str(write_example_problem(tmp_path))]
+        return ["least-squares", *write_least_squares_files(tmp_path)]
+
+    @pytest.mark.parametrize("name", ["solve-kkt", "least-squares"])
+    def test_kappa_inside_bound_is_silent(self, name, tmp_path, capsys):
+        assert cli.main([*self.command(name, tmp_path), "--kappa", "0.2"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("flags", [[], ["--kappa-fraction", "0.3"]], ids=["default", "fraction"])
+    @pytest.mark.parametrize("name", ["solve-kkt", "least-squares"])
+    def test_selected_kappa_is_not_rechecked(self, name, flags, tmp_path, capsys, monkeypatch):
+        calls = []
+        eigen = linalg.jacobi_eigendecomposition
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigen(a)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the pair lemma was checked for a selected kappa")
+
+        monkeypatch.setattr(linalg, "jacobi_eigendecomposition", counted)
+        monkeypatch.setattr(apps, "verify_pair_lemma", fail)
+        assert cli.main([*self.command(name, tmp_path), *flags]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().err == ""
+
+
 class TestCheckPairCommand:
     def test_monotone_pair_exits_zero(self, tmp_path, capsys):
         f_path = tmp_path / "f.json"

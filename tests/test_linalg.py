@@ -233,28 +233,27 @@ class TestJacobi:
             assert np.allclose(dec.values, np.sort(diag), atol=1e-10)
 
 
-class TestBlas1:
-    def test_matvec_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(linalg.matvec(np.eye(3), x), x)
+class TestSymmetricEigen:
+    def test_asymmetry_just_inside_tolerance_uses_symmetric_part(self):
+        rng = SplitMix64(77)
+        g = rng.normal(36).reshape(6, 6)
+        sym = 0.5 * (g + g.T)
+        skew = np.zeros((6, 6))
+        skew[0, 5], skew[5, 0] = 1.0, -1.0
+        # max|A - A^T| = 2 * eps must stay below rtol * (1 + max|A|)
+        eps = 0.45 * linalg._SYMMETRY_RTOL * (1.0 + np.max(np.abs(sym)))
+        a = sym + eps * skew
+        assert 0.0 < linalg.max_asymmetry(a) <= linalg._SYMMETRY_RTOL * (1.0 + np.max(np.abs(a)))
+        dec = linalg.jacobi_eigendecomposition(a)
+        assert np.allclose(dec.values, np.linalg.eigvalsh(sym), rtol=0.0, atol=1e-12)
+        assert np.allclose(dec.vectors @ np.diag(dec.values) @ dec.vectors.T, sym, rtol=0.0, atol=1e-12)
+        assert np.allclose(dec.vectors.T @ dec.vectors, np.eye(6), rtol=0.0, atol=1e-12)
 
-    def test_dot(self):
-        assert linalg.dot(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-
-    def test_norm2_345(self):
-        assert linalg.norm2(np.array([3.0, 4.0])) == 5.0
-
-    def test_axpy(self):
-        out = linalg.axpy(2.0, np.array([1.0, 1.0]), np.array([0.0, 1.0]))
-        assert np.allclose(out, [2.0, 3.0])
-
-    def test_mismatches(self):
-        with pytest.raises(DimensionMismatchError):
-            linalg.dot(np.ones(2), np.ones(3))
-        with pytest.raises(DimensionMismatchError):
-            linalg.matvec(np.eye(2), np.ones(3))
-        with pytest.raises(DimensionMismatchError):
-            linalg.axpy(1.0, np.ones(2), np.ones(3))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        a = np.array([[bad, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.jacobi_eigendecomposition(a)
 
 
 class TestMatrixTextFormat:
