@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,12 +38,13 @@ class QPProblem:
     d: np.ndarray
 
     def __post_init__(self):
-        q = linalg.require_symmetric(self.q)
-        c = linalg.as_vector(self.c)
+        q = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(self.q), "Q"))
+        c = linalg.require_finite(linalg.as_vector(self.c), "c")
         con = np.asarray(self.constraint, dtype=float)
         if con.ndim != 2:
             raise DimensionMismatchError("C must be a 2-D matrix (possibly with 0 rows)")
-        d = np.asarray(self.d, dtype=float).reshape(-1)
+        linalg.require_finite(con, "C")
+        d = linalg.require_finite(np.asarray(self.d, dtype=float).reshape(-1), "d")
         if c.size != q.shape[0]:
             raise DimensionMismatchError("c length must match Q")
         if con.shape[1] != q.shape[0]:
@@ -220,8 +221,8 @@ def least_squares_iterate(
     """Minimize ||Ax - b||^2 for symmetric A via the same shifted iteration,
     never forming A^T A; b may lie outside ran A."""
     cfg = cfg or solvers.SolverConfig()
-    a = linalg.require_symmetric(a)
-    b = linalg.as_vector(b)
+    a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
+    b = linalg.require_finite(linalg.as_vector(b), "b")
     n = a.shape[0]
     x = np.zeros(n) if x0 is None else linalg.as_vector(x0).copy()
     f, v = kkt_operator_pair(a, b, kappa)
@@ -294,6 +295,18 @@ def _spectrum(n: int, rng: SplitMix64, spectrum: tuple[float, float], zero_fract
     return lam
 
 
+def _planted_system(
+    n: int, rng: SplitMix64, spectrum: tuple[float, float], zero_fraction: float
+) -> GeneratedSystem:
+    """A = V diag(lam) V^T and b = A z, drawing lam, V and then z from rng."""
+    lam = _spectrum(n, rng, spectrum, zero_fraction)
+    basis = _random_orthogonal(n, rng)
+    a = (basis * lam) @ basis.T
+    a = 0.5 * (a + a.T)
+    z = rng.normal(n)
+    return GeneratedSystem(a, a @ z, z, lam, basis, 0.0)
+
+
 def generate_consistent_system(
     n: int,
     seed: int,
@@ -302,14 +315,7 @@ def generate_consistent_system(
 ) -> GeneratedSystem:
     """A = V diag(lam) V^T with |lam| in the spectrum interval (a configurable
     fraction exactly zero) and b = A z for Gaussian z, so z solves Ax = b."""
-    rng = SplitMix64(seed)
-    lam = _spectrum(n, rng, spectrum, zero_fraction)
-    basis = _random_orthogonal(n, rng)
-    a = (basis * lam) @ basis.T
-    a = 0.5 * (a + a.T)
-    z = rng.normal(n)
-    b = a @ z
-    return GeneratedSystem(a, b, z, lam, basis, 0.0)
+    return _planted_system(n, SplitMix64(seed), spectrum, zero_fraction)
 
 
 def generate_inconsistent_system(
@@ -322,19 +328,16 @@ def generate_inconsistent_system(
     b is outside ran A; `solution` minimizes ||Ax - b|| and `range_distance`
     is the residual floor."""
     rng = SplitMix64(seed)
-    lam = _spectrum(n, rng, spectrum, zero_fraction)
-    n_zero = int(np.sum(lam == 0.0))
-    if n_zero == 0:
+    system = _planted_system(n, rng, spectrum, zero_fraction)
+    kernel = system.eigenvalues == 0.0
+    if not np.any(kernel):
         raise ValueError("zero_fraction too small: A has no kernel, b cannot leave ran A")
-    basis = _random_orthogonal(n, rng)
-    a = (basis * lam) @ basis.T
-    a = 0.5 * (a + a.T)
-    z = rng.normal(n)
-    w = rng.normal(n_zero)
+    w = rng.normal(int(np.sum(kernel)))
     w[np.abs(w) < 0.1] += 0.5  # keep the kernel component well away from zero
-    kernel_part = basis[:, lam == 0.0] @ w
-    b = a @ z + kernel_part
-    return GeneratedSystem(a, b, z, lam, basis, float(np.linalg.norm(kernel_part)))
+    kernel_part = system.basis[:, kernel] @ w
+    return replace(
+        system, rhs=system.rhs + kernel_part, range_distance=float(np.linalg.norm(kernel_part))
+    )
 
 
 # ---------------------------------------------------------------------------

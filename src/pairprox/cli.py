@@ -23,7 +23,7 @@ import numpy as np
 
 from . import applications as apps
 from . import linalg, operators as ops, solvers
-from .errors import PairproxError, UnknownDemoError
+from .errors import NonFiniteIterateError, PairproxError, UnknownDemoError
 from .rng import derive_seed
 
 EXIT_OK = 0
@@ -251,6 +251,18 @@ def _resolve_kappa(args, matrix: np.ndarray) -> float:
     return apps.select_kappa(matrix, fraction=fraction).kappa
 
 
+def _run_solve(solve, kappa: float):
+    """Run `solve()`, or print a Failed status and return None when its
+    iterates overflow to NaN/Inf: that is a diverged solve (exit 2), not an
+    input error, and numpy's overflow warnings along the way are noise."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solve()
+    except NonFiniteIterateError as exc:
+        print(f"status: Failed({exc}) (kappa={kappa:g})")
+        return None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -261,7 +273,9 @@ def cmd_solve_kkt(args) -> int:
     kkt = apps.build_kkt(qp)
     kappa = _resolve_kappa(args, kkt.matrix)
     cfg = solvers.SolverConfig(tol_residual=args.tol, max_iters=args.max_iters)
-    sol = apps.solve_kkt(kkt, kappa, cfg=cfg)
+    sol = _run_solve(lambda: apps.solve_kkt(kkt, kappa, cfg=cfg), kappa)
+    if sol is None:
+        return EXIT_NOT_CONVERGED
     print(f"status: {_status_label(sol.result)} after {sol.result.iterations} iterations (kappa={kappa:g})")
     final = sol.result.trace.residuals[-1] if sol.result.trace.residuals else float("nan")
     print(f"final error ||Ax - b|| = {final:.6e}")
@@ -280,7 +294,9 @@ def cmd_least_squares(args) -> int:
     b = linalg.read_vector(args.rhs)
     kappa = _resolve_kappa(args, a)
     cfg = solvers.SolverConfig(tol_residual=args.tol, max_iters=args.max_iters)
-    sol = apps.least_squares_iterate(a, b, kappa, cfg=cfg)
+    sol = _run_solve(lambda: apps.least_squares_iterate(a, b, kappa, cfg=cfg), kappa)
+    if sol is None:
+        return EXIT_NOT_CONVERGED
     res = sol.result
     print(f"status: {_status_label(res)} after {res.iterations} iterations (kappa={kappa:g})")
     print(f"optimality residual ||A^2 x - A b|| = {sol.optimality_residuals[-1]:.6e}")

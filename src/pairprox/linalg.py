@@ -42,6 +42,12 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def require_finite(a: np.ndarray, name: str) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has non-finite entries")
+    return a
+
+
 def max_asymmetry(a: np.ndarray) -> float:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -164,9 +170,7 @@ def jacobi_eigendecomposition(a: np.ndarray) -> SymmetricEigenDecomposition:
     because the benchmark's per-layer metric is keyed on it.
     """
     # LAPACK returns finite-looking eigenvalues for some NaN inputs
-    if not np.all(np.isfinite(as_matrix(a))):
-        raise ValueError("matrix has non-finite entries")
-    a = require_symmetric(a)
+    a = require_symmetric(require_finite(as_matrix(a), "matrix"))
     values, vectors = np.linalg.eigh(0.5 * (a + a.T))
     return SymmetricEigenDecomposition(values, vectors)
 

@@ -114,10 +114,6 @@ class OperatorExpr:
         return x
 
 
-def evaluate(op: OperatorExpr, x: np.ndarray) -> ValueSet:
-    return op.evaluate(x)
-
-
 def evaluate_point(op: OperatorExpr, x: np.ndarray) -> np.ndarray:
     """Evaluate an operator that must be single-valued at x."""
     vs = op.evaluate(x)
@@ -373,10 +369,6 @@ class PairMonotonicityReport:
     witness_y: np.ndarray = field(repr=False)
     witness_selections: tuple[Selection, Selection, Selection, Selection]
     verdict: Verdict
-
-    @property
-    def violation_value(self) -> float | None:
-        return self.min_inner if self.verdict is Verdict.VIOLATION_FOUND else None
 
 
 def _selection_candidates(vs: ValueSet) -> list[tuple[Selection, np.ndarray]]:

@@ -1,10 +1,11 @@
 """Warped and transformed resolvents evaluated by structural dispatch.
 
-Given operators F, v and a step gamma, the engine inverts (gamma*F + v) either
-through a cached LU factorization (both operators affine) or through a
-componentwise / sign-pattern case analysis when the shifted operator reduces
-to Sign terms plus an invertible linear part. Anything else is Unsupported:
-no generic inner root-finder is attempted.
+Given operators F, v and a step gamma, the engine inverts (gamma*F + v)
+through a cached LU factorization (both operators affine), or, when the
+shifted operator reduces to Sign terms plus an invertible linear part, by
+one soft-threshold per coordinate (linear part diagonal) or by a table of
+sign patterns whose subsystems are factored when the engine is built.
+Anything else is Unsupported: no generic inner root-finder is attempted.
 """
 from __future__ import annotations
 
@@ -29,18 +30,17 @@ _SIGN_CONSISTENCY_TOL = 1e-12
 _PATTERN_DIM_LIMIT = 8
 
 
-def scalar_sign_affine_inverse(s: float, c: float, d: float, y: float) -> float:
-    """The unique z with y in s*Sign(z) + c*z + d (requires c > 0, s >= 0)."""
-    if c <= 0.0:
+def scalar_sign_affine_inverse(s, c, d, y):
+    """The unique z with y in s*Sign(z) + c*z + d (requires c > 0, s >= 0).
+
+    Broadcasts over arrays, elementwise; scalar arguments give a scalar.
+    """
+    if np.any(c <= 0.0):
         raise NonPositiveSlopeError(f"slope must be positive, got {c}")
-    if s < 0.0:
+    if np.any(s < 0.0):
         raise ValueError(f"sign scale must be nonnegative, got {s}")
     r = y - d
-    if r > s:
-        return (r - s) / c
-    if r < -s:
-        return (r + s) / c
-    return 0.0
+    return (np.where(r > s, r - s, np.where(r < -s, r + s, 0.0)) / c)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +137,30 @@ class _AffineStrategy:
     offset: np.ndarray  # solve M z = w - offset
 
 
-@dataclass(eq=False)
-class _SignStrategy:
-    # normal form in permuted variables u: y in s*Sign(u) + B' u + d, u = P x
-    scales: np.ndarray
-    sigma: np.ndarray  # u_i = x_{sigma[i]}
-    bprime: np.ndarray
-    offset: np.ndarray
-    diagonal: bool  # B' diagonal with positive diagonal -> scalar inversion
+@dataclass(frozen=True, eq=False)
+class _SignPattern:
+    """One sign pattern p on the signed rows. A row with p = 0 pins its
+    variable to zero and leaves the equations for a box condition; the kept
+    rows and the free variables are then the same index set."""
 
-    def __post_init__(self):
-        # per-pattern subsystem factorizations, filled lazily
-        self._subfacts: dict[tuple, linalg.LUFactorization] = {}
+    shift: np.ndarray  # (s * p)[rows]
+    rows: np.ndarray  # kept equation rows, ascending
+    cols: np.ndarray  # their variables sigma[rows]
+    factorization: linalg.LUFactorization | None  # of M[rows, cols]; None if no row is kept
+    nonneg: np.ndarray  # variables whose sign must be >= 0
+    nonpos: np.ndarray  # variables whose sign must be <= 0
+    pinned: np.ndarray  # rows whose variable is pinned to zero
+
+
+@dataclass(frozen=True, eq=False)
+class _SignStrategy:
+    # normal form: y_i in s_i*Sign(x_{sigma[i]}) + (M x)_i + d_i
+    scales: np.ndarray
+    sigma: np.ndarray  # a permutation extending the rows' sign variables
+    matrix: np.ndarray
+    offset: np.ndarray
+    diagonal: np.ndarray | None  # M[i, sigma[i]] if these are M's only nonzeros, all > 0
+    patterns: tuple[_SignPattern, ...]  # the nonsingular ones, in (+, -, 0) order
 
 
 @dataclass(eq=False)
@@ -193,33 +205,49 @@ def build_engine(
 def _assemble_sign_strategy(
     scales: np.ndarray, sign_var: np.ndarray, matrix: np.ndarray, offset: np.ndarray, n: int
 ) -> _SignStrategy | None:
-    # rows with a Sign term must reference distinct variables
-    active = sign_var[scales > 0.0]
-    if len(set(active.tolist())) != active.size:
+    # rows with a Sign term must reference distinct variables; rows without
+    # one take the leftover variables in increasing order
+    signed = scales > 0.0
+    active = sign_var[signed]
+    if np.unique(active).size != active.size:
         return None
-    # extend the partial selector to a full permutation (rows without Sign
-    # take the leftover variables in increasing order)
-    sigma = np.full(n, -1, dtype=int)
-    used = set(active.tolist())
-    sigma[scales > 0.0] = active
-    leftovers = iter(sorted(set(range(n)) - used))
-    for i in range(n):
-        if sigma[i] < 0:
-            sigma[i] = next(leftovers)
-    p = np.zeros((n, n))
-    p[np.arange(n), sigma] = 1.0  # u = P x
-    bprime = matrix @ p.T
-
-    diag_ok = bool(
-        np.all(np.diag(bprime) > 0.0) and np.all(np.abs(bprime - np.diag(np.diag(bprime))) == 0.0)
-    )
-    if diag_ok:
-        return _SignStrategy(scales, sigma, bprime, offset, True)
+    sigma = np.empty(n, dtype=int)
+    sigma[signed] = active
+    sigma[~signed] = np.setdiff1d(np.arange(n), active)
+    permuted = matrix[:, sigma]
+    diagonal = np.diag(permuted)
+    if np.all(diagonal > 0.0) and np.all(permuted - np.diag(diagonal) == 0.0):
+        return _SignStrategy(scales, sigma, matrix, offset, diagonal, ())
     if n > _PATTERN_DIM_LIMIT:
         return None
-    if linalg.lu_factorize(bprime).singular:
+    full = linalg.lu_factorize(permuted)
+    if full.singular:
         return None
-    return _SignStrategy(scales, sigma, bprime, offset, False)
+    return _SignStrategy(scales, sigma, matrix, offset, None, _pattern_table(scales, sigma, matrix, full))
+
+
+def _pattern_table(scales, sigma, matrix, full) -> tuple[_SignPattern, ...]:
+    """Every sign pattern on the signed rows, in (+, -, 0) order, whose kept
+    subsystem is nonsingular. Patterns that pin the same rows share one
+    factorization; `full`, that of matrix[:, sigma], serves every pattern
+    that pins none."""
+    signed = np.flatnonzero(scales > 0.0)
+    factors = {(): full}
+    table = []
+    for pattern in itertools.product((1.0, -1.0, 0.0), repeat=signed.size):
+        p = np.zeros(scales.size)
+        p[signed] = pattern
+        pinned = signed[p[signed] == 0.0]
+        rows = np.setdiff1d(np.arange(scales.size), pinned)
+        key = tuple(pinned.tolist())
+        if key not in factors:
+            factors[key] = linalg.lu_factorize(matrix[np.ix_(rows, sigma[rows])]) if rows.size else None
+        fact = factors[key]
+        if fact is None or not fact.singular:
+            table.append(
+                _SignPattern((scales * p)[rows], rows, sigma[rows], fact, sigma[p > 0.0], sigma[p < 0.0], pinned)
+            )
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------
@@ -236,60 +264,30 @@ def _invert_affine(strategy: _AffineStrategy, w: np.ndarray) -> np.ndarray:
 
 def _invert_sign(strategy: _SignStrategy, w: np.ndarray) -> np.ndarray:
     y = w - strategy.offset
-    n = y.size
-    sigma = strategy.sigma
-    if strategy.diagonal:
-        diag = np.diag(strategy.bprime)
-        u = np.array(
-            [scalar_sign_affine_inverse(strategy.scales[i], diag[i], 0.0, y[i]) for i in range(n)]
-        )
-        return _unpermute(u, sigma)
-
-    b = strategy.bprime
-    s = strategy.scales
-    signed_rows = [i for i in range(n) if s[i] > 0.0]
-    for pattern in itertools.product((1.0, -1.0, 0.0), repeat=len(signed_rows)):
-        p_full = np.zeros(n)
-        for row, val in zip(signed_rows, pattern):
-            p_full[row] = val
-        zero_vars = [row for row, val in zip(signed_rows, pattern) if val == 0.0]
-        free = [i for i in range(n) if i not in zero_vars]
-        eq_rows = [i for i in range(n) if not (s[i] > 0.0 and p_full[i] == 0.0)]
-        rhs = y - s * p_full
-        u = np.zeros(n)
-        if free:
-            fact = strategy._subfacts.get(pattern)
-            if fact is None:
-                fact = linalg.lu_factorize(b[np.ix_(eq_rows, free)])
-                strategy._subfacts[pattern] = fact
-            if fact.singular:
-                continue
-            u[free] = linalg.lu_solve(fact, rhs[eq_rows])
-        # sign consistency on determined rows
-        ok = True
-        for row, val in zip(signed_rows, pattern):
-            if val > 0.0 and u[row] < -_SIGN_CONSISTENCY_TOL:
-                ok = False
-                break
-            if val < 0.0 and u[row] > _SIGN_CONSISTENCY_TOL:
-                ok = False
-                break
-        if not ok:
-            continue
-        # box consistency on rows whose sign variable was pinned to zero
-        resid = y - b @ u
-        for row in zero_vars:
-            if abs(resid[row]) > s[row] + MEMBERSHIP_TOL:
-                ok = False
-                break
-        if ok:
-            return _unpermute(u, sigma)
+    if strategy.diagonal is not None:
+        x = np.zeros_like(y)
+        x[strategy.sigma] = scalar_sign_affine_inverse(strategy.scales, strategy.diagonal, 0.0, y)
+        return x
+    for pattern in strategy.patterns:
+        x = _solve_pattern(strategy, pattern, y)
+        if x is not None:
+            return x
     raise NotInRangeError("no sign pattern yields a consistent solution; input not in range")
 
 
-def _unpermute(u: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    x = np.zeros_like(u)
-    x[sigma] = u
+def _solve_pattern(strategy: _SignStrategy, pattern: _SignPattern, y: np.ndarray) -> np.ndarray | None:
+    """The x that `pattern` assigns to y in s*Sign(x[sigma]) + M x, or None
+    when x breaks the pattern's sign or box conditions."""
+    x = np.zeros(y.size)
+    if pattern.factorization is not None:
+        x[pattern.cols] = linalg.lu_solve(pattern.factorization, y[pattern.rows] - pattern.shift)
+    if (x[pattern.nonneg] < -_SIGN_CONSISTENCY_TOL).any() or (x[pattern.nonpos] > _SIGN_CONSISTENCY_TOL).any():
+        return None
+    pinned = pattern.pinned
+    if pinned.size:
+        resid = y[pinned] - strategy.matrix[pinned] @ x
+        if (np.abs(resid) > strategy.scales[pinned] + MEMBERSHIP_TOL).any():
+            return None
     return x
 
 

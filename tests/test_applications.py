@@ -6,6 +6,7 @@ import pytest
 from pairprox import applications as apps
 from pairprox import resolvents, solvers
 from pairprox.errors import AllEigenvaluesZeroError, NonFiniteIterateError, NotSymmetricError
+from pairprox.rng import SplitMix64
 
 FULL = solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL)
 
@@ -48,6 +49,27 @@ class TestBuildKKT:
     def test_asymmetric_q_rejected(self):
         with pytest.raises(NotSymmetricError):
             apps.QPProblem(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("name", ["Q", "c", "C", "d"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_qp_rejects_non_finite_data(self, name, bad):
+        data = {"q": 2.0 * np.eye(2), "c": np.zeros(2), "constraint": np.array([[1.0, 1.0]]), "d": np.array([2.0])}
+        field = {"Q": "q", "C": "constraint"}.get(name, name)
+        data[field] = data[field].copy()
+        data[field].flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+            apps.QPProblem(**data)
+
+    @pytest.mark.parametrize("name", ["A", "b"])
+    def test_least_squares_rejects_non_finite_data(self, name):
+        # a NaN in A used to come back as Converged after 0 iterations
+        data = {"A": np.array([[1.0, 1.0], [1.0, 0.0]]), "b": np.array([1.0, 1.0])}
+        data[name] = data[name].copy()
+        data[name].flat[0] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+            apps.least_squares_iterate(data["A"], data["b"], kappa=0.2)
 
 
 class TestSelectKappa:
@@ -313,6 +335,27 @@ class TestGenerators:
         kernel_part = system.rhs - system.matrix @ system.solution
         assert np.linalg.norm(system.matrix @ kernel_part) <= 1e-9
         assert np.linalg.norm(kernel_part) == pytest.approx(system.range_distance, abs=1e-12)
+
+    @pytest.mark.parametrize("n, seed, zero_fraction", [(6, 1, 0.2), (20, 9, 0.2), (33, 5007, 0.3)])
+    def test_inconsistent_system_keeps_its_draws(self, n, seed, zero_fraction):
+        # the construction as written out before it shared the consistent
+        # generator's code: the arrays must stay byte-identical
+        rng = SplitMix64(seed)
+        lam = apps._spectrum(n, rng, (0.5, 2.0), zero_fraction)
+        basis = apps._random_orthogonal(n, rng)
+        a = (basis * lam) @ basis.T
+        a = 0.5 * (a + a.T)
+        z = rng.normal(n)
+        w = rng.normal(int(np.sum(lam == 0.0)))
+        w[np.abs(w) < 0.1] += 0.5
+        kernel_part = basis[:, lam == 0.0] @ w
+        system = apps.generate_inconsistent_system(n, seed, zero_fraction=zero_fraction)
+        expected = (a, a @ z + kernel_part, z, lam, basis)
+        got = (system.matrix, system.rhs, system.solution, system.eigenvalues, system.basis)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+        assert system.range_distance == float(np.linalg.norm(kernel_part))
+        consistent = apps.generate_consistent_system(n, seed, zero_fraction=zero_fraction)
+        assert consistent.matrix.tobytes() == system.matrix.tobytes()
 
     def test_inconsistent_needs_kernel(self):
         with pytest.raises(ValueError):

@@ -58,6 +58,22 @@ class TestSolveKKTCommand:
         assert "missing required key 'd'" in capsys.readouterr().err
 
 
+    def test_non_finite_data_exits_one(self, tmp_path, capsys):
+        problem = write_example_problem(tmp_path)
+        linalg.write_matrix(tmp_path / "problem-Q.mat", np.array([[2.0, 0.0], [0.0, np.nan]]))
+        assert cli.main(["solve-kkt", str(problem), "--kappa", "0.2"]) == 1
+        assert "error: Q has non-finite entries" in capsys.readouterr().err
+
+    def test_diverging_solve_exits_two(self, tmp_path, capsys):
+        # kappa = 1 breaks the pair lemma (|alpha|/2 = 0.366) and the
+        # iterates overflow: a failed solve, reported without numpy warnings
+        problem = write_example_problem(tmp_path)
+        assert cli.main(["solve-kkt", str(problem), "--kappa", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("status: Failed(")
+        assert "error:" not in captured.err and "RuntimeWarning" not in captured.err
+
+
 class TestLeastSquaresCommand:
     def test_inconsistent_diag_instance(self, tmp_path, capsys):
         mat = tmp_path / "a.mat"
@@ -71,6 +87,22 @@ class TestLeastSquaresCommand:
         assert x[0] == pytest.approx(1.0, abs=1e-6)
         stdout = capsys.readouterr().out
         assert "data error" in stdout
+
+
+    def test_non_finite_rhs_exits_one(self, tmp_path, capsys):
+        mat, rhs = write_least_squares_files(tmp_path)
+        linalg.write_vector(rhs, np.array([1.0, np.nan]))
+        assert cli.main(["least-squares", mat, rhs, "--kappa", "0.2"]) == 1
+        assert "error: b has non-finite entries" in capsys.readouterr().err
+
+    def test_diverging_solve_exits_two(self, tmp_path, capsys):
+        # A = diag(1, -1) with kappa = 0.9 > |alpha|/2 = 0.5: the iterates overflow
+        mat, rhs = write_least_squares_files(tmp_path)
+        linalg.write_matrix(mat, np.diag([1.0, -1.0]))
+        assert cli.main(["least-squares", mat, rhs, "--kappa", "0.9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("status: Failed(")
+        assert "error:" not in captured.err and "RuntimeWarning" not in captured.err
 
 
 class TestBenchCommand:

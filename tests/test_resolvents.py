@@ -1,6 +1,9 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairprox import applications as apps
@@ -111,7 +114,7 @@ class TestBuildEngine:
         v = ops.Scale(2.0, ops.Pointwise("identity"))
         engine = resolvents.build_engine(f, v, 1.0, dim=2)
         assert engine.kind is resolvents.StrategyKind.SIGN_SEPARABLE
-        assert engine._strategy.diagonal
+        assert np.array_equal(engine._strategy.diagonal, [2.0, 2.0])
         out = resolvents.transformed(engine, np.array([3.0, 0.5]))
         assert np.allclose(out.preimage, [1.0, 0.0])
 
@@ -285,15 +288,141 @@ class TestTransformed:
 
     def test_no_consistent_pattern_raises_not_in_range(self):
         # white-box: a strategy whose solvable patterns all fail their checks
+        scales, sigma = np.array([1.0, 0.0]), np.array([0, 1])
+        matrix = np.array([[0.0, 1.0], [0.0, 1.0]])
         strategy = resolvents._SignStrategy(
-            scales=np.array([1.0, 0.0]),
-            sigma=np.array([0, 1]),
-            bprime=np.array([[0.0, 1.0], [0.0, 1.0]]),
+            scales=scales,
+            sigma=sigma,
+            matrix=matrix,
             offset=np.zeros(2),
-            diagonal=False,
+            diagonal=None,
+            patterns=resolvents._pattern_table(scales, sigma, matrix, linalg.lu_factorize(matrix[:, sigma])),
         )
+        # only the pattern pinning row 0 is solvable, and its box check fails
+        assert [p.pinned.tolist() for p in strategy.patterns] == [[0]]
         with pytest.raises(NotInRangeError):
             resolvents._invert_sign(strategy, np.array([5.0, 0.0]))
+
+
+def _consistent_solutions(strategy, w):
+    """The x of every table pattern that passes its sign and box checks."""
+    y = w - strategy.offset
+    found = (resolvents._solve_pattern(strategy, p, y) for p in strategy.patterns)
+    return [x for x in found if x is not None]
+
+
+def _seeded_inputs(n, count, seed):
+    rng = SplitMix64(seed)
+    return [rng.uniform(n, -scale, scale) for scale in (0.5, 3.0, 20.0) for _ in range(count // 3)]
+
+
+# the pairs whose linear part is positive definite in the sign variables
+# u = x[sigma]: there s*Sign(u) + M[:, sigma] u is strongly monotone in u, so
+# the preimage is unique and a warm-started pattern search may not change it
+MONOTONE_SIGN_PAIRS = [("sign-swap", ops.sign_swap_operator(), ops.swap_operator())] + [
+    row[:3] for row in SIGN_TREES if row[0] == "same-variable-terms-add"
+]
+
+
+class TestPatternTable:
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("f, v", [row[1:] for row in MONOTONE_SIGN_PAIRS], ids=[row[0] for row in MONOTONE_SIGN_PAIRS])
+    def test_consistent_solution_is_unique_on_seeded_inputs(self, f, v, gamma):
+        engine = resolvents.build_engine(f, v, gamma)
+        strategy = engine._strategy
+        for w in _seeded_inputs(engine.dim, 300, seed=31):
+            xs = _consistent_solutions(strategy, w)
+            assert xs, "a strongly monotone inclusion has a solution"
+            assert all(np.allclose(x, xs[0], rtol=0.0, atol=1e-9) for x in xs)
+            assert np.array_equal(resolvents._invert_sign(strategy, w), xs[0])
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(
+                st.permutations(range(n)),
+                st.lists(st.sampled_from([0.0]) | st.floats(0.01, 3.0), min_size=n, max_size=n),
+                st.lists(st.floats(-2.0, 2.0), min_size=2 * n * n, max_size=2 * n * n),
+                st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_consistent_solution_is_unique_on_monotone_instances(self, instance):
+        perm, scales, entries, w = instance
+        n = len(perm)
+        scales = np.array(scales)
+        signed = scales > 0.0
+        sign_var = np.where(signed, perm, -1)
+        # rows without a Sign term take the leftover variables in increasing order
+        sigma = np.empty(n, dtype=int)
+        sigma[signed] = np.array(perm)[signed]
+        sigma[~signed] = np.setdiff1d(np.arange(n), sigma[signed])
+        low, skew = np.array(entries).reshape(2, n, n)
+        matrix = np.empty((n, n))
+        matrix[:, sigma] = low @ low.T + 0.1 * np.eye(n) + skew - skew.T
+        strategy = resolvents._assemble_sign_strategy(scales, sign_var, matrix, np.zeros(n), n)
+        assert np.array_equal(strategy.sigma, sigma)
+        assume(strategy.diagonal is None)
+        xs = _consistent_solutions(strategy, np.array(w))
+        assert xs, "a strongly monotone inclusion has a solution"
+        assert all(np.allclose(x, xs[0], rtol=0.0, atol=1e-7) for x in xs)
+
+    def test_first_consistent_pattern_wins_where_the_preimage_is_not_unique(self):
+        # the stack tree's linear part is indefinite in its sign variables, so
+        # several patterns can be consistent; the (+, -, 0) order picks one
+        f, v = next(row[1:3] for row in SIGN_TREES if row[0] == "stack")
+        strategy = resolvents.build_engine(f, v, 2.0)._strategy
+        ambiguous = 0
+        for w in _seeded_inputs(3, 300, seed=31):
+            xs = _consistent_solutions(strategy, w)
+            ambiguous += any(not np.allclose(x, xs[0]) for x in xs)
+            assert np.array_equal(resolvents._invert_sign(strategy, w), xs[0])
+        assert ambiguous > 0
+
+    def test_threads_share_one_engine(self):
+        engine, _, _ = sign_engine()
+        inputs = _seeded_inputs(2, 600, seed=32)
+
+        def evaluate(points):
+            outs = [resolvents.transformed(engine, w) for w in points]
+            return [(o.preimage.tobytes(), o.image.tobytes()) for o in outs]
+
+        serial = evaluate(inputs)
+        results = {}
+
+        def worker(key, points):
+            results[key] = evaluate(points)
+
+        threads = [
+            threading.Thread(target=worker, args=("forward", inputs)),
+            threading.Thread(target=worker, args=("backward", inputs[::-1])),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results["forward"] == serial
+        assert results["backward"] == serial[::-1]
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_diagonal_branch_is_the_scalar_inverse_per_coordinate(self, gamma):
+        # row i reads Sign(x[1 - i]) and has slope c_i on that same variable
+        slopes, offset = np.array([2.0, 3.0]), np.array([0.25, -0.5])
+        f = ops.SignBlock(0.5, (1, 0))
+        v = ops.Affine(np.array([[0.0, slopes[0]], [slopes[1], 0.0]]), offset)
+        engine = resolvents.build_engine(f, v, gamma)
+        assert np.array_equal(engine._strategy.diagonal, slopes)
+        for w in _seeded_inputs(2, 300, seed=33):
+            expected = np.zeros(2)
+            for i in range(2):
+                expected[1 - i] = resolvents.scalar_sign_affine_inverse(0.5 * gamma, slopes[i], offset[i], w[i])
+            assert resolvents.transformed(engine, w).preimage.tobytes() == expected.tobytes()
 
 
 def _sample_points(n, count, seed, low=-8.0, high=8.0):
