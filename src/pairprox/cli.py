@@ -24,7 +24,7 @@ import numpy as np
 from . import applications as apps
 from . import linalg, operators as ops, solvers
 from .errors import NonFiniteIterateError, PairproxError, UnknownDemoError
-from .rng import derive_seed
+from .rng import derive_seed, require_seed
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -71,6 +71,7 @@ class BenchSpec:
             raise ValueError(f"spectrum must be an interval 'lo,hi', got {self.spectrum!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        require_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -334,11 +335,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check_pair(args) -> int:
+    require_seed(args.seed)
     box = _parse_box(args.box) if args.box is not None else None
     f = ops.load_operator(args.f_operator)
     v = ops.load_operator(args.v_operator)
     include = [_parse_pair(p) for p in args.include_pair]
-    report = ops.check_pair_monotone(f, v, box=box, samples=args.samples, seed=args.seed, include=include)
+    # products that overflow in a wide box become +-inf or NaN, which the
+    # check handles; numpy's warnings about them are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = ops.check_pair_monotone(f, v, box=box, samples=args.samples, seed=args.seed, include=include)
     print(f"verdict: {report.verdict.value}")
     print(f"pairs scanned: {report.samples}")
     print(f"min quotient <F(x)-F(y), v(x)-v(y)> / ||x-y||^2 = {report.min_quotient:.12g}")

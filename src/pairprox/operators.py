@@ -4,11 +4,13 @@ monotonicity checks for operator pairs.
 An operator is built from a small closed set of variants (affine maps,
 componentwise sign blocks, signed permutations, registered pointwise maps,
 positive scalings, sums and block stacks). Evaluation returns an axis-aligned
-set: a single point, or a box when some sign coordinate sits at zero.
+set: a single point, or a box when some sign coordinate sits at zero. Every
+variant also evaluates a batch of points, one per row, with the same
+arithmetic as one point at a time, so batched results are bitwise those of
+the per-point calls.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -100,6 +102,8 @@ class OperatorExpr:
     """Base class; subclasses are immutable value objects."""
 
     def evaluate(self, x: np.ndarray) -> ValueSet:
+        """The values at a point x of shape (n,), or at each row of a batch
+        of shape (N, n); the bounds then have shape (N, n), row by row."""
         raise NotImplementedError
 
     @property
@@ -108,9 +112,11 @@ class OperatorExpr:
         return None
 
     def _check_dim(self, x: np.ndarray) -> np.ndarray:
-        x = linalg.as_vector(x)
-        if self.dim is not None and x.size != self.dim:
-            raise DimensionMismatchError(f"operator dim {self.dim}, input dim {x.size}")
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] < 1:
+            raise DimensionMismatchError(f"expected a point (n,) or a batch (N, n), got shape {x.shape}")
+        if self.dim is not None and x.shape[-1] != self.dim:
+            raise DimensionMismatchError(f"operator dim {self.dim}, input dim {x.shape[-1]}")
         return x
 
 
@@ -142,7 +148,11 @@ class Affine(OperatorExpr):
 
     def evaluate(self, x: np.ndarray) -> ValueSet:
         x = self._check_dim(x)
-        return ValueSet.singleton(self.matrix @ x + self.offset)
+        if x.ndim == 1:
+            return ValueSet.singleton(self.matrix @ x + self.offset)
+        # one matrix-vector product per row, the kernel `A @ x` runs on a
+        # point; a matrix-matrix product would round differently
+        return ValueSet.singleton(np.matmul(self.matrix, x[..., None])[..., 0] + self.offset)
 
 
 def identity_operator(n: int) -> Affine:
@@ -170,7 +180,7 @@ class SignBlock(OperatorExpr):
 
     def evaluate(self, x: np.ndarray) -> ValueSet:
         x = self._check_dim(x)
-        picked = x[list(self.selector)]
+        picked = x[..., list(self.selector)]
         lower = self.scale * np.sign(picked)
         upper = lower.copy()
         at_zero = picked == 0.0
@@ -209,7 +219,7 @@ class Permutation(OperatorExpr):
 
     def evaluate(self, x: np.ndarray) -> ValueSet:
         x = self._check_dim(x)
-        return ValueSet.singleton(np.array(self.signs) * x[list(self.perm)])
+        return ValueSet.singleton(np.array(self.signs) * x[..., list(self.perm)])
 
 
 def swap_operator() -> Permutation:
@@ -276,8 +286,8 @@ class Sum(OperatorExpr):
 
     def evaluate(self, x: np.ndarray) -> ValueSet:
         x = self._check_dim(x)
-        lower = np.zeros(x.size)
-        upper = np.zeros(x.size)
+        lower = np.zeros(x.shape)
+        upper = np.zeros(x.shape)
         for t in self.terms:
             vs = t.evaluate(x)
             lower = lower + vs.lower
@@ -313,12 +323,12 @@ class Stack(OperatorExpr):
 
     def evaluate(self, x: np.ndarray) -> ValueSet:
         x = self._check_dim(x)
-        lower = np.zeros(self.ambient_dim)
-        upper = np.zeros(self.ambient_dim)
+        lower = np.zeros(x.shape)
+        upper = np.zeros(x.shape)
         for start, stop, op in self.blocks:
-            vs = op.evaluate(x[start:stop])
-            lower[start:stop] = vs.lower
-            upper[start:stop] = vs.upper
+            vs = op.evaluate(x[..., start:stop])
+            lower[..., start:stop] = vs.lower
+            upper[..., start:stop] = vs.upper
         return ValueSet(lower, upper)
 
 
@@ -371,10 +381,70 @@ class PairMonotonicityReport:
     verdict: Verdict
 
 
-def _selection_candidates(vs: ValueSet) -> list[tuple[Selection, np.ndarray]]:
-    if vs.is_singleton:
-        return [(Selection.MID, vs.value)]
-    return [(s, select(vs, s)) for s in (Selection.LOW, Selection.MID, Selection.HIGH)]
+# pairs evaluated per batch in check_pair_monotone; with up to 3**4
+# selection products per pair it bounds the batch's memory at any --samples
+_PAIR_CHUNK = 1024
+
+# the canonical selections of a value set, by the number k offered
+_SLOTS = {1: (Selection.MID,), 3: (Selection.LOW, Selection.MID, Selection.HIGH)}
+
+
+def _batch_candidates(vs: ValueSet) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical selections from each row of a batch of value sets, as
+    (values (N, k, n), offered (N, k)) over the slots _SLOTS[k]. k is 1 when
+    every row is a point, else 3; a point row then offers only its MID slot,
+    which holds the point itself."""
+    point = (vs.lower == vs.upper).all(-1)
+    if point.all():
+        return vs.lower[:, None, :], np.ones((point.size, 1), dtype=bool)
+    mid = vs.lower.copy()
+    mid[~point] = 0.5 * (vs.lower[~point] + vs.upper[~point])
+    offered = np.ones((point.size, 3), dtype=bool)
+    offered[point, 0] = offered[point, 2] = False
+    return np.stack((vs.lower, mid, vs.upper), axis=1), offered
+
+
+def _first_minima(f: OperatorExpr, v: OperatorExpr, xs: np.ndarray, ys: np.ndarray):
+    """Scan the pairs (xs[i], ys[i]) that do not coincide.
+
+    Returns their count and, for <F(x)-F(y), v(x)-v(y)> and for its quotient
+    by ||x-y||^2, the first strict minimum in (pair, selection product)
+    order as (value, x, y, selections), or None where no value is below
+    +inf. NaN values never win, as in a scalar `<` comparison.
+    """
+    dx2 = ((xs - ys) ** 2).sum(-1)
+    keep = dx2 != 0.0
+    xs, ys, dx2 = xs[keep], ys[keep], dx2[keep]
+    count, n = xs.shape
+    if count == 0:
+        return 0, None, None
+    (fx, ofx), (fy, ofy), (vx, ovx), (vy, ovy) = (
+        _batch_candidates(op.evaluate(p)) for op, p in ((f, xs), (f, ys), (v, xs), (v, ys))
+    )
+    # axes (pair, Fx slot, Fy slot, vx slot, vy slot, coordinate)
+    d = fx[:, :, None, None, None, :] - fy[:, None, :, None, None, :]
+    e = vx[:, None, None, :, None, :] - vy[:, None, None, None, :, :]
+    shape = np.broadcast_shapes(d.shape, e.shape)
+    # one (1, n) x (n, 1) product per selection product: the kernel `d @ e`
+    # runs on two vectors, where (d * e).sum(-1) would round differently
+    inner = np.matmul(
+        np.broadcast_to(d, shape).reshape(-1, 1, n), np.broadcast_to(e, shape).reshape(-1, n, 1)
+    ).reshape(count, -1)
+    offered = (
+        ofx[:, :, None, None, None] & ofy[:, None, :, None, None] & ovx[:, None, None, :, None] & ovy[:, None, None, None, :]
+    ).reshape(count, -1)
+
+    def first_min(values):
+        keyed = np.where(offered & ~np.isnan(values), values, np.inf)
+        flat = int(np.argmin(keyed))
+        if not keyed.flat[flat] < np.inf:
+            return None
+        pair, product = divmod(flat, keyed.shape[1])
+        slots = np.unravel_index(product, shape[1:5])
+        selections = tuple(_SLOTS[k][int(j)] for k, j in zip(shape[1:5], slots))
+        return float(keyed.flat[flat]), xs[pair].copy(), ys[pair].copy(), selections
+
+    return count, first_min(inner), first_min(inner / dx2[:, None])
 
 
 def _resolve_box(
@@ -410,49 +480,52 @@ def check_pair_monotone(
 
     `include` pairs are scanned before the seeded draws, so known critical
     directions (kernel vectors, published counterexamples) can be pinned.
+    Sample i is the pair of points that the (2i+1)-th and (2i+2)-th
+    `uniform_box` calls on SplitMix64(seed) would draw. Coincident pairs are
+    skipped and not counted. Pairs are evaluated in batches; the minima and
+    witnesses are those of scanning the pairs one by one.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     lower, upper = _resolve_box(f, v, box)
+    dim = lower.size
     rng = SplitMix64(seed)
 
+    def batches():
+        if include:
+            sides = [linalg.as_vector(p) for pair in include for p in pair]
+            if any(p.size != dim for p in sides):
+                raise DimensionMismatchError(f"include pairs must have {dim} coordinates, as the box")
+            pts = np.array(sides).reshape(-1, 2, dim)
+            yield pts[:, 0], pts[:, 1]
+        for start in range(0, samples, _PAIR_CHUNK):
+            size = min(_PAIR_CHUNK, samples - start)
+            # the stream is counter-based: one draw of 2*size*dim values
+            # equals 2*size successive uniform_box draws
+            pts = lower + (upper - lower) * rng.uniform(2 * size * dim).reshape(size, 2, dim)
+            yield pts[:, 0], pts[:, 1]
+
     count = 0
-    best = {"quot": np.inf, "inner": np.inf, "quot_w": None, "inner_w": None}
-
-    def scan(x: np.ndarray, y: np.ndarray) -> None:
-        nonlocal count
-        dx2 = float(np.sum((x - y) ** 2))
-        if dx2 == 0.0:
-            return
-        count += 1
-        fxs = _selection_candidates(f.evaluate(x))
-        fys = _selection_candidates(f.evaluate(y))
-        vxs = _selection_candidates(v.evaluate(x))
-        vys = _selection_candidates(v.evaluate(y))
-        for (sfx, fx), (sfy, fy), (svx, vx), (svy, vy) in itertools.product(fxs, fys, vxs, vys):
-            inner = float((fx - fy) @ (vx - vy))
-            quot = inner / dx2
-            sel = (sfx, sfy, svx, svy)
-            if quot < best["quot"]:
-                best["quot"] = quot
-                best["quot_w"] = (x.copy(), y.copy(), sel)
-            if inner < best["inner"]:
-                best["inner"] = inner
-                best["inner_w"] = (x.copy(), y.copy(), sel)
-
-    for x, y in include:
-        scan(linalg.as_vector(x), linalg.as_vector(y))
-    for _ in range(samples):
-        scan(rng.uniform_box(lower, upper), rng.uniform_box(lower, upper))
+    best_inner = best_quot = None
+    for xs, ys in batches():
+        scanned, inner, quot = _first_minima(f, v, xs, ys)
+        count += scanned
+        if inner is not None and (best_inner is None or inner[0] < best_inner[0]):
+            best_inner = inner
+        if quot is not None and (best_quot is None or quot[0] < best_quot[0]):
+            best_quot = quot
 
     if count == 0:
         raise ValueError("no usable sample pairs (all coincided)")
-    violated = best["inner"] < -MONOTONE_SLACK
-    wx, wy, wsel = best["inner_w"] if violated else best["quot_w"]
+    violated = best_inner is not None and best_inner[0] < -MONOTONE_SLACK
+    witness = best_inner if violated else best_quot
+    if witness is None:
+        raise ValueError("no pair gave a finite inner product quotient; the box is too large")
+    _, wx, wy, wsel = witness
     return PairMonotonicityReport(
         samples=count,
-        min_quotient=best["quot"],
-        min_inner=best["inner"],
+        min_quotient=best_quot[0] if best_quot is not None else np.inf,
+        min_inner=best_inner[0] if best_inner is not None else np.inf,
         witness_x=wx,
         witness_y=wy,
         witness_selections=wsel,

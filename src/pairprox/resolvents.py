@@ -6,6 +6,11 @@ shifted operator reduces to Sign terms plus an invertible linear part, by
 one soft-threshold per coordinate (linear part diagonal) or by a table of
 sign patterns whose subsystems are factored when the engine is built.
 Anything else is Unsupported: no generic inner root-finder is attempted.
+
+The pattern search tries the table in a fixed (+, -, 0) order and returns
+the first consistent pattern. Where the build certifies that the preimage is
+unique, a caller may name a pattern to try first, such as the one its
+previous step accepted; the result is the same point.
 """
 from __future__ import annotations
 
@@ -28,6 +33,9 @@ from .errors import (
 MEMBERSHIP_TOL = 1e-9
 _SIGN_CONSISTENCY_TOL = 1e-12
 _PATTERN_DIM_LIMIT = 8
+# the smallest eigenvalue of sym(B) must exceed this fraction of the largest
+# magnitude, so that a singular semidefinite part is not certified on roundoff
+_CERTIFICATE_RTOL = 1e-10
 
 
 def scalar_sign_affine_inverse(s, c, d, y):
@@ -161,6 +169,10 @@ class _SignStrategy:
     offset: np.ndarray
     diagonal: np.ndarray | None  # M[i, sigma[i]] if these are M's only nonzeros, all > 0
     patterns: tuple[_SignPattern, ...]  # the nonsingular ones, in (+, -, 0) order
+    # sym(M[:, sigma]) is positive definite: u -> s*Sign(u) + M[:, sigma] u is
+    # then strongly monotone in u = x[sigma], so every input has exactly one
+    # preimage and the pattern search may start anywhere
+    unique_preimage: bool = False
 
 
 @dataclass(eq=False)
@@ -173,6 +185,15 @@ class ResolventEngine:
     dim: int
     kind: StrategyKind
     _strategy: object | None
+
+    @property
+    def unique_preimage(self) -> bool:
+        """Whether the build proved that each input has at most one
+        preimage: a nonsingular affine system, or a Sign system certified as
+        strongly monotone in its sign variables."""
+        if self.kind is StrategyKind.AFFINE_AFFINE:
+            return not self._strategy.factorization.singular
+        return self.kind is StrategyKind.SIGN_SEPARABLE and self._strategy.unique_preimage
 
 
 def build_engine(
@@ -217,13 +238,17 @@ def _assemble_sign_strategy(
     permuted = matrix[:, sigma]
     diagonal = np.diag(permuted)
     if np.all(diagonal > 0.0) and np.all(permuted - np.diag(diagonal) == 0.0):
-        return _SignStrategy(scales, sigma, matrix, offset, diagonal, ())
+        return _SignStrategy(scales, sigma, matrix, offset, diagonal, (), unique_preimage=True)
     if n > _PATTERN_DIM_LIMIT:
         return None
     full = linalg.lu_factorize(permuted)
     if full.singular:
         return None
-    return _SignStrategy(scales, sigma, matrix, offset, None, _pattern_table(scales, sigma, matrix, full))
+    eig = np.linalg.eigvalsh(0.5 * (permuted + permuted.T))
+    table = _pattern_table(scales, sigma, matrix, full)
+    return _SignStrategy(
+        scales, sigma, matrix, offset, None, table, unique_preimage=bool(eig[0] > _CERTIFICATE_RTOL * np.abs(eig).max())
+    )
 
 
 def _pattern_table(scales, sigma, matrix, full) -> tuple[_SignPattern, ...]:
@@ -262,16 +287,22 @@ def _invert_affine(strategy: _AffineStrategy, w: np.ndarray) -> np.ndarray:
     return linalg.lu_solve(strategy.factorization, w - strategy.offset)
 
 
-def _invert_sign(strategy: _SignStrategy, w: np.ndarray) -> np.ndarray:
+def _invert_sign(strategy: _SignStrategy, w: np.ndarray, start: int | None = None) -> tuple[np.ndarray, int | None]:
+    """The preimage of w and the index of the table pattern that gave it
+    (None on the diagonal branch). On a certified strategy the search tries
+    pattern `start` first, when it names one; elsewhere `start` is ignored."""
     y = w - strategy.offset
     if strategy.diagonal is not None:
         x = np.zeros_like(y)
         x[strategy.sigma] = scalar_sign_affine_inverse(strategy.scales, strategy.diagonal, 0.0, y)
-        return x
-    for pattern in strategy.patterns:
-        x = _solve_pattern(strategy, pattern, y)
+        return x, None
+    order = range(len(strategy.patterns))
+    if strategy.unique_preimage and start is not None and 0 <= start < len(order):
+        order = itertools.chain((start,), (i for i in order if i != start))
+    for i in order:
+        x = _solve_pattern(strategy, strategy.patterns[i], y)
         if x is not None:
-            return x
+            return x, i
     raise NotInRangeError("no sign pattern yields a consistent solution; input not in range")
 
 
@@ -302,22 +333,26 @@ class ResolventOutput:
 
     preimage: np.ndarray
     image: np.ndarray
+    # the sign pattern table index that gave the preimage; None for affine
+    # and diagonal engines
+    pattern: int | None = None
 
 
-def _invert(engine: ResolventEngine, w: np.ndarray) -> np.ndarray:
+def _invert(engine: ResolventEngine, w: np.ndarray, start: int | None) -> tuple[np.ndarray, int | None]:
     if not np.all(np.isfinite(w)):
         raise NonFiniteIterateError("resolvent input contains NaN/Inf")
+    pattern = None
     if engine.kind is StrategyKind.AFFINE_AFFINE:
         z = _invert_affine(engine._strategy, w)
     elif engine.kind is StrategyKind.SIGN_SEPARABLE:
-        z = _invert_sign(engine._strategy, w)
+        z, pattern = _invert_sign(engine._strategy, w, start)
     else:
         raise UnsupportedStructureError(
             f"no closed-form resolvent for F={type(engine.f).__name__}, v={type(engine.v).__name__}"
         )
     if not np.all(np.isfinite(z)):
         raise NonFiniteIterateError("resolvent produced a non-finite point")
-    return z
+    return z, pattern
 
 
 def _check_membership(engine: ResolventEngine, target: np.ndarray, z: np.ndarray, vz: np.ndarray) -> None:
@@ -348,13 +383,18 @@ def warped(engine: ResolventEngine, x: np.ndarray) -> ResolventOutput:
     return transformed(engine, ops.evaluate_point(engine.v, x))
 
 
-def transformed(engine: ResolventEngine, x: np.ndarray) -> ResolventOutput:
+def transformed(engine: ResolventEngine, x: np.ndarray, start_pattern: int | None = None) -> ResolventOutput:
     """v(z) with z in (gamma*F + v)^{-1}(x); fixed points are v-images of
-    zeros of F. Raises NotInRangeError when x is outside ran(gamma*F + v)."""
+    zeros of F. Raises NotInRangeError when x is outside ran(gamma*F + v).
+
+    `start_pattern` is a first guess for the sign pattern search, typically
+    the `pattern` of the previous output; engines with `unique_preimage`
+    try it first, others ignore it. It never changes which point is found.
+    """
     x = linalg.as_vector(x)
     if x.size != engine.dim:
         raise DimensionMismatchError(f"engine dim {engine.dim}, input dim {x.size}")
-    z = _invert(engine, x)
+    z, pattern = _invert(engine, x, start_pattern)
     vz = ops.evaluate_point(engine.v, z)
     _check_membership(engine, x, z, vz)
-    return ResolventOutput(z, vz)
+    return ResolventOutput(z, vz, pattern)

@@ -28,6 +28,14 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def require_seed(seed: int) -> int:
+    """Return `seed` if it lies in [0, 2**64), the range of the splitmix64
+    state; raise ValueError otherwise."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
+    return seed
+
+
 def derive_seed(seed: int, *parts: int) -> int:
     """Combine a base seed with integer keys (e.g. problem size, trial index)."""
     acc = np.uint64(0)
@@ -40,7 +48,7 @@ class SplitMix64:
     """Sequential splitmix64 stream with vectorized draws."""
 
     def __init__(self, seed: int):
-        self._state = np.uint64(seed)
+        self._state = np.uint64(require_seed(seed))
 
     def _raw(self, count: int) -> np.ndarray:
         steps = np.arange(1, count + 1, dtype=np.uint64)

@@ -190,20 +190,22 @@ def _iterate(
     rec: _Recorder,
     x: np.ndarray,
     step: Callable[[int, np.ndarray], tuple],
-    diverge_above: float | None = None,
+    diverge_above: Callable[[float], float] | None = None,
 ) -> tuple[Status, str | None, int, np.ndarray]:
     """The proximal-point loop every solver runs.
 
     `step(n, x)` takes iteration n from the iterate x and returns
     (x_next, residual, image, preimage); image and preimage only feed the
-    trace. A non-finite x_next raises NonFiniteIterateError, unless
-    `diverge_above` is set: then the loop stops as Failed('Diverged')
+    trace. `diverge_above`, when set, maps the first step's residual to the
+    divergence bound. A non-finite x_next raises NonFiniteIterateError,
+    unless `diverge_above` is set: then the loop stops as Failed('Diverged')
     without counting that step. After a finite step is recorded, the first
-    rule that holds stops the loop: residual above `diverge_above`
+    rule that holds stops the loop: residual above the divergence bound
     (Diverged), residual within tol_residual (Converged), step norm within
     tol_step (step-stalled). Returns (status, reason, iterations, last
     finite iterate).
     """
+    bound = None
     for n in range(cfg.max_iters):
         x_next, residual, image, preimage = step(n, x)
         if not np.all(np.isfinite(x_next)):
@@ -213,13 +215,26 @@ def _iterate(
         dx = float(np.linalg.norm(x - x_next))
         rec.record(residual, dx, image, x_next, preimage)
         x = x_next
-        if diverge_above is not None and residual > diverge_above:
-            return Status.FAILED, "Diverged", n + 1, x
+        if diverge_above is not None:
+            if bound is None:
+                bound = diverge_above(residual)
+            if residual > bound:
+                return Status.FAILED, "Diverged", n + 1, x
         if residual <= cfg.tol_residual:
             return Status.CONVERGED, None, n + 1, x
         if dx <= cfg.tol_step:
             return Status.FAILED, "step-stalled", n + 1, x
     return Status.MAX_ITERS, None, cfg.max_iters, x
+
+
+_DIVERGENCE_FACTOR = 1e8
+
+
+def _divergence_bound(r0: float) -> float:
+    # on a monotone pair the residuals of gppa and gppa1 never increase, so
+    # a residual this far above the first one shows the pair is not monotone
+    # along the run
+    return _DIVERGENCE_FACTOR * (1.0 + r0)
 
 
 def gppa(
@@ -233,7 +248,10 @@ def gppa(
 
     `reference`, when given, is a known zero of F; the trace then records
     ||v(x_{n+1}) - v(reference)|| per step. Each step inverts at the image
-    v(x_n) that the previous step returned, so v is evaluated once per step.
+    v(x_n) that the previous step returned, so v is evaluated once per step,
+    and starts the sign-pattern search at the pattern the previous step
+    accepted. The run stops as Failed('Diverged') once the residual exceeds
+    1e8 * (1 + r_0), r_0 being the first step's residual.
     """
     cfg = cfg or SolverConfig()
     x = linalg.as_vector(x0).copy()
@@ -242,16 +260,17 @@ def gppa(
     v_ref = ops.evaluate_point(v, reference) if reference is not None else None
     rec = _Recorder(cfg, x, v_ref)
     w = ops.evaluate_point(v, x)
+    pattern = None
 
     def step(n, x):
-        nonlocal w
+        nonlocal w, pattern
         gamma = cfg.gamma_at(n)
-        out = resolvents.transformed(cache.get(gamma), w)
+        out = resolvents.transformed(cache.get(gamma), w, pattern)
         residual = float(np.linalg.norm(w - out.image)) / gamma
-        w = out.image
+        w, pattern = out.image, out.pattern
         return out.preimage, residual, w, None
 
-    status, reason, iterations, x = _iterate(cfg, rec, x, step)
+    status, reason, iterations, x = _iterate(cfg, rec, x, step, _divergence_bound)
     return SolveResult(status, reason, x, w, iterations, rec.trace)
 
 
@@ -267,7 +286,8 @@ def gppa1(
     x0 is trusted to lie in ran v; the first resolvent evaluation validates
     membership in ran(gamma*F + v). The returned preimage is the candidate
     zero recovered from the final resolvent evaluation (no kernel inversion
-    is ever attempted). `reference` is a point of v(zer F).
+    is ever attempted). `reference` is a point of v(zer F). Divergence stops
+    the run as in `gppa`.
     """
     cfg = cfg or SolverConfig()
     x = linalg.as_vector(x0).copy()
@@ -275,15 +295,16 @@ def gppa1(
     cache = _EngineCache(f, v, x.size)
     rec = _Recorder(cfg, x, linalg.as_vector(reference) if reference is not None else None)
     z = x
+    pattern = None
 
     def step(n, x):
-        nonlocal z
+        nonlocal z, pattern
         gamma = cfg.gamma_at(n)
-        out = resolvents.transformed(cache.get(gamma), x)
-        z = out.preimage
+        out = resolvents.transformed(cache.get(gamma), x, pattern)
+        z, pattern = out.preimage, out.pattern
         return out.image, float(np.linalg.norm(x - out.image)) / gamma, out.image, z
 
-    status, reason, iterations, x = _iterate(cfg, rec, x, step)
+    status, reason, iterations, x = _iterate(cfg, rec, x, step, _divergence_bound)
     return SolveResult(status, reason, z, x, iterations, rec.trace)
 
 
@@ -296,6 +317,7 @@ def gppa2(
 ) -> SolveResult:
     """Anchored (Halpern) iteration x_{k+1} = a_k anchor + (1-a_k) T(x_k)
     at constant gamma; converges to a fixed point of T, slowly but strongly.
+    Its residual need not decrease, so it has no divergence stop.
     """
     if cfg.halpern is None:
         raise ValueError("gppa2 requires cfg.halpern")
@@ -310,20 +332,18 @@ def gppa2(
     rec = _Recorder(cfg, x, linalg.as_vector(reference) if reference is not None else None)
     gamma = float(cfg.gamma_schedule)
     z = x
+    pattern = None
 
     def step(k, x):
-        nonlocal z
-        out = resolvents.transformed(engine, x)
-        z = out.preimage
+        nonlocal z, pattern
+        out = resolvents.transformed(engine, x, pattern)
+        z, pattern = out.preimage, out.pattern
         alpha = cfg.halpern.alpha(k)
         x_next = alpha * anchor + (1.0 - alpha) * out.image
         return x_next, float(np.linalg.norm(x - x_next)) / gamma, x_next, z
 
     status, reason, iterations, _ = _iterate(cfg, rec, x, step)
     return SolveResult(status, reason, z, ops.evaluate_point(v, z), iterations, rec.trace)
-
-
-_DIVERGENCE_FACTOR = 1e8
 
 
 def dca_baseline(
@@ -353,7 +373,7 @@ def dca_baseline(
         x_next = linalg.lu_solve(fact, m * x + b)
         return x_next, float(np.linalg.norm(a @ x_next - b)), x_next, None
 
-    status, reason, iterations, x = _iterate(cfg, rec, x, step, _DIVERGENCE_FACTOR * (1.0 + e0))
+    status, reason, iterations, x = _iterate(cfg, rec, x, step, lambda _r0: _DIVERGENCE_FACTOR * (1.0 + e0))
     return SolveResult(status, reason, x, x, iterations, rec.trace)
 
 

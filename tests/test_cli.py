@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import re
@@ -6,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairprox import applications as apps
 from pairprox import cli, linalg, operators as ops, solvers
@@ -66,12 +69,20 @@ class TestSolveKKTCommand:
 
     def test_diverging_solve_exits_two(self, tmp_path, capsys):
         # kappa = 1 breaks the pair lemma (|alpha|/2 = 0.366) and the
-        # iterates overflow: a failed solve, reported without numpy warnings
+        # residual grows: a failed solve, reported without numpy warnings
         problem = write_example_problem(tmp_path)
         assert cli.main(["solve-kkt", str(problem), "--kappa", "1.0"]) == 2
         captured = capsys.readouterr()
         assert captured.out.startswith("status: Failed(")
         assert "error:" not in captured.err and "RuntimeWarning" not in captured.err
+
+    def test_growing_residual_stops_early(self, tmp_path, capsys):
+        # r_0 = 2.07; the residual first exceeds 1e8 * (1 + r_0) at step 231,
+        # where the run used to go on to ||Ax - b|| = 5.2e71 at step 2000
+        problem = write_example_problem(tmp_path)
+        assert cli.main(["solve-kkt", str(problem), "--kappa", "5", "--max-iters", "2000"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("status: Failed(Diverged) after 231 iterations")
 
 
 class TestLeastSquaresCommand:
@@ -385,6 +396,86 @@ class TestCheckPairCommand:
         err = capsys.readouterr().err
         assert "--box must be 'lo,hi'" in err
         assert "unpack" not in err
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_check_pair_rejects_seed(self, seed, tmp_path, capsys):
+        path = tmp_path / "id.json"
+        ops.save_operator(str(path), ops.identity_operator(2))
+        assert cli.main(["check-pair", str(path), str(path), f"--seed={seed}"]) == 1
+        assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_bench_rejects_seed_before_generation(self, seed, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("generation must not start")
+
+        monkeypatch.setattr(apps, "generate_consistent_system", fail)
+        assert cli.main(["bench", "--sizes", "4", "--trials", "1", f"--seed={seed}"]) == 1
+        assert "error: seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+    def test_largest_seed_runs(self, tmp_path):
+        path = tmp_path / "id.json"
+        ops.save_operator(str(path), ops.identity_operator(2))
+        assert cli.main(["check-pair", str(path), str(path), "--samples=10", f"--seed={2**64 - 1}"]) == 0
+
+
+_FLOAT_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10, 10).map(str),
+    st.sampled_from(["", "x", "1e999", "-", "0x10", " 1"]),
+)
+
+
+def _mostly(valid, malformed):
+    # about nine draws in ten come from `valid`, so that most runs get past
+    # argument parsing
+    return st.integers(0, 9).flatmap(lambda k: malformed if k == 9 else valid)
+
+
+class TestCheckPairFuzz:
+    def test_every_run_exits_with_a_code(self, tmp_path):
+        # set-valued (sign-swap) and single-valued (trig) pairs against the
+        # swap kernel; malformed or extreme options must end in exit 0, 1
+        # or 3, never in a traceback
+        paths = {}
+        for name, op in (("sign", ops.sign_swap_operator()), ("trig", ops.trig_block_operator()), ("swap", ops.swap_operator())):
+            paths[name] = str(tmp_path / f"{name}.json")
+            ops.save_operator(paths[name], op)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        point = st.lists(st.one_of(finite, st.floats()), min_size=2, max_size=2).map(lambda p: ",".join(map(repr, p)))
+
+        @given(
+            f=st.sampled_from(["sign", "trig"]),
+            samples=_mostly(st.integers(-3, 300).map(str), st.sampled_from(["", "1.5", "1e3", "ten"])),
+            seed=_mostly(st.integers(0, 2**64 - 1) | st.integers(-(2**65), 2**65), st.sampled_from(["", "0.5", "seed"])),
+            box=st.none()
+            | _mostly(
+                st.lists(finite, min_size=2, max_size=2, unique=True).map(sorted).map(lambda b: f"{b[0]!r},{b[1]!r}"),
+                st.tuples(_FLOAT_TEXT, _FLOAT_TEXT).map(",".join) | _FLOAT_TEXT,
+            ),
+            pairs=st.lists(
+                _mostly(
+                    st.tuples(point, point).map(":".join),
+                    st.lists(_FLOAT_TEXT, min_size=1, max_size=3).map(",".join) | st.tuples(_FLOAT_TEXT, _FLOAT_TEXT).map(":".join),
+                ),
+                max_size=2,
+            ),
+        )
+        @settings(max_examples=150, deadline=None)
+        def run(f, samples, seed, box, pairs):
+            argv = ["check-pair", paths[f], paths["swap"], f"--samples={samples}", f"--seed={seed}"]
+            argv += [] if box is None else [f"--box={box}"]
+            argv += [f"--include-pair={p}" for p in pairs]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 1, 3)
+            assert "Traceback" not in err.getvalue()
+            assert (code == 1) == err.getvalue().startswith(("error:", "usage:"))
+
+        run()
 
 
 class TestDemoCommand:

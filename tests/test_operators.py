@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairprox import operators as ops
+from pairprox import linalg, operators as ops
 from pairprox.errors import DimensionMismatchError, UnknownRegistryKeyError
 from pairprox.rng import SplitMix64
+from test_resolvents import AFFINE_TREES, SIGN_TREES
 
 REMARK_MATRIX = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, -2.0, -3.0]])
 REMARK_POINT = np.array([0.0, -3.0, 2.0])
@@ -62,6 +65,57 @@ class TestEvaluate:
             assert np.array_equal(vs.value, [6.0])
         finally:
             ops._POINTWISE_REGISTRY.pop("double", None)
+
+
+# one tree per node kind, then the dispatch trees of the resolvent tests
+_KIND_TREES = [
+    ("affine", ops.Affine(np.array([[2.0, -1.0, 0.5], [0.0, 3.0, 1.0], [1.0, 1.0, -4.0]]), np.array([0.5, -1.0, 2.0]))),
+    ("sign-block", ops.SignBlock(1.5, (2, 0, 1))),
+    ("permutation", ops.Permutation((2, 0, 1), (1.0, -1.0, 1.0))),
+    *[(f"pointwise-{name}", ops.Pointwise(name)) for name in ("identity", "negation", "abs-sin", "cos-abs", "neg-cos-abs")],
+    ("scale", ops.Scale(0.3, ops.SignBlock(1.0, (1, 0, 2)))),
+    ("sum", ops.Sum((ops.SignBlock(1.0, (0, 1, 2)), ops.Pointwise("abs-sin"), ops.identity_operator(3)))),
+    ("stack", ops.Stack(3, ((0, 1, ops.Pointwise("abs-sin")), (1, 3, ops.Sum((ops.SignBlock(2.0, (1, 0)), ops.Affine(np.eye(2)))))))),
+]
+BATCH_TREES = (
+    _KIND_TREES
+    + [(f"affine-tree-{row[0]}", row[1]) for row in AFFINE_TREES]
+    + [(f"sign-tree-{row[0]}-{side}", row[i]) for row in SIGN_TREES for side, i in (("f", 1), ("v", 2))]
+    + [("trig", ops.trig_block_operator()), ("sign-swap", ops.sign_swap_operator())]
+)
+
+
+def _batch_points(n, count=120, seed=41):
+    x = SplitMix64(seed).uniform(count * n, -3.0, 3.0).reshape(count, n)
+    x[::3, 0] = 0.0  # a Sign coordinate at zero
+    x[::7] = 0.0  # every coordinate at zero
+    return x
+
+
+class TestBatchedEvaluate:
+    @pytest.mark.parametrize("op", [row[1] for row in BATCH_TREES], ids=[row[0] for row in BATCH_TREES])
+    def test_rows_equal_per_point_calls_bitwise(self, op):
+        n = op.dim or 3
+        x = _batch_points(n)
+        # the check evaluates strided views of its (N, 2, n) draw
+        pairs = np.stack((x, x[::-1]), axis=1)
+        for batch in (x, pairs[:, 0], pairs[:, 1]):
+            vs = op.evaluate(batch)
+            assert vs.lower.shape == vs.upper.shape == batch.shape
+            for row, point in zip(zip(vs.lower, vs.upper), batch):
+                single = op.evaluate(point.copy())
+                assert row[0].tobytes() == single.lower.tobytes()
+                assert row[1].tobytes() == single.upper.tobytes()
+
+    def test_points_at_zero_give_boxes_row_by_row(self):
+        vs = ops.sign_swap_operator().evaluate(np.array([[0.0, 2.0], [1.0, -1.0]]))
+        assert np.array_equal(vs.lower, [[1.0, -3.0], [0.0, 2.0]])
+        assert np.array_equal(vs.upper, [[1.0, -1.0], [0.0, 2.0]])
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2), (4, 3), (), (3, 0)])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            ops.Affine(np.eye(2)).evaluate(np.zeros(shape))
 
 
 class TestSelect:
@@ -159,6 +213,118 @@ class TestPairMonotonicity:
     def test_samples_validation(self):
         with pytest.raises(ValueError):
             ops.check_pair_monotone(ops.identity_operator(1), ops.identity_operator(1), samples=1)
+
+
+def _loop_check_pair_monotone(f, v, box=None, samples=10_000, seed=0, include=()):
+    """check_pair_monotone as it scanned one pair at a time before batching,
+    kept as the reference the batched scan must match bitwise."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    lower, upper = ops._resolve_box(f, v, box)
+    rng = SplitMix64(seed)
+
+    def candidates(vs):
+        if vs.is_singleton:
+            return [(ops.Selection.MID, vs.value)]
+        return [(s, ops.select(vs, s)) for s in (ops.Selection.LOW, ops.Selection.MID, ops.Selection.HIGH)]
+
+    count = 0
+    best = {"quot": np.inf, "inner": np.inf, "quot_w": None, "inner_w": None}
+
+    def scan(x, y):
+        nonlocal count
+        dx2 = float(np.sum((x - y) ** 2))
+        if dx2 == 0.0:
+            return
+        count += 1
+        fxs, fys = candidates(f.evaluate(x)), candidates(f.evaluate(y))
+        vxs, vys = candidates(v.evaluate(x)), candidates(v.evaluate(y))
+        for (sfx, fx), (sfy, fy), (svx, vx), (svy, vy) in itertools.product(fxs, fys, vxs, vys):
+            inner = float((fx - fy) @ (vx - vy))
+            quot = inner / dx2
+            sel = (sfx, sfy, svx, svy)
+            if quot < best["quot"]:
+                best["quot"] = quot
+                best["quot_w"] = (x.copy(), y.copy(), sel)
+            if inner < best["inner"]:
+                best["inner"] = inner
+                best["inner_w"] = (x.copy(), y.copy(), sel)
+
+    for x, y in include:
+        scan(linalg.as_vector(x), linalg.as_vector(y))
+    for _ in range(samples):
+        scan(rng.uniform_box(lower, upper), rng.uniform_box(lower, upper))
+    if count == 0:
+        raise ValueError("no usable sample pairs (all coincided)")
+    violated = best["inner"] < -ops.MONOTONE_SLACK
+    wx, wy, wsel = best["inner_w"] if violated else best["quot_w"]
+    return ops.PairMonotonicityReport(
+        samples=count,
+        min_quotient=best["quot"],
+        min_inner=best["inner"],
+        witness_x=wx,
+        witness_y=wy,
+        witness_selections=wsel,
+        verdict=ops.Verdict.VIOLATION_FOUND if violated else ops.Verdict.MONOTONE_EVIDENCE,
+    )
+
+
+def _report_fields(report):
+    return (
+        report.samples,
+        np.float64(report.min_quotient).tobytes(),
+        np.float64(report.min_inner).tobytes(),
+        report.witness_x.tobytes(),
+        report.witness_y.tobytes(),
+        report.witness_selections,
+        report.verdict,
+    )
+
+
+_KERNEL_PAIR = (np.array([0.0, 1.0]), np.array([0.0, -1.0]))
+REFERENCE_PAIRS = [
+    ("trig-swap", ops.trig_block_operator(), ops.swap_operator(), (-5.0, 5.0), [_KERNEL_PAIR]),
+    ("sign-swap", ops.sign_swap_operator(), ops.swap_operator(), (-2.0, 2.0), [_KERNEL_PAIR, (np.zeros(2), np.array([1.0, 0.0]))]),
+    # x2 = 0 at every draw: all four evaluations are boxes, 3**4 products per pair
+    ("sign-swap-on-axis", ops.sign_swap_operator(), ops.swap_operator(), (np.array([-1.0, 0.0]), np.array([1.0, 0.0])), [_KERNEL_PAIR]),
+    ("remark", ops.Affine(REMARK_MATRIX), ops.Affine(REMARK_MATRIX + 0.5 * np.eye(3)), (-0.05, 0.05), [(REMARK_POINT, np.zeros(3))]),
+]
+
+
+class TestBatchedCheckMatchesLoop:
+    @pytest.mark.parametrize("with_include", [False, True], ids=["sampled", "included"])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("f, v, box, include", [row[1:] for row in REFERENCE_PAIRS], ids=[row[0] for row in REFERENCE_PAIRS])
+    def test_every_report_field_bitwise(self, f, v, box, include, seed, with_include, monkeypatch):
+        # a small chunk puts several chunk boundaries inside each run; the
+        # included pairs end with a coincident one, which is skipped
+        monkeypatch.setattr(ops, "_PAIR_CHUNK", 64)
+        pairs = [*include, (include[0][0], include[0][0].copy())] if with_include else []
+        for samples in (2, 64, 65, 300):
+            report = ops.check_pair_monotone(f, v, box=box, samples=samples, seed=seed, include=pairs)
+            expected = _loop_check_pair_monotone(f, v, box=box, samples=samples, seed=seed, include=pairs)
+            assert _report_fields(report) == _report_fields(expected)
+            if report.verdict is ops.Verdict.VIOLATION_FOUND:
+                assert ops.reevaluate_witness(f, v, report) == report.min_inner
+
+    def test_default_chunk_boundary(self):
+        f, v = ops.trig_block_operator(), ops.swap_operator()
+        samples = ops._PAIR_CHUNK + 1
+        report = ops.check_pair_monotone(f, v, box=(-5.0, 5.0), samples=samples, seed=3)
+        expected = _loop_check_pair_monotone(f, v, box=(-5.0, 5.0), samples=samples, seed=3)
+        assert _report_fields(report) == _report_fields(expected)
+
+    def test_include_pairs_must_match_the_box(self):
+        with pytest.raises(DimensionMismatchError):
+            ops.check_pair_monotone(
+                ops.Pointwise("identity"), ops.Pointwise("identity"), box=(-1.0, 1.0), samples=10,
+                include=[(np.zeros(2), np.ones(2))],
+            )
+
+    def test_overflowing_box_is_an_input_error(self):
+        # every draw is +-inf or NaN, so no quotient is finite
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="too large"):
+            ops.check_pair_monotone(ops.identity_operator(2), ops.identity_operator(2), box=(-1e308, 1e308), samples=50)
 
 
 class TestStrongMonotonicity:

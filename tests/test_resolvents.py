@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -334,7 +335,7 @@ class TestPatternTable:
             xs = _consistent_solutions(strategy, w)
             assert xs, "a strongly monotone inclusion has a solution"
             assert all(np.allclose(x, xs[0], rtol=0.0, atol=1e-9) for x in xs)
-            assert np.array_equal(resolvents._invert_sign(strategy, w), xs[0])
+            assert np.array_equal(resolvents._invert_sign(strategy, w)[0], xs[0])
 
     @given(
         st.integers(1, 3).flatmap(
@@ -376,8 +377,83 @@ class TestPatternTable:
         for w in _seeded_inputs(3, 300, seed=31):
             xs = _consistent_solutions(strategy, w)
             ambiguous += any(not np.allclose(x, xs[0]) for x in xs)
-            assert np.array_equal(resolvents._invert_sign(strategy, w), xs[0])
+            assert np.array_equal(resolvents._invert_sign(strategy, w)[0], xs[0])
         assert ambiguous > 0
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("row", [row for row in SIGN_TREES if row[3] is not None], ids=lambda row: row[0])
+    def test_certificate(self, row, gamma):
+        # sym(B), B = M[:, sigma], is the identity on the monotone trees and
+        # has eigenvalues between -8 and -4.3 on the stack and nested trees
+        engine = resolvents.build_engine(row[1], row[2], gamma)
+        strategy = engine._strategy
+        permuted = strategy.matrix[:, strategy.sigma]
+        lowest = np.linalg.eigvalsh(0.5 * (permuted + permuted.T))[0]
+        certified = row[0] in ("sign-block", "same-variable-terms-add")
+        assert engine.unique_preimage is certified
+        assert strategy.unique_preimage is certified
+        assert lowest > 0.5 if certified else -8.0 - 1e-9 <= lowest <= -4.2
+
+    def test_certificate_on_other_engines(self):
+        assert qp_engine()[0].unique_preimage
+        a = np.array([[1.0, 1.0], [1.0, 1.0]])
+        assert not resolvents.build_engine(ops.Affine(a), ops.Affine(a), 1.0).unique_preimage
+        assert not resolvents.build_engine(ops.trig_block_operator(), ops.swap_operator(), 1.0).unique_preimage
+
+    @pytest.mark.parametrize("name", ["stack", "nested"])
+    def test_uncertified_engines_ignore_the_start_pattern(self, name):
+        # on the inputs where several patterns are consistent with different
+        # x, naming a later consistent pattern must not change the result
+        f, v = next(row[1:3] for row in SIGN_TREES if row[0] == name)
+        strategy = resolvents.build_engine(f, v, 2.0)._strategy
+        ambiguous = 0
+        for w in _seeded_inputs(3, 300, seed=31):
+            y = w - strategy.offset
+            consistent = [i for i, p in enumerate(strategy.patterns) if resolvents._solve_pattern(strategy, p, y) is not None]
+            first = resolvents._solve_pattern(strategy, strategy.patterns[consistent[0]], y)
+            ambiguous += any(
+                not np.allclose(resolvents._solve_pattern(strategy, strategy.patterns[i], y), first) for i in consistent
+            )
+            for start in consistent + [None, -1, len(strategy.patterns)]:
+                x, accepted = resolvents._invert_sign(strategy, w, start)
+                assert x.tobytes() == first.tobytes() and accepted == consistent[0]
+        assert ambiguous > 100
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("f, v", [row[1:] for row in MONOTONE_SIGN_PAIRS], ids=[row[0] for row in MONOTONE_SIGN_PAIRS])
+    def test_start_pattern_does_not_change_the_preimage(self, f, v, gamma):
+        # seeded inputs, plus grid inputs on which several patterns are
+        # consistent because some coordinate of x sits on a sign boundary
+        engine = resolvents.build_engine(f, v, gamma)
+        strategy = engine._strategy
+        assert strategy.unique_preimage
+        grid = [np.array(p) for p in itertools.product(np.arange(-3.0, 3.5, 0.5) * gamma, repeat=2)]
+        several = 0
+        for w in _seeded_inputs(2, 300, seed=31) + grid:
+            cold, first = resolvents._invert_sign(strategy, w)
+            y = w - strategy.offset
+            consistent = [i for i, p in enumerate(strategy.patterns) if resolvents._solve_pattern(strategy, p, y) is not None]
+            tie = len(consistent) > 1
+            several += tie
+            for start in [*range(len(strategy.patterns)), -1, len(strategy.patterns)]:
+                warm, accepted = resolvents._invert_sign(strategy, w, start)
+                assert warm.tobytes() == cold.tobytes() or (tie and np.allclose(warm, cold, rtol=0.0, atol=1e-12))
+                assert accepted == (start if start in consistent else first)
+            out = resolvents.transformed(engine, w, first)
+            assert out.pattern == first and out.preimage.tobytes() == cold.tobytes()
+        assert several > 0
+
+    def test_output_names_the_accepted_pattern(self):
+        engine, _, _ = sign_engine()
+        assert engine._strategy.diagonal is None
+        out = resolvents.transformed(engine, np.array([3.0, 1.0]))
+        assert out.pattern is not None
+        assert resolvents._solve_pattern(
+            engine._strategy, engine._strategy.patterns[out.pattern], np.array([3.0, 1.0])
+        ).tobytes() == out.preimage.tobytes()
+        assert resolvents.transformed(qp_engine()[0], np.ones(2), 3).pattern is None
+        diagonal = resolvents.build_engine(ops.SignBlock(1.0, (0, 1)), ops.Scale(2.0, ops.Pointwise("identity")), 1.0, dim=2)
+        assert resolvents.transformed(diagonal, np.array([3.0, 0.5]), 0).pattern is None
 
     def test_threads_share_one_engine(self):
         engine, _, _ = sign_engine()

@@ -48,11 +48,25 @@ class TestGppa:
 
     def test_non_finite_iterate_raises(self):
         # kappa far outside (0, |alpha|/2): the second coordinate amplifies by
-        # (lam + 2k) / (2 lam + 2k) = 2.5 each step until overflow
+        # (lam + 2k) / (2 lam + 2k) = 2.5 each step; from 1e308 the first
+        # step overflows, before the divergence stop can fire
         f, v = qp_pair(a=np.diag([1.0, -0.15]), b=np.zeros(2))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteIterateError):
-                solvers.gppa(f, v, np.array([1.0, 1.0]), solvers.SolverConfig(max_iters=5000))
+                solvers.gppa(f, v, np.array([1e308, 1e308]), solvers.SolverConfig(max_iters=5000))
+
+    @pytest.mark.parametrize("solver", ["gppa", "gppa1"])
+    def test_growing_residual_stops_as_diverged(self, solver):
+        # the same amplifying pair from (1, 1): the residual grows by 2.5 per
+        # step and first exceeds 1e8 * (1 + r_0) long before any overflow
+        f, v = qp_pair(a=np.diag([1.0, -0.15]), b=np.zeros(2))
+        res = getattr(solvers, solver)(f, v, np.array([1.0, 1.0]), solvers.SolverConfig(max_iters=5000))
+        assert (res.status, res.reason) == (solvers.Status.FAILED, "Diverged")
+        residuals = res.trace.residuals
+        assert len(residuals) == res.iterations
+        bound = 1e8 * (1.0 + residuals[0])
+        assert residuals[-1] > bound and max(residuals[:-1]) <= bound
+        assert np.all(np.isfinite(res.preimage))
 
     @pytest.mark.parametrize("kind", ["affine", "sign"])
     def test_iterates_match_hand_warped_loop_bitwise(self, kind):
@@ -187,6 +201,44 @@ class TestDcaBaseline:
         assert np.allclose(res.preimage, x0, atol=1e-12)
 
 
+class TestWarmStart:
+    @pytest.mark.parametrize("solver", ["gppa", "gppa1", "gppa2"])
+    def test_runs_match_the_fixed_pattern_order_bitwise(self, solver, monkeypatch):
+        # the sign-swap engine is certified, so each step may start the
+        # pattern search at the previous step's pattern; from five seeded
+        # starts the runs must equal runs that always search in (+, -, 0)
+        # order, and the anchored run must need about one try per step
+        cfg = solvers.SolverConfig(
+            tol_residual=0.0, max_iters=1000, trace_level=solvers.TraceLevel.FULL,
+            halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)) if solver == "gppa2" else None,
+        )
+        tries = 0
+        solve_pattern = resolvents._solve_pattern
+
+        def counted(*args):
+            nonlocal tries
+            tries += 1
+            return solve_pattern(*args)
+
+        def runs():
+            f, v = ops.sign_swap_operator(), ops.swap_operator()
+            return [getattr(solvers, solver)(f, v, SplitMix64(seed).uniform(2, -5.0, 5.0), cfg) for seed in range(5)]
+
+        monkeypatch.setattr(resolvents, "_solve_pattern", counted)
+        warm = runs()
+        steps = sum(r.iterations for r in warm)
+        if solver == "gppa2":
+            assert tries <= 1.2 * steps
+        transformed = resolvents.transformed
+        monkeypatch.setattr(resolvents, "transformed", lambda engine, x, start_pattern=None: transformed(engine, x))
+        cold = runs()
+        for a, b in zip(warm, cold):
+            assert (a.status, a.iterations) == (b.status, b.iterations)
+            assert np.array(a.trace.iterates).tobytes() == np.array(b.trace.iterates).tobytes()
+            assert np.array(a.trace.preimages).tobytes() == np.array(b.trace.preimages).tobytes()
+            assert a.preimage.tobytes() == b.preimage.tobytes() and a.image.tobytes() == b.image.tobytes()
+
+
 class TestResidualAccess:
     def test_trace_disabled(self):
         f, v = qp_pair()
@@ -272,6 +324,7 @@ STOP_CONFIGS = {
     "max-iters": solvers.SolverConfig(tol_residual=0.0, max_iters=5),
     "step-stalled": solvers.SolverConfig(tol_residual=0.0, tol_step=1e-3, max_iters=5000),
     "non-finite": solvers.SolverConfig(tol_residual=0.0, max_iters=5000),
+    "diverged": solvers.SolverConfig(tol_residual=0.0, max_iters=5000),
 }
 
 
@@ -291,19 +344,24 @@ class TestStopRules:
             ("gppa2", "max-iters", ("MaxIters", None, 5)),
             ("gppa2", "step-stalled", ("Failed", "step-stalled", 32)),
             ("gppa2", "non-finite", NonFiniteIterateError),
+            ("gppa", "diverged", ("Failed", "Diverged", 23)),
+            ("gppa1", "diverged", ("Failed", "Diverged", 22)),
         ],
     )
     def test_proximal_iterations(self, solver, path, expected):
-        # the non-finite runs use kappa = 0.2 outside (0, |alpha|/2) for
-        # alpha = -0.15, so one mode grows by 2.5 per step until overflow
-        if path == "non-finite":
+        # the non-finite and diverged runs use kappa = 0.2 outside
+        # (0, |alpha|/2) for alpha = -0.15, so one mode grows by 2.5 per step:
+        # gppa and gppa1 stop once the residual passes 1e8 * (1 + r_0), so
+        # the non-finite runs start at 1e308, where the first step overflows
+        if path in ("non-finite", "diverged"):
             f, v = qp_pair(a=np.diag([1.0, -0.15]), b=np.zeros(2))
         else:
             f, v = qp_pair()
         cfg = STOP_CONFIGS[path]
         if solver == "gppa2":
             cfg = dataclasses.replace(cfg, halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)))
-        run = lambda: getattr(solvers, solver)(f, v, np.array([0.3, -0.7]), cfg)
+        x0 = np.array([1e308, 1e308]) if path == "non-finite" else np.array([0.3, -0.7])
+        run = lambda: getattr(solvers, solver)(f, v, x0, cfg)
         if expected is NonFiniteIterateError:
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterateError):
                 run()
