@@ -10,8 +10,10 @@ nonzero eigenvalue of A.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,10 +96,10 @@ def build_kkt(qp: QPProblem) -> KKTSystem:
 # kernel-shift selection and the pair lemma
 
 
-def _smallest_nonzero_abs(values: np.ndarray, zero_threshold: float) -> float:
-    """Smallest |lambda| above zero_threshold * max|lambda|; 0.0 if none is."""
+def _smallest_nonzero_abs(values: np.ndarray) -> float:
+    """Smallest |lambda| above DEFAULT_ZERO_EIG_RTOL * max|lambda|; 0.0 if none is."""
     absvals = np.abs(values)
-    nonzero = absvals[absvals > zero_threshold * absvals.max(initial=0.0)]
+    nonzero = absvals[absvals > DEFAULT_ZERO_EIG_RTOL * absvals.max(initial=0.0)]
     return float(nonzero.min()) if nonzero.size else 0.0
 
 
@@ -108,16 +110,12 @@ class KappaSelection:
     eigen: linalg.SymmetricEigenDecomposition
 
 
-def select_kappa(
-    a: np.ndarray,
-    fraction: float = DEFAULT_KAPPA_FRACTION,
-    zero_threshold: float = DEFAULT_ZERO_EIG_RTOL,
-) -> KappaSelection:
+def select_kappa(a: np.ndarray, fraction: float = DEFAULT_KAPPA_FRACTION) -> KappaSelection:
     """kappa = fraction * |alpha|, strictly inside (0, |alpha|/2) by default."""
     if not 0.0 < fraction < 0.5:
         raise ValueError("fraction must lie in (0, 0.5)")
     eigen = linalg.jacobi_eigendecomposition(a)
-    alpha_abs = _smallest_nonzero_abs(eigen.values, zero_threshold)
+    alpha_abs = _smallest_nonzero_abs(eigen.values)
     if alpha_abs == 0.0:
         raise AllEigenvaluesZeroError("matrix has no eigenvalue above the zero threshold")
     return KappaSelection(alpha_abs, fraction * alpha_abs, eigen)
@@ -135,14 +133,14 @@ class PairLemmaReport:
     kappa_within_bound: bool
 
 
-def verify_pair_lemma(a: np.ndarray, kappa: float, zero_threshold: float = DEFAULT_ZERO_EIG_RTOL) -> PairLemmaReport:
+def verify_pair_lemma(a: np.ndarray, kappa: float) -> PairLemmaReport:
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     eigen = linalg.jacobi_eigendecomposition(a)
     vals = eigen.values
     products = vals * (vals + 2.0 * kappa)
     min_value = float(products.min())
-    alpha_abs = _smallest_nonzero_abs(vals, zero_threshold)
+    alpha_abs = _smallest_nonzero_abs(vals)
     return PairLemmaReport(
         min_value=min_value,
         monotone=min_value >= -1e-12,
@@ -219,43 +217,46 @@ def least_squares_iterate(
     cfg: solvers.SolverConfig | None = None,
 ) -> LeastSquaresSolution:
     """Minimize ||Ax - b||^2 for symmetric A via the same shifted iteration,
-    never forming A^T A; b may lie outside ran A."""
+    never forming A^T A; b may lie outside ran A.
+
+    Each step from x_k to x_{k+1} finds u = v(x_k) - v(x_{k+1}) = F(x_{k+1})
+    = A x_{k+1} - b, so e = ||u|| and r = ||A u|| cost one product with A.
+    On a monotone pair r never increases, and the run stops as
+    Failed('Diverged') on the bound `solvers.gppa` uses.
+    """
     cfg = cfg or solvers.SolverConfig()
     a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
     b = linalg.require_finite(linalg.as_vector(b), "b")
     n = a.shape[0]
-    x = np.zeros(n) if x0 is None else linalg.as_vector(x0).copy()
+    x = solvers._start(np.zeros(n) if x0 is None else x0)
     f, v = kkt_operator_pair(a, b, kappa)
     engine = resolvents.build_engine(f, v, 1.0)
-    ab = a @ b
     rs: list[float] = []
     es: list[float] = []
 
-    def measure(pt: np.ndarray) -> np.ndarray:
-        """Append r and e at pt, from a single product A pt, and return it;
-        the trace records e as the distance from A pt to b."""
-        apt = a @ pt
-        rs.append(float(np.linalg.norm(a @ apt - ab)))
-        es.append(float(np.linalg.norm(apt - b)))
-        return apt
+    def measure(u: np.ndarray) -> float:
+        """Append e = ||u|| and r = ||A u|| for u = F(x), and return r."""
+        es.append(float(np.linalg.norm(u)))
+        rs.append(float(np.linalg.norm(a @ u)))
+        return rs[-1]
 
-    rec = solvers._Recorder(cfg, x, b)
-    measure(x)
+    # the trace records u against the reference 0, so err_to_ref holds e
+    rec = solvers._Recorder(cfg, x, np.zeros(n))
+    w = ops.evaluate_point(v, x)
+    measure(ops.evaluate_point(f, x))
     status, reason, iters = solvers.Status.CONVERGED, None, 0
     if rs[0] > cfg.tol_residual:
         # each step inverts at v(x_k), the image the previous step returned
-        w = ops.evaluate_point(v, x)
-
         def step(k, x):
             nonlocal w
             out = resolvents.transformed(engine, w)
+            u = w - out.image
             w = out.image
-            apt = measure(out.preimage)
-            return out.preimage, rs[-1], apt, None
+            return out.preimage, measure(u), u, None
 
-        status, reason, iters, x = solvers._iterate(cfg, rec, x, step)
+        status, reason, iters, x = solvers._iterate(cfg, rec, x, step, solvers._divergence_bound)
 
-    result = solvers.SolveResult(status, reason, x, a @ x + 2.0 * kappa * x, iters, rec.trace)
+    result = solvers.SolveResult(status, reason, x, w, iters, rec.trace)
     return LeastSquaresSolution(result, rs, es)
 
 
@@ -366,16 +367,17 @@ def write_qp(path: str, qp: QPProblem) -> None:
 def read_qp(path: str) -> QPProblem:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"QP file {path} must hold a JSON object, got {reprlib.repr(doc)}")
     base = os.path.dirname(os.path.abspath(path))
-    # d is required with C: defaulting it would invent the data of C y = d
-    for key in ("Q", "c") if doc.get("C") is None else ("Q", "c", "d"):
-        if key not in doc:
-            raise ValueError(f"QP file missing required key {key!r}")
-    q = linalg.read_matrix(os.path.join(base, doc["Q"]))
-    c = np.asarray(doc["c"], dtype=float)
+    get = functools.partial(linalg._json_field, "QP file", doc)
+    q = linalg.read_matrix(os.path.join(base, get("Q", "string")))
+    c = np.asarray(get("c", "numbers"), dtype=float)
     if doc.get("C") is None:
         con = np.zeros((0, q.shape[0]))
+        d = np.asarray(get("d", "numbers", []), dtype=float)
     else:
-        con = linalg.read_matrix(os.path.join(base, doc["C"]))
-    d = np.asarray(doc.get("d", []), dtype=float)
+        con = linalg.read_matrix(os.path.join(base, get("C", "string")))
+        # d is required with C: defaulting it would invent the data of C y = d
+        d = np.asarray(get("d", "numbers"), dtype=float)
     return QPProblem(q, c, con, d)

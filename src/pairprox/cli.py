@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -59,8 +60,8 @@ class BenchSpec:
             raise ValueError("sizes must be positive")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         if (self.kappa is None) == (self.kappa_fraction is None):
             raise ValueError("set exactly one of kappa (absolute) or kappa_fraction")
         if self.kappa is not None:
@@ -215,8 +216,9 @@ def _parse_box(text: str) -> tuple[float, float]:
 
 
 def _require_kappa(kappa: float) -> None:
-    if not 0.0 < kappa < float("inf"):
-        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
+    # the kernel shift is 2 * kappa, which must not overflow
+    if not 0.0 < 2.0 * kappa < float("inf"):
+        raise ValueError(f"kappa must be positive, with 2*kappa finite, got {kappa!r}")
 
 
 def _require_kappa_fraction(fraction: float) -> None:
@@ -255,19 +257,34 @@ def _resolve_kappa(args, matrix: np.ndarray) -> float:
 def _run_solve(solve, kappa: float):
     """Run `solve()`, or print a Failed status and return None when its
     iterates overflow to NaN/Inf: that is a diverged solve (exit 2), not an
-    input error, and numpy's overflow warnings along the way are noise."""
+    input error."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return solve()
+        return solve()
     except NonFiniteIterateError as exc:
         print(f"status: Failed({exc}) (kappa={kappa:g})")
         return None
+
+
+def _overflow_quiet(cmd):
+    """Run a numeric subcommand with numpy's overflow and invalid-value
+    warnings off. Data or options of extreme size may overflow anywhere
+    along the way; the checks on the results report that (a non-finite
+    iterate is a Failed solve, non-finite data an input error), so the
+    warnings are noise."""
+
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cmd(args)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+@_overflow_quiet
 def cmd_solve_kkt(args) -> int:
     _check_solve_args(args)
     qp = apps.read_qp(args.problem)
@@ -289,6 +306,7 @@ def cmd_solve_kkt(args) -> int:
     return EXIT_OK if sol.result.status is solvers.Status.CONVERGED else EXIT_NOT_CONVERGED
 
 
+@_overflow_quiet
 def cmd_least_squares(args) -> int:
     _check_solve_args(args)
     a = linalg.read_matrix(args.matrix)
@@ -309,6 +327,7 @@ def cmd_least_squares(args) -> int:
     return EXIT_OK if res.status is solvers.Status.CONVERGED else EXIT_NOT_CONVERGED
 
 
+@_overflow_quiet
 def cmd_bench(args) -> int:
     if args.kappa is None and args.kappa_fraction is None:
         args.kappa = 0.2
@@ -334,6 +353,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK if all(r.status == "Converged" for r in records) else EXIT_NOT_CONVERGED
 
 
+@_overflow_quiet
 def cmd_check_pair(args) -> int:
     require_seed(args.seed)
     box = _parse_box(args.box) if args.box is not None else None
@@ -341,9 +361,8 @@ def cmd_check_pair(args) -> int:
     v = ops.load_operator(args.v_operator)
     include = [_parse_pair(p) for p in args.include_pair]
     # products that overflow in a wide box become +-inf or NaN, which the
-    # check handles; numpy's warnings about them are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = ops.check_pair_monotone(f, v, box=box, samples=args.samples, seed=args.seed, include=include)
+    # check handles
+    report = ops.check_pair_monotone(f, v, box=box, samples=args.samples, seed=args.seed, include=include)
     print(f"verdict: {report.verdict.value}")
     print(f"pairs scanned: {report.samples}")
     print(f"min quotient <F(x)-F(y), v(x)-v(y)> / ||x-y||^2 = {report.min_quotient:.12g}")

@@ -9,10 +9,13 @@ part already solved and one small product with the block's inverse, so no
 Python loop runs over the rows.
 
 Everything operates on plain float64 numpy arrays; matrices are row-major
-2-D arrays, vectors are 1-D arrays.
+2-D arrays, vectors are 1-D arrays. The readers of the JSON operator and QP
+files check each value's shape here before converting it.
 """
 from __future__ import annotations
 
+import reprlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,3 +218,44 @@ def read_vector(path) -> np.ndarray:
     if not toks:
         raise ValueError(f"{path}: empty vector file")
     return np.array([float(tok) for tok in toks], dtype=float)
+
+
+def _is_number(t) -> bool:
+    # abs() also rejects NaN and integers too large for a float
+    return isinstance(t, (int, float)) and abs(t) <= sys.float_info.max
+
+
+def _is_integer(t) -> bool:
+    return _is_number(t) and float(t).is_integer()
+
+
+def _list_of(ok):
+    return lambda t: isinstance(t, list) and all(map(ok, t))
+
+
+# shape name -> (description, predicate) for values read from JSON documents
+_JSON_SHAPES = {
+    "number": ("a finite number", _is_number),
+    "integer": ("an integer", _is_integer),
+    "string": ("a string", lambda t: isinstance(t, str)),
+    "object": ("an object", lambda t: isinstance(t, dict)),
+    "numbers": ("a list of finite numbers", _list_of(_is_number)),
+    "integers": ("a list of integers", _list_of(_is_integer)),
+    "rows": ("a list of rows of finite numbers", _list_of(_list_of(_is_number))),
+    "objects": ("a list of objects", _list_of(lambda t: isinstance(t, dict))),
+}
+_REQUIRED = object()
+
+
+def _json_field(where: str, doc: dict, key: str, shape: str, default=_REQUIRED):
+    """doc[key] after checking it against one of the `_JSON_SHAPES`; a
+    missing key gives `default`, or an error when there is none. `where`
+    names the document in the error message."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} missing required key {key!r}")
+        return default
+    what, ok = _JSON_SHAPES[shape]
+    if not ok(doc[key]):
+        raise ValueError(f"{where} key {key!r} must be {what}, got {reprlib.repr(doc[key])}")
+    return doc[key]

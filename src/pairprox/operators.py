@@ -11,8 +11,10 @@ the per-point calls.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -601,42 +603,45 @@ def operator_to_json(op: OperatorExpr, matrix_dir: str | None = None, _counter: 
 
 
 def operator_from_json(doc: dict, base_dir: str = ".") -> OperatorExpr:
+    """The variant tree of a JSON document; a key of the wrong JSON type is
+    a ValueError that names the key."""
+    get = functools.partial(linalg._json_field, "operator")
     kind = doc.get("kind")
     if kind == "affine":
         if "matrix-file" in doc:
-            matrix = linalg.read_matrix(os.path.join(base_dir, doc["matrix-file"]))
+            matrix = linalg.read_matrix(os.path.join(base_dir, get(doc, "matrix-file", "string")))
         elif "matrix" in doc:
-            matrix = np.asarray(doc["matrix"], dtype=float)
+            matrix = np.asarray(get(doc, "matrix", "rows"), dtype=float)
         else:
             raise ValueError("affine operator needs 'matrix' or 'matrix-file'")
-        offset = np.asarray(doc["offset"], dtype=float) if "offset" in doc else None
-        return Affine(matrix, offset)
+        return Affine(matrix, get(doc, "offset", "numbers", None))
     if kind == "sign-block":
-        return SignBlock(float(doc.get("scale", 1.0)), tuple(doc["selector"]))
+        return SignBlock(float(get(doc, "scale", "number", 1.0)), tuple(get(doc, "selector", "integers")))
     if kind == "permutation":
-        signs = tuple(doc["signs"]) if "signs" in doc else None
-        return Permutation(tuple(doc["permutation"]), signs)
+        return Permutation(tuple(get(doc, "permutation", "integers")), get(doc, "signs", "numbers", None))
     if kind == "pointwise":
-        name = doc["registry-name"]
+        name = get(doc, "registry-name", "string")
         if name not in _POINTWISE_REGISTRY:
             raise UnknownRegistryKeyError(f"no pointwise map named {name!r}")
         return Pointwise(name)
     if kind == "scale":
-        return Scale(float(doc["scale"]), operator_from_json(doc["inner"], base_dir))
+        return Scale(float(get(doc, "scale", "number")), operator_from_json(get(doc, "inner", "object"), base_dir))
     if kind == "sum":
-        return Sum(tuple(operator_from_json(t, base_dir) for t in doc["terms"]))
+        return Sum(tuple(operator_from_json(t, base_dir) for t in get(doc, "terms", "objects")))
     if kind == "stack":
         blocks = tuple(
-            (int(b["start"]), int(b["stop"]), operator_from_json(b["op"], base_dir))
-            for b in doc["blocks"]
+            (get(b, "start", "integer"), get(b, "stop", "integer"), operator_from_json(get(b, "op", "object"), base_dir))
+            for b in get(doc, "blocks", "objects")
         )
-        return Stack(int(doc["dim"]), blocks)
+        return Stack(int(get(doc, "dim", "integer")), blocks)
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
 def load_operator(path: str) -> OperatorExpr:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"operator file {path} must hold a JSON object, got {reprlib.repr(doc)}")
     return operator_from_json(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

@@ -11,6 +11,7 @@ monotonicity, so non-termination is a real failure mode.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import time
 import warnings
@@ -167,22 +168,12 @@ class _Recorder:
                 self.trace.preimages.append(np.array(preimage, dtype=float))
 
 
-def _require_finite(x: np.ndarray, what: str) -> None:
+def _start(x0: np.ndarray) -> np.ndarray:
+    """A copy of the start point as a float vector; NaN/Inf is rejected."""
+    x = linalg.as_vector(x0).copy()
     if not np.all(np.isfinite(x)):
-        raise NonFiniteIterateError(f"{what} contains NaN/Inf")
-
-
-class _EngineCache:
-    def __init__(self, f: ops.OperatorExpr, v: ops.OperatorExpr, dim: int | None):
-        self.f, self.v, self.dim = f, v, dim
-        self._engines: dict[float, resolvents.ResolventEngine] = {}
-
-    def get(self, gamma: float) -> resolvents.ResolventEngine:
-        eng = self._engines.get(gamma)
-        if eng is None:
-            eng = resolvents.build_engine(self.f, self.v, gamma, dim=self.dim)
-            self._engines[gamma] = eng
-        return eng
+        raise NonFiniteIterateError("x0 contains NaN/Inf")
+    return x
 
 
 def _iterate(
@@ -231,9 +222,10 @@ _DIVERGENCE_FACTOR = 1e8
 
 
 def _divergence_bound(r0: float) -> float:
-    # on a monotone pair the residuals of gppa and gppa1 never increase, so
-    # a residual this far above the first one shows the pair is not monotone
-    # along the run
+    # on a monotone pair the residuals of gppa and gppa1 never increase, nor
+    # does the least-squares residual ||A u|| (u's step map commutes with A
+    # and has norm at most 1), so a residual this far above the first one
+    # shows the pair is not monotone along the run
     return _DIVERGENCE_FACTOR * (1.0 + r0)
 
 
@@ -254,9 +246,8 @@ def gppa(
     1e8 * (1 + r_0), r_0 being the first step's residual.
     """
     cfg = cfg or SolverConfig()
-    x = linalg.as_vector(x0).copy()
-    _require_finite(x, "x0")
-    cache = _EngineCache(f, v, x.size)
+    x = _start(x0)
+    engines = functools.cache(lambda gamma: resolvents.build_engine(f, v, gamma, dim=x.size))
     v_ref = ops.evaluate_point(v, reference) if reference is not None else None
     rec = _Recorder(cfg, x, v_ref)
     w = ops.evaluate_point(v, x)
@@ -265,7 +256,7 @@ def gppa(
     def step(n, x):
         nonlocal w, pattern
         gamma = cfg.gamma_at(n)
-        out = resolvents.transformed(cache.get(gamma), w, pattern)
+        out = resolvents.transformed(engines(gamma), w, pattern)
         residual = float(np.linalg.norm(w - out.image)) / gamma
         w, pattern = out.image, out.pattern
         return out.preimage, residual, w, None
@@ -290,9 +281,8 @@ def gppa1(
     the run as in `gppa`.
     """
     cfg = cfg or SolverConfig()
-    x = linalg.as_vector(x0).copy()
-    _require_finite(x, "x0")
-    cache = _EngineCache(f, v, x.size)
+    x = _start(x0)
+    engines = functools.cache(lambda gamma: resolvents.build_engine(f, v, gamma, dim=x.size))
     rec = _Recorder(cfg, x, linalg.as_vector(reference) if reference is not None else None)
     z = x
     pattern = None
@@ -300,7 +290,7 @@ def gppa1(
     def step(n, x):
         nonlocal z, pattern
         gamma = cfg.gamma_at(n)
-        out = resolvents.transformed(cache.get(gamma), x, pattern)
+        out = resolvents.transformed(engines(gamma), x, pattern)
         z, pattern = out.preimage, out.pattern
         return out.image, float(np.linalg.norm(x - out.image)) / gamma, out.image, z
 
@@ -323,27 +313,24 @@ def gppa2(
         raise ValueError("gppa2 requires cfg.halpern")
     if isinstance(cfg.gamma_schedule, tuple):
         raise ValueError("gppa2 requires a constant gamma")
-    x = linalg.as_vector(x0).copy()
-    _require_finite(x, "x0")
+    x = _start(x0)
     anchor = linalg.as_vector(np.asarray(cfg.halpern.anchor, dtype=float))
     if anchor.size != x.size:
         raise ValueError("anchor dimension mismatch")
     engine = resolvents.build_engine(f, v, float(cfg.gamma_schedule), dim=x.size)
     rec = _Recorder(cfg, x, linalg.as_vector(reference) if reference is not None else None)
     gamma = float(cfg.gamma_schedule)
-    z = x
-    pattern = None
+    out = None
 
     def step(k, x):
-        nonlocal z, pattern
-        out = resolvents.transformed(engine, x, pattern)
-        z, pattern = out.preimage, out.pattern
+        nonlocal out
+        out = resolvents.transformed(engine, x, None if out is None else out.pattern)
         alpha = cfg.halpern.alpha(k)
         x_next = alpha * anchor + (1.0 - alpha) * out.image
-        return x_next, float(np.linalg.norm(x - x_next)) / gamma, x_next, z
+        return x_next, float(np.linalg.norm(x - x_next)) / gamma, x_next, out.preimage
 
     status, reason, iterations, _ = _iterate(cfg, rec, x, step)
-    return SolveResult(status, reason, z, ops.evaluate_point(v, z), iterations, rec.trace)
+    return SolveResult(status, reason, out.preimage, out.image, iterations, rec.trace)
 
 
 def dca_baseline(
@@ -359,7 +346,7 @@ def dca_baseline(
     cfg = cfg or SolverConfig()
     a = linalg.require_symmetric(a)
     b = linalg.as_vector(b)
-    x = linalg.as_vector(x0).copy()
+    x = _start(x0)
     n = a.shape[0]
     if b.size != n or x.size != n:
         raise DimensionMismatchError("A, b, x0 dimensions disagree")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pairprox import applications as apps
-from pairprox import resolvents, solvers
+from pairprox import operators as ops, resolvents, solvers
 from pairprox.errors import AllEigenvaluesZeroError, NonFiniteIterateError, NotSymmetricError
 from pairprox.rng import SplitMix64
 
@@ -220,17 +220,22 @@ class TestLeastSquares:
         system = apps.generate_inconsistent_system(16, 9)
         a, b = system.matrix, system.rhs
         sol = apps.least_squares_iterate(a, b, kappa=0.2, cfg=FULL)
-        engine = resolvents.build_engine(*apps.kkt_operator_pair(a, b, 0.2), 1.0)
-        ab = a @ b
+        f, v = apps.kkt_operator_pair(a, b, 0.2)
+        engine = resolvents.build_engine(f, v, 1.0)
         x = np.zeros(16)
         iterates = [x]
-        rs = [float(np.linalg.norm(a @ (a @ x) - ab))]
-        es = [float(np.linalg.norm(a @ x - b))]
+        # the residual vector u = F(x) starts the record; each step's u is
+        # v(x) - v(x'), the difference of the kernel images
+        u = ops.evaluate_point(f, x)
+        rs = [float(np.linalg.norm(a @ u))]
+        es = [float(np.linalg.norm(u))]
         for _ in range(sol.result.iterations):
-            x = resolvents.warped(engine, x).preimage
+            out = resolvents.warped(engine, x)
+            u = ops.evaluate_point(v, x) - out.image
+            x = out.preimage
             iterates.append(x)
-            rs.append(float(np.linalg.norm(a @ (a @ x) - ab)))
-            es.append(float(np.linalg.norm(a @ x - b)))
+            rs.append(float(np.linalg.norm(a @ u)))
+            es.append(float(np.linalg.norm(u)))
         assert sol.result.status is solvers.Status.CONVERGED
         assert sol.result.iterations > 1
         assert len(sol.result.trace.iterates) == len(iterates)
@@ -238,6 +243,19 @@ class TestLeastSquares:
             assert np.array_equal(got, want)
         assert sol.optimality_residuals == rs
         assert sol.data_errors == es
+
+    def test_data_errors_are_the_warped_iteration_residuals(self):
+        # both drivers run the warped step from x0 = 0 and record ||u|| for
+        # u = v(x_k) - v(x_{k+1}); least squares also records ||u|| at x_0
+        system = apps.generate_inconsistent_system(16, 9)
+        cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=40)
+        sol = apps.least_squares_iterate(system.matrix, system.rhs, kappa=0.2, cfg=cfg)
+        kkt = apps.solve_kkt(apps.KKTSystem(system.matrix, system.rhs, 16), kappa=0.2, cfg=cfg)
+        assert sol.result.iterations == kkt.result.iterations == 40
+        assert sol.data_errors[1:] == kkt.result.trace.residuals
+        assert sol.result.trace.err_to_ref == sol.data_errors[1:]
+        assert sol.result.preimage.tobytes() == kkt.result.preimage.tobytes()
+        assert sol.result.image.tobytes() == kkt.result.image.tobytes()
 
     def test_consistent_rhs_drives_both_errors_to_zero(self):
         system = apps.generate_consistent_system(12, 13)
@@ -294,13 +312,31 @@ class TestLeastSquaresStopRules:
         assert len(sol.optimality_residuals) == len(sol.data_errors) == res.iterations + 1
 
     def test_non_finite_iterate_raises(self):
-        # kappa = 0.2 is outside (0, |alpha|/2) for alpha = -0.15: one mode
-        # grows by 2.5 per step until overflow
+        # from this start the first resolvent evaluation overflows, before
+        # the divergence stop can see a residual
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterateError):
             apps.least_squares_iterate(
-                np.diag([1.0, -0.15]), np.array([1.0, 1.0]), kappa=0.2, x0=np.array([0.3, -0.7]),
+                np.diag([1.0, -0.15]), np.array([1.0, 1.0]), kappa=0.2, x0=np.array([1e308, 1e308]),
                 cfg=solvers.SolverConfig(tol_residual=0.0, max_iters=5000),
             )
+
+    def test_growing_residual_stops_as_diverged(self):
+        # kappa = 0.2 is outside (0, |alpha|/2) for alpha = -0.15: one mode
+        # grows by 2.5 per step, so the residual passes 1e8 * (1 + r_1)
+        sol = apps.least_squares_iterate(
+            np.diag([1.0, -0.15]), np.array([1.0, 1.0]), kappa=0.2, x0=np.array([0.3, -0.7]),
+            cfg=solvers.SolverConfig(tol_residual=0.0, max_iters=5000),
+        )
+        res = sol.result
+        assert (res.status.value, res.reason, res.iterations) == ("Failed", "Diverged", 23)
+        assert sol.optimality_residuals[-1] > 1e8 * (1.0 + sol.optimality_residuals[1])
+        assert np.all(np.isfinite(res.preimage))
+
+    @pytest.mark.parametrize("x0", [[np.nan, 0.0], [np.inf, 1.0]], ids=["nan", "inf"])
+    def test_non_finite_start_raises(self, x0):
+        # a NaN start has no residual to compare with the tolerance
+        with pytest.raises(NonFiniteIterateError, match="x0 contains NaN/Inf"):
+            apps.least_squares_iterate(np.eye(2), np.ones(2), 0.2, x0=x0)
 
 
 class TestCounterexampleRegression:
@@ -387,6 +423,25 @@ class TestQPFiles:
         del doc["d"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="missing required key 'd'"):
+            apps.read_qp(str(path))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("Q", 5), ("C", 7), ("c", {"x": 1}), ("c", [0, None]), ("d", "2")],
+    )
+    def test_wrong_json_type_names_the_key(self, tmp_path, key, value):
+        path = tmp_path / "problem.json"
+        apps.write_qp(str(path), example_qp())
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"QP file key '{key}' must be"):
+            apps.read_qp(str(path))
+
+    def test_document_must_be_an_object(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text("[1]")
+        with pytest.raises(ValueError, match=f"QP file {path} must hold a JSON object"):
             apps.read_qp(str(path))
 
     def test_null_constraints_need_no_d(self, tmp_path):

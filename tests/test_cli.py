@@ -107,13 +107,21 @@ class TestLeastSquaresCommand:
         assert "error: b has non-finite entries" in capsys.readouterr().err
 
     def test_diverging_solve_exits_two(self, tmp_path, capsys):
-        # A = diag(1, -1) with kappa = 0.9 > |alpha|/2 = 0.5: the iterates overflow
+        # A = diag(1, -1) with kappa = 0.9 > |alpha|/2 = 0.5: the residual grows
         mat, rhs = write_least_squares_files(tmp_path)
         linalg.write_matrix(mat, np.diag([1.0, -1.0]))
         assert cli.main(["least-squares", mat, rhs, "--kappa", "0.9"]) == 2
         captured = capsys.readouterr()
         assert captured.out.startswith("status: Failed(")
         assert "error:" not in captured.err and "RuntimeWarning" not in captured.err
+
+    def test_growing_residual_stops_as_diverged(self, tmp_path, capsys):
+        # the residual passes 1e8 * (1 + r_1) at step 15, long before the
+        # resolvent overflows
+        mat, rhs = write_least_squares_files(tmp_path)
+        linalg.write_matrix(mat, np.diag([1.0, -1.0]))
+        assert cli.main(["least-squares", mat, rhs, "--kappa", "0.9"]) == 2
+        assert capsys.readouterr().out.startswith("status: Failed(Diverged) after 15 iterations (kappa=0.9)\n")
 
 
 class TestBenchCommand:
@@ -291,6 +299,62 @@ class TestOutOfRangeOptions:
         err = capsys.readouterr().err
         assert f"--sizes must be 'n1,n2,...' with positive integers, got {sizes!r}" in err
         assert "Traceback" not in err
+
+
+class TestMalformedFiles:
+    """Input files of the wrong JSON shape exit 1 with a message that names
+    the file or key."""
+
+    @pytest.mark.parametrize(
+        "doc, needle",
+        [
+            ([1, 2], "must hold a JSON object"),
+            ({"kind": "sign-block", "selector": 5}, "'selector'"),
+            ({"kind": "sum", "terms": 3}, "'terms'"),
+            ({"kind": "permutation", "permutation": 3}, "'permutation'"),
+            ({"kind": "stack", "dim": 2, "blocks": [5]}, "'blocks'"),
+            ({"kind": "pointwise", "registry-name": ["x"]}, "'registry-name'"),
+            ({"kind": "affine", "matrix": [[1, 0], [0, 1]], "offset": {"a": 1}}, "'offset'"),
+        ],
+        ids=["list", "selector", "terms", "permutation", "blocks", "registry-name", "offset"],
+    )
+    def test_check_pair_operator_file(self, doc, needle, tmp_path, capsys):
+        f_path, v_path = tmp_path / "f.json", tmp_path / "v.json"
+        f_path.write_text(json.dumps(doc))
+        ops.save_operator(str(v_path), ops.swap_operator())
+        assert cli.main(["check-pair", str(f_path), str(v_path), "--samples=10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        if needle.startswith("must"):
+            assert str(f_path) in err
+
+    @pytest.mark.parametrize("key, value", [(None, [1]), ("Q", 5), ("C", 7), ("c", {"x": 1})], ids=["list", "Q", "C", "c"])
+    def test_solve_kkt_qp_file(self, key, value, tmp_path, capsys):
+        problem = write_example_problem(tmp_path)
+        doc = json.loads(problem.read_text())
+        if key is None:
+            doc = value
+        else:
+            doc[key] = value
+        problem.write_text(json.dumps(doc))
+        assert cli.main(["solve-kkt", str(problem)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: QP file ")
+        assert (str(problem) if key is None else f"key {key!r}") in err
+
+    def test_bench_nan_tolerance_exits_before_generation(self, capsys, monkeypatch):
+        # NaN compares false with everything, so a run could never converge
+        def fail(*args, **kwargs):
+            raise AssertionError("a system was generated for rejected options")
+
+        monkeypatch.setattr(apps, "generate_consistent_system", fail)
+        assert cli.main(["bench", "--sizes", "4", "--trials", "1", "--tol", "nan"]) == 1
+        assert capsys.readouterr().err == "error: tolerance must be positive, got nan\n"
+
+    def test_kappa_whose_shift_overflows_is_rejected(self, tmp_path, capsys):
+        # with 2 * kappa = inf the kernel's zero entries would be 0 * inf = NaN
+        assert cli.main(["least-squares", *write_least_squares_files(tmp_path), "--kappa=1e308"]) == 1
+        assert "with 2*kappa finite, got 1e+308" in capsys.readouterr().err
 
 
 class TestPairLemmaWarning:
@@ -474,6 +538,160 @@ class TestCheckPairFuzz:
             assert code in (0, 1, 3)
             assert "Traceback" not in err.getvalue()
             assert (code == 1) == err.getvalue().startswith(("error:", "usage:"))
+
+        run()
+
+
+def _run_clean(argv):
+    """Run the CLI in process; it must exit with a documented code, print no
+    traceback, and write an error message exactly when it exits 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 1) == ("error:" in err.getvalue())
+    return code
+
+
+# any JSON value, so that every key of a file can hold the wrong type
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_doc(valid: dict):
+    """Half the time `valid` itself; otherwise `valid` with each key kept,
+    dropped or given any JSON value, or a document of any JSON value."""
+    mutated = st.fixed_dictionaries({}, optional={key: st.just(value) | _JSON for key, value in valid.items()})
+    return st.integers(0, 3).flatmap(lambda k: st.just(valid) if k < 2 else mutated if k == 2 else _JSON)
+
+
+_MATRIX_TEXT = st.sampled_from([
+    "", "x y\n", "2\n1 0\n", "-1 2\n", "2 2\n1 0\n0\n", "2 2\n1 2\n3 4\n", "2 2\nnan 0\n0 1\n",
+    "1 1\n1e999\n", "2 2\n1e308 0\n0 -1e308\n", "2 2\n1e-320 0\n0 0\n", "2 2\n0 0\n0 0\n", "0 0\n",
+    "3 3\n1 0 0\n0 1 0\n0 0 1\n", "99999999999 1\n",
+]) | st.text(max_size=12)
+_INT_TEXT = _mostly(st.integers(-3, 200).map(str), st.sampled_from(["", "1.5", "1e3", "x"]))
+
+
+def _option(name, values):
+    """No flag, or --name=value."""
+    return st.none() | values.map(lambda value: f"--{name}={value}")
+
+
+def _solve_flags(tmp_path):
+    # --max-iters is always given, so that no run reaches the 100 000 default
+    return st.tuples(
+        _option("kappa", _FLOAT_TEXT),
+        _option("kappa-fraction", _FLOAT_TEXT),
+        _option("tol", _FLOAT_TEXT),
+        _mostly(st.integers(-1, 200).map(str), st.sampled_from(["", "1.5", "x"])).map(lambda n: f"--max-iters={n}"),
+        _option("out", st.sampled_from([str(tmp_path / "x.txt"), str(tmp_path)])),
+        _option("trace", st.sampled_from([str(tmp_path / "trace.csv"), str(tmp_path)])),
+    ).map(lambda flags: [f for f in flags if f is not None])
+
+
+class TestCliFuzz:
+    """Malformed numbers, flags and input files on every subcommand but
+    check-pair's options (TestCheckPairFuzz) must end in a documented exit
+    code with a message, never in a traceback."""
+
+    def test_solve_kkt(self, tmp_path):
+        problem = write_example_problem(tmp_path)
+        valid_doc = json.loads(problem.read_text())
+        q_text = (tmp_path / "problem-Q.mat").read_text()
+
+        @given(doc=_json_doc(valid_doc), q=_mostly(st.just(q_text), _MATRIX_TEXT), flags=_solve_flags(tmp_path))
+        @settings(max_examples=60, deadline=None)
+        def run(doc, q, flags):
+            problem.write_text(json.dumps(doc))
+            (tmp_path / "problem-Q.mat").write_text(q)
+            _run_clean(["solve-kkt", str(problem), *flags])
+
+        run()
+
+    def test_least_squares(self, tmp_path):
+        mat, rhs = write_least_squares_files(tmp_path)
+        mat_text = open(mat).read()
+        rhs_text = st.lists(_FLOAT_TEXT, max_size=3).map(" ".join)
+
+        @given(a=_mostly(st.just(mat_text), _MATRIX_TEXT), b=_mostly(st.just("1\n1\n"), rhs_text), flags=_solve_flags(tmp_path))
+        @settings(max_examples=80, deadline=None)
+        def run(a, b, flags):
+            with open(mat, "w") as fh:
+                fh.write(a)
+            with open(rhs, "w") as fh:
+                fh.write(b)
+            _run_clean(["least-squares", mat, rhs, *flags])
+
+        run()
+
+    def test_bench(self, tmp_path):
+        sizes = _mostly(
+            st.lists(st.integers(1, 8), min_size=1, max_size=2).map(lambda ns: ",".join(map(str, ns))),
+            st.sampled_from(["", ",", "0", "-1", "2.5", "x", "4,,x"]),
+        )
+
+        @given(
+            sizes=sizes,
+            trials=_mostly(st.integers(-1, 2).map(str), st.sampled_from(["", "1.5", "x"])),
+            seed=_option("seed", _mostly(st.integers(0, 2**64 - 1).map(str), st.sampled_from(["-1", "", "x"]))),
+            kappa=_option("kappa", _FLOAT_TEXT),
+            fraction=_option("kappa-fraction", _FLOAT_TEXT),
+            tol=_option("tol", _FLOAT_TEXT),
+            spectrum=_option("spectrum", st.lists(_FLOAT_TEXT, max_size=3).map(",".join)),
+            zero_fraction=_option("zero-fraction", _FLOAT_TEXT),
+            max_iters=_mostly(st.integers(-1, 200).map(str), st.sampled_from(["", "x"])),
+            out=_option("out", st.sampled_from([str(tmp_path / "bench.csv"), str(tmp_path)])),
+        )
+        @settings(max_examples=60, deadline=None)
+        def run(sizes, trials, seed, kappa, fraction, tol, spectrum, zero_fraction, max_iters, out):
+            flags = [seed, kappa, fraction, tol, spectrum, zero_fraction, out]
+            argv = ["bench", f"--sizes={sizes}", f"--trials={trials}", f"--max-iters={max_iters}"]
+            _run_clean(argv + [f for f in flags if f is not None])
+
+        run()
+
+    def test_demo(self, tmp_path):
+        # example-2 runs 10 000 anchored steps (about a second), so it is
+        # left to TestDemoCommand
+        (tmp_path / "file").write_text("")
+
+        @given(
+            name=_mostly(st.sampled_from(["example-1", "least-squares", "dca-divergence"]), st.text(max_size=8)),
+            out=_option("out", st.sampled_from([str(tmp_path / "traces"), str(tmp_path / "file"), str(tmp_path / "file" / "sub")])),
+        )
+        @settings(max_examples=30, deadline=None)
+        def run(name, out):
+            _run_clean(["demo", name, *([] if out is None else [out])])
+
+        run()
+
+    def test_check_pair_operator_files(self, tmp_path):
+        f_path, v_path = tmp_path / "f.json", tmp_path / "v.json"
+        ops.save_operator(str(v_path), ops.swap_operator())
+        trees = [
+            ops.sign_swap_operator(), ops.trig_block_operator(), ops.swap_operator(), ops.Affine(np.eye(2), np.ones(2)),
+            ops.Stack(2, ((0, 1, ops.SignBlock(1.0, (0,))), (1, 2, ops.Pointwise("negation")))),
+            ops.Scale(2.0, ops.Permutation((1, 0), (1.0, -1.0))),
+        ]
+        # every node of a valid tree, each key kept, dropped or retyped
+        nodes = st.sampled_from(trees).map(ops.operator_to_json).flatmap(_json_doc)
+
+        @given(doc=nodes, wrap=st.sampled_from(["", "scale", "sum", "stack"]), seed=st.integers(0, 9))
+        @settings(max_examples=120, deadline=None)
+        def run(doc, wrap, seed):
+            if wrap == "scale":
+                doc = {"kind": "scale", "scale": 1.5, "inner": doc}
+            elif wrap == "sum":
+                doc = {"kind": "sum", "terms": [doc, {"kind": "pointwise", "registry-name": "identity"}]}
+            elif wrap == "stack":
+                doc = {"kind": "stack", "dim": 2, "blocks": [{"start": 0, "stop": 2, "op": doc}]}
+            f_path.write_text(json.dumps(doc))
+            _run_clean(["check-pair", str(f_path), str(v_path), "--samples=50", f"--seed={seed}"])
 
         run()
 

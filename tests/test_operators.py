@@ -402,6 +402,41 @@ class TestJsonSerialization:
             ops.operator_from_json({"kind": "pointwise", "registry-name": "nope"})
 
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"kind": "sign-block", "selector": 5}, "selector"),
+            ({"kind": "sign-block", "selector": [0, 1.5]}, "selector"),
+            ({"kind": "sum", "terms": 3}, "terms"),
+            ({"kind": "permutation", "permutation": 3}, "permutation"),
+            ({"kind": "permutation", "permutation": [1, 0], "signs": [[1], 1]}, "signs"),
+            ({"kind": "stack", "dim": 2, "blocks": [5]}, "blocks"),
+            ({"kind": "stack", "dim": [2], "blocks": []}, "dim"),
+            ({"kind": "stack", "dim": 2, "blocks": [{"start": 0, "stop": "2", "op": {}}]}, "stop"),
+            ({"kind": "pointwise", "registry-name": ["x"]}, "registry-name"),
+            ({"kind": "affine", "matrix": [[1, 0], [0, 1]], "offset": {"a": 1}}, "offset"),
+            ({"kind": "affine", "matrix": [[1, {}], [0, 1]]}, "matrix"),
+            ({"kind": "affine", "matrix-file": 3}, "matrix-file"),
+            ({"kind": "scale", "scale": None, "inner": {"kind": "pointwise", "registry-name": "identity"}}, "scale"),
+            ({"kind": "scale", "scale": 2, "inner": [1]}, "inner"),
+            ({"kind": "sign-block", "scale": 1e400, "selector": [0]}, "scale"),
+        ],
+    )
+    def test_wrong_json_type_names_the_key(self, doc, key):
+        with pytest.raises(ValueError, match=f"operator key '{key}' must be"):
+            ops.operator_from_json(doc)
+
+    def test_missing_key_names_the_key(self):
+        with pytest.raises(ValueError, match="operator missing required key 'selector'"):
+            ops.operator_from_json({"kind": "sign-block"})
+
+    def test_document_must_be_an_object(self, tmp_path):
+        path = tmp_path / "op.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match=f"operator file {path} must hold a JSON object"):
+            ops.load_operator(str(path))
+
+
 class TestValidation:
     def test_scale_requires_positive(self):
         with pytest.raises(ValueError):

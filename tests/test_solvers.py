@@ -239,6 +239,60 @@ class TestWarmStart:
             assert a.preimage.tobytes() == b.preimage.tobytes() and a.image.tobytes() == b.image.tobytes()
 
 
+class TestSharedDriverJobs:
+    DRIVERS = {
+        "gppa": lambda x0: solvers.gppa(*qp_pair(), x0),
+        "gppa1": lambda x0: solvers.gppa1(*qp_pair(), x0),
+        "gppa2": lambda x0: solvers.gppa2(
+            *qp_pair(), x0, solvers.SolverConfig(halpern=solvers.HalpernConfig(anchor=(0.0, 0.0)))
+        ),
+        "dca_baseline": lambda x0: solvers.dca_baseline(np.eye(2), np.ones(2), 1.0, x0),
+        "least_squares_iterate": lambda x0: apps.least_squares_iterate(np.eye(2), np.ones(2), 0.2, x0=x0),
+    }
+
+    @pytest.mark.parametrize("x0", [[np.nan, 0.0], [0.0, -np.inf]], ids=["nan", "inf"])
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_every_driver_rejects_a_non_finite_start(self, driver, x0):
+        with pytest.raises(NonFiniteIterateError, match="x0 contains NaN/Inf"):
+            self.DRIVERS[driver](np.array(x0))
+
+    @pytest.mark.parametrize("solver", ["gppa", "gppa1"])
+    def test_gamma_schedule_builds_one_engine_per_distinct_gamma(self, solver, monkeypatch):
+        # the solvers look build_engine up on the module, so a wrapper put
+        # there (as a tracer does) sees every build
+        built = []
+        build_engine = resolvents.build_engine
+
+        def counted(f, v, gamma, dim=None):
+            built.append(gamma)
+            return build_engine(f, v, gamma, dim=dim)
+
+        monkeypatch.setattr(resolvents, "build_engine", counted)
+        with pytest.warns(UserWarning, match="gamma_n"):
+            cfg = solvers.SolverConfig(gamma_schedule=(1.0, 2.0, 1.0, 0.5, 2.0), tol_residual=0.0, max_iters=9)
+        res = getattr(solvers, solver)(*qp_pair(), np.zeros(2), cfg)
+        assert res.iterations == 9
+        assert built == [1.0, 2.0, 0.5]
+
+    def test_anchored_result_reuses_the_last_image(self, monkeypatch):
+        # v is evaluated once per step, inside the resolvent, and the result
+        # carries that step's image rather than a fresh v(z)
+        calls = 0
+        evaluate_point = ops.evaluate_point
+
+        def counted(op, x):
+            nonlocal calls
+            calls += 1
+            return evaluate_point(op, x)
+
+        monkeypatch.setattr(ops, "evaluate_point", counted)
+        f, v = ops.sign_swap_operator(), ops.swap_operator()
+        cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=50, halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)))
+        res = solvers.gppa2(f, v, np.array([3.0, 1.0]), cfg)
+        assert calls == res.iterations == 50
+        assert res.image.tobytes() == evaluate_point(v, res.preimage).tobytes()
+
+
 class TestResidualAccess:
     def test_trace_disabled(self):
         f, v = qp_pair()
