@@ -164,6 +164,15 @@ def kkt_operator_pair(a: np.ndarray, b: np.ndarray, kappa: float) -> tuple[ops.A
     return ops.Affine(a, -b), ops.Affine(a + 2.0 * kappa * np.eye(n))
 
 
+def _unit_gamma(cfg: solvers.SolverConfig | None) -> solvers.SolverConfig:
+    """`cfg`, or the default config; the shifted-kernel iteration is
+    defined at constant gamma = 1 only."""
+    cfg = cfg or solvers.SolverConfig()
+    if cfg.gamma_schedule != 1.0:
+        raise ValueError("the shifted-kernel iteration is defined at constant gamma = 1")
+    return cfg
+
+
 @dataclass
 class KKTSolution:
     result: solvers.SolveResult
@@ -186,9 +195,7 @@ def solve_kkt(
     The recorded residual at step k equals e_{k+1} = ||A x_{k+1} - b||, so the
     stopping tolerance applies directly to the linear-system error.
     """
-    cfg = cfg or solvers.SolverConfig()
-    if cfg.gamma_at(0) != 1.0 or isinstance(cfg.gamma_schedule, tuple):
-        raise ValueError("the saddle-system iteration is defined at constant gamma = 1")
+    cfg = _unit_gamma(cfg)
     n = kkt.matrix.shape[0]
     x0 = np.zeros(n) if x0 is None else linalg.as_vector(x0)
     f, v = kkt_operator_pair(kkt.matrix, kkt.rhs, kappa)
@@ -224,7 +231,7 @@ def least_squares_iterate(
     On a monotone pair r never increases, and the run stops as
     Failed('Diverged') on the bound `solvers.gppa` uses.
     """
-    cfg = cfg or solvers.SolverConfig()
+    cfg = _unit_gamma(cfg)
     a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
     b = linalg.require_finite(linalg.as_vector(b), "b")
     n = a.shape[0]
@@ -283,12 +290,17 @@ def _random_orthogonal(n: int, rng: SplitMix64) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _spectrum(n: int, rng: SplitMix64, spectrum: tuple[float, float], zero_fraction: float) -> np.ndarray:
+def _check_spectrum(spectrum: tuple[float, float], zero_fraction: float) -> None:
     lo, hi = spectrum
-    if not 0.0 < lo <= hi:
-        raise ValueError("spectrum interval must satisfy 0 < lo <= hi")
+    if not 0.0 < lo <= hi < float("inf"):
+        raise ValueError(f"spectrum interval must satisfy 0 < lo <= hi < inf, got {spectrum!r}")
     if not 0.0 <= zero_fraction < 1.0:
-        raise ValueError("zero_fraction must lie in [0, 1)")
+        raise ValueError(f"zero_fraction must lie in [0, 1), got {zero_fraction!r}")
+
+
+def _spectrum(n: int, rng: SplitMix64, spectrum: tuple[float, float], zero_fraction: float) -> np.ndarray:
+    _check_spectrum(spectrum, zero_fraction)
+    lo, hi = spectrum
     k = int(round(zero_fraction * n))
     lam = np.zeros(n)
     if n > k:

@@ -9,10 +9,10 @@ execution order, so results are byte-identical modulo the seconds column.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
-import json
 import os
 import statistics
 import sys
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import applications as apps
 from . import linalg, operators as ops, solvers
-from .errors import NonFiniteIterateError, PairproxError, UnknownDemoError
+from .errors import PairproxError, UnknownDemoError
 from .rng import derive_seed, require_seed
 
 EXIT_OK = 0
@@ -70,6 +70,9 @@ class BenchSpec:
             _require_kappa_fraction(self.kappa_fraction)
         if len(self.spectrum) != 2:
             raise ValueError(f"spectrum must be an interval 'lo,hi', got {self.spectrum!r}")
+        # checked here as well as by the generator, so that a bad interval
+        # ends the campaign before its first trial
+        apps._check_spectrum(self.spectrum, self.zero_fraction)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
         require_seed(self.seed)
@@ -254,17 +257,6 @@ def _resolve_kappa(args, matrix: np.ndarray) -> float:
     return apps.select_kappa(matrix, fraction=fraction).kappa
 
 
-def _run_solve(solve, kappa: float):
-    """Run `solve()`, or print a Failed status and return None when its
-    iterates overflow to NaN/Inf: that is a diverged solve (exit 2), not an
-    input error."""
-    try:
-        return solve()
-    except NonFiniteIterateError as exc:
-        print(f"status: Failed({exc}) (kappa={kappa:g})")
-        return None
-
-
 def _overflow_quiet(cmd):
     """Run a numeric subcommand with numpy's overflow and invalid-value
     warnings off. Data or options of extreme size may overflow anywhere
@@ -291,9 +283,7 @@ def cmd_solve_kkt(args) -> int:
     kkt = apps.build_kkt(qp)
     kappa = _resolve_kappa(args, kkt.matrix)
     cfg = solvers.SolverConfig(tol_residual=args.tol, max_iters=args.max_iters)
-    sol = _run_solve(lambda: apps.solve_kkt(kkt, kappa, cfg=cfg), kappa)
-    if sol is None:
-        return EXIT_NOT_CONVERGED
+    sol = apps.solve_kkt(kkt, kappa, cfg=cfg)
     print(f"status: {_status_label(sol.result)} after {sol.result.iterations} iterations (kappa={kappa:g})")
     final = sol.result.trace.residuals[-1] if sol.result.trace.residuals else float("nan")
     print(f"final error ||Ax - b|| = {final:.6e}")
@@ -313,9 +303,7 @@ def cmd_least_squares(args) -> int:
     b = linalg.read_vector(args.rhs)
     kappa = _resolve_kappa(args, a)
     cfg = solvers.SolverConfig(tol_residual=args.tol, max_iters=args.max_iters)
-    sol = _run_solve(lambda: apps.least_squares_iterate(a, b, kappa, cfg=cfg), kappa)
-    if sol is None:
-        return EXIT_NOT_CONVERGED
+    sol = apps.least_squares_iterate(a, b, kappa, cfg=cfg)
     res = sol.result
     print(f"status: {_status_label(res)} after {res.iterations} iterations (kappa={kappa:g})")
     print(f"optimality residual ||A^2 x - A b|| = {sol.optimality_residuals[-1]:.6e}")
@@ -342,13 +330,11 @@ def cmd_bench(args) -> int:
         zero_fraction=args.zero_fraction,
         max_iters=args.max_iters,
     )
-    records = run_bench(spec)
-    text = bench_csv_text(records)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # the table is opened before the first trial, so that a bad --out path
+    # is reported before the campaign runs
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        records = run_bench(spec)
+        write_bench_csv(fh, records)
     print(bench_summary(records))
     return EXIT_OK if all(r.status == "Converged" for r in records) else EXIT_NOT_CONVERGED
 
@@ -562,7 +548,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, PairproxError) as exc:
+    except (OSError, ValueError, KeyError, PairproxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -170,11 +170,17 @@ def jacobi_eigendecomposition(a: np.ndarray) -> SymmetricEigenDecomposition:
     """LAPACK's symmetric eigensolver (numpy.linalg.eigh) on 0.5 (A + A^T).
 
     The name predates the switch from cyclic Jacobi rotations and stays
-    because the benchmark's per-layer metric is keyed on it.
+    because the benchmark's per-layer metric is keyed on it. An eigenvalue
+    that overflows, as for [[1e308, 1e308], [1e308, 1e308]], is a ValueError.
     """
     # LAPACK returns finite-looking eigenvalues for some NaN inputs
     a = require_symmetric(require_finite(as_matrix(a), "matrix"))
-    values, vectors = np.linalg.eigh(0.5 * (a + a.T))
+    # halving first keeps sums of entries near the float maximum finite;
+    # halving a normal number is exact, so away from overflow and subnormals
+    # this equals 0.5 * (a + a.T) bitwise
+    values, vectors = np.linalg.eigh(0.5 * a + 0.5 * a.T)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix eigenvalues overflow the float range")
     return SymmetricEigenDecomposition(values, vectors)
 
 

@@ -565,21 +565,14 @@ def check_pair_strongly_monotone(
 # JSON serialization
 
 
-def operator_to_json(op: OperatorExpr, matrix_dir: str | None = None, _counter: list | None = None) -> dict:
-    """Serialize the variant tree. Matrices embed inline unless `matrix_dir`
-    is given, in which case they are written to files and referenced."""
-    if _counter is None:
-        _counter = [0]
+def operator_to_json(op: OperatorExpr) -> dict:
+    """Serialize the variant tree, matrices inline."""
     if isinstance(op, Affine):
-        doc: dict = {"kind": "affine", "offset": list(map(float, op.offset))}
-        if matrix_dir is None:
-            doc["matrix"] = [[float(x) for x in row] for row in op.matrix]
-        else:
-            _counter[0] += 1
-            fname = f"matrix-{_counter[0]}.mat"
-            linalg.write_matrix(os.path.join(matrix_dir, fname), op.matrix)
-            doc["matrix-file"] = fname
-        return doc
+        return {
+            "kind": "affine",
+            "offset": list(map(float, op.offset)),
+            "matrix": [[float(x) for x in row] for row in op.matrix],
+        }
     if isinstance(op, SignBlock):
         return {"kind": "sign-block", "scale": float(op.scale), "selector": list(op.selector)}
     if isinstance(op, Permutation):
@@ -587,15 +580,15 @@ def operator_to_json(op: OperatorExpr, matrix_dir: str | None = None, _counter: 
     if isinstance(op, Pointwise):
         return {"kind": "pointwise", "registry-name": op.name}
     if isinstance(op, Scale):
-        return {"kind": "scale", "scale": float(op.gamma), "inner": operator_to_json(op.inner, matrix_dir, _counter)}
+        return {"kind": "scale", "scale": float(op.gamma), "inner": operator_to_json(op.inner)}
     if isinstance(op, Sum):
-        return {"kind": "sum", "terms": [operator_to_json(t, matrix_dir, _counter) for t in op.terms]}
+        return {"kind": "sum", "terms": [operator_to_json(t) for t in op.terms]}
     if isinstance(op, Stack):
         return {
             "kind": "stack",
             "dim": op.ambient_dim,
             "blocks": [
-                {"start": a, "stop": b, "op": operator_to_json(o, matrix_dir, _counter)}
+                {"start": a, "stop": b, "op": operator_to_json(o)}
                 for a, b, o in op.blocks
             ],
         }
@@ -645,9 +638,7 @@ def load_operator(path: str) -> OperatorExpr:
     return operator_from_json(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def save_operator(path: str, op: OperatorExpr, matrix_dir: str | None = None) -> None:
-    if matrix_dir is not None:
-        os.makedirs(matrix_dir, exist_ok=True)
+def save_operator(path: str, op: OperatorExpr) -> None:
     with open(path, "w") as fh:
-        json.dump(operator_to_json(op, matrix_dir), fh, indent=2)
+        json.dump(operator_to_json(op), fh, indent=2)
         fh.write("\n")

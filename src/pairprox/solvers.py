@@ -4,9 +4,9 @@
 All solvers record per-iteration diagnostics driven by the residual
 u_n = (v(x_n) - v(x_{n+1})) / gamma_n   (warped iteration)
 u_n = (x_n - x_{n+1}) / gamma_n         (transformed / anchored iterations)
-and stop on residual norm, step norm, or the iteration cap. A hard iteration
-cap is mandatory: the target inclusion can be solution-free even under strong
-monotonicity, so non-termination is a real failure mode.
+and stop on residual norm, step norm, divergence, or the iteration cap. A
+hard iteration cap is mandatory: the target inclusion can be solution-free
+even under strong monotonicity, so non-termination is a real failure mode.
 """
 from __future__ import annotations
 
@@ -188,21 +188,22 @@ def _iterate(
     `step(n, x)` takes iteration n from the iterate x and returns
     (x_next, residual, image, preimage); image and preimage only feed the
     trace. `diverge_above`, when set, maps the first step's residual to the
-    divergence bound. A non-finite x_next raises NonFiniteIterateError,
-    unless `diverge_above` is set: then the loop stops as Failed('Diverged')
-    without counting that step. After a finite step is recorded, the first
-    rule that holds stops the loop: residual above the divergence bound
+    divergence bound. A step that overflows, raising NonFiniteIterateError
+    or returning a non-finite x_next, stops the loop as Failed('Diverged')
+    without being counted. After a finite step is recorded, the first rule
+    that holds stops the loop: residual above the divergence bound
     (Diverged), residual within tol_residual (Converged), step norm within
     tol_step (step-stalled). Returns (status, reason, iterations, last
     finite iterate).
     """
     bound = None
     for n in range(cfg.max_iters):
-        x_next, residual, image, preimage = step(n, x)
+        try:
+            x_next, residual, image, preimage = step(n, x)
+        except NonFiniteIterateError:
+            return Status.FAILED, "Diverged", n, x
         if not np.all(np.isfinite(x_next)):
-            if diverge_above is not None:
-                return Status.FAILED, "Diverged", n, x
-            raise NonFiniteIterateError(f"iterate {n + 1} contains NaN/Inf")
+            return Status.FAILED, "Diverged", n, x
         dx = float(np.linalg.norm(x - x_next))
         rec.record(residual, dx, image, x_next, preimage)
         x = x_next
@@ -307,7 +308,8 @@ def gppa2(
 ) -> SolveResult:
     """Anchored (Halpern) iteration x_{k+1} = a_k anchor + (1-a_k) T(x_k)
     at constant gamma; converges to a fixed point of T, slowly but strongly.
-    Its residual need not decrease, so it has no divergence stop.
+    Its residual need not decrease, so it has no divergence bound; a step
+    that overflows still ends the run as Failed('Diverged').
     """
     if cfg.halpern is None:
         raise ValueError("gppa2 requires cfg.halpern")
@@ -320,11 +322,11 @@ def gppa2(
     engine = resolvents.build_engine(f, v, float(cfg.gamma_schedule), dim=x.size)
     rec = _Recorder(cfg, x, linalg.as_vector(reference) if reference is not None else None)
     gamma = float(cfg.gamma_schedule)
-    out = None
+    out = resolvents.ResolventOutput(x, x)
 
     def step(k, x):
         nonlocal out
-        out = resolvents.transformed(engine, x, None if out is None else out.pattern)
+        out = resolvents.transformed(engine, x, out.pattern)
         alpha = cfg.halpern.alpha(k)
         x_next = alpha * anchor + (1.0 - alpha) * out.image
         return x_next, float(np.linalg.norm(x - x_next)) / gamma, x_next, out.preimage

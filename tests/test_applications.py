@@ -91,6 +91,13 @@ class TestSelectKappa:
         with pytest.raises(ValueError):
             apps.select_kappa(np.eye(2), fraction=0.5)
 
+    def test_entries_near_the_float_maximum(self):
+        # symmetrizing as 0.5 * (A + A^T) overflowed here, and every
+        # eigenvalue then fell below the zero threshold
+        sel = apps.select_kappa(np.diag([1e308, -1e308]))
+        assert sel.alpha_abs == 1e308
+        assert sel.kappa == 0.4 * 1e308
+
 
 class TestVerifyPairLemma:
     def test_kappa_inside_bound_is_monotone(self):
@@ -199,7 +206,7 @@ class TestSolveKKT:
 
     def test_requires_unit_gamma(self):
         kkt = apps.build_kkt(example_qp())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="defined at constant gamma = 1"):
             apps.solve_kkt(kkt, kappa=0.2, cfg=solvers.SolverConfig(gamma_schedule=2.0))
 
 
@@ -287,6 +294,15 @@ class TestLeastSquares:
             assert np.linalg.norm(system.matrix @ (xs[-1] - xs[-2])) <= 1e-6
 
 
+    @pytest.mark.parametrize("gamma", [2.0, (1.0, 4.0)], ids=["constant", "sequence"])
+    def test_requires_unit_gamma(self, gamma):
+        # the step is built at gamma = 1, so any other schedule is refused
+        # rather than ignored, even one that starts at 1
+        cfg = solvers.SolverConfig(gamma_schedule=gamma)
+        with pytest.raises(ValueError, match="defined at constant gamma = 1"):
+            apps.least_squares_iterate(np.diag([1.0, 0.0]), np.ones(2), kappa=0.2, cfg=cfg)
+
+
 class TestLeastSquaresStopRules:
     # every reachable stop path, pinned before the iteration loop was shared;
     # the zero-iteration start is test_zero_matrix_converges_immediately
@@ -311,14 +327,20 @@ class TestLeastSquaresStopRules:
         assert len(res.trace.residuals) == res.iterations
         assert len(sol.optimality_residuals) == len(sol.data_errors) == res.iterations + 1
 
-    def test_non_finite_iterate_raises(self):
+    def test_overflowing_first_step_stops_as_diverged(self):
         # from this start the first resolvent evaluation overflows, before
-        # the divergence stop can see a residual
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterateError):
-            apps.least_squares_iterate(
-                np.diag([1.0, -0.15]), np.array([1.0, 1.0]), kappa=0.2, x0=np.array([1e308, 1e308]),
+        # the divergence bound exists; the run ends without counting it
+        x0 = np.array([1e308, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = apps.least_squares_iterate(
+                np.diag([1.0, -0.15]), np.array([1.0, 1.0]), kappa=0.2, x0=x0,
                 cfg=solvers.SolverConfig(tol_residual=0.0, max_iters=5000),
             )
+        res = sol.result
+        assert (res.status.value, res.reason, res.iterations) == ("Failed", "Diverged", 0)
+        assert np.array_equal(res.preimage, x0)
+        assert res.trace.residuals == []
+        assert len(sol.optimality_residuals) == len(sol.data_errors) == 1
 
     def test_growing_residual_stops_as_diverged(self):
         # kappa = 0.2 is outside (0, |alpha|/2) for alpha = -0.15: one mode

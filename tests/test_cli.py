@@ -7,11 +7,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairprox import applications as apps
 from pairprox import cli, linalg, operators as ops, solvers
+from pairprox.errors import NonFiniteIterateError
 
 
 def write_example_problem(tmp_path):
@@ -123,6 +124,20 @@ class TestLeastSquaresCommand:
         assert cli.main(["least-squares", mat, rhs, "--kappa", "0.9"]) == 2
         assert capsys.readouterr().out.startswith("status: Failed(Diverged) after 15 iterations (kappa=0.9)\n")
 
+    def test_overflowing_solve_reports_its_residuals(self, tmp_path, capsys):
+        # from b = 1e300 every residual norm overflows to inf, so the
+        # divergence bound never fires; the resolvent overflows at step 14,
+        # and the run ends as Failed(Diverged) with the usual lines
+        mat, rhs = write_least_squares_files(tmp_path)
+        linalg.write_matrix(mat, np.diag([1.0, -1.0]))
+        linalg.write_vector(rhs, np.array([1e300, 1e300]))
+        assert cli.main(["least-squares", mat, rhs, "--kappa", "0.9"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "status: Failed(Diverged) after 13 iterations (kappa=0.9)"
+        assert lines[1].startswith("optimality residual") and lines[2].startswith("data error")
+        assert "error:" not in captured.err
+
 
 class TestBenchCommand:
     def test_small_bench_csv_and_roundtrip(self, tmp_path, capsys):
@@ -178,6 +193,17 @@ class TestBenchCommand:
         ])
         assert code == 0
         assert all(r.status == "Converged" for r in cli.read_bench_csv(out))
+
+    def test_overflowing_trial_is_reported(self, capsys):
+        # eigenvalues up to 1e308: trial 1 at n = 3 overflows in its fourth
+        # step, which ends it as Failed(Diverged); the campaign goes on
+        assert cli.main(["bench", "--sizes", "1,3", "--trials", "2", "--spectrum", "1,1e308"]) == 2
+        captured = capsys.readouterr()
+        rows = [line.split(",") for line in captured.out.splitlines()[1:5]]
+        assert [(r[0], r[1]) for r in rows] == [("1", "0"), ("1", "1"), ("3", "0"), ("3", "1")]
+        assert [r[6] for r in rows[:3]] == ["Converged"] * 3
+        assert (rows[3][3], rows[3][5], rows[3][6]) == ("3", "inf", "Failed(Diverged)")
+        assert "error:" not in captured.err
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -281,6 +307,25 @@ class TestOutOfRangeOptions:
         monkeypatch.setattr(apps, "generate_consistent_system", fail)
         assert cli.main(["bench", "--sizes", "4", "--trials", "1", "--kappa-fraction", "0.7"]) == 1
         assert "--kappa-fraction must lie in (0, 0.5), got 0.7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", ["--spectrum=2,1", "--spectrum=0,1", "--spectrum=1,inf", "--zero-fraction=1", "--zero-fraction=nan"]
+    )
+    def test_bench_spectrum_checked_before_generation(self, flag, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a system was generated for rejected options")
+
+        monkeypatch.setattr(apps, "generate_consistent_system", fail)
+        assert cli.main(["bench", "--sizes", "4", "--trials", "1", flag]) == 1
+        assert re.search(r"error: (spectrum interval|zero_fraction) must", capsys.readouterr().err)
+
+    def test_bench_out_checked_before_generation(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a system was generated for rejected options")
+
+        monkeypatch.setattr(apps, "generate_consistent_system", fail)
+        assert cli.main(["bench", "--sizes", "4", "--trials", "1", "--out", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_bench_spec_rejects_kappa_fraction(self):
         with pytest.raises(ValueError, match=r"--kappa-fraction must lie in \(0, 0\.5\)"):
@@ -629,7 +674,19 @@ class TestCliFuzz:
 
         run()
 
-    def test_bench(self, tmp_path):
+    def test_bench(self, tmp_path, monkeypatch):
+        trials_run, trial_errors = [], []
+        run_trial = cli.run_trial
+
+        def traced_trial(*args):
+            trials_run.append(args)
+            try:
+                return run_trial(*args)
+            except Exception as exc:
+                trial_errors.append(exc)
+                raise
+
+        monkeypatch.setattr(cli, "run_trial", traced_trial)
         sizes = _mostly(
             st.lists(st.integers(1, 8), min_size=1, max_size=2).map(lambda ns: ",".join(map(str, ns))),
             st.sampled_from(["", ",", "0", "-1", "2.5", "x", "4,,x"]),
@@ -647,11 +704,23 @@ class TestCliFuzz:
             max_iters=_mostly(st.integers(-1, 200).map(str), st.sampled_from(["", "x"])),
             out=_option("out", st.sampled_from([str(tmp_path / "bench.csv"), str(tmp_path)])),
         )
+        @example(
+            sizes="1,3", trials="2", seed=None, kappa=None, fraction=None, tol=None,
+            spectrum="--spectrum=1,1e308", zero_fraction=None, max_iters="200", out=None,
+        )
         @settings(max_examples=60, deadline=None)
         def run(sizes, trials, seed, kappa, fraction, tol, spectrum, zero_fraction, max_iters, out):
             flags = [seed, kappa, fraction, tol, spectrum, zero_fraction, out]
             argv = ["bench", f"--sizes={sizes}", f"--trials={trials}", f"--max-iters={max_iters}"]
-            _run_clean(argv + [f for f in flags if f is not None])
+            trials_run.clear()
+            trial_errors.clear()
+            code = _run_clean(argv + [f for f in flags if f is not None])
+            # an input error ends the campaign before its first trial, and a
+            # trial whose solve overflows is a Failed(Diverged) row; only a
+            # trial's own error, such as a singular resolvent at a tiny
+            # --kappa, can end the campaign once a trial has run
+            assert code != 1 or not trials_run or trial_errors
+            assert not any(isinstance(e, NonFiniteIterateError) for e in trial_errors)
 
         run()
 

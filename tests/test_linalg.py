@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairprox import linalg
+from pairprox.applications import generate_consistent_system
 from pairprox.errors import (
     DimensionMismatchError,
     NonSquareError,
@@ -254,6 +255,21 @@ class TestSymmetricEigen:
         a = np.array([[bad, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="non-finite"):
             linalg.jacobi_eigendecomposition(a)
+
+    def test_overflowing_eigenvalue_is_named(self):
+        # finite entries whose eigenvalue 2e308 is beyond the float range
+        with pytest.raises(ValueError, match="overflow"):
+            linalg.jacobi_eigendecomposition(np.full((2, 2), 1e308))
+
+    @pytest.mark.parametrize("n, seed", [(10, 0), (40, 3), (200, 7)])
+    def test_symmetrization_matches_the_plain_average_bitwise(self, n, seed):
+        # halving before adding changes nothing away from overflow
+        system = generate_consistent_system(n, seed)
+        a = system.matrix.copy()
+        a[0, -1] += 1e-13
+        values, vectors = np.linalg.eigh(0.5 * (a + a.T))
+        dec = linalg.jacobi_eigendecomposition(a)
+        assert np.array_equal(dec.values, values) and np.array_equal(dec.vectors, vectors)
 
 
 class TestMatrixTextFormat:

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -387,9 +388,16 @@ class TestJsonSerialization:
             self._assert_same_behavior(op, back, op.dim)
 
     def test_matrix_file_round_trip(self, tmp_path):
-        op = ops.Sum((ops.Affine(np.eye(2), np.array([1.0, 0.0])), ops.SignBlock(2.0, (1, 0))))
+        # a "matrix-file" reference is read relative to the JSON document
+        matrix = np.array([[1.0, 2.0], [0.0, -1.0]])
+        op = ops.Sum((ops.Affine(matrix, np.array([1.0, 0.0])), ops.SignBlock(2.0, (1, 0))))
+        (tmp_path / "mats").mkdir()
+        linalg.write_matrix(str(tmp_path / "mats" / "a.mat"), matrix)
+        doc = ops.operator_to_json(op)
+        del doc["terms"][0]["matrix"]
+        doc["terms"][0]["matrix-file"] = "mats/a.mat"
         path = tmp_path / "op.json"
-        ops.save_operator(str(path), op, matrix_dir=str(tmp_path))
+        path.write_text(json.dumps(doc))
         back = ops.load_operator(str(path))
         self._assert_same_behavior(op, back, 2)
 

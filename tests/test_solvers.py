@@ -46,14 +46,18 @@ class TestGppa:
         assert res.status is solvers.Status.CONVERGED
         assert np.array_equal(res.preimage, np.zeros(2))
 
-    def test_non_finite_iterate_raises(self):
+    def test_overflowing_first_step_stops_as_diverged(self):
         # kappa far outside (0, |alpha|/2): the second coordinate amplifies by
         # (lam + 2k) / (2 lam + 2k) = 2.5 each step; from 1e308 the first
-        # step overflows, before the divergence stop can fire
+        # step overflows, before the divergence bound exists, and the run
+        # ends without counting it
         f, v = qp_pair(a=np.diag([1.0, -0.15]), b=np.zeros(2))
+        x0 = np.array([1e308, 1e308])
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteIterateError):
-                solvers.gppa(f, v, np.array([1e308, 1e308]), solvers.SolverConfig(max_iters=5000))
+            res = solvers.gppa(f, v, x0, solvers.SolverConfig(max_iters=5000))
+        assert (res.status, res.reason, res.iterations) == (solvers.Status.FAILED, "Diverged", 0)
+        assert np.array_equal(res.preimage, x0)
+        assert res.trace.residuals == []
 
     @pytest.mark.parametrize("solver", ["gppa", "gppa1"])
     def test_growing_residual_stops_as_diverged(self, solver):
@@ -389,24 +393,27 @@ class TestStopRules:
             ("gppa", "converged", ("Converged", None, 25)),
             ("gppa", "max-iters", ("MaxIters", None, 5)),
             ("gppa", "step-stalled", ("Failed", "step-stalled", 12)),
-            ("gppa", "non-finite", NonFiniteIterateError),
+            ("gppa", "non-finite", ("Failed", "Diverged", 0)),
             ("gppa1", "converged", ("Converged", None, 26)),
             ("gppa1", "max-iters", ("MaxIters", None, 5)),
             ("gppa1", "step-stalled", ("Failed", "step-stalled", 13)),
-            ("gppa1", "non-finite", NonFiniteIterateError),
+            ("gppa1", "non-finite", ("Failed", "Diverged", 0)),
             ("gppa2", "converged", ("Converged", None, 981)),
             ("gppa2", "max-iters", ("MaxIters", None, 5)),
             ("gppa2", "step-stalled", ("Failed", "step-stalled", 32)),
-            ("gppa2", "non-finite", NonFiniteIterateError),
+            ("gppa2", "non-finite", ("Failed", "Diverged", 0)),
             ("gppa", "diverged", ("Failed", "Diverged", 23)),
             ("gppa1", "diverged", ("Failed", "Diverged", 22)),
+            ("gppa2", "diverged", ("Failed", "Diverged", 780)),
         ],
     )
     def test_proximal_iterations(self, solver, path, expected):
         # the non-finite and diverged runs use kappa = 0.2 outside
         # (0, |alpha|/2) for alpha = -0.15, so one mode grows by 2.5 per step:
-        # gppa and gppa1 stop once the residual passes 1e8 * (1 + r_0), so
-        # the non-finite runs start at 1e308, where the first step overflows
+        # gppa and gppa1 stop once the residual passes 1e8 * (1 + r_0), and
+        # gppa2, which has no such bound, once its step overflows; the
+        # non-finite runs start at 1e308, where the first step overflows, and
+        # every solver ends there without counting that step
         if path in ("non-finite", "diverged"):
             f, v = qp_pair(a=np.diag([1.0, -0.15]), b=np.zeros(2))
         else:
@@ -415,14 +422,16 @@ class TestStopRules:
         if solver == "gppa2":
             cfg = dataclasses.replace(cfg, halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)))
         x0 = np.array([1e308, 1e308]) if path == "non-finite" else np.array([0.3, -0.7])
-        run = lambda: getattr(solvers, solver)(f, v, x0, cfg)
-        if expected is NonFiniteIterateError:
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterateError):
-                run()
-            return
-        res = run()
+        overflows = path == "non-finite" or (solver, path) == ("gppa2", "diverged")
+        mode = "ignore" if overflows else "warn"
+        with np.errstate(over=mode, invalid=mode):
+            res = getattr(solvers, solver)(f, v, x0, cfg)
         assert (res.status.value, res.reason, res.iterations) == expected
         assert len(res.trace.residuals) == res.iterations
+        if path == "non-finite":
+            assert np.array_equal(res.preimage, x0)
+        if overflows:
+            assert np.all(np.isfinite(res.preimage)) and np.all(np.isfinite(res.image))
 
     @pytest.mark.parametrize(
         "path, expected",
