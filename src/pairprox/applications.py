@@ -243,8 +243,8 @@ def least_squares_iterate(
 
     def measure(u: np.ndarray) -> float:
         """Append e = ||u|| and r = ||A u|| for u = F(x), and return r."""
-        es.append(float(np.linalg.norm(u)))
-        rs.append(float(np.linalg.norm(a @ u)))
+        es.append(linalg.norm(u))
+        rs.append(linalg.norm(a @ u))
         return rs[-1]
 
     # the trace records u against the reference 0, so err_to_ref holds e

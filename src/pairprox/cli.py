@@ -96,20 +96,35 @@ def _status_label(result: solvers.SolveResult) -> str:
 
 
 def run_trial(spec: BenchSpec, n: int, trial: int) -> RunRecord:
+    """One row of the table. A trial that cannot be solved is a Failed row,
+    so that the campaign goes on: generated data that is not finite is
+    reported without a solve, and an error of the kappa selection or the
+    solve (a singular resolvent at a tiny kappa, a shifted operator that
+    overflows) is named by its exception class; both rows have 0 iterations,
+    0 seconds and ek NaN."""
     trial_seed = derive_seed(spec.seed, n, trial)
     system = apps.generate_consistent_system(n, trial_seed, spec.spectrum, spec.zero_fraction)
-    if spec.kappa is not None:
-        kappa = spec.kappa
-    else:
-        kappa = apps.select_kappa(system.matrix, fraction=spec.kappa_fraction).kappa
+
+    def failed(reason: str) -> RunRecord:
+        return RunRecord(n, trial, trial_seed, 0, 0.0, float("nan"), f"Failed({reason})")
+
+    if not (np.isfinite(system.matrix).all() and np.isfinite(system.rhs).all()):
+        return failed("non-finite data")
     cfg = solvers.SolverConfig(
         tol_residual=spec.tolerance,
         max_iters=spec.max_iters,
         trace_level=solvers.TraceLevel.NORMS,
     )
     kkt = apps.KKTSystem(system.matrix, system.rhs, n)
-    t0 = time.perf_counter()
-    sol = apps.solve_kkt(kkt, kappa, x0=np.zeros(n), cfg=cfg)
+    try:
+        if spec.kappa is not None:
+            kappa = spec.kappa
+        else:
+            kappa = apps.select_kappa(system.matrix, fraction=spec.kappa_fraction).kappa
+        t0 = time.perf_counter()
+        sol = apps.solve_kkt(kkt, kappa, x0=np.zeros(n), cfg=cfg)
+    except (PairproxError, ValueError) as exc:
+        return failed(type(exc).__name__)
     elapsed = time.perf_counter() - t0
     ek = sol.result.trace.residuals[-1] if sol.result.trace and sol.result.trace.residuals else float("nan")
     return RunRecord(n, trial, trial_seed, sol.result.iterations, elapsed, ek, _status_label(sol.result))

@@ -14,6 +14,7 @@ files check each value's shape here before converting it.
 """
 from __future__ import annotations
 
+import math
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -49,6 +50,28 @@ def require_finite(a: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     return a
+
+
+def norm(x: np.ndarray) -> float:
+    """The Euclidean norm of a 1-D float vector.
+
+    Where x.dot(x) is finite this is sqrt(x.dot(x)), bitwise what
+    numpy.linalg.norm computes on a vector, with less call overhead. Where
+    the sum of squares overflows for a finite x, x is first scaled by
+    max|x|, so the norm is inf only when it exceeds the float range. The
+    overflow of the sum of squares is reported as numpy's error state says
+    (a RuntimeWarning by default).
+    """
+    # a strided view is summed in another order, so it is made contiguous
+    # first, as numpy.linalg.norm does
+    x = x.ravel()
+    squares = x.dot(x)
+    if squares == math.inf:
+        scale = float(np.abs(x).max())
+        if scale < math.inf:
+            y = x / scale
+            return scale * math.sqrt(y.dot(y))
+    return math.sqrt(squares)
 
 
 def max_asymmetry(a: np.ndarray) -> float:

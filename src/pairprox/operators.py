@@ -54,7 +54,8 @@ class ValueSet:
 
     @property
     def is_singleton(self) -> bool:
-        return bool(np.array_equal(self.lower, self.upper))
+        # single-valued evaluations share one array for both bounds
+        return self.lower is self.upper or bool(np.array_equal(self.lower, self.upper))
 
     @property
     def value(self) -> np.ndarray:
@@ -101,11 +102,21 @@ def register_pointwise(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> Non
 
 
 class OperatorExpr:
-    """Base class; subclasses are immutable value objects."""
+    """Base class; subclasses are immutable value objects.
+
+    `evaluate` checks the input's shape once, at the root of the tree, and
+    calls `_eval`, which every variant implements. Composite variants call
+    their children's `_eval` directly: the children's dimensions are checked
+    when the tree is built.
+    """
 
     def evaluate(self, x: np.ndarray) -> ValueSet:
         """The values at a point x of shape (n,), or at each row of a batch
         of shape (N, n); the bounds then have shape (N, n), row by row."""
+        return self._eval(self._check_dim(x))
+
+    def _eval(self, x: np.ndarray) -> ValueSet:
+        """`evaluate` on a float array whose shape is already checked."""
         raise NotImplementedError
 
     @property
@@ -117,8 +128,9 @@ class OperatorExpr:
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[-1] < 1:
             raise DimensionMismatchError(f"expected a point (n,) or a batch (N, n), got shape {x.shape}")
-        if self.dim is not None and x.shape[-1] != self.dim:
-            raise DimensionMismatchError(f"operator dim {self.dim}, input dim {x.shape[-1]}")
+        dim = self.dim
+        if dim is not None and x.shape[-1] != dim:
+            raise DimensionMismatchError(f"operator dim {dim}, input dim {x.shape[-1]}")
         return x
 
 
@@ -148,13 +160,14 @@ class Affine(OperatorExpr):
     def dim(self) -> int | None:
         return self.matrix.shape[1]
 
-    def evaluate(self, x: np.ndarray) -> ValueSet:
-        x = self._check_dim(x)
+    def _eval(self, x: np.ndarray) -> ValueSet:
         if x.ndim == 1:
-            return ValueSet.singleton(self.matrix @ x + self.offset)
-        # one matrix-vector product per row, the kernel `A @ x` runs on a
-        # point; a matrix-matrix product would round differently
-        return ValueSet.singleton(np.matmul(self.matrix, x[..., None])[..., 0] + self.offset)
+            y = self.matrix @ x + self.offset
+        else:
+            # one matrix-vector product per row, the kernel `A @ x` runs on a
+            # point; a matrix-matrix product would round differently
+            y = np.matmul(self.matrix, x[..., None])[..., 0] + self.offset
+        return ValueSet(y, y)
 
 
 def identity_operator(n: int) -> Affine:
@@ -175,17 +188,19 @@ class SignBlock(OperatorExpr):
         if sorted(sel) != list(range(len(sel))):
             raise ValueError("selector must be a permutation of 0..n-1")
         object.__setattr__(self, "selector", sel)
+        object.__setattr__(self, "_picks", np.array(sel, dtype=np.intp))
 
     @property
     def dim(self) -> int | None:
         return len(self.selector)
 
-    def evaluate(self, x: np.ndarray) -> ValueSet:
-        x = self._check_dim(x)
-        picked = x[..., list(self.selector)]
+    def _eval(self, x: np.ndarray) -> ValueSet:
+        picked = x[..., self._picks]
         lower = self.scale * np.sign(picked)
-        upper = lower.copy()
         at_zero = picked == 0.0
+        if not at_zero.any():
+            return ValueSet(lower, lower)
+        upper = lower.copy()
         lower[at_zero] = -self.scale
         upper[at_zero] = self.scale
         return ValueSet(lower, upper)
@@ -203,10 +218,12 @@ class Permutation(OperatorExpr):
         if sorted(perm) != list(range(len(perm))):
             raise ValueError("perm must be a permutation of 0..n-1")
         object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "_picks", np.array(perm, dtype=np.intp))
         signs = (1.0,) * len(perm) if self.signs is None else tuple(float(s) for s in self.signs)
         if len(signs) != len(perm) or any(s not in (-1.0, 1.0) for s in signs):
             raise ValueError("signs must be +-1 per coordinate")
         object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "_sign_vector", np.array(signs))
 
     @property
     def dim(self) -> int | None:
@@ -219,9 +236,9 @@ class Permutation(OperatorExpr):
             m[i, j] = s
         return m
 
-    def evaluate(self, x: np.ndarray) -> ValueSet:
-        x = self._check_dim(x)
-        return ValueSet.singleton(np.array(self.signs) * x[..., list(self.perm)])
+    def _eval(self, x: np.ndarray) -> ValueSet:
+        y = self._sign_vector * x[..., self._picks]
+        return ValueSet(y, y)
 
 
 def swap_operator() -> Permutation:
@@ -235,8 +252,7 @@ class Pointwise(OperatorExpr):
 
     name: str
 
-    def evaluate(self, x: np.ndarray) -> ValueSet:
-        x = self._check_dim(x)
+    def _eval(self, x: np.ndarray) -> ValueSet:
         try:
             fn = _POINTWISE_REGISTRY[self.name]
         except KeyError:
@@ -259,8 +275,11 @@ class Scale(OperatorExpr):
     def dim(self) -> int | None:
         return self.inner.dim
 
-    def evaluate(self, x: np.ndarray) -> ValueSet:
-        vs = self.inner.evaluate(x)
+    def _eval(self, x: np.ndarray) -> ValueSet:
+        vs = self.inner._eval(x)
+        if vs.lower is vs.upper:
+            scaled = self.gamma * vs.lower
+            return ValueSet(scaled, scaled)
         return ValueSet(self.gamma * vs.lower, self.gamma * vs.upper)
 
 
@@ -286,13 +305,15 @@ class Sum(OperatorExpr):
                 return t.dim
         return None
 
-    def evaluate(self, x: np.ndarray) -> ValueSet:
-        x = self._check_dim(x)
+    def _eval(self, x: np.ndarray) -> ValueSet:
+        parts = [t._eval(x) for t in self.terms]
         lower = np.zeros(x.shape)
-        upper = np.zeros(x.shape)
-        for t in self.terms:
-            vs = t.evaluate(x)
+        for vs in parts:
             lower = lower + vs.lower
+        if all(vs.lower is vs.upper for vs in parts):
+            return ValueSet(lower, lower)
+        upper = np.zeros(x.shape)
+        for vs in parts:
             upper = upper + vs.upper
         return ValueSet(lower, upper)
 
@@ -323,13 +344,15 @@ class Stack(OperatorExpr):
     def dim(self) -> int | None:
         return self.ambient_dim
 
-    def evaluate(self, x: np.ndarray) -> ValueSet:
-        x = self._check_dim(x)
+    def _eval(self, x: np.ndarray) -> ValueSet:
+        parts = [(start, stop, op._eval(x[..., start:stop])) for start, stop, op in self.blocks]
         lower = np.zeros(x.shape)
-        upper = np.zeros(x.shape)
-        for start, stop, op in self.blocks:
-            vs = op.evaluate(x[..., start:stop])
+        for start, stop, vs in parts:
             lower[..., start:stop] = vs.lower
+        if all(vs.lower is vs.upper for _, _, vs in parts):
+            return ValueSet(lower, lower)
+        upper = np.zeros(x.shape)
+        for start, stop, vs in parts:
             upper[..., start:stop] = vs.upper
         return ValueSet(lower, upper)
 

@@ -155,9 +155,12 @@ class _SignPattern:
     rows: np.ndarray  # kept equation rows, ascending
     cols: np.ndarray  # their variables sigma[rows]
     factorization: linalg.LUFactorization | None  # of M[rows, cols]; None if no row is kept
-    nonneg: np.ndarray  # variables whose sign must be >= 0
-    nonpos: np.ndarray  # variables whose sign must be <= 0
+    # per variable, +1 if its sign must be >= 0, -1 if <= 0, else 0: the
+    # sign conditions are then one test of signs * x against the tolerance
+    signs: np.ndarray
     pinned: np.ndarray  # rows whose variable is pinned to zero
+    pinned_matrix: np.ndarray  # M[pinned]
+    pinned_bound: np.ndarray  # s[pinned] + MEMBERSHIP_TOL, the box half-widths
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,6 +215,8 @@ def build_engine(
     va = _try_sign_affine(v, n)
     if form is not None and va is not None and not np.any(va.scales):
         matrix = gamma * form.matrix + va.matrix
+        if not np.isfinite(matrix).all():
+            raise ValueError("gamma*F + v overflows the float range: its matrix has non-finite entries")
         offset = gamma * form.offset + va.offset
         if not np.any(form.scales):
             fact = linalg.lu_factorize(matrix)
@@ -269,8 +274,13 @@ def _pattern_table(scales, sigma, matrix, full) -> tuple[_SignPattern, ...]:
             factors[key] = linalg.lu_factorize(matrix[np.ix_(rows, sigma[rows])]) if rows.size else None
         fact = factors[key]
         if fact is None or not fact.singular:
+            signs = np.zeros(scales.size)
+            signs[sigma] = p
             table.append(
-                _SignPattern((scales * p)[rows], rows, sigma[rows], fact, sigma[p > 0.0], sigma[p < 0.0], pinned)
+                _SignPattern(
+                    (scales * p)[rows], rows, sigma[rows], fact, signs,
+                    pinned, matrix[pinned], scales[pinned] + MEMBERSHIP_TOL,
+                )
             )
     return tuple(table)
 
@@ -298,26 +308,28 @@ def _invert_sign(strategy: _SignStrategy, w: np.ndarray, start: int | None = Non
         return x, None
     order = range(len(strategy.patterns))
     if strategy.unique_preimage and start is not None and 0 <= start < len(order):
-        order = itertools.chain((start,), (i for i in order if i != start))
+        x = _solve_pattern(strategy.patterns[start], y)
+        if x is not None:
+            return x, start
+        order = (i for i in order if i != start)
     for i in order:
-        x = _solve_pattern(strategy, strategy.patterns[i], y)
+        x = _solve_pattern(strategy.patterns[i], y)
         if x is not None:
             return x, i
     raise NotInRangeError("no sign pattern yields a consistent solution; input not in range")
 
 
-def _solve_pattern(strategy: _SignStrategy, pattern: _SignPattern, y: np.ndarray) -> np.ndarray | None:
+def _solve_pattern(pattern: _SignPattern, y: np.ndarray) -> np.ndarray | None:
     """The x that `pattern` assigns to y in s*Sign(x[sigma]) + M x, or None
     when x breaks the pattern's sign or box conditions."""
     x = np.zeros(y.size)
     if pattern.factorization is not None:
         x[pattern.cols] = linalg.lu_solve(pattern.factorization, y[pattern.rows] - pattern.shift)
-    if (x[pattern.nonneg] < -_SIGN_CONSISTENCY_TOL).any() or (x[pattern.nonpos] > _SIGN_CONSISTENCY_TOL).any():
+    if (pattern.signs * x < -_SIGN_CONSISTENCY_TOL).any():
         return None
-    pinned = pattern.pinned
-    if pinned.size:
-        resid = y[pinned] - strategy.matrix[pinned] @ x
-        if (np.abs(resid) > strategy.scales[pinned] + MEMBERSHIP_TOL).any():
+    if pattern.pinned.size:
+        resid = y[pattern.pinned] - pattern.pinned_matrix @ x
+        if (np.abs(resid) > pattern.pinned_bound).any():
             return None
     return x
 
@@ -339,7 +351,7 @@ class ResolventOutput:
 
 
 def _invert(engine: ResolventEngine, w: np.ndarray, start: int | None) -> tuple[np.ndarray, int | None]:
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NonFiniteIterateError("resolvent input contains NaN/Inf")
     pattern = None
     if engine.kind is StrategyKind.AFFINE_AFFINE:
@@ -350,7 +362,7 @@ def _invert(engine: ResolventEngine, w: np.ndarray, start: int | None) -> tuple[
         raise UnsupportedStructureError(
             f"no closed-form resolvent for F={type(engine.f).__name__}, v={type(engine.v).__name__}"
         )
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise NonFiniteIterateError("resolvent produced a non-finite point")
     return z, pattern
 
@@ -360,13 +372,14 @@ def _check_membership(engine: ResolventEngine, target: np.ndarray, z: np.ndarray
     fz = engine.f.evaluate(z)
     # the band scales with data magnitude so that roundoff on large iterates
     # is not misread as a range failure
-    tol = MEMBERSHIP_TOL * (1.0 + float(np.max(np.abs(target))) + float(np.max(np.abs(vz))))
-    lo = engine.gamma * fz.lower - tol
-    hi = engine.gamma * fz.upper + tol
-    if not (np.all(resid >= lo) and np.all(resid <= hi)):
+    tol = MEMBERSHIP_TOL * (1.0 + float(np.abs(target).max()) + float(np.abs(vz).max()))
+    scaled = engine.gamma * fz.lower
+    lo = scaled - tol
+    hi = (scaled if fz.lower is fz.upper else engine.gamma * fz.upper) + tol
+    if not ((resid >= lo) & (resid <= hi)).all():
         raise NotInRangeError(
             f"membership check failed: max violation "
-            f"{float(np.max(np.maximum(lo - resid, resid - hi))):.3e}"
+            f"{float(np.maximum(lo - resid, resid - hi).max()):.3e}"
         )
 
 

@@ -161,7 +161,7 @@ class _Recorder:
         self.trace.steps.append(step)
         self.trace.seconds.append(time.perf_counter() - self.t0)
         if self.trace.err_to_ref is not None:
-            self.trace.err_to_ref.append(float(np.linalg.norm(image_next - self.reference)))
+            self.trace.err_to_ref.append(linalg.norm(image_next - self.reference))
         if self.level is TraceLevel.FULL:
             self.trace.iterates.append(np.array(x_next, dtype=float))
             if preimage is not None:
@@ -202,9 +202,9 @@ def _iterate(
             x_next, residual, image, preimage = step(n, x)
         except NonFiniteIterateError:
             return Status.FAILED, "Diverged", n, x
-        if not np.all(np.isfinite(x_next)):
+        if not np.isfinite(x_next).all():
             return Status.FAILED, "Diverged", n, x
-        dx = float(np.linalg.norm(x - x_next))
+        dx = linalg.norm(x - x_next)
         rec.record(residual, dx, image, x_next, preimage)
         x = x_next
         if diverge_above is not None:
@@ -258,7 +258,7 @@ def gppa(
         nonlocal w, pattern
         gamma = cfg.gamma_at(n)
         out = resolvents.transformed(engines(gamma), w, pattern)
-        residual = float(np.linalg.norm(w - out.image)) / gamma
+        residual = linalg.norm(w - out.image) / gamma
         w, pattern = out.image, out.pattern
         return out.preimage, residual, w, None
 
@@ -293,7 +293,7 @@ def gppa1(
         gamma = cfg.gamma_at(n)
         out = resolvents.transformed(engines(gamma), x, pattern)
         z, pattern = out.preimage, out.pattern
-        return out.image, float(np.linalg.norm(x - out.image)) / gamma, out.image, z
+        return out.image, linalg.norm(x - out.image) / gamma, out.image, z
 
     status, reason, iterations, x = _iterate(cfg, rec, x, step, _divergence_bound)
     return SolveResult(status, reason, z, x, iterations, rec.trace)
@@ -329,7 +329,7 @@ def gppa2(
         out = resolvents.transformed(engine, x, out.pattern)
         alpha = cfg.halpern.alpha(k)
         x_next = alpha * anchor + (1.0 - alpha) * out.image
-        return x_next, float(np.linalg.norm(x - x_next)) / gamma, x_next, out.preimage
+        return x_next, linalg.norm(x - x_next) / gamma, x_next, out.preimage
 
     status, reason, iterations, _ = _iterate(cfg, rec, x, step)
     return SolveResult(status, reason, out.preimage, out.image, iterations, rec.trace)
@@ -355,12 +355,12 @@ def dca_baseline(
     fact = linalg.lu_factorize(a + m * np.eye(n))
     if fact.singular:
         raise SingularMatrixError("A + m*I is singular")
-    e0 = float(np.linalg.norm(a @ x - b))
+    e0 = linalg.norm(a @ x - b)
     rec = _Recorder(cfg, x, None)
 
     def step(k, x):
         x_next = linalg.lu_solve(fact, m * x + b)
-        return x_next, float(np.linalg.norm(a @ x_next - b)), x_next, None
+        return x_next, linalg.norm(a @ x_next - b), x_next, None
 
     status, reason, iterations, x = _iterate(cfg, rec, x, step, lambda _r0: _DIVERGENCE_FACTOR * (1.0 + e0))
     return SolveResult(status, reason, x, x, iterations, rec.trace)

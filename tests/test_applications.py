@@ -354,6 +354,18 @@ class TestLeastSquaresStopRules:
         assert sol.optimality_residuals[-1] > 1e8 * (1.0 + sol.optimality_residuals[1])
         assert np.all(np.isfinite(res.preimage))
 
+    def test_residuals_of_huge_finite_vectors_stay_finite(self):
+        # from b = 1e300 the squares of the residual entries overflow; the
+        # norms scale first, so every recorded residual is finite until the
+        # resolvent itself overflows at step 14
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = apps.least_squares_iterate(np.diag([1.0, -1.0]), np.array([1e300, 1e300]), 0.9)
+        res = sol.result
+        assert (res.status.value, res.reason, res.iterations) == ("Failed", "Diverged", 13)
+        assert len(sol.optimality_residuals) == len(sol.data_errors) == 14
+        assert np.all(np.isfinite(sol.optimality_residuals)) and np.all(np.isfinite(sol.data_errors))
+        assert sol.data_errors[0] == 1e300 * np.sqrt(2.0)
+
     @pytest.mark.parametrize("x0", [[np.nan, 0.0], [np.inf, 1.0]], ids=["nan", "inf"])
     def test_non_finite_start_raises(self, x0):
         # a NaN start has no residual to compare with the tolerance

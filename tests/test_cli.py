@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from pairprox import applications as apps
 from pairprox import cli, linalg, operators as ops, solvers
-from pairprox.errors import NonFiniteIterateError
 
 
 def write_example_problem(tmp_path):
@@ -124,10 +123,18 @@ class TestLeastSquaresCommand:
         assert cli.main(["least-squares", mat, rhs, "--kappa", "0.9"]) == 2
         assert capsys.readouterr().out.startswith("status: Failed(Diverged) after 15 iterations (kappa=0.9)\n")
 
+    @pytest.mark.parametrize("flags", [[], ["--kappa", "0.2"]], ids=["selected", "explicit"])
+    def test_overflowing_shifted_operator_is_named(self, flags, tmp_path, capsys):
+        # A = diag(1e308, -1e308) is finite, but 2A + 2 kappa I is not
+        mat, rhs = write_least_squares_files(tmp_path)
+        linalg.write_matrix(mat, np.diag([1e308, -1e308]))
+        assert cli.main(["least-squares", mat, rhs, *flags]) == 1
+        assert "error: gamma*F + v overflows the float range" in capsys.readouterr().err
+
     def test_overflowing_solve_reports_its_residuals(self, tmp_path, capsys):
-        # from b = 1e300 every residual norm overflows to inf, so the
-        # divergence bound never fires; the resolvent overflows at step 14,
-        # and the run ends as Failed(Diverged) with the usual lines
+        # from b = 1e300 the divergence bound 1e8 * (1 + r_1) is inf and
+        # never fires; the resolvent overflows at step 14, and the run ends
+        # as Failed(Diverged) with the usual lines
         mat, rhs = write_least_squares_files(tmp_path)
         linalg.write_matrix(mat, np.diag([1.0, -1.0]))
         linalg.write_vector(rhs, np.array([1e300, 1e300]))
@@ -196,13 +203,44 @@ class TestBenchCommand:
 
     def test_overflowing_trial_is_reported(self, capsys):
         # eigenvalues up to 1e308: trial 1 at n = 3 overflows in its fourth
-        # step, which ends it as Failed(Diverged); the campaign goes on
+        # step, which ends it as Failed(Diverged); the campaign goes on. Its
+        # last residual is above 1e307, and its norm is still finite
         assert cli.main(["bench", "--sizes", "1,3", "--trials", "2", "--spectrum", "1,1e308"]) == 2
         captured = capsys.readouterr()
         rows = [line.split(",") for line in captured.out.splitlines()[1:5]]
         assert [(r[0], r[1]) for r in rows] == [("1", "0"), ("1", "1"), ("3", "0"), ("3", "1")]
         assert [r[6] for r in rows[:3]] == ["Converged"] * 3
-        assert (rows[3][3], rows[3][5], rows[3][6]) == ("3", "inf", "Failed(Diverged)")
+        assert (rows[3][3], rows[3][6]) == ("3", "Failed(Diverged)")
+        assert 1e307 < float(rows[3][5]) < np.inf
+        assert "error:" not in captured.err
+
+    def test_singular_trial_is_a_failed_row(self, capsys):
+        # at this kappa 2A + 2 kappa I is singular to working precision; each
+        # trial is a row and the campaign exits 2
+        argv = ["bench", "--sizes", "7", "--trials", "2", "--max-iters", "128", "--kappa", "1.175494351e-38"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        rows = [line.split(",") for line in captured.out.splitlines()[1:3]]
+        assert [(r[3], r[5], r[6]) for r in rows] == [("0", "nan", "Failed(SingularMatrixError)")] * 2
+        assert "error:" not in captured.err
+
+    def test_non_finite_data_is_reported_without_a_solve(self, capsys, monkeypatch):
+        # eigenvalues up to 1.7e308 make some generated A or b overflow;
+        # those trials are rows that were never solved
+        solved = []
+        solve_kkt = apps.solve_kkt
+
+        def counted(kkt, *args, **kwargs):
+            solved.append(kkt.split)
+            return solve_kkt(kkt, *args, **kwargs)
+
+        monkeypatch.setattr(apps, "solve_kkt", counted)
+        assert cli.main(["bench", "--sizes", "2,5,8", "--spectrum", "1,1.7e308", "--max-iters", "200"]) == 2
+        captured = capsys.readouterr()
+        rows = [line.split(",") for line in captured.out.splitlines()[1:16]]
+        unsolved = [r for r in rows if r[6] == "Failed(non-finite data)"]
+        assert unsolved and all((r[3], r[5]) == ("0", "nan") for r in unsolved)
+        assert sorted(solved) == sorted(int(r[0]) for r in rows if r not in unsolved)
         assert "error:" not in captured.err
 
     def test_spec_validation(self):
@@ -708,6 +746,14 @@ class TestCliFuzz:
             sizes="1,3", trials="2", seed=None, kappa=None, fraction=None, tol=None,
             spectrum="--spectrum=1,1e308", zero_fraction=None, max_iters="200", out=None,
         )
+        @example(
+            sizes="7", trials="2", seed=None, kappa="--kappa=1.175494351e-38", fraction=None, tol=None,
+            spectrum=None, zero_fraction=None, max_iters="128", out=None,
+        )
+        @example(
+            sizes="2,5,8", trials="2", seed=None, kappa=None, fraction=None, tol=None,
+            spectrum="--spectrum=1,1.7e308", zero_fraction=None, max_iters="200", out=None,
+        )
         @settings(max_examples=60, deadline=None)
         def run(sizes, trials, seed, kappa, fraction, tol, spectrum, zero_fraction, max_iters, out):
             flags = [seed, kappa, fraction, tol, spectrum, zero_fraction, out]
@@ -716,11 +762,11 @@ class TestCliFuzz:
             trial_errors.clear()
             code = _run_clean(argv + [f for f in flags if f is not None])
             # an input error ends the campaign before its first trial, and a
-            # trial whose solve overflows is a Failed(Diverged) row; only a
-            # trial's own error, such as a singular resolvent at a tiny
-            # --kappa, can end the campaign once a trial has run
-            assert code != 1 or not trials_run or trial_errors
-            assert not any(isinstance(e, NonFiniteIterateError) for e in trial_errors)
+            # trial that cannot be solved (its solve overflows, its resolvent
+            # is singular, its data is not finite) is a Failed row, so the
+            # campaign exits 1 only when no trial ran
+            assert code != 1 or not trials_run
+            assert not trial_errors
 
         run()
 

@@ -299,3 +299,34 @@ class TestMatrixTextFormat:
         path = tmp_path / "v.txt"
         linalg.write_vector(path, v)
         assert np.array_equal(linalg.read_vector(path), v)
+
+
+class TestNorm:
+    def test_bitwise_equal_to_numpy_on_seeded_vectors(self):
+        # sizes from 1 to 1000 and magnitudes from 1e-150 to 1e150, where the
+        # sum of squares neither overflows nor underflows
+        for i in range(300):
+            rng = SplitMix64(9000 + i)
+            n = 1 + (i * 37) % 1000
+            x = rng.normal(n) * 10.0 ** rng.uniform(1, -150.0, 150.0)[0]
+            assert linalg.norm(x) == np.linalg.norm(x)
+
+    def test_bitwise_equal_on_strided_views_and_special_values(self):
+        x = SplitMix64(5).normal(40)
+        for v in (x[::3], x[5:6], np.zeros(3), np.array([-0.0]), np.array([np.inf, 1.0]), np.array([1e153, 1e154])):
+            assert linalg.norm(v) == np.linalg.norm(v)
+        assert np.isnan(linalg.norm(np.array([np.nan, 1.0])))
+
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            ([1e300, 1e300], 1e300 * np.sqrt(2.0)),
+            ([3e200, -4e200], 5e200),
+            ([1.7e308, 0.0, 1e-300], 1.7e308),
+            ([1.7e308, 1.7e308], np.inf),  # the norm itself exceeds the float range
+            ([np.inf, 1e300], np.inf),
+        ],
+    )
+    def test_sum_of_squares_that_overflows_is_scaled(self, x, expected):
+        with np.errstate(over="ignore"):
+            assert linalg.norm(np.array(x)) == pytest.approx(expected, rel=1e-15)

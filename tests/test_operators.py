@@ -119,6 +119,92 @@ class TestBatchedEvaluate:
             ops.Affine(np.eye(2)).evaluate(np.zeros(shape))
 
 
+def _checked_evaluate(op, x):
+    """The per-node checked recursion that `evaluate` replaced: every node
+    checks the shape of its input and evaluates its children through this
+    same checked call. Returns (lower, upper)."""
+    x = op._check_dim(x)
+    if isinstance(op, ops.Affine):
+        y = op.matrix @ x + op.offset if x.ndim == 1 else np.matmul(op.matrix, x[..., None])[..., 0] + op.offset
+        return y, y
+    if isinstance(op, ops.SignBlock):
+        picked = x[..., list(op.selector)]
+        lower = op.scale * np.sign(picked)
+        upper = lower.copy()
+        at_zero = picked == 0.0
+        lower[at_zero] = -op.scale
+        upper[at_zero] = op.scale
+        return lower, upper
+    if isinstance(op, ops.Permutation):
+        y = np.array(op.signs) * x[..., list(op.perm)]
+        return y, y
+    if isinstance(op, ops.Pointwise):
+        y = np.asarray(ops._POINTWISE_REGISTRY[op.name](x), dtype=float)
+        return y, y
+    if isinstance(op, ops.Scale):
+        lower, upper = _checked_evaluate(op.inner, x)
+        return op.gamma * lower, op.gamma * upper
+    lower, upper = np.zeros(x.shape), np.zeros(x.shape)
+    if isinstance(op, ops.Sum):
+        for t in op.terms:
+            lo, hi = _checked_evaluate(t, x)
+            lower, upper = lower + lo, upper + hi
+        return lower, upper
+    for start, stop, block in op.blocks:
+        lower[..., start:stop], upper[..., start:stop] = _checked_evaluate(block, x[..., start:stop])
+    return lower, upper
+
+
+class TestRootChecked:
+    """`evaluate` checks the shape once, at the root, and must give what the
+    per-node checked recursion gave, bit for bit."""
+
+    @pytest.mark.parametrize("op", [row[1] for row in BATCH_TREES], ids=[row[0] for row in BATCH_TREES])
+    def test_matches_checked_recursion_bitwise(self, op):
+        n = op.dim or 3
+        batch = _batch_points(n)
+        # single points (a third with a Sign coordinate at 0), the batch, and
+        # a strided view of it
+        for x in [*batch[:30], batch, batch[::2], np.zeros(n)]:
+            vs = op.evaluate(x)
+            lower, upper = _checked_evaluate(op, x)
+            assert vs.lower.tobytes() == lower.tobytes() and vs.upper.tobytes() == upper.tobytes()
+            assert vs.lower.shape == vs.upper.shape == x.shape
+
+    @pytest.mark.parametrize(
+        "op",
+        [row[1] for row in AFFINE_TREES] + [ops.trig_block_operator(), ops.swap_operator()],
+        ids=[f"affine-tree-{row[0]}" for row in AFFINE_TREES] + ["trig", "swap"],
+    )
+    def test_single_valued_trees_share_one_array(self, op):
+        n = op.dim or 3
+        for x in (np.linspace(-1.0, 2.0, n), _batch_points(n)):
+            vs = op.evaluate(x)
+            assert vs.lower is vs.upper and vs.is_singleton
+
+    def test_sign_off_zero_is_one_array_and_at_zero_a_box(self):
+        op = ops.sign_swap_operator()
+        off = op.evaluate(np.array([0.5, -2.0]))
+        assert off.lower is off.upper
+        at = op.evaluate(np.array([0.0, 2.0]))
+        assert at.lower is not at.upper and not at.is_singleton
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            ops.sign_swap_operator(),
+            ops.trig_block_operator(),
+            ops.Stack(3, ((0, 1, ops.Pointwise("abs-sin")), (1, 3, ops.SignBlock(1.0, (1, 0))))),
+            ops.Scale(2.0, ops.Sum((ops.Pointwise("identity"), ops.Permutation((1, 0))))),
+        ],
+        ids=["sum", "sum-of-stack", "stack", "scale-of-sum"],
+    )
+    @pytest.mark.parametrize("shape", [(4,), (5, 4), (1,), (), (2, 3, 2), (3, 0)])
+    def test_wrong_shape_raises_at_the_root(self, op, shape):
+        with pytest.raises(DimensionMismatchError):
+            op.evaluate(np.zeros(shape))
+
+
 class TestSelect:
     def test_box_midpoint(self):
         vs = ops.ValueSet.box(np.array([-1.0]), np.array([1.0]))

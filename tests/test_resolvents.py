@@ -103,6 +103,12 @@ class TestBuildEngine:
         engine, _, _ = sign_engine()
         assert engine.kind is resolvents.StrategyKind.SIGN_SEPARABLE
 
+    def test_overflowing_shifted_operator_is_named(self):
+        # A is finite, but gamma*F + v = 2A + 2 kappa I is not
+        f, v = apps.kkt_operator_pair(np.diag([1e308, -1e308]), np.ones(2), 0.2)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows the float range"):
+            resolvents.build_engine(f, v, 1.0)
+
     def test_trig_pair_unsupported(self):
         engine = resolvents.build_engine(ops.trig_block_operator(), ops.swap_operator(), 1.0)
         assert engine.kind is resolvents.StrategyKind.UNSUPPORTED
@@ -308,7 +314,7 @@ class TestTransformed:
 def _consistent_solutions(strategy, w):
     """The x of every table pattern that passes its sign and box checks."""
     y = w - strategy.offset
-    found = (resolvents._solve_pattern(strategy, p, y) for p in strategy.patterns)
+    found = (resolvents._solve_pattern(p, y) for p in strategy.patterns)
     return [x for x in found if x is not None]
 
 
@@ -409,10 +415,10 @@ class TestPatternTable:
         ambiguous = 0
         for w in _seeded_inputs(3, 300, seed=31):
             y = w - strategy.offset
-            consistent = [i for i, p in enumerate(strategy.patterns) if resolvents._solve_pattern(strategy, p, y) is not None]
-            first = resolvents._solve_pattern(strategy, strategy.patterns[consistent[0]], y)
+            consistent = [i for i, p in enumerate(strategy.patterns) if resolvents._solve_pattern(p, y) is not None]
+            first = resolvents._solve_pattern(strategy.patterns[consistent[0]], y)
             ambiguous += any(
-                not np.allclose(resolvents._solve_pattern(strategy, strategy.patterns[i], y), first) for i in consistent
+                not np.allclose(resolvents._solve_pattern(strategy.patterns[i], y), first) for i in consistent
             )
             for start in consistent + [None, -1, len(strategy.patterns)]:
                 x, accepted = resolvents._invert_sign(strategy, w, start)
@@ -432,7 +438,7 @@ class TestPatternTable:
         for w in _seeded_inputs(2, 300, seed=31) + grid:
             cold, first = resolvents._invert_sign(strategy, w)
             y = w - strategy.offset
-            consistent = [i for i, p in enumerate(strategy.patterns) if resolvents._solve_pattern(strategy, p, y) is not None]
+            consistent = [i for i, p in enumerate(strategy.patterns) if resolvents._solve_pattern(p, y) is not None]
             tie = len(consistent) > 1
             several += tie
             for start in [*range(len(strategy.patterns)), -1, len(strategy.patterns)]:
@@ -449,7 +455,7 @@ class TestPatternTable:
         out = resolvents.transformed(engine, np.array([3.0, 1.0]))
         assert out.pattern is not None
         assert resolvents._solve_pattern(
-            engine._strategy, engine._strategy.patterns[out.pattern], np.array([3.0, 1.0])
+            engine._strategy.patterns[out.pattern], np.array([3.0, 1.0])
         ).tobytes() == out.preimage.tobytes()
         assert resolvents.transformed(qp_engine()[0], np.ones(2), 3).pattern is None
         diagonal = resolvents.build_engine(ops.SignBlock(1.0, (0, 1)), ops.Scale(2.0, ops.Pointwise("identity")), 1.0, dim=2)

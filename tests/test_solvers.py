@@ -296,6 +296,32 @@ class TestSharedDriverJobs:
         assert calls == res.iterations == 50
         assert res.image.tobytes() == evaluate_point(v, res.preimage).tobytes()
 
+    def test_anchored_step_checks_two_shapes_and_compares_no_bounds(self, monkeypatch):
+        # each step evaluates two trees, v for the image and F for the
+        # membership check, and each checks its input shape once, at the
+        # root; v's values are points sharing one array for both bounds, so
+        # telling whether they are a point compares nothing
+        checks = compares = 0
+        check_dim, array_equal = ops.OperatorExpr._check_dim, np.array_equal
+
+        def counted_check(self, x):
+            nonlocal checks
+            checks += 1
+            return check_dim(self, x)
+
+        def counted_equal(*args, **kwargs):
+            nonlocal compares
+            compares += 1
+            return array_equal(*args, **kwargs)
+
+        monkeypatch.setattr(ops.OperatorExpr, "_check_dim", counted_check)
+        monkeypatch.setattr(np, "array_equal", counted_equal)
+        f, v = ops.sign_swap_operator(), ops.swap_operator()
+        cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=100, halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)))
+        res = solvers.gppa2(f, v, np.array([3.0, 1.0]), cfg)
+        assert res.iterations == 100
+        assert (checks, compares) == (200, 0)
+
 
 class TestResidualAccess:
     def test_trace_disabled(self):
