@@ -344,10 +344,11 @@ def dca_baseline(
 ) -> SolveResult:
     """Difference-of-convex iteration (A + m I) x_{k+1} = m x_k + b for
     Ax = b, splitting A = (A + m I) - m I. Reports Failed('Diverged') once
-    the error e_k = ||A x_k - b|| exceeds 1e8 * (1 + e_0)."""
+    the error e_k = ||A x_k - b|| exceeds 1e8 * (1 + e_0). A or b with a
+    NaN or infinite entry is a ValueError."""
     cfg = cfg or SolverConfig()
-    a = linalg.require_symmetric(a)
-    b = linalg.as_vector(b)
+    a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
+    b = linalg.require_finite(linalg.as_vector(b), "b")
     x = _start(x0)
     n = a.shape[0]
     if b.size != n or x.size != n:

@@ -10,9 +10,11 @@ import inspect
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from pairprox import cli
+from pairprox import cli, linalg, operators
+from pairprox.errors import DimensionMismatchError
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -44,6 +46,28 @@ def test_tracer_installs_and_restores(tracing):
     with tracing.Tracer():
         assert all(vars(owner)[attr] is not fn for (owner, attr, _), fn in zip(hooks, originals))
     assert all(vars(owner)[attr] is fn for (owner, attr, _), fn in zip(hooks, originals))
+
+
+def test_every_work_counter_reads_a_real_call(tracing):
+    # the counters run on each call's result (None when it raised) and
+    # arguments, as the traced benchmark passes them; the LU flop counts
+    # read the matrix's shape and the factorization's `dim`
+    n = 70
+    a = np.eye(n) + np.tri(n, k=-1) / n
+    with tracing.Tracer() as tracer:
+        fact = linalg.lu_factorize(a)
+        linalg.lu_solve(fact, np.ones(n))
+        with pytest.raises(DimensionMismatchError):
+            linalg.lu_solve(fact, np.ones(n + 1))
+        operators.check_pair_monotone(operators.sign_swap_operator(), operators.swap_operator(), samples=50)
+    work = [(name, w) for name, _, _, _, w in tracer.take() if name in tracing._WORK]
+    assert {name for name, _ in work} == set(tracing._WORK)
+    assert work == [
+        ("linalg.lu_factorize", 2.0 / 3.0 * n**3),
+        ("linalg.lu_solve", 2.0 * n**2),
+        ("linalg.lu_solve", 2.0 * n**2),
+        ("operators.check_pair_monotone", 50.0),
+    ]
 
 
 def test_run_bench_accepts_workers():

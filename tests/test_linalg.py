@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,48 @@ def reference_elimination(a, block):
     return lu, perm
 
 
+def strided_solve(fact, b):
+    """The blocked substitution as lu_solve ran it before it kept the
+    off-diagonal strips: every product reads its strided view of `packed`."""
+    lu, n = fact.packed, fact.dim
+    x = b[fact.perm]
+    for start, stop, _strip, inverse in fact.lower_blocks:
+        if start:
+            x[start:stop] -= lu[start:stop, :start].dot(x[:start])
+        x[start:stop] = inverse.dot(x[start:stop])
+    for start, stop, _strip, inverse in fact.upper_blocks:
+        if stop < n:
+            x[start:stop] -= lu[start:stop, stop:].dot(x[stop:])
+        x[start:stop] = inverse.dot(x[start:stop])
+    return x
+
+
+RHS_MAGNITUDES = tuple(10.0**e for e in range(-200, 201, 50))
+
+
+def assert_solves_like_strided_reference(fact, seed):
+    """Bitwise equal to strided_solve for Gaussian right-hand sides of every
+    magnitude in RHS_MAGNITUDES, also with `packed` replaced by NaN."""
+    blind = dataclasses.replace(fact, packed=np.full_like(fact.packed, np.nan))
+    base = SplitMix64(seed).normal(fact.dim)
+    for magnitude in RHS_MAGNITUDES:
+        b = base * magnitude
+        expected = strided_solve(fact, b)
+        assert np.array_equal(linalg.lu_solve(fact, b), expected)
+        # a solve that read `packed` would return NaN here
+        assert np.array_equal(linalg.lu_solve(blind, b), expected)
+
+
+def assert_strips_copy_packed(fact):
+    """Each block's strip is a C-contiguous copy of its part of `packed`,
+    and U's blocks are L's in reverse order."""
+    lower = [(strip, fact.packed[start:stop, :start]) for start, stop, strip, _ in fact.lower_blocks]
+    upper = [(strip, fact.packed[start:stop, stop:]) for start, stop, strip, _ in fact.upper_blocks]
+    for strip, part in lower + upper:
+        assert strip.flags.c_contiguous and np.array_equal(strip, part)
+    assert [b[:2] for b in fact.lower_blocks] == [b[:2] for b in reversed(fact.upper_blocks)]
+
+
 @pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("n", BLOCKED_SIZES)
 class TestBlockedSolve:
@@ -166,6 +210,36 @@ class TestBlockedSolve:
         packed, perm = reference_elimination(a, block)
         assert np.array_equal(fact.packed, packed)
         assert np.array_equal(fact.perm, perm)
+
+    def test_solve_bitwise_equal_to_strided_reference(self, n, block):
+        a, _ = conditioned_system(n, 1000 * n + block)
+        fact = linalg.lu_factorize(a, block=block)
+        assert_strips_copy_packed(fact)
+        assert_solves_like_strided_reference(fact, 11 * n + block)
+
+
+@pytest.mark.parametrize("n", (65, 129, 130, 900, 1000))
+def test_contiguous_strips_at_default_block(n):
+    # diagonally dominant, so the pivots stay away from the singular flag
+    rng = SplitMix64(n)
+    a = rng.normal(n * n).reshape(n, n) + n * np.eye(n)
+    fact = linalg.lu_factorize(a)
+    assert len(fact.lower_blocks) == -(-n // 64)
+    assert_strips_copy_packed(fact)
+    assert_solves_like_strided_reference(fact, 5 * n)
+
+
+class TestNonFiniteMatrix:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_factorize_rejects_a_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.lu_factorize(np.array([[bad, 1.0], [1.0, 2.0]]))
+
+    def test_non_finite_entry_past_the_first_block(self):
+        a = np.eye(100)
+        a[99, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.lu_factorize(a)
 
 
 @given(

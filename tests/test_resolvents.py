@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pairprox import applications as apps
 from pairprox import operators as ops
-from pairprox import linalg, resolvents
+from pairprox import linalg, resolvents, solvers
 from pairprox.errors import (
     DimensionMismatchError,
     NonPositiveSlopeError,
@@ -578,3 +578,72 @@ class TestResolventInvariants:
             v_star = ops.evaluate_point(v, x_star)
             out_t = resolvents.transformed(engine, v_star)
             assert np.allclose(out_t.image, v_star, atol=1e-9)
+
+
+EPS = np.finfo(float).eps
+
+
+class ShiftedKkt:
+    """The pair (Ax - b, (A + 2 kappa I) x) on a generated consistent system,
+    with kappa = fraction * |alpha| and its gamma = 1 engine.
+
+    `roundoff` is n * eps * cond(2A + 2 kappa I), taken from the planted
+    spectrum: the relative error that a backward stable solve with F + v
+    leaves, and the unit of every slack below.
+    """
+
+    def __init__(self, n, seed, fraction):
+        self.system = apps.generate_consistent_system(n, seed)
+        lam = self.system.eigenvalues
+        kappa = fraction * np.abs(lam[lam != 0.0]).min()
+        self.f, self.v = apps.kkt_operator_pair(self.system.matrix, self.system.rhs, kappa)
+        self.engine = resolvents.build_engine(self.f, self.v, 1.0)
+        shifted = np.abs(2.0 * lam + 2.0 * kappa)
+        self.roundoff = n * EPS * shifted.max() / shifted.min()
+        self.v_norm = np.abs(lam + 2.0 * kappa).max()
+        self.points = SplitMix64(seed + 1)
+
+
+# n up to 160 gives the LU one to three diagonal blocks. The fraction
+# stays at 1e-3 or above: from about 1e-5 down, a point with a kernel
+# component has a preimage so large that the membership check's fixed
+# tolerance misreads the solve's roundoff as a range failure
+SHIFTED_KKT = st.builds(
+    ShiftedKkt,
+    st.integers(1, 160),
+    st.integers(0, 2**32),
+    st.floats(1e-3, 0.5, exclude_max=True),
+)
+
+
+class TestShiftedKktProperties:
+    @given(SHIFTED_KKT)
+    @settings(max_examples=40, deadline=None)
+    def test_transformed_is_firmly_nonexpansive(self, pair):
+        n = pair.engine.dim
+        for _ in range(3):
+            x, y = pair.points.uniform(n, -8.0, 8.0), pair.points.uniform(n, -8.0, 8.0)
+            dx = x - y
+            dt = resolvents.transformed(pair.engine, x).image - resolvents.transformed(pair.engine, y).image
+            slack = 10.0 * pair.roundoff * (np.linalg.norm(x) + np.linalg.norm(y)) * np.linalg.norm(dx)
+            assert float(dt @ dt) <= float(dx @ dt) + slack
+
+    @given(SHIFTED_KKT)
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_image_of_the_solution_is_fixed(self, pair):
+        v_star = ops.evaluate_point(pair.v, pair.system.solution)
+        image = resolvents.transformed(pair.engine, v_star).image
+        assert np.linalg.norm(image - v_star) <= 10.0 * pair.roundoff * np.linalg.norm(v_star)
+
+    @given(SHIFTED_KKT)
+    @settings(max_examples=40, deadline=None)
+    def test_gppa_residual_is_nonincreasing(self, pair):
+        x0 = pair.points.uniform(pair.engine.dim, -8.0, 8.0)
+        cfg = solvers.SolverConfig(max_iters=50, tol_residual=0.0, trace_level=solvers.TraceLevel.FULL)
+        res = solvers.gppa(pair.f, pair.v, x0, cfg)
+        # the residual ||v(x_n) - v(x_n+1)|| carries the roundoff of v at
+        # the largest iterate
+        slack = 10.0 * pair.roundoff * pair.v_norm * max(np.linalg.norm(x) for x in res.trace.iterates)
+        residuals = res.trace.residuals
+        assert len(residuals) == res.iterations >= 1
+        assert all(later <= earlier + slack for earlier, later in zip(residuals, residuals[1:]))

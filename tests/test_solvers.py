@@ -204,6 +204,19 @@ class TestDcaBaseline:
         assert res.iterations == 1
         assert np.allclose(res.preimage, x0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "a, b, name",
+        [
+            ([[np.nan, 1.0], [1.0, 2.0]], [1.0, 1.0], "A"),
+            ([[np.inf, 1.0], [1.0, 2.0]], [1.0, 1.0], "A"),
+            ([[1.0, 0.0], [0.0, 2.0]], [np.nan, 1.0], "b"),
+            ([[1.0, 0.0], [0.0, 2.0]], [1.0, -np.inf], "b"),
+        ],
+    )
+    def test_non_finite_data_rejected(self, a, b, name):
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            solvers.dca_baseline(np.array(a), np.array(b), 2.0, np.zeros(2))
+
 
 class TestWarmStart:
     @pytest.mark.parametrize("solver", ["gppa", "gppa1", "gppa2"])
