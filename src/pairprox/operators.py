@@ -96,8 +96,17 @@ _POINTWISE_REGISTRY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
+# the resolvent engine reduces these names to +-I without evaluating them, and
+# a map is looked up at each evaluation, so replacing one after an engine is
+# built would make the engine invert a different operator than F
+_TRUSTED_POINTWISE = ("identity", "negation")
+
+
 def register_pointwise(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-    """Extend the componentwise-map registry with a single-valued function."""
+    """Extend the componentwise-map registry with a single-valued function.
+    The names `identity` and `negation` are fixed: a ValueError."""
+    if name in _TRUSTED_POINTWISE:
+        raise ValueError(f"pointwise map {name!r} is built in and cannot be replaced")
     _POINTWISE_REGISTRY[name] = fn
 
 

@@ -11,6 +11,12 @@ The pattern search tries the table in a fixed (+, -, 0) order and returns
 the first consistent pattern. Where the build certifies that the preimage is
 unique, a caller may name a pattern to try first, such as the one its
 previous step accepted; the result is the same point.
+
+The build checks each structural reduction against the tree it came from:
+the normal forms of F and v must agree with their `evaluate` at three fixed
+probe points, or no engine is built. A nonsingular affine gamma*F + v has
+range R^n, and an accepted sign pattern satisfies the inclusion by
+construction, so evaluations then check nothing further per call.
 """
 from __future__ import annotations
 
@@ -26,9 +32,11 @@ from .errors import (
     NonFiniteIterateError,
     NonPositiveSlopeError,
     NotInRangeError,
+    ReductionMismatchError,
     SingularMatrixError,
     UnsupportedStructureError,
 )
+from .rng import SplitMix64
 
 MEMBERSHIP_TOL = 1e-9
 _SIGN_CONSISTENCY_TOL = 1e-12
@@ -36,6 +44,10 @@ _PATTERN_DIM_LIMIT = 8
 # the smallest eigenvalue of sym(B) must exceed this fraction of the largest
 # magnitude, so that a singular semidefinite part is not certified on roundoff
 _CERTIFICATE_RTOL = 1e-10
+# a normal form may differ from its tree's evaluation by this fraction of the
+# magnitude |B|.|x| + |d| + s of the terms summed, row by row
+_PROBE_RTOL = 1e-9
+_PROBE_SEED = 0x9E0BE
 
 
 def scalar_sign_affine_inverse(s, c, d, y):
@@ -63,6 +75,17 @@ class _SignAffineForm:
     sign_var: np.ndarray  # input index whose sign feeds row i, or -1
     matrix: np.ndarray
     offset: np.ndarray
+    # |B| and |d| summed term by term: terms that cancel in B or d still
+    # round when the tree evaluates them, so these bound its roundoff. None
+    # while they are |B| and |d|, so that one affine term is not copied
+    abs_matrix: np.ndarray | None = None
+    abs_offset: np.ndarray | None = None
+
+    def magnitude(self) -> tuple[np.ndarray, np.ndarray]:
+        """The term-by-term |B| and |d|."""
+        if self.abs_matrix is None:
+            return np.abs(self.matrix), np.abs(self.offset)
+        return self.abs_matrix, self.abs_offset
 
 
 def _affine_form(matrix: np.ndarray, offset: np.ndarray) -> _SignAffineForm:
@@ -94,17 +117,24 @@ def _try_sign_affine(op: ops.OperatorExpr, dim: int) -> _SignAffineForm | None:
         inner = _try_sign_affine(op.inner, dim)
         if inner is None:
             return None
-        return _SignAffineForm(
+        scaled = _SignAffineForm(
             op.gamma * inner.scales, inner.sign_var, op.gamma * inner.matrix, op.gamma * inner.offset
         )
+        if inner.abs_matrix is not None:
+            scaled.abs_matrix, scaled.abs_offset = op.gamma * inner.abs_matrix, op.gamma * inner.abs_offset
+        return scaled
     if isinstance(op, ops.Sum):
         acc = _affine_form(np.zeros((dim, dim)), np.zeros(dim))
+        acc.abs_matrix, acc.abs_offset = np.zeros((dim, dim)), np.zeros(dim)
         for t in op.terms:
             part = _try_sign_affine(t, dim)
             if part is None:
                 return None
             acc.matrix = acc.matrix + part.matrix
             acc.offset = acc.offset + part.offset
+            abs_matrix, abs_offset = part.magnitude()
+            acc.abs_matrix = acc.abs_matrix + abs_matrix
+            acc.abs_offset = acc.abs_offset + abs_offset
             signed = part.scales != 0.0
             held = acc.scales != 0.0
             if np.any(signed & held & (acc.sign_var != part.sign_var)):
@@ -115,18 +145,50 @@ def _try_sign_affine(op: ops.OperatorExpr, dim: int) -> _SignAffineForm | None:
         return acc
     if isinstance(op, ops.Stack):
         acc = _affine_form(np.zeros((dim, dim)), np.zeros(dim))
+        acc.abs_matrix, acc.abs_offset = np.zeros((dim, dim)), np.zeros(dim)
         for start, stop, sub in op.blocks:
             part = _try_sign_affine(sub, stop - start)
             if part is None:
                 return None
             acc.matrix[start:stop, start:stop] = part.matrix
             acc.offset[start:stop] = part.offset
+            acc.abs_matrix[start:stop, start:stop], acc.abs_offset[start:stop] = part.magnitude()
             acc.scales[start:stop] = part.scales
             shifted = part.sign_var.copy()
             shifted[shifted >= 0] += start
             acc.sign_var[start:stop] = shifted
         return acc
     return None
+
+
+def _probe_points(dim: int) -> np.ndarray:
+    """Two generic points from a fixed stream, then 0, as rows. A wrong
+    matrix or offset shows at a generic point with probability one, as in
+    Freivalds' check of matrix products; at 0 every sign variable sits at
+    zero, so the interval widths must agree too."""
+    rng = SplitMix64(_PROBE_SEED)
+    return np.vstack((rng.uniform(dim, -1.0, 1.0), rng.uniform(dim, -1.0, 1.0), np.zeros(dim)))
+
+
+def _probe_reduction(role: str, op: ops.OperatorExpr, form: _SignAffineForm, points: np.ndarray) -> None:
+    """Raise ReductionMismatchError unless `form` agrees with op.evaluate
+    at each row of `points`, interval bounds included."""
+    values = op.evaluate(points)
+    linear = points @ form.matrix.T + form.offset
+    picked = points[:, form.sign_var]
+    signed = linear + form.scales * np.sign(picked)
+    width = np.where(picked == 0.0, form.scales, 0.0)
+    deviation = np.maximum(np.abs(values.lower - (signed - width)), np.abs(values.upper - (signed + width)))
+    abs_matrix, abs_offset = form.magnitude()
+    bound = _PROBE_RTOL * (np.abs(points) @ abs_matrix.T + abs_offset + form.scales)
+    # an overflowing row has an infinite bound or a NaN deviation and is let pass
+    bad = np.argwhere(deviation > bound)
+    if bad.size:
+        k, i = bad[0]
+        raise ReductionMismatchError(
+            f"{role} = {type(op).__name__}(...) disagrees with its structural reduction: row {i} "
+            f"at probe point {k} is off by {deviation[k, i]:.3e}, above the roundoff bound {bound[k, i]:.3e}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +264,12 @@ class ResolventEngine:
 def build_engine(
     f: ops.OperatorExpr, v: ops.OperatorExpr, gamma: float, dim: int | None = None
 ) -> ResolventEngine:
-    """Select an inversion strategy for gamma*F + v by pattern matching."""
+    """Select an inversion strategy for gamma*F + v by pattern matching.
+
+    Reductions the engine would invert are first checked against F's and
+    v's `evaluate` at fixed probe points; a mismatch raises
+    ReductionMismatchError naming the operator, and no engine is built.
+    """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     n = f.dim if f.dim is not None else (v.dim if v.dim is not None else dim)
@@ -214,6 +281,9 @@ def build_engine(
     form = _try_sign_affine(f, n)
     va = _try_sign_affine(v, n)
     if form is not None and va is not None and not np.any(va.scales):
+        points = _probe_points(n)
+        _probe_reduction("F", f, form, points)
+        _probe_reduction("v", v, va, points)
         matrix = gamma * form.matrix + va.matrix
         if not np.isfinite(matrix).all():
             raise ValueError("gamma*F + v overflows the float range: its matrix has non-finite entries")
@@ -367,22 +437,6 @@ def _invert(engine: ResolventEngine, w: np.ndarray, start: int | None) -> tuple[
     return z, pattern
 
 
-def _check_membership(engine: ResolventEngine, target: np.ndarray, z: np.ndarray, vz: np.ndarray) -> None:
-    resid = target - vz
-    fz = engine.f.evaluate(z)
-    # the band scales with data magnitude so that roundoff on large iterates
-    # is not misread as a range failure
-    tol = MEMBERSHIP_TOL * (1.0 + float(np.abs(target).max()) + float(np.abs(vz).max()))
-    scaled = engine.gamma * fz.lower
-    lo = scaled - tol
-    hi = (scaled if fz.lower is fz.upper else engine.gamma * fz.upper) + tol
-    if not ((resid >= lo) & (resid <= hi)).all():
-        raise NotInRangeError(
-            f"membership check failed: max violation "
-            f"{float(np.maximum(lo - resid, resid - hi).max()):.3e}"
-        )
-
-
 def warped(engine: ResolventEngine, x: np.ndarray) -> ResolventOutput:
     """z in (gamma*F + v)^{-1}(v(x)); fixed points are zeros of F.
 
@@ -398,7 +452,12 @@ def warped(engine: ResolventEngine, x: np.ndarray) -> ResolventOutput:
 
 def transformed(engine: ResolventEngine, x: np.ndarray, start_pattern: int | None = None) -> ResolventOutput:
     """v(z) with z in (gamma*F + v)^{-1}(x); fixed points are v-images of
-    zeros of F. Raises NotInRangeError when x is outside ran(gamma*F + v).
+    zeros of F. Raises NotInRangeError when no sign pattern takes x, which
+    is then outside ran(gamma*F + v), and SingularMatrixError when an
+    affine gamma*F + v is singular.
+
+    z is not checked against F: the engine's build checked its reduction,
+    and its inversion solves that reduction exactly up to roundoff.
 
     `start_pattern` is a first guess for the sign pattern search, typically
     the `pattern` of the previous output; engines with `unique_preimage`
@@ -408,6 +467,4 @@ def transformed(engine: ResolventEngine, x: np.ndarray, start_pattern: int | Non
     if x.size != engine.dim:
         raise DimensionMismatchError(f"engine dim {engine.dim}, input dim {x.size}")
     z, pattern = _invert(engine, x, start_pattern)
-    vz = ops.evaluate_point(engine.v, z)
-    _check_membership(engine, x, z, vz)
-    return ResolventOutput(z, vz, pattern)
+    return ResolventOutput(z, ops.evaluate_point(engine.v, z), pattern)

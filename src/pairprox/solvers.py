@@ -187,14 +187,16 @@ def _iterate(
 
     `step(n, x)` takes iteration n from the iterate x and returns
     (x_next, residual, image, preimage); image and preimage only feed the
-    trace. `diverge_above`, when set, maps the first step's residual to the
-    divergence bound. A step that overflows, raising NonFiniteIterateError
-    or returning a non-finite x_next, stops the loop as Failed('Diverged')
-    without being counted. After a finite step is recorded, the first rule
-    that holds stops the loop: residual above the divergence bound
-    (Diverged), residual within tol_residual (Converged), step norm within
-    tol_step (step-stalled). Returns (status, reason, iterations, last
-    finite iterate).
+    trace. A residual of None stands for ||x - x_next|| / gamma_n, the
+    residual of the transformed iterations, so that the loop computes that
+    norm once, as the step norm. `diverge_above`, when set, maps the first
+    step's residual to the divergence bound. A step that overflows, raising
+    NonFiniteIterateError or returning a non-finite x_next, stops the loop
+    as Failed('Diverged') without being counted. After a finite step is
+    recorded, the first rule that holds stops the loop: residual above the
+    divergence bound (Diverged), residual within tol_residual (Converged),
+    step norm within tol_step (step-stalled). Returns (status, reason,
+    iterations, last finite iterate).
     """
     bound = None
     for n in range(cfg.max_iters):
@@ -205,6 +207,8 @@ def _iterate(
         if not np.isfinite(x_next).all():
             return Status.FAILED, "Diverged", n, x
         dx = linalg.norm(x - x_next)
+        if residual is None:
+            residual = dx / cfg.gamma_at(n)
         rec.record(residual, dx, image, x_next, preimage)
         x = x_next
         if diverge_above is not None:
@@ -290,10 +294,9 @@ def gppa1(
 
     def step(n, x):
         nonlocal z, pattern
-        gamma = cfg.gamma_at(n)
-        out = resolvents.transformed(engines(gamma), x, pattern)
+        out = resolvents.transformed(engines(cfg.gamma_at(n)), x, pattern)
         z, pattern = out.preimage, out.pattern
-        return out.image, linalg.norm(x - out.image) / gamma, out.image, z
+        return out.image, None, out.image, z
 
     status, reason, iterations, x = _iterate(cfg, rec, x, step, _divergence_bound)
     return SolveResult(status, reason, z, x, iterations, rec.trace)
@@ -321,7 +324,6 @@ def gppa2(
         raise ValueError("anchor dimension mismatch")
     engine = resolvents.build_engine(f, v, float(cfg.gamma_schedule), dim=x.size)
     rec = _Recorder(cfg, x, linalg.as_vector(reference) if reference is not None else None)
-    gamma = float(cfg.gamma_schedule)
     out = resolvents.ResolventOutput(x, x)
 
     def step(k, x):
@@ -329,7 +331,7 @@ def gppa2(
         out = resolvents.transformed(engine, x, out.pattern)
         alpha = cfg.halpern.alpha(k)
         x_next = alpha * anchor + (1.0 - alpha) * out.image
-        return x_next, linalg.norm(x - x_next) / gamma, x_next, out.preimage
+        return x_next, None, x_next, out.preimage
 
     status, reason, iterations, _ = _iterate(cfg, rec, x, step)
     return SolveResult(status, reason, out.preimage, out.image, iterations, rec.trace)

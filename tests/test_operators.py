@@ -67,6 +67,15 @@ class TestEvaluate:
         finally:
             ops._POINTWISE_REGISTRY.pop("double", None)
 
+    @pytest.mark.parametrize("name", ["identity", "negation"])
+    def test_trusted_names_cannot_be_replaced(self, name):
+        # the resolvent engine reduces these names to +-I without evaluating
+        # them, so a replacement would go unseen once an engine is built
+        before = ops._POINTWISE_REGISTRY[name]
+        with pytest.raises(ValueError, match=name):
+            ops.register_pointwise(name, lambda t: 2.0 * t)
+        assert ops._POINTWISE_REGISTRY[name] is before
+
 
 # one tree per node kind, then the dispatch trees of the resolvent tests
 _KIND_TREES = [

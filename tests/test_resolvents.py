@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 import threading
@@ -14,6 +15,7 @@ from pairprox.errors import (
     DimensionMismatchError,
     NonPositiveSlopeError,
     NotInRangeError,
+    ReductionMismatchError,
     SingularMatrixError,
     UnsupportedStructureError,
 )
@@ -230,6 +232,153 @@ class TestStructuralDispatch:
         out = resolvents.transformed(engine, w)
         fz = f.evaluate(out.preimage)
         assert ops.ValueSet(_GAMMA * fz.lower, _GAMMA * fz.upper).contains(w - out.image, tol=1e-9)
+
+
+def _term_magnitude(op, x):
+    """Sum over the terms of a Sign-plus-affine tree of their magnitudes at
+    each row of x: |A| |x| + |c| for an affine term, the scale for a Sign
+    term. It bounds the roundoff of evaluating the tree, cancelling terms
+    included."""
+    if isinstance(op, ops.Affine):
+        return np.abs(x) @ np.abs(op.matrix).T + np.abs(op.offset)
+    if isinstance(op, ops.SignBlock):
+        return np.full(x.shape, op.scale)
+    if isinstance(op, ops.Permutation):
+        return np.abs(x[:, list(op.perm)])
+    if isinstance(op, ops.Pointwise):
+        return np.abs(x)
+    if isinstance(op, ops.Scale):
+        return op.gamma * _term_magnitude(op.inner, x)
+    if isinstance(op, ops.Sum):
+        return sum(_term_magnitude(t, x) for t in op.terms)
+    out = np.zeros(x.shape)
+    for start, stop, sub in op.blocks:
+        out[:, start:stop] = _term_magnitude(sub, x[:, start:stop])
+    return out
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def sign_affine_trees(draw, n, depth=3):
+    """Trees of every variant `_try_sign_affine` reduces, on n coordinates,
+    with at most `depth` levels of nodes. Small integer entries make terms
+    cancel; the data is scaled by 1e-6, 1 or 1e12."""
+    # composites and Sign terms weigh double, so that trees branch and Sign
+    # terms meet in sums and stacks
+    kinds = ["affine", "sign-block", "sign-block", "permutation", "identity", "negation"]
+    kind = draw(st.sampled_from(kinds + (["scale", "sum", "stack"] * 2 if depth > 1 else [])))
+    if kind == "affine":
+        size = draw(st.sampled_from((1.0, 1e-6, 1e12)))
+        matrix = draw(st.lists(_ENTRIES, min_size=n * n, max_size=n * n))
+        offset = draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+        return ops.Affine(size * np.reshape(matrix, (n, n)), size * np.array(offset))
+    if kind == "sign-block":
+        return ops.SignBlock(draw(st.floats(0.25, 4.0)), tuple(draw(st.permutations(range(n)))))
+    if kind == "permutation":
+        signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=n, max_size=n))
+        return ops.Permutation(tuple(draw(st.permutations(range(n)))), tuple(signs))
+    if kind in ("identity", "negation"):
+        return ops.Pointwise(kind)
+    if kind == "scale":
+        return ops.Scale(draw(st.floats(1e-3, 1e3)), draw(sign_affine_trees(n, depth - 1)))
+    if kind == "sum":
+        return ops.Sum(tuple(draw(st.lists(sign_affine_trees(n, depth - 1), min_size=2, max_size=3))))
+    # a stack cuts [0, n) into slices, each given a subtree or left at zero
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3))) if n > 1 else []
+    edges = [0, *cuts, n]
+    blocks = [
+        (a, b, draw(sign_affine_trees(b - a, depth - 1))) for a, b in zip(edges, edges[1:]) if draw(st.booleans())
+    ]
+    return ops.Stack(n, tuple(blocks))
+
+
+@st.composite
+def trees_and_points(draw):
+    """A tree and four generic points in [-10, 10]^n, some coordinates set
+    to 0 so that Sign terms there give intervals."""
+    n = draw(st.integers(1, 8))
+    points = SplitMix64(draw(st.integers(0, 2**32))).uniform(4 * n, -10.0, 10.0).reshape(4, n)
+    points[np.array(draw(st.lists(st.booleans(), min_size=4 * n, max_size=4 * n))).reshape(4, n)] = 0.0
+    return draw(sign_affine_trees(n)), points
+
+
+def _flip_affine_offsets(original):
+    def reduce(op, dim):
+        form = original(op, dim)
+        if form is not None and isinstance(op, ops.Affine):
+            form = dataclasses.replace(form, offset=-form.offset)
+        return form
+
+    return reduce
+
+
+def _drop_scale_factors(original):
+    def reduce(op, dim):
+        return original(op.inner if isinstance(op, ops.Scale) else op, dim)
+
+    return reduce
+
+
+class TestReductionProbe:
+    @given(trees_and_points())
+    @settings(max_examples=300, deadline=None)
+    def test_reduction_matches_evaluate(self, case):
+        tree, points = case
+        n = points.shape[1]
+        form = resolvents._try_sign_affine(tree, n)
+        if form is None:
+            return
+        values = tree.evaluate(points)
+        linear = points @ form.matrix.T + form.offset
+        picked = points[:, form.sign_var]
+        sign = np.sign(picked)
+        width = np.where(picked == 0.0, form.scales, 0.0)
+        tol = 1e-12 * _term_magnitude(tree, points)
+        assert np.all(np.abs(values.lower - (linear + form.scales * sign - width)) <= tol)
+        assert np.all(np.abs(values.upper - (linear + form.scales * sign + width)) <= tol)
+        # and the build's probe passes it
+        resolvents._probe_reduction("F", tree, form, resolvents._probe_points(n))
+
+    def test_cancelling_terms_pass_the_probe(self):
+        # F = (I + E) - I with E tiny: the tree rounds x + E x at the scale of
+        # x, far above the scale of E x that the normal form holds
+        e = 1e-10 * np.array([[0.0, 1.0, 2.0], [3.0, 0.0, -1.0], [1.0, 1.0, 0.0]])
+        f = ops.Sum(
+            (ops.Affine(np.eye(3) + e, np.ones(3)), ops.Pointwise("negation"), ops.Affine(np.zeros((3, 3)), -np.ones(3)))
+        )
+        engine = resolvents.build_engine(f, ops.identity_operator(3), 1.0)
+        assert engine.kind is resolvents.StrategyKind.AFFINE_AFFINE
+
+    @pytest.mark.parametrize(
+        "mutation, f, v, named",
+        [
+            (_flip_affine_offsets, *apps.kkt_operator_pair(np.diag([2.0, 0.0]), np.array([1.0, -1.0]), 0.2), "F = Affine"),
+            (_flip_affine_offsets, _STACK3, _V3, "F = Stack"),
+            (_flip_affine_offsets, SIGN_TREES[3][1], _V3, "v = Affine"),
+            (_drop_scale_factors, AFFINE_TREES[4][1], _V3, "F = Scale"),
+            (_drop_scale_factors, SIGN_TREES[4][1], _V3, "F = Scale"),
+            (_drop_scale_factors, _SIGN_SWAP, ops.Scale(3.0, ops.swap_operator()), "v = Scale"),
+        ],
+    )
+    def test_wrong_reduction_fails_at_build(self, monkeypatch, mutation, f, v, named):
+        monkeypatch.setattr(resolvents, "_try_sign_affine", mutation(resolvents._try_sign_affine))
+        with pytest.raises(ReductionMismatchError, match=f"^{named}"):
+            resolvents.build_engine(f, v, _GAMMA)
+
+    @pytest.mark.parametrize(
+        "f, v, named",
+        [
+            (ops.Sum((_SIGN_SWAP, ops.Pointwise("identity"))), ops.swap_operator(), "F = Sum"),
+            (ops.SignBlock(1.0, (0, 1)), ops.Scale(2.0, ops.Pointwise("identity")), "v = Scale"),
+        ],
+    )
+    def test_replaced_identity_fails_at_build(self, monkeypatch, f, v, named):
+        # register_pointwise refuses this, so the registry is written directly
+        monkeypatch.setitem(ops._POINTWISE_REGISTRY, "identity", lambda t: 2.0 * t)
+        with pytest.raises(ReductionMismatchError, match=f"^{named}"):
+            resolvents.build_engine(f, v, 1.0, dim=2)
 
 
 class TestWarped:
@@ -604,15 +753,14 @@ class ShiftedKkt:
         self.points = SplitMix64(seed + 1)
 
 
-# n up to 160 gives the LU one to three diagonal blocks. The fraction
-# stays at 1e-3 or above: from about 1e-5 down, a point with a kernel
-# component has a preimage so large that the membership check's fixed
-# tolerance misreads the solve's roundoff as a range failure
+# n up to 160 gives the LU one to three diagonal blocks. Down to a fraction
+# of 1e-6, a point with a kernel component has a preimage near x / (2 kappa),
+# about 1e6 times larger than the point
 SHIFTED_KKT = st.builds(
     ShiftedKkt,
     st.integers(1, 160),
     st.integers(0, 2**32),
-    st.floats(1e-3, 0.5, exclude_max=True),
+    st.floats(1e-6, 0.5, exclude_max=True),
 )
 
 

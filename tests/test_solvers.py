@@ -309,11 +309,12 @@ class TestSharedDriverJobs:
         assert calls == res.iterations == 50
         assert res.image.tobytes() == evaluate_point(v, res.preimage).tobytes()
 
-    def test_anchored_step_checks_two_shapes_and_compares_no_bounds(self, monkeypatch):
-        # each step evaluates two trees, v for the image and F for the
-        # membership check, and each checks its input shape once, at the
-        # root; v's values are points sharing one array for both bounds, so
-        # telling whether they are a point compares nothing
+    def test_anchored_step_checks_one_shape_and_compares_no_bounds(self, monkeypatch):
+        # the engine's build evaluates F and v once each, on a batch of
+        # probe points; each step then evaluates only v, for the image, and
+        # checks its input shape once, at the root. v's values are points
+        # sharing one array for both bounds, so telling whether they are a
+        # point compares nothing
         checks = compares = 0
         check_dim, array_equal = ops.OperatorExpr._check_dim, np.array_equal
 
@@ -333,7 +334,7 @@ class TestSharedDriverJobs:
         cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=100, halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)))
         res = solvers.gppa2(f, v, np.array([3.0, 1.0]), cfg)
         assert res.iterations == 100
-        assert (checks, compares) == (200, 0)
+        assert (checks, compares) == (2 + 100, 0)
 
 
 class TestResidualAccess:
