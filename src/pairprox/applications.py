@@ -166,8 +166,8 @@ def kkt_operator_pair(a: np.ndarray, b: np.ndarray, kappa: float) -> tuple[ops.A
 
 def _unit_gamma(cfg: solvers.SolverConfig | None) -> solvers.SolverConfig:
     """`cfg`, or the default config; the shifted-kernel iteration is
-    defined at constant gamma = 1 only."""
-    cfg = cfg or solvers.SolverConfig()
+    defined at constant gamma = 1 only, and is not anchored."""
+    cfg = solvers._unanchored(cfg)
     if cfg.gamma_schedule != 1.0:
         raise ValueError("the shifted-kernel iteration is defined at constant gamma = 1")
     return cfg

@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
-import io
 import os
 import statistics
 import sys
@@ -145,39 +143,12 @@ def run_bench(spec: BenchSpec, workers: int | None = None) -> list[RunRecord]:
 BENCH_HEADER = ("n", "trial", "seed", "iters", "seconds", "ek", "status")
 
 
-def write_bench_csv(target, records: list[RunRecord]) -> None:
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w", newline="") if own else target
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(BENCH_HEADER)
-        for r in records:
-            writer.writerow((r.n, r.trial, r.seed, r.iterations, repr(r.seconds), repr(r.ek), r.status))
-    finally:
-        if own:
-            fh.close()
-
-
-def read_bench_csv(source) -> list[RunRecord]:
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    fh = open(source, newline="") if own else source
-    try:
-        rows = list(csv.reader(fh))
-    finally:
-        if own:
-            fh.close()
-    if not rows or tuple(rows[0]) != BENCH_HEADER:
-        raise ValueError(f"bench CSV must start with header {','.join(BENCH_HEADER)}")
-    return [
-        RunRecord(int(r[0]), int(r[1]), int(r[2]), int(r[3]), float(r[4]), float(r[5]), r[6])
-        for r in rows[1:]
-    ]
-
-
-def bench_csv_text(records: list[RunRecord]) -> str:
-    buf = io.StringIO()
-    write_bench_csv(buf, records)
-    return buf.getvalue()
+def write_bench_csv(fh, records: list[RunRecord]) -> None:
+    """Write the table to the open text file `fh`."""
+    writer = csv.writer(fh)
+    writer.writerow(BENCH_HEADER)
+    for r in records:
+        writer.writerow((r.n, r.trial, r.seed, r.iterations, repr(r.seconds), repr(r.ek), r.status))
 
 
 def bench_summary(records: list[RunRecord]) -> str:
@@ -272,26 +243,10 @@ def _resolve_kappa(args, matrix: np.ndarray) -> float:
     return apps.select_kappa(matrix, fraction=fraction).kappa
 
 
-def _overflow_quiet(cmd):
-    """Run a numeric subcommand with numpy's overflow and invalid-value
-    warnings off. Data or options of extreme size may overflow anywhere
-    along the way; the checks on the results report that (a non-finite
-    iterate is a Failed solve, non-finite data an input error), so the
-    warnings are noise."""
-
-    @functools.wraps(cmd)
-    def run(args) -> int:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return cmd(args)
-
-    return run
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-@_overflow_quiet
 def cmd_solve_kkt(args) -> int:
     _check_solve_args(args)
     qp = apps.read_qp(args.problem)
@@ -311,7 +266,6 @@ def cmd_solve_kkt(args) -> int:
     return EXIT_OK if sol.result.status is solvers.Status.CONVERGED else EXIT_NOT_CONVERGED
 
 
-@_overflow_quiet
 def cmd_least_squares(args) -> int:
     _check_solve_args(args)
     a = linalg.read_matrix(args.matrix)
@@ -330,7 +284,6 @@ def cmd_least_squares(args) -> int:
     return EXIT_OK if res.status is solvers.Status.CONVERGED else EXIT_NOT_CONVERGED
 
 
-@_overflow_quiet
 def cmd_bench(args) -> int:
     if args.kappa is None and args.kappa_fraction is None:
         args.kappa = 0.2
@@ -354,7 +307,6 @@ def cmd_bench(args) -> int:
     return EXIT_OK if all(r.status == "Converged" for r in records) else EXIT_NOT_CONVERGED
 
 
-@_overflow_quiet
 def cmd_check_pair(args) -> int:
     require_seed(args.seed)
     box = _parse_box(args.box) if args.box is not None else None
@@ -561,8 +513,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
+    # data or options of extreme size may overflow anywhere along the way;
+    # the checks on the results report that (a non-finite iterate is a
+    # Failed solve, non-finite data an input error), so numpy's overflow and
+    # invalid-value warnings are noise
     try:
-        return args.fn(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except (OSError, ValueError, KeyError, PairproxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

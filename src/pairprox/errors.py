@@ -45,10 +45,6 @@ class NonFiniteIterateError(PairproxError):
     """An iterate contains NaN or Inf."""
 
 
-class TraceDisabledError(PairproxError):
-    """The requested diagnostics were not recorded."""
-
-
 class AllEigenvaluesZeroError(PairproxError):
     """The matrix has no eigenvalue above the zero threshold."""
 

@@ -2,7 +2,7 @@
 monotonicity checks for operator pairs.
 
 An operator is built from a small closed set of variants (affine maps,
-componentwise sign blocks, signed permutations, registered pointwise maps,
+componentwise sign blocks, signed permutations, named pointwise maps,
 positive scalings, sums and block stacks). Evaluation returns an axis-aligned
 set: a single point, or a box when some sign coordinate sits at zero. Every
 variant also evaluates a batch of points, one per row, with the same
@@ -44,14 +44,6 @@ class ValueSet:
         x = np.asarray(x, dtype=float)
         return ValueSet(x, x)
 
-    @staticmethod
-    def box(lower: np.ndarray, upper: np.ndarray) -> "ValueSet":
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        if lower.shape != upper.shape or np.any(lower > upper):
-            raise ValueError("box bounds must satisfy lower <= upper componentwise")
-        return ValueSet(lower, upper)
-
     @property
     def is_singleton(self) -> bool:
         # single-valued evaluations share one array for both bounds
@@ -63,10 +55,6 @@ class ValueSet:
             raise ValueError("value set is not a single point")
         return self.lower
 
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
 
 class Selection(Enum):
     """Canonical selections from a box value."""
@@ -76,17 +64,11 @@ class Selection(Enum):
     HIGH = "extreme-high"
 
 
-def select(vs: ValueSet, strategy: Selection) -> np.ndarray:
-    if vs.is_singleton or strategy is Selection.MID:
-        return 0.5 * (vs.lower + vs.upper)
-    if strategy is Selection.LOW:
-        return vs.lower
-    return vs.upper
-
-
 # ---------------------------------------------------------------------------
 # operator variants
 
+# the maps an operator file may name; the resolvent engine reduces `identity`
+# and `negation` to +-I by name, without evaluating them
 _POINTWISE_REGISTRY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "identity": lambda t: t,
     "negation": lambda t: -t,
@@ -94,20 +76,6 @@ _POINTWISE_REGISTRY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "cos-abs": lambda t: np.cos(np.abs(t)),
     "neg-cos-abs": lambda t: -np.cos(np.abs(t)),
 }
-
-
-# the resolvent engine reduces these names to +-I without evaluating them, and
-# a map is looked up at each evaluation, so replacing one after an engine is
-# built would make the engine invert a different operator than F
-_TRUSTED_POINTWISE = ("identity", "negation")
-
-
-def register_pointwise(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-    """Extend the componentwise-map registry with a single-valued function.
-    The names `identity` and `negation` are fixed: a ValueError."""
-    if name in _TRUSTED_POINTWISE:
-        raise ValueError(f"pointwise map {name!r} is built in and cannot be replaced")
-    _POINTWISE_REGISTRY[name] = fn
 
 
 class OperatorExpr:
@@ -565,32 +533,6 @@ def check_pair_monotone(
         witness_selections=wsel,
         verdict=Verdict.VIOLATION_FOUND if violated else Verdict.MONOTONE_EVIDENCE,
     )
-
-
-def reevaluate_witness(
-    f: OperatorExpr, v: OperatorExpr, report: PairMonotonicityReport
-) -> float:
-    """Recompute the witness inner product from scratch."""
-    sfx, sfy, svx, svy = report.witness_selections
-    fx = select(f.evaluate(report.witness_x), sfx)
-    fy = select(f.evaluate(report.witness_y), sfy)
-    vx = select(v.evaluate(report.witness_x), svx)
-    vy = select(v.evaluate(report.witness_y), svy)
-    return float((fx - fy) @ (vx - vy))
-
-
-def check_pair_strongly_monotone(
-    f: OperatorExpr,
-    v: OperatorExpr,
-    box: tuple | None = None,
-    samples: int = 10_000,
-    seed: int = 0,
-    include: Sequence[tuple[np.ndarray, np.ndarray]] = (),
-) -> float:
-    """Sampled lower-bound estimate of the strong-monotonicity modulus:
-    the minimum observed quotient, clamped at zero. Not a certificate."""
-    report = check_pair_monotone(f, v, box, samples, seed, include)
-    return max(0.0, report.min_quotient)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .rng import SplitMix64
 
 MEMBERSHIP_TOL = 1e-9
 _SIGN_CONSISTENCY_TOL = 1e-12
+_EPS = np.finfo(float).eps
 _PATTERN_DIM_LIMIT = 8
 # the smallest eigenvalue of sym(B) must exceed this fraction of the largest
 # magnitude, so that a singular semidefinite part is not certified on roundoff
@@ -386,12 +387,20 @@ def _invert_sign(strategy: _SignStrategy, w: np.ndarray, start: int | None = Non
         x = _solve_pattern(strategy.patterns[i], y)
         if x is not None:
             return x, i
+    # at a kink a pinned row's residual sits on its box bound, where the
+    # roundoff of terms far above 1 exceeds MEMBERSHIP_TOL; rescan with the
+    # bounds widened by that roundoff before reporting the input out of range
+    for i, pattern in enumerate(strategy.patterns):
+        x = _solve_pattern(pattern, y, widen=True)
+        if x is not None:
+            return x, i
     raise NotInRangeError("no sign pattern yields a consistent solution; input not in range")
 
 
-def _solve_pattern(pattern: _SignPattern, y: np.ndarray) -> np.ndarray | None:
+def _solve_pattern(pattern: _SignPattern, y: np.ndarray, widen: bool = False) -> np.ndarray | None:
     """The x that `pattern` assigns to y in s*Sign(x[sigma]) + M x, or None
-    when x breaks the pattern's sign or box conditions."""
+    when x breaks the pattern's sign or box conditions. `widen` adds to each
+    box bound n*eps times the magnitude |y| + |M| |x| of its residual's terms."""
     x = np.zeros(y.size)
     if pattern.factorization is not None:
         x[pattern.cols] = linalg.lu_solve(pattern.factorization, y[pattern.rows] - pattern.shift)
@@ -399,7 +408,10 @@ def _solve_pattern(pattern: _SignPattern, y: np.ndarray) -> np.ndarray | None:
         return None
     if pattern.pinned.size:
         resid = y[pattern.pinned] - pattern.pinned_matrix @ x
-        if (np.abs(resid) > pattern.pinned_bound).any():
+        bound = pattern.pinned_bound
+        if widen:
+            bound = bound + y.size * _EPS * (np.abs(y[pattern.pinned]) + np.abs(pattern.pinned_matrix) @ np.abs(x))
+        if (np.abs(resid) > bound).any():
             return None
     return x
 

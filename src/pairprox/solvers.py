@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
+import sys
 import time
 import warnings
 from collections.abc import Callable
@@ -22,12 +22,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg, operators as ops, resolvents
-from .errors import (
-    DimensionMismatchError,
-    NonFiniteIterateError,
-    SingularMatrixError,
-    TraceDisabledError,
-)
+from .errors import DimensionMismatchError, NonFiniteIterateError, SingularMatrixError
 
 
 class TraceLevel(Enum):
@@ -126,11 +121,6 @@ class SolveResult:
     iterations: int
     trace: IterationTrace | None
 
-    def residual_norms(self) -> list[float]:
-        if self.trace is None:
-            raise TraceDisabledError("solve ran with trace_level=NONE")
-        return list(self.trace.residuals)
-
 
 class _Recorder:
     def __init__(self, cfg: SolverConfig, x0: np.ndarray, reference: np.ndarray | None):
@@ -166,6 +156,15 @@ class _Recorder:
             self.trace.iterates.append(np.array(x_next, dtype=float))
             if preimage is not None:
                 self.trace.preimages.append(np.array(preimage, dtype=float))
+
+
+def _unanchored(cfg: SolverConfig | None) -> SolverConfig:
+    """`cfg`, or the default config, for a driver that runs no anchored
+    iteration: a Halpern config is a ValueError rather than ignored."""
+    cfg = cfg or SolverConfig()
+    if cfg.halpern is not None:
+        raise ValueError("only gppa2 runs the anchored iteration that a Halpern config sets up")
+    return cfg
 
 
 def _start(x0: np.ndarray) -> np.ndarray:
@@ -230,8 +229,10 @@ def _divergence_bound(r0: float) -> float:
     # on a monotone pair the residuals of gppa and gppa1 never increase, nor
     # does the least-squares residual ||A u|| (u's step map commutes with A
     # and has norm at most 1), so a residual this far above the first one
-    # shows the pair is not monotone along the run
-    return _DIVERGENCE_FACTOR * (1.0 + r0)
+    # shows the pair is not monotone along the run. Capped at the float
+    # maximum: past r0 ~ 1.8e300 no finite residual exceeds the product, so
+    # the cap only stops a residual that overflows to inf
+    return min(_DIVERGENCE_FACTOR * (1.0 + r0), sys.float_info.max)
 
 
 def gppa(
@@ -250,7 +251,7 @@ def gppa(
     accepted. The run stops as Failed('Diverged') once the residual exceeds
     1e8 * (1 + r_0), r_0 being the first step's residual.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _unanchored(cfg)
     x = _start(x0)
     engines = functools.cache(lambda gamma: resolvents.build_engine(f, v, gamma, dim=x.size))
     v_ref = ops.evaluate_point(v, reference) if reference is not None else None
@@ -285,7 +286,7 @@ def gppa1(
     is ever attempted). `reference` is a point of v(zer F). Divergence stops
     the run as in `gppa`.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _unanchored(cfg)
     x = _start(x0)
     engines = functools.cache(lambda gamma: resolvents.build_engine(f, v, gamma, dim=x.size))
     rec = _Recorder(cfg, x, linalg.as_vector(reference) if reference is not None else None)
@@ -348,7 +349,7 @@ def dca_baseline(
     Ax = b, splitting A = (A + m I) - m I. Reports Failed('Diverged') once
     the error e_k = ||A x_k - b|| exceeds 1e8 * (1 + e_0). A or b with a
     NaN or infinite entry is a ValueError."""
-    cfg = cfg or SolverConfig()
+    cfg = _unanchored(cfg)
     a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
     b = linalg.require_finite(linalg.as_vector(b), "b")
     x = _start(x0)
@@ -365,7 +366,7 @@ def dca_baseline(
         x_next = linalg.lu_solve(fact, m * x + b)
         return x_next, linalg.norm(a @ x_next - b), x_next, None
 
-    status, reason, iterations, x = _iterate(cfg, rec, x, step, lambda _r0: _DIVERGENCE_FACTOR * (1.0 + e0))
+    status, reason, iterations, x = _iterate(cfg, rec, x, step, lambda _r0: _divergence_bound(e0))
     return SolveResult(status, reason, x, x, iterations, rec.trace)
 
 
@@ -375,48 +376,12 @@ def dca_baseline(
 TRACE_HEADER = ("iter", "residual", "step", "err_to_ref", "seconds")
 
 
-def write_trace_csv(target, trace: IterationTrace) -> None:
+def write_trace_csv(path, trace: IterationTrace) -> None:
     """Write "iter,residual,step,err_to_ref,seconds" rows (err blank if absent)."""
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-    fh = open(target, "w", newline="") if own else target
-    try:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         errs = trace.err_to_ref
         for i, (r, s, t) in enumerate(zip(trace.residuals, trace.steps, trace.seconds)):
             err = "" if errs is None else repr(errs[i])
             writer.writerow((i, repr(r), repr(s), err, repr(t)))
-    finally:
-        if own:
-            fh.close()
-
-
-def read_trace_csv(source) -> IterationTrace:
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    fh = open(source, newline="") if own else source
-    try:
-        rows = list(csv.reader(fh))
-    finally:
-        if own:
-            fh.close()
-    if not rows or tuple(rows[0]) != TRACE_HEADER:
-        raise ValueError(f"trace CSV must start with header {','.join(TRACE_HEADER)}")
-    trace = IterationTrace()
-    errs: list[float] = []
-    has_err = False
-    for row in rows[1:]:
-        trace.residuals.append(float(row[1]))
-        trace.steps.append(float(row[2]))
-        if row[3] != "":
-            has_err = True
-            errs.append(float(row[3]))
-        trace.seconds.append(float(row[4]))
-    if has_err:
-        trace.err_to_ref = errs
-    return trace
-
-
-def trace_csv_text(trace: IterationTrace) -> str:
-    buf = io.StringIO()
-    write_trace_csv(buf, trace)
-    return buf.getvalue()

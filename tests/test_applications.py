@@ -303,6 +303,18 @@ class TestLeastSquares:
             apps.least_squares_iterate(np.diag([1.0, 0.0]), np.ones(2), kappa=0.2, cfg=cfg)
 
 
+@pytest.mark.parametrize("driver", ["solve_kkt", "least_squares_iterate"])
+def test_shifted_kernel_drivers_reject_halpern_config(driver):
+    # the shifted-kernel iteration is not anchored; the config used to be
+    # ignored
+    cfg = solvers.SolverConfig(halpern=solvers.HalpernConfig(anchor=(0.0, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="gppa2"):
+        if driver == "solve_kkt":
+            apps.solve_kkt(apps.build_kkt(example_qp()), kappa=0.2, cfg=cfg)
+        else:
+            apps.least_squares_iterate(np.diag([1.0, 0.0, 2.0]), np.ones(3), kappa=0.2, cfg=cfg)
+
+
 class TestLeastSquaresStopRules:
     # every reachable stop path, pinned before the iteration loop was shared;
     # the zero-iteration start is test_zero_matrix_converges_immediately

@@ -59,23 +59,6 @@ class TestEvaluate:
         a, b = op.evaluate(x), op.evaluate(x)
         assert np.array_equal(a.lower, b.lower) and np.array_equal(a.upper, b.upper)
 
-    def test_registry_extension(self):
-        ops.register_pointwise("double", lambda t: 2.0 * t)
-        try:
-            vs = ops.Pointwise("double").evaluate(np.array([3.0]))
-            assert np.array_equal(vs.value, [6.0])
-        finally:
-            ops._POINTWISE_REGISTRY.pop("double", None)
-
-    @pytest.mark.parametrize("name", ["identity", "negation"])
-    def test_trusted_names_cannot_be_replaced(self, name):
-        # the resolvent engine reduces these names to +-I without evaluating
-        # them, so a replacement would go unseen once an engine is built
-        before = ops._POINTWISE_REGISTRY[name]
-        with pytest.raises(ValueError, match=name):
-            ops.register_pointwise(name, lambda t: 2.0 * t)
-        assert ops._POINTWISE_REGISTRY[name] is before
-
 
 # one tree per node kind, then the dispatch trees of the resolvent tests
 _KIND_TREES = [
@@ -214,22 +197,6 @@ class TestRootChecked:
             op.evaluate(np.zeros(shape))
 
 
-class TestSelect:
-    def test_box_midpoint(self):
-        vs = ops.ValueSet.box(np.array([-1.0]), np.array([1.0]))
-        assert np.array_equal(ops.select(vs, ops.Selection.MID), [0.0])
-
-    def test_box_extremes(self):
-        vs = ops.ValueSet.box(np.array([-1.0]), np.array([1.0]))
-        assert np.array_equal(ops.select(vs, ops.Selection.HIGH), [1.0])
-        assert np.array_equal(ops.select(vs, ops.Selection.LOW), [-1.0])
-
-    def test_singleton_any_strategy(self):
-        vs = ops.ValueSet.singleton(np.array([5.0]))
-        for s in ops.Selection:
-            assert np.array_equal(ops.select(vs, s), [5.0])
-
-
 @given(
     st.permutations(list(range(4))),
     st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4),
@@ -242,6 +209,23 @@ def test_permutation_is_isometry(perm, signs, xs, ys):
     x, y = np.array(xs), np.array(ys)
     px, py = p.evaluate(x).value, p.evaluate(y).value
     assert np.linalg.norm(px - py) == pytest.approx(np.linalg.norm(x - y), abs=1e-9)
+
+
+def _selected(vs, selection):
+    """The point of the value set `vs` that `selection` names."""
+    return {
+        ops.Selection.LOW: vs.lower, ops.Selection.MID: 0.5 * (vs.lower + vs.upper), ops.Selection.HIGH: vs.upper
+    }[selection]
+
+
+def _witness_inner(f, v, report):
+    """<F(x) - F(y), v(x) - v(y)> at the report's witness pair, evaluated
+    afresh with the report's selections from (F(x), F(y), v(x), v(y))."""
+    x, y = report.witness_x, report.witness_y
+    fx, fy, vx, vy = (
+        _selected(op.evaluate(p), s) for op, p, s in zip((f, f, v, v), (x, y, x, y), report.witness_selections)
+    )
+    return float((fx - fy) @ (vx - vy))
 
 
 class TestPairMonotonicity:
@@ -270,7 +254,7 @@ class TestPairMonotonicity:
         assert report.verdict is ops.Verdict.VIOLATION_FOUND
         assert report.min_inner == pytest.approx(-0.5, abs=1e-12)
         assert np.array_equal(report.witness_x, REMARK_POINT)
-        assert ops.reevaluate_witness(f, v, report) == report.min_inner
+        assert _witness_inner(f, v, report) == report.min_inner
 
     def test_remark_counterexample_default_box(self):
         f = ops.Affine(REMARK_MATRIX)
@@ -302,7 +286,7 @@ class TestPairMonotonicity:
             ops.sign_swap_operator(), ops.swap_operator(), box=(-2.0, 2.0), samples=800, seed=5,
             include=[(np.array([0.0, 1.0]), np.array([0.0, -1.0]))],
         )
-        assert ops.reevaluate_witness(ops.sign_swap_operator(), ops.swap_operator(), report) == pytest.approx(
+        assert _witness_inner(ops.sign_swap_operator(), ops.swap_operator(), report) == pytest.approx(
             report.min_inner, abs=1e-15
         )
 
@@ -322,7 +306,11 @@ def _loop_check_pair_monotone(f, v, box=None, samples=10_000, seed=0, include=()
     def candidates(vs):
         if vs.is_singleton:
             return [(ops.Selection.MID, vs.value)]
-        return [(s, ops.select(vs, s)) for s in (ops.Selection.LOW, ops.Selection.MID, ops.Selection.HIGH)]
+        return [
+            (ops.Selection.LOW, vs.lower),
+            (ops.Selection.MID, 0.5 * (vs.lower + vs.upper)),
+            (ops.Selection.HIGH, vs.upper),
+        ]
 
     count = 0
     best = {"quot": np.inf, "inner": np.inf, "quot_w": None, "inner_w": None}
@@ -401,7 +389,7 @@ class TestBatchedCheckMatchesLoop:
             expected = _loop_check_pair_monotone(f, v, box=box, samples=samples, seed=seed, include=pairs)
             assert _report_fields(report) == _report_fields(expected)
             if report.verdict is ops.Verdict.VIOLATION_FOUND:
-                assert ops.reevaluate_witness(f, v, report) == report.min_inner
+                assert _witness_inner(f, v, report) == report.min_inner
 
     def test_default_chunk_boundary(self):
         f, v = ops.trig_block_operator(), ops.swap_operator()
@@ -424,18 +412,20 @@ class TestBatchedCheckMatchesLoop:
 
 
 class TestStrongMonotonicity:
+    # the smallest quotient <F(x)-F(y), v(x)-v(y)> / ||x-y||^2 over the
+    # sampled pairs estimates the pair's strong-monotonicity modulus
     def test_double_identity_modulus_two(self):
-        alpha = ops.check_pair_strongly_monotone(
+        alpha = ops.check_pair_monotone(
             ops.Scale(2.0, ops.Pointwise("identity")), ops.identity_operator(2),
             box=(-10.0, 10.0), samples=500, seed=1,
-        )
+        ).min_quotient
         assert alpha == pytest.approx(2.0, abs=1e-9)
 
     def test_rank_deficient_modulus_zero_on_kernel(self):
-        alpha = ops.check_pair_strongly_monotone(
+        alpha = ops.check_pair_monotone(
             ops.Affine(np.diag([1.0, 0.0])), ops.identity_operator(2),
             samples=500, seed=1, include=[(np.array([0.0, 1.0]), np.zeros(2))],
-        )
+        ).min_quotient
         assert alpha == 0.0
 
     def test_shifted_kernel_pair_moduli(self):
@@ -447,15 +437,15 @@ class TestStrongMonotonicity:
         assert oracle_range == pytest.approx(0.05)
         f = ops.Affine(a, -np.array([0.3, 0.0, 0.0]))
         v = ops.Affine(a + 0.4 * np.eye(3))
-        full = ops.check_pair_strongly_monotone(
+        full = ops.check_pair_monotone(
             f, v, samples=500, seed=1, include=[(np.array([0.0, 1.0, 0.0]), np.zeros(3))]
-        )
+        ).min_quotient
         assert full == 0.0
         range_box = (np.array([-10.0, 0.0, -10.0]), np.array([10.0, 0.0, 10.0]))
-        restricted = ops.check_pair_strongly_monotone(
+        restricted = ops.check_pair_monotone(
             f, v, box=range_box, samples=500, seed=1,
             include=[(np.array([0.0, 0.0, 1.0]), np.zeros(3))],
-        )
+        ).min_quotient
         assert restricted == pytest.approx(oracle_range, abs=1e-12)
         assert restricted >= oracle_range - 1e-12
 

@@ -1,5 +1,6 @@
+import csv
 import dataclasses
-import io
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from pairprox import applications as apps
 from pairprox import operators as ops
 from pairprox import resolvents, solvers
-from pairprox.errors import NonFiniteIterateError, TraceDisabledError
+from pairprox.errors import NonFiniteIterateError
 from pairprox.rng import SplitMix64
 
 FULL = solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL)
@@ -128,6 +129,20 @@ class TestGppa1:
             if a < 1e-12:
                 break
             assert b <= (7.0 / 12.0) * a + 1e-12
+
+
+class TestHalpernConfigOnlyForGppa2:
+    @pytest.mark.parametrize("driver", ["gppa", "gppa1", "dca_baseline"])
+    def test_plain_driver_rejects_halpern_config(self, driver):
+        # these drivers run no anchored iteration; they used to ignore the
+        # config and run their plain steps
+        cfg = solvers.SolverConfig(halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)))
+        if driver == "dca_baseline":
+            run = lambda: solvers.dca_baseline(np.diag([1.0, 2.0]), np.ones(2), 1.0, np.zeros(2), cfg)
+        else:
+            run = lambda: getattr(solvers, driver)(ops.sign_swap_operator(), ops.swap_operator(), np.array([3.0, 1.0]), cfg)
+        with pytest.raises(ValueError, match="gppa2"):
+            run()
 
 
 class TestGppa2:
@@ -341,17 +356,16 @@ class TestResidualAccess:
     def test_trace_disabled(self):
         f, v = qp_pair()
         res = solvers.gppa(f, v, np.zeros(2), solvers.SolverConfig(trace_level=solvers.TraceLevel.NONE))
-        with pytest.raises(TraceDisabledError):
-            res.residual_norms()
+        assert res.trace is None
 
     def test_constant_sequence_all_zero_residuals(self):
         res = solvers.gppa(ops.sign_swap_operator(), ops.swap_operator(), np.zeros(2), FULL)
-        assert res.residual_norms() == [0.0]
+        assert res.trace.residuals == [0.0]
 
     def test_qp_residual_geometric_decay(self):
         f, v = qp_pair()
         res = solvers.gppa(f, v, np.zeros(2), FULL)
-        residuals = res.residual_norms()
+        residuals = res.trace.residuals
         for r0, r1 in zip(residuals, residuals[1:]):
             if r0 < 1e-12:
                 break
@@ -359,7 +373,7 @@ class TestResidualAccess:
 
     def test_sign_run_residuals_nonincreasing(self):
         res = solvers.gppa(ops.sign_swap_operator(), ops.swap_operator(), np.array([5.0, -3.0]), FULL)
-        residuals = res.residual_norms()
+        residuals = res.trace.residuals
         assert all(b <= a + 1e-10 for a, b in zip(residuals, residuals[1:]))
 
 
@@ -496,6 +510,34 @@ class TestStopRules:
         assert len(res.trace.residuals) == 28
         assert res.trace.residuals[-1] > 1e8
 
+    def test_divergence_bound_is_capped_at_the_float_maximum(self):
+        # 1e8 * (1 + r0) overflows once r0 passes about 1.8e300
+        assert solvers._divergence_bound(4.067e300) == sys.float_info.max
+        assert solvers._divergence_bound(1e300) == 1e8 * (1.0 + 1e300)
+
+    def test_residual_overflowing_to_inf_stops_as_diverged(self):
+        # F = -5x, v = 3x: each image is -1.5 times the last, so from
+        # v(x0) = 3e300 the residual |w - image| = 2.5|w| overflows at step
+        # 43 while the step's point and image stay finite; the uncapped bound
+        # was inf, and the run went on to return an infinite image
+        f, v = ops.Affine(np.array([[-5.0]])), ops.Affine(np.array([[3.0]]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = solvers.gppa(f, v, np.array([1e300]), solvers.SolverConfig(max_iters=1000))
+        assert (res.status.value, res.reason, res.iterations) == ("Failed", "Diverged", 43)
+        assert res.trace.residuals[-1] == np.inf and np.isfinite(res.trace.residuals[-2])
+        assert np.all(np.isfinite(res.preimage)) and np.all(np.isfinite(res.image))
+
+    def test_dca_uses_the_shared_bound(self, monkeypatch):
+        seen = []
+        bound = solvers._divergence_bound
+        monkeypatch.setattr(solvers, "_divergence_bound", lambda r0: seen.append(r0) or bound(r0))
+        res = solvers.dca_baseline(
+            np.diag([1.0, -1.0]), np.zeros(2), m=2.0, x0=np.ones(2), cfg=solvers.SolverConfig(max_iters=10_000)
+        )
+        assert res.reason == "Diverged"
+        # called with e_0 = ||A x0 - b||, not the first step's residual
+        assert seen == [pytest.approx(np.sqrt(2.0))]
+
     def test_dca_non_finite_divergence(self):
         # from 1e300 the iterate overflows at step 28 while e_k is still
         # below the cap; the non-finite step counts neither as an iteration
@@ -541,33 +583,49 @@ class TestConfig:
         assert h.alpha(5) == 0.25
 
 
+TRACE_HEADER = ["iter", "residual", "step", "err_to_ref", "seconds"]
+
+
+def _csv_columns(path):
+    """The header and the columns of a CSV file, read as text."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, list(zip(*rows))
+
+
+def _floats(column):
+    return np.array([float(c) for c in column]).tobytes()
+
+
 class TestTraceCsv:
-    def test_round_trip_exact(self):
+    def test_round_trip_exact(self, tmp_path):
         f, v = qp_pair()
         res = solvers.gppa(f, v, np.zeros(2), FULL, reference=np.array([1.0, 0.0]))
-        text = solvers.trace_csv_text(res.trace)
-        assert text.splitlines()[0] == "iter,residual,step,err_to_ref,seconds"
-        back = solvers.read_trace_csv(io.StringIO(text))
-        assert back.residuals == res.trace.residuals
-        assert back.steps == res.trace.steps
-        assert back.err_to_ref == res.trace.err_to_ref
-        assert back.seconds == res.trace.seconds
+        path = tmp_path / "trace.csv"
+        solvers.write_trace_csv(path, res.trace)
+        header, (iters, *floats) = _csv_columns(path)
+        assert header == TRACE_HEADER
+        t = res.trace
+        assert [int(i) for i in iters] == list(range(res.iterations))
+        for column, values in zip(floats, (t.residuals, t.steps, t.err_to_ref, t.seconds)):
+            assert _floats(column) == np.array(values).tobytes()
 
-    def test_round_trip_without_reference(self):
-        f, v = qp_pair()
-        res = solvers.gppa(f, v, np.zeros(2), FULL)
-        back = solvers.read_trace_csv(io.StringIO(solvers.trace_csv_text(res.trace)))
-        assert back.err_to_ref is None
-        assert back.residuals == res.trace.residuals
-
-    def test_file_round_trip(self, tmp_path):
+    def test_round_trip_without_reference(self, tmp_path):
         f, v = qp_pair()
         res = solvers.gppa(f, v, np.zeros(2), FULL)
         path = tmp_path / "trace.csv"
         solvers.write_trace_csv(path, res.trace)
-        back = solvers.read_trace_csv(path)
-        assert back.residuals == res.trace.residuals
+        header, (_, residuals, _, errs, _) = _csv_columns(path)
+        assert header == TRACE_HEADER
+        assert set(errs) == {""}
+        assert _floats(residuals) == np.array(res.trace.residuals).tobytes()
 
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError, match="header"):
-            solvers.read_trace_csv(io.StringIO("a,b\n1,2\n"))
+    def test_file_round_trip(self, tmp_path):
+        # a path given as a string, as the CLI passes it
+        f, v = qp_pair()
+        res = solvers.gppa(f, v, np.zeros(2), FULL)
+        path = str(tmp_path / "trace.csv")
+        solvers.write_trace_csv(path, res.trace)
+        _, (_, residuals, steps, _, _) = _csv_columns(path)
+        assert _floats(residuals) == np.array(res.trace.residuals).tobytes()
+        assert _floats(steps) == np.array(res.trace.steps).tobytes()
