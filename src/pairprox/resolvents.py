@@ -8,9 +8,11 @@ sign patterns whose subsystems are factored when the engine is built.
 Anything else is Unsupported: no generic inner root-finder is attempted.
 
 The pattern search tries the table in a fixed (+, -, 0) order and returns
-the first consistent pattern. Where the build certifies that the preimage is
-unique, a caller may name a pattern to try first, such as the one its
-previous step accepted; the result is the same point.
+the first pattern whose x solves the inclusion for an input within the
+roundoff n*eps*(|y| + |M||x| + s) of y in the max norm; no other tolerance
+applies. Where the build certifies that the preimage is unique, a caller
+may name a pattern to try first, such as the one its previous step
+accepted; the result is the same point.
 
 The build checks each structural reduction against the tree it came from:
 the normal forms of F and v must agree with their `evaluate` at three fixed
@@ -38,8 +40,6 @@ from .errors import (
 )
 from .rng import SplitMix64
 
-MEMBERSHIP_TOL = 1e-9
-_SIGN_CONSISTENCY_TOL = 1e-12
 _EPS = np.finfo(float).eps
 _PATTERN_DIM_LIMIT = 8
 # the smallest eigenvalue of sym(B) must exceed this fraction of the largest
@@ -212,18 +212,24 @@ class _AffineStrategy:
 class _SignPattern:
     """One sign pattern p on the signed rows. A row with p = 0 pins its
     variable to zero and leaves the equations for a box condition; the kept
-    rows and the free variables are then the same index set."""
+    rows and the free variables are then the same index set. The pattern
+    takes y when its x has the signs p and leaves each pinned row's residual
+    in [-s, s], both up to the roundoff that `_solve_pattern` bounds."""
 
     shift: np.ndarray  # (s * p)[rows]
+    # per variable, +1 if its sign must be >= 0, -1 if <= 0, else 0: the
+    # sign conditions then hold when min(signs * x) >= 0
+    signs: np.ndarray
+    # the next six are shared by the patterns that pin the same rows, the last three by the table
     rows: np.ndarray  # kept equation rows, ascending
     cols: np.ndarray  # their variables sigma[rows]
     factorization: linalg.LUFactorization | None  # of M[rows, cols]; None if no row is kept
-    # per variable, +1 if its sign must be >= 0, -1 if <= 0, else 0: the
-    # sign conditions are then one test of signs * x against the tolerance
-    signs: np.ndarray
     pinned: np.ndarray  # rows whose variable is pinned to zero
     pinned_matrix: np.ndarray  # M[pinned]
-    pinned_bound: np.ndarray  # s[pinned] + MEMBERSHIP_TOL, the box half-widths
+    pinned_scales: np.ndarray  # s[pinned], the box half-widths
+    column_total: float  # sum_j max_i |M_ij|: zeroing entries |x_j| <= t moves M x by <= t * this
+    matrix_norm: float  # the max norms of M and s
+    scale_max: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,30 +335,26 @@ def _assemble_sign_strategy(
 
 def _pattern_table(scales, sigma, matrix, full) -> tuple[_SignPattern, ...]:
     """Every sign pattern on the signed rows, in (+, -, 0) order, whose kept
-    subsystem is nonsingular. Patterns that pin the same rows share one
-    factorization; `full`, that of matrix[:, sigma], serves every pattern
-    that pins none."""
+    subsystem is nonsingular. Patterns that pin the same rows share their
+    kept rows, factorization and pinned rows of M; `full`, the factorization
+    of matrix[:, sigma], serves every pattern that pins none."""
     signed = np.flatnonzero(scales > 0.0)
-    factors = {(): full}
+    magnitude = np.abs(matrix)
+    norms = (float(magnitude.max(axis=0).sum()), float(magnitude.sum(axis=1).max()), float(scales.max()))
+    shared = {}
+    for zeros in itertools.product((False, True), repeat=signed.size):
+        pinned = signed[np.array(zeros, dtype=bool)]
+        rows = np.delete(np.arange(scales.size), pinned)
+        fact = full if not pinned.size else linalg.lu_factorize(matrix[np.ix_(rows, sigma[rows])]) if rows.size else None
+        if fact is None or not fact.singular:
+            shared[zeros] = (rows, sigma[rows], fact, pinned, matrix[pinned], scales[pinned])
     table = []
     for pattern in itertools.product((1.0, -1.0, 0.0), repeat=signed.size):
-        p = np.zeros(scales.size)
-        p[signed] = pattern
-        pinned = signed[p[signed] == 0.0]
-        rows = np.setdiff1d(np.arange(scales.size), pinned)
-        key = tuple(pinned.tolist())
-        if key not in factors:
-            factors[key] = linalg.lu_factorize(matrix[np.ix_(rows, sigma[rows])]) if rows.size else None
-        fact = factors[key]
-        if fact is None or not fact.singular:
+        group = shared.get(tuple(p == 0.0 for p in pattern))
+        if group is not None:
             signs = np.zeros(scales.size)
-            signs[sigma] = p
-            table.append(
-                _SignPattern(
-                    (scales * p)[rows], rows, sigma[rows], fact, signs,
-                    pinned, matrix[pinned], scales[pinned] + MEMBERSHIP_TOL,
-                )
-            )
+            signs[sigma[signed]] = pattern
+            table.append(_SignPattern((scales * signs[sigma])[group[0]], signs, *group, *norms))
     return tuple(table)
 
 
@@ -387,33 +389,30 @@ def _invert_sign(strategy: _SignStrategy, w: np.ndarray, start: int | None = Non
         x = _solve_pattern(strategy.patterns[i], y)
         if x is not None:
             return x, i
-    # at a kink a pinned row's residual sits on its box bound, where the
-    # roundoff of terms far above 1 exceeds MEMBERSHIP_TOL; rescan with the
-    # bounds widened by that roundoff before reporting the input out of range
-    for i, pattern in enumerate(strategy.patterns):
-        x = _solve_pattern(pattern, y, widen=True)
-        if x is not None:
-            return x, i
     raise NotInRangeError("no sign pattern yields a consistent solution; input not in range")
 
 
-def _solve_pattern(pattern: _SignPattern, y: np.ndarray, widen: bool = False) -> np.ndarray | None:
+def _solve_pattern(pattern: _SignPattern, y: np.ndarray) -> np.ndarray | None:
     """The x that `pattern` assigns to y in s*Sign(x[sigma]) + M x, or None
-    when x breaks the pattern's sign or box conditions. `widen` adds to each
-    box bound n*eps times the magnitude |y| + |M| |x| of its residual's terms."""
+    unless x solves that inclusion for an input within `_roundoff` of y:
+    zeroing x's entries of the wrong sign moves M x by no more, nor does a
+    pinned row's |residual| pass s by more. Exact hits skip the bound."""
     x = np.zeros(y.size)
     if pattern.factorization is not None:
         x[pattern.cols] = linalg.lu_solve(pattern.factorization, y[pattern.rows] - pattern.shift)
-    if (pattern.signs * x < -_SIGN_CONSISTENCY_TOL).any():
+    low = (pattern.signs * x).min()
+    if low < 0.0 and -low * pattern.column_total > _roundoff(pattern, y, x):
         return None
     if pattern.pinned.size:
-        resid = y[pattern.pinned] - pattern.pinned_matrix @ x
-        bound = pattern.pinned_bound
-        if widen:
-            bound = bound + y.size * _EPS * (np.abs(y[pattern.pinned]) + np.abs(pattern.pinned_matrix) @ np.abs(x))
-        if (np.abs(resid) > bound).any():
+        passed = (np.abs(y[pattern.pinned] - pattern.pinned_matrix @ x) - pattern.pinned_scales).max()
+        if passed > 0.0 and passed > _roundoff(pattern, y, x):
             return None
     return x
+
+
+def _roundoff(pattern: _SignPattern, y: np.ndarray, x: np.ndarray) -> float:
+    """n*eps*(|y| + |M||x| + s) in max norms: the roundoff of any row's terms."""
+    return y.size * _EPS * (max(map(abs, y.tolist())) + pattern.matrix_norm * max(map(abs, x.tolist())) + pattern.scale_max)
 
 
 # ---------------------------------------------------------------------------

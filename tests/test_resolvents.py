@@ -14,6 +14,7 @@ from pairprox import operators as ops
 from pairprox import linalg, resolvents, solvers
 from pairprox.errors import (
     DimensionMismatchError,
+    NonFiniteIterateError,
     NonPositiveSlopeError,
     NotInRangeError,
     ReductionMismatchError,
@@ -462,6 +463,30 @@ class TestTransformed:
             resolvents._invert_sign(strategy, np.array([5.0, 0.0]))
 
 
+class TestNonFiniteInput:
+    # the input check is the only guard on the diagonal branch, whose
+    # soft-threshold maps NaN to 0
+    ENGINES = {
+        "affine": lambda: qp_engine()[0],
+        "diagonal": lambda: resolvents.build_engine(
+            ops.SignBlock(1.0, (0, 1)), ops.Scale(2.0, ops.Pointwise("identity")), 1.0, dim=2
+        ),
+        "table": lambda: sign_engine()[0],
+    }
+
+    @pytest.mark.parametrize("evaluate", [resolvents.transformed, resolvents.warped], ids=["transformed", "warped"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ENGINES)
+    def test_nan_and_inf_input_is_rejected(self, kind, bad, evaluate):
+        engine = self.ENGINES[kind]()
+        affine = engine.kind is resolvents.StrategyKind.AFFINE_AFFINE
+        assert kind == ("affine" if affine else "diagonal" if engine._strategy.diagonal is not None else "table")
+        # warped first maps the input through v, and an affine v turns inf
+        # into NaN with an invalid-value warning, which the CLI ignores
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIterateError):
+            evaluate(engine, np.array([1.0, bad]))
+
+
 def _consistent_solutions(strategy, w):
     """The x of every table pattern that passes its sign and box checks."""
     y = w - strategy.offset
@@ -657,6 +682,46 @@ class TestPatternTable:
                 expected[1 - i] = resolvents.scalar_sign_affine_inverse(0.5 * gamma, slopes[i], offset[i], w[i])
             assert resolvents.transformed(engine, w).preimage.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_table_equals_the_pattern_by_pattern_build(self, n):
+        # the reference factors each pattern's subsystem on its own; the
+        # table shares one per set of pinned rows and must equal it bitwise.
+        # Row 0 of the second matrix leaves some subsystems singular
+        rng = SplitMix64(40 + n)
+        generic = rng.normal(n * n).reshape(n, n)
+        for matrix in (generic, np.vstack((np.eye(n)[:1], generic[1:]))):
+            scales = np.where(rng.uniform(n) < 0.8, rng.uniform(n, 0.1, 2.0), 0.0)
+            sigma = np.argsort(rng.uniform(n))
+            table = resolvents._pattern_table(scales, sigma, matrix, linalg.lu_factorize(matrix[:, sigma]))
+            reference = _pattern_by_pattern(scales, sigma, matrix)
+            assert len(table) == len(reference)
+            for pattern, expected in zip(table, reference):
+                fields = ("shift", "signs", "rows", "cols", "pinned", "pinned_matrix", "pinned_scales")
+                arrays = [getattr(pattern, name) for name in fields]
+                assert [(a.dtype, a.shape, a.tobytes()) for a in arrays] == [(a.dtype, a.shape, a.tobytes()) for a in expected[:-1]]
+                fact, ref = pattern.factorization, expected[-1]
+                assert (fact is None) == (ref is None)
+                if ref is not None:
+                    assert fact.perm.tobytes() == ref.perm.tobytes() and fact.packed.tobytes() == ref.packed.tobytes()
+
+
+def _pattern_by_pattern(scales, sigma, matrix):
+    """Each nonsingular sign pattern's arrays in (+, -, 0) order, every
+    subsystem factored on its own."""
+    signed = np.flatnonzero(scales > 0.0)
+    found = []
+    for pattern in itertools.product((1.0, -1.0, 0.0), repeat=signed.size):
+        p = np.zeros(scales.size)
+        p[signed] = pattern
+        pinned = signed[p[signed] == 0.0]
+        rows = np.setdiff1d(np.arange(scales.size), pinned)
+        fact = linalg.lu_factorize(matrix[np.ix_(rows, sigma[rows])]) if rows.size else None
+        if fact is None or not fact.singular:
+            signs = np.zeros(scales.size)
+            signs[sigma] = p
+            found.append(((scales * p)[rows], signs, rows, sigma[rows], pinned, matrix[pinned], scales[pinned], fact))
+    return found
+
 
 def _sample_points(n, count, seed, low=-8.0, high=8.0):
     rng = SplitMix64(seed)
@@ -836,12 +901,36 @@ class SignAffinePair:
         data = np.linalg.norm(x) + np.linalg.norm(self.d) + self.s * np.sqrt(n)
         return n * EPS * np.linalg.norm(np.linalg.inv(m), 2) * (data + np.linalg.norm(m, 2) * np.linalg.norm(z))
 
+    def planted_unit(self, w, z):
+        """The roundoff of T(w) at a preimage z with zero coordinates. A
+        pattern's x solves the inclusion for some w' within n * eps *
+        (|w| + |d| + |M| |z| + s) of w, a bound that also covers building w
+        as s * sel + M z + d. The map u -> s*Sign(u) + M[:, sigma] u is
+        mu-strongly monotone in u = x[sigma] = v(x), mu being the least
+        eigenvalue of sym(M[:, sigma]), so v of the preimage moves by at most
+        |w' - w| / mu. `unit`'s |M^-1| bounds only a solve with all of M; a
+        pattern's kept subsystem can be far worse conditioned."""
+        n = self.matrix.shape[0]
+        permuted = self.matrix[:, list(self.v.perm)]
+        mu = np.linalg.eigvalsh(0.5 * (permuted + permuted.T))[0]
+        terms = np.abs(w) + np.abs(self.d) + np.abs(self.matrix) @ np.abs(z) + self.s
+        return n * EPS * np.linalg.norm(terms) / mu
 
-# n <= 8 is the sign-pattern table's limit. Full-rank draws are certified
-# (sym(M[:, sigma]) is definite), so gppa and gppa1 warm-start the pattern
-# search. At scale 1e12 the Sign scales dwarf _solve_pattern's absolute
-# tolerances on the box, and the preimages come near the one on the signs;
-# at scale 1e-6 the box tolerance is 1e-3 of the Sign scale
+    def planted_input(self, zero, selection):
+        """x_star with the coordinates `zero` set to 0, and the input w =
+        s * sel + M z + d that takes it, sel being `selection` on the rows
+        that read a zeroed variable and the sign of z elsewhere."""
+        z = np.where(zero, 0.0, self.x_star)
+        picked = z[list(self.v.perm)]
+        return z, self.s * np.where(picked == 0.0, selection, np.sign(picked)) + self.matrix @ z + self.d
+
+
+# n <= 8 is the sign-pattern table's limit. sym(M[:, sigma]) = I + scale *
+# sym(S) is definite, and the build certifies it except at scale 1e12 with
+# rank < n; certified engines let gppa and gppa1 warm-start the pattern
+# search. At scales 1e12 and 1e-6 the data are far from 1, so any absolute
+# tolerance in _solve_pattern would be too tight at one and too loose at the
+# other; its roundoff bound scales with the data instead
 SIGN_AFFINE = st.integers(1, 8).flatmap(
     lambda n: st.builds(
         SignAffinePair,
@@ -898,11 +987,45 @@ class TestSignAffineProperties:
         assert len(residuals) == res.iterations >= 1
         assert all(later <= earlier + slack for earlier, later in zip(residuals, residuals[1:]))
 
+    @given(SIGN_AFFINE)
+    @settings(max_examples=15, deadline=None)
+    def test_planted_preimages_with_zero_coordinates(self, pair):
+        # the Sign selections of the zero coordinates sit on the box edge or
+        # 1e-13 to 1e-1 inside it; a certified engine has z as the only
+        # preimage of w, so T(w) = v(z), and w is in range
+        engine = _supported(pair).engine
+        assume(engine.unique_preimage)
+        n, rng = engine.dim, pair.points
+        for _ in range(8):
+            zero = rng.uniform(n) < 0.5
+            zero[int(rng.uniform(1, 0.0, n)[0])] = True
+            depth = np.floor(rng.uniform(n, 0.0, 14.0))
+            z, w = pair.planted_input(zero, rng.sign(n) * (1.0 - np.where(depth > 0.0, 10.0**-depth, 0.0)))
+            image = resolvents.transformed(engine, w).image
+            assert np.linalg.norm(image - ops.evaluate_point(pair.v, z)) <= 10.0 * pair.planted_unit(w, z)
+
+    def test_wrong_sign_by_roundoff_at_scale_1e12(self):
+        # a draw of the property above: z has zeros at variables 2 and 4, and
+        # the row reading variable 2 selects the box edge +1. The pattern
+        # that pins both has a numerically singular subsystem, so the table
+        # lacks it; the one that pins x4 and takes Sign(x2) = +1 gives
+        # x2 = -1e-16, a wrong sign that setting x2 to zero undoes within
+        # roundoff. Exact sign tests raised NotInRangeError here
+        pair = SignAffinePair([4, 0, 1, 3, 2], 0, True, 1e12, 3445961160)
+        zero = np.array([False, False, True, False, True])
+        z, w = pair.planted_input(zero, np.array([0.999, 0.0, 0.0, 0.0, 1.0]))
+        out = resolvents.transformed(pair.engine, w)
+        assert list(pair.engine._strategy.patterns[out.pattern].signs) == [-1.0, -1.0, 1.0, -1.0, 0.0]
+        assert out.preimage[2] < 0.0
+        assert np.linalg.norm(out.image - ops.evaluate_point(pair.v, z)) <= 10.0 * pair.planted_unit(w, z)
+
     def test_pinned_row_on_its_box_bound_at_scale_1e12(self):
         # a draw of the properties above: at step 9 the iteration reaches a
-        # kink, where the pinned pattern's residual passes its box bound by
-        # 2.4e-4 of roundoff, far above MEMBERSHIP_TOL, and the signed
-        # patterns miss the sign by 4.8e-5; this raised NotInRangeError
+        # kink, where the pinned pattern's residual passes its half-width s
+        # by 2.4e-4 of roundoff, more than an absolute box slack of 1e-9
+        # allows but within n*eps*(|y| + |M||x| + s), and the signed
+        # patterns miss the sign by 4.8e-5; an absolute slack raised
+        # NotInRangeError here
         pair = SignAffinePair([0, 1, 2], 1, False, 1e12, 14666)
         x0 = pair.points.uniform(3, -8.0, 8.0)
         res = solvers.gppa(pair.f, pair.v, x0, solvers.SolverConfig(max_iters=50, tol_residual=0.0))

@@ -1,6 +1,7 @@
-"""Every module-level function and class of pairprox must be named by the
-library, the benchmark or the scripts, outside its own definition, so that
-code which only tests call does not build up again."""
+"""Every module-level function, class and constant of pairprox must be named
+by the library, the benchmark or the scripts, outside its own definition, so
+that code which only tests call, and constants that nothing reads, do not
+build up again."""
 import ast
 import pathlib
 import re
@@ -42,6 +43,18 @@ def _words(nodes, docstrings):
     return found
 
 
+def _defined(node):
+    """The names a module-level statement defines: a function or class, or
+    the targets of an assignment other than dunders, which Python reads."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+    return []
+
+
 def _unnamed():
     trees = {path: ast.parse(path.read_text()) for path in USERS}
     docstrings = {id(c) for tree in trees.values() for c in _docstrings(tree)}
@@ -50,12 +63,13 @@ def _unnamed():
     for path in sorted(PACKAGE.glob("*.py")):
         body = trees[path].body
         for node in body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = _defined(node)
+            if not names:
                 continue
             rest = _words([n for n in body if n is not node], docstrings)
-            if node.name in rest or any(node.name in words for p, words in elsewhere.items() if p != path):
-                continue
-            unnamed.append(f"{path.stem}.{node.name}")
+            for name in names:
+                if name not in rest and not any(name in words for p, words in elsewhere.items() if p != path):
+                    unnamed.append(f"{path.stem}.{name}")
     return unnamed
 
 
