@@ -259,7 +259,7 @@ def least_squares_iterate(
             out = resolvents.transformed(engine, w)
             u = w - out.image
             w = out.image
-            return out.preimage, measure(u), u, None
+            return out.preimage, measure(u), u
 
         status, reason, iters, x = solvers._iterate(cfg, rec, x, step, solvers._divergence_bound)
 

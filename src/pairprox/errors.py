@@ -25,10 +25,6 @@ class UnknownRegistryKeyError(PairproxError):
     """A pointwise map name is not registered."""
 
 
-class NonPositiveSlopeError(PairproxError):
-    """The scalar sign-plus-line inverse requires a positive slope."""
-
-
 class UnsupportedStructureError(PairproxError):
     """No closed-form resolvent is available for this operator pair."""
 

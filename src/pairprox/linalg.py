@@ -81,10 +81,10 @@ def max_asymmetry(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.T))) if a.size else 0.0
 
 
-def require_symmetric(a: np.ndarray, rtol: float = _SYMMETRY_RTOL) -> np.ndarray:
+def require_symmetric(a: np.ndarray) -> np.ndarray:
     a = as_matrix(a)
     scale = 1.0 + (float(np.max(np.abs(a))) if a.size else 0.0)
-    if max_asymmetry(a) > rtol * scale:
+    if max_asymmetry(a) > _SYMMETRY_RTOL * scale:
         raise NotSymmetricError(f"asymmetry {max_asymmetry(a):.3e} exceeds tolerance")
     return a
 

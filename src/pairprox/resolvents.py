@@ -32,7 +32,6 @@ from . import linalg, operators as ops
 from .errors import (
     DimensionMismatchError,
     NonFiniteIterateError,
-    NonPositiveSlopeError,
     NotInRangeError,
     ReductionMismatchError,
     SingularMatrixError,
@@ -49,19 +48,6 @@ _CERTIFICATE_RTOL = 1e-10
 # magnitude |B|.|x| + |d| + s of the terms summed, row by row
 _PROBE_RTOL = 1e-9
 _PROBE_SEED = 0x9E0BE
-
-
-def scalar_sign_affine_inverse(s, c, d, y):
-    """The unique z with y in s*Sign(z) + c*z + d (requires c > 0, s >= 0).
-
-    Broadcasts over arrays, elementwise; scalar arguments give a scalar.
-    """
-    if np.any(c <= 0.0):
-        raise NonPositiveSlopeError(f"slope must be positive, got {c}")
-    if np.any(s < 0.0):
-        raise ValueError(f"sign scale must be nonnegative, got {s}")
-    r = y - d
-    return (np.where(r > s, r - s, np.where(r < -s, r + s, 0.0)) / c)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +362,11 @@ def _invert_sign(strategy: _SignStrategy, w: np.ndarray, start: int | None = Non
     pattern `start` first, when it names one; elsewhere `start` is ignored."""
     y = w - strategy.offset
     if strategy.diagonal is not None:
+        # soft-threshold: row i gives the unique t = x[sigma[i]] with
+        # y_i in s_i*Sign(t) + c_i*t, c_i > 0
+        s = strategy.scales
         x = np.zeros_like(y)
-        x[strategy.sigma] = scalar_sign_affine_inverse(strategy.scales, strategy.diagonal, 0.0, y)
+        x[strategy.sigma] = np.where(y > s, y - s, np.where(y < -s, y + s, 0.0)) / strategy.diagonal
         return x, None
     order = range(len(strategy.patterns))
     if strategy.unique_preimage and start is not None and 0 <= start < len(order):
@@ -458,6 +447,8 @@ def warped(engine: ResolventEngine, x: np.ndarray) -> ResolventOutput:
     x = linalg.as_vector(x)
     if x.size != engine.dim:
         raise DimensionMismatchError(f"engine dim {engine.dim}, input dim {x.size}")
+    if not np.isfinite(x).all():
+        raise NonFiniteIterateError("resolvent input contains NaN/Inf")
     return transformed(engine, ops.evaluate_point(engine.v, x))
 
 

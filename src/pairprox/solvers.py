@@ -4,9 +4,10 @@
 All solvers record per-iteration diagnostics driven by the residual
 u_n = (v(x_n) - v(x_{n+1})) / gamma_n   (warped iteration)
 u_n = (x_n - x_{n+1}) / gamma_n         (transformed / anchored iterations)
-and stop on residual norm, step norm, divergence, or the iteration cap. A
-hard iteration cap is mandatory: the target inclusion can be solution-free
-even under strong monotonicity, so non-termination is a real failure mode.
+and stop on residual norm, divergence, a step of norm zero, or the
+iteration cap. A hard iteration cap is mandatory: the target inclusion can
+be solution-free even under strong monotonicity, so non-termination is a
+real failure mode.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import csv
 import functools
 import sys
 import time
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,27 +39,16 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class HalpernConfig:
-    """Anchored-averaging parameters: x_{k+1} = a_k * anchor + (1-a_k) T(x_k).
-
-    alpha_schedule None means the reciprocal schedule a_k = 1/(k+1), which
-    vanishes, has divergent sum, and has summable increments.
-    """
+    """The anchor of gppa2's iteration x_{k+1} = a_k anchor + (1-a_k) T(x_k),
+    which runs a_k = 1/(k+1): the weights vanish and have a divergent sum."""
 
     anchor: tuple[float, ...]
-    alpha_schedule: tuple[float, ...] | None = None
-
-    def alpha(self, k: int) -> float:
-        if self.alpha_schedule is None:
-            return 1.0 / (k + 1)
-        sched = self.alpha_schedule
-        return sched[k] if k < len(sched) else sched[-1]
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     gamma_schedule: float | tuple[float, ...] = 1.0
     tol_residual: float = 1e-8
-    tol_step: float = 0.0
     max_iters: int = 100_000
     halpern: HalpernConfig | None = None
     trace_level: TraceLevel = TraceLevel.NORMS
@@ -73,17 +62,6 @@ class SolverConfig:
             if not sched or any(g <= 0 for g in sched):
                 raise ValueError("gamma schedule must be nonempty and positive")
             object.__setattr__(self, "gamma_schedule", sched)
-            # finite prefixes cannot certify a divergent sum of squares; warn
-            # when the extended prefix sum looks too small to trust
-            prefix = list(sched)[: self.max_iters]
-            total = sum(g * g for g in prefix)
-            total += (self.max_iters - len(prefix)) * sched[-1] ** 2
-            if total < 1e6:
-                warnings.warn(
-                    f"sum of gamma_n^2 over {self.max_iters} iterations is {total:.3g}; "
-                    "the divergence condition may fail on this prefix",
-                    stacklevel=2,
-                )
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -96,7 +74,7 @@ class SolverConfig:
 
 @dataclass
 class IterationTrace:
-    """Per-iteration diagnostics; `iterates` / `preimages` only at FULL level.
+    """Per-iteration diagnostics; `iterates` only at FULL level.
 
     `seconds` holds cumulative wall time since the solve started. When a
     reference point is supplied, `err_to_ref` records the distance of the
@@ -109,7 +87,6 @@ class IterationTrace:
     err_to_ref: list[float] | None = None
     seconds: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] | None = None
-    preimages: list[np.ndarray] | None = None
 
 
 @dataclass
@@ -135,16 +112,8 @@ class _Recorder:
                 self.trace.err_to_ref = []
             if self.level is TraceLevel.FULL:
                 self.trace.iterates = [np.array(x0, dtype=float)]
-                self.trace.preimages = []
 
-    def record(
-        self,
-        residual: float,
-        step: float,
-        image_next: np.ndarray,
-        x_next: np.ndarray,
-        preimage: np.ndarray | None,
-    ) -> None:
+    def record(self, residual: float, step: float, image_next: np.ndarray, x_next: np.ndarray) -> None:
         if self.trace is None:
             return
         self.trace.residuals.append(residual)
@@ -154,8 +123,6 @@ class _Recorder:
             self.trace.err_to_ref.append(linalg.norm(image_next - self.reference))
         if self.level is TraceLevel.FULL:
             self.trace.iterates.append(np.array(x_next, dtype=float))
-            if preimage is not None:
-                self.trace.preimages.append(np.array(preimage, dtype=float))
 
 
 def _unanchored(cfg: SolverConfig | None) -> SolverConfig:
@@ -185,22 +152,23 @@ def _iterate(
     """The proximal-point loop every solver runs.
 
     `step(n, x)` takes iteration n from the iterate x and returns
-    (x_next, residual, image, preimage); image and preimage only feed the
-    trace. A residual of None stands for ||x - x_next|| / gamma_n, the
-    residual of the transformed iterations, so that the loop computes that
-    norm once, as the step norm. `diverge_above`, when set, maps the first
-    step's residual to the divergence bound. A step that overflows, raising
+    (x_next, residual, image); the image only feeds the trace. A residual
+    of None stands for ||x - x_next|| / gamma_n, the residual of the
+    transformed iterations, so that the loop computes that norm once, as the
+    step norm. `diverge_above`, when set, maps the first step's residual to
+    the divergence bound. A step that overflows, raising
     NonFiniteIterateError or returning a non-finite x_next, stops the loop
     as Failed('Diverged') without being counted. After a finite step is
     recorded, the first rule that holds stops the loop: residual above the
     divergence bound (Diverged), residual within tol_residual (Converged),
-    step norm within tol_step (step-stalled). Returns (status, reason,
-    iterations, last finite iterate).
+    a step of norm zero (step-stalled). In the other iterations a zero step
+    makes a zero residual, so only DCA, whose residual is ||A x - b||, stops
+    on that rule. Returns (status, reason, iterations, last finite iterate).
     """
     bound = None
     for n in range(cfg.max_iters):
         try:
-            x_next, residual, image, preimage = step(n, x)
+            x_next, residual, image = step(n, x)
         except NonFiniteIterateError:
             return Status.FAILED, "Diverged", n, x
         if not np.isfinite(x_next).all():
@@ -208,7 +176,7 @@ def _iterate(
         dx = linalg.norm(x - x_next)
         if residual is None:
             residual = dx / cfg.gamma_at(n)
-        rec.record(residual, dx, image, x_next, preimage)
+        rec.record(residual, dx, image, x_next)
         x = x_next
         if diverge_above is not None:
             if bound is None:
@@ -217,7 +185,7 @@ def _iterate(
                 return Status.FAILED, "Diverged", n + 1, x
         if residual <= cfg.tol_residual:
             return Status.CONVERGED, None, n + 1, x
-        if dx <= cfg.tol_step:
+        if dx == 0.0:
             return Status.FAILED, "step-stalled", n + 1, x
     return Status.MAX_ITERS, None, cfg.max_iters, x
 
@@ -265,7 +233,7 @@ def gppa(
         out = resolvents.transformed(engines(gamma), w, pattern)
         residual = linalg.norm(w - out.image) / gamma
         w, pattern = out.image, out.pattern
-        return out.preimage, residual, w, None
+        return out.preimage, residual, w
 
     status, reason, iterations, x = _iterate(cfg, rec, x, step, _divergence_bound)
     return SolveResult(status, reason, x, w, iterations, rec.trace)
@@ -297,7 +265,7 @@ def gppa1(
         nonlocal z, pattern
         out = resolvents.transformed(engines(cfg.gamma_at(n)), x, pattern)
         z, pattern = out.preimage, out.pattern
-        return out.image, None, out.image, z
+        return out.image, None, out.image
 
     status, reason, iterations, x = _iterate(cfg, rec, x, step, _divergence_bound)
     return SolveResult(status, reason, z, x, iterations, rec.trace)
@@ -311,7 +279,8 @@ def gppa2(
     reference: np.ndarray | None = None,
 ) -> SolveResult:
     """Anchored (Halpern) iteration x_{k+1} = a_k anchor + (1-a_k) T(x_k)
-    at constant gamma; converges to a fixed point of T, slowly but strongly.
+    with a_k = 1/(k+1) at constant gamma; converges to a fixed point of T,
+    slowly but strongly.
     Its residual need not decrease, so it has no divergence bound; a step
     that overflows still ends the run as Failed('Diverged').
     """
@@ -330,9 +299,9 @@ def gppa2(
     def step(k, x):
         nonlocal out
         out = resolvents.transformed(engine, x, out.pattern)
-        alpha = cfg.halpern.alpha(k)
+        alpha = 1.0 / (k + 1)
         x_next = alpha * anchor + (1.0 - alpha) * out.image
-        return x_next, None, x_next, out.preimage
+        return x_next, None, x_next
 
     status, reason, iterations, _ = _iterate(cfg, rec, x, step)
     return SolveResult(status, reason, out.preimage, out.image, iterations, rec.trace)
@@ -364,7 +333,7 @@ def dca_baseline(
 
     def step(k, x):
         x_next = linalg.lu_solve(fact, m * x + b)
-        return x_next, linalg.norm(a @ x_next - b), x_next, None
+        return x_next, linalg.norm(a @ x_next - b), x_next
 
     status, reason, iterations, x = _iterate(cfg, rec, x, step, lambda _r0: _divergence_bound(e0))
     return SolveResult(status, reason, x, x, iterations, rec.trace)

@@ -15,7 +15,6 @@ from pairprox import linalg, resolvents, solvers
 from pairprox.errors import (
     DimensionMismatchError,
     NonFiniteIterateError,
-    NonPositiveSlopeError,
     NotInRangeError,
     ReductionMismatchError,
     SingularMatrixError,
@@ -50,23 +49,6 @@ def bisection_inverse(s, c, d, y, iters=200):
 
 
 class TestScalarSignAffineInverse:
-    def test_above_interval(self):
-        assert bisection_inverse(1.0, 2.0, 0.0, 3.0) == pytest.approx(1.0, abs=1e-12)
-        assert resolvents.scalar_sign_affine_inverse(1.0, 2.0, 0.0, 3.0) == pytest.approx(1.0)
-
-    def test_inside_interval(self):
-        assert resolvents.scalar_sign_affine_inverse(1.0, 2.0, 0.0, 0.5) == 0.0
-
-    def test_below_interval(self):
-        assert bisection_inverse(1.0, 2.0, 0.0, -5.0) == pytest.approx(-2.0, abs=1e-12)
-        assert resolvents.scalar_sign_affine_inverse(1.0, 2.0, 0.0, -5.0) == pytest.approx(-2.0)
-
-    def test_nonpositive_slope_rejected(self):
-        with pytest.raises(NonPositiveSlopeError):
-            resolvents.scalar_sign_affine_inverse(1.0, 0.0, 0.0, 1.0)
-        with pytest.raises(NonPositiveSlopeError):
-            resolvents.scalar_sign_affine_inverse(1.0, -2.0, 0.0, 1.0)
-
     @given(
         st.floats(0.0, 5.0),
         st.floats(0.1, 10.0),
@@ -75,7 +57,11 @@ class TestScalarSignAffineInverse:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_bisection_oracle(self, s, c, d, y):
-        closed = resolvents.scalar_sign_affine_inverse(s, c, d, y)
+        # the 1-D engine of s*Sign(z) + c*z + d at gamma = 1: diagonal for
+        # s > 0, affine for s = 0
+        engine = resolvents.build_engine(ops.SignBlock(s, (0,)), ops.Affine(np.array([[c]]), np.array([d])), 1.0)
+        assert s == 0.0 or engine._strategy.diagonal is not None
+        closed = resolvents.transformed(engine, np.array([y])).preimage[0]
         oracle = bisection_inverse(s, c, d, y)
         assert closed == pytest.approx(oracle, abs=1e-9)
 
@@ -481,9 +467,9 @@ class TestNonFiniteInput:
         engine = self.ENGINES[kind]()
         affine = engine.kind is resolvents.StrategyKind.AFFINE_AFFINE
         assert kind == ("affine" if affine else "diagonal" if engine._strategy.diagonal is not None else "table")
-        # warped first maps the input through v, and an affine v turns inf
-        # into NaN with an invalid-value warning, which the CLI ignores
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIterateError):
+        # warped checks its input before it maps it through v, where an
+        # affine v would turn inf into NaN with an invalid-value warning
+        with pytest.raises(NonFiniteIterateError, match="resolvent input contains NaN/Inf"):
             evaluate(engine, np.array([1.0, bad]))
 
 
@@ -676,10 +662,13 @@ class TestPatternTable:
         v = ops.Affine(np.array([[0.0, slopes[0]], [slopes[1], 0.0]]), offset)
         engine = resolvents.build_engine(f, v, gamma)
         assert np.array_equal(engine._strategy.diagonal, slopes)
+        s = 0.5 * gamma
         for w in _seeded_inputs(2, 300, seed=33):
             expected = np.zeros(2)
             for i in range(2):
-                expected[1 - i] = resolvents.scalar_sign_affine_inverse(0.5 * gamma, slopes[i], offset[i], w[i])
+                # the soft-threshold of row i, whose interval [-s, s] maps to 0
+                r = w[i] - offset[i]
+                expected[1 - i] = (r - s if r > s else r + s if r < -s else 0.0) / slopes[i]
             assert resolvents.transformed(engine, w).preimage.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

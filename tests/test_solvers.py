@@ -267,7 +267,6 @@ class TestWarmStart:
         for a, b in zip(warm, cold):
             assert (a.status, a.iterations) == (b.status, b.iterations)
             assert np.array(a.trace.iterates).tobytes() == np.array(b.trace.iterates).tobytes()
-            assert np.array(a.trace.preimages).tobytes() == np.array(b.trace.preimages).tobytes()
             assert a.preimage.tobytes() == b.preimage.tobytes() and a.image.tobytes() == b.image.tobytes()
 
 
@@ -300,8 +299,7 @@ class TestSharedDriverJobs:
             return build_engine(f, v, gamma, dim=dim)
 
         monkeypatch.setattr(resolvents, "build_engine", counted)
-        with pytest.warns(UserWarning, match="gamma_n"):
-            cfg = solvers.SolverConfig(gamma_schedule=(1.0, 2.0, 1.0, 0.5, 2.0), tol_residual=0.0, max_iters=9)
+        cfg = solvers.SolverConfig(gamma_schedule=(1.0, 2.0, 1.0, 0.5, 2.0), tol_residual=0.0, max_iters=9)
         res = getattr(solvers, solver)(*qp_pair(), np.zeros(2), cfg)
         assert res.iterations == 9
         assert built == [1.0, 2.0, 0.5]
@@ -421,20 +419,13 @@ class TestInvariants:
             assert res.status is solvers.Status.CONVERGED
             assert res.trace.residuals[-1] <= solvers.SolverConfig().tol_residual
 
-    def test_step_stall_is_not_reported_converged(self):
-        f, v = qp_pair()
-        cfg = solvers.SolverConfig(tol_residual=0.0, tol_step=1e-3, max_iters=1000, trace_level=solvers.TraceLevel.NORMS)
-        res = solvers.gppa(f, v, np.zeros(2), cfg)
-        assert res.status is solvers.Status.FAILED
-        assert res.reason == "step-stalled"
-
 
 # every reachable stop path of each solver, pinned before the iteration loop
 # was shared: (status, reason, iterations); the trace holds one row per step
 STOP_CONFIGS = {
     "converged": solvers.SolverConfig(tol_residual=1e-6, max_iters=5000),
     "max-iters": solvers.SolverConfig(tol_residual=0.0, max_iters=5),
-    "step-stalled": solvers.SolverConfig(tol_residual=0.0, tol_step=1e-3, max_iters=5000),
+    "step-stalled": solvers.SolverConfig(tol_residual=0.0, max_iters=5000),
     "non-finite": solvers.SolverConfig(tol_residual=0.0, max_iters=5000),
     "diverged": solvers.SolverConfig(tol_residual=0.0, max_iters=5000),
 }
@@ -446,15 +437,12 @@ class TestStopRules:
         [
             ("gppa", "converged", ("Converged", None, 25)),
             ("gppa", "max-iters", ("MaxIters", None, 5)),
-            ("gppa", "step-stalled", ("Failed", "step-stalled", 12)),
             ("gppa", "non-finite", ("Failed", "Diverged", 0)),
             ("gppa1", "converged", ("Converged", None, 26)),
             ("gppa1", "max-iters", ("MaxIters", None, 5)),
-            ("gppa1", "step-stalled", ("Failed", "step-stalled", 13)),
             ("gppa1", "non-finite", ("Failed", "Diverged", 0)),
             ("gppa2", "converged", ("Converged", None, 981)),
             ("gppa2", "max-iters", ("MaxIters", None, 5)),
-            ("gppa2", "step-stalled", ("Failed", "step-stalled", 32)),
             ("gppa2", "non-finite", ("Failed", "Diverged", 0)),
             ("gppa", "diverged", ("Failed", "Diverged", 23)),
             ("gppa1", "diverged", ("Failed", "Diverged", 22)),
@@ -492,13 +480,19 @@ class TestStopRules:
         [
             ("converged", ("Converged", None, 21)),
             ("max-iters", ("MaxIters", None, 5)),
-            ("step-stalled", ("Failed", "step-stalled", 11)),
+            ("step-stalled", ("Failed", "step-stalled", 43)),
         ],
     )
     def test_dca(self, path, expected):
-        res = solvers.dca_baseline(np.eye(2), np.ones(2), m=1.0, x0=np.zeros(2), cfg=STOP_CONFIGS[path])
+        # a step of norm zero stops the run only where e_k stays above the
+        # tolerance: on this system the iterate stops moving with e_k at
+        # 2.5e-16, while on I x = 1 e_k reaches 0 first
+        a = np.array([[2.0, 1.0], [1.0, 3.0]]) if path == "step-stalled" else np.eye(2)
+        res = solvers.dca_baseline(a, np.ones(2), m=1.0, x0=np.zeros(2), cfg=STOP_CONFIGS[path])
         assert (res.status.value, res.reason, res.iterations) == expected
         assert len(res.trace.residuals) == res.iterations
+        if path == "step-stalled":
+            assert res.trace.steps[-1] == 0.0 and 0.0 < res.trace.residuals[-1] < 1e-15
 
     def test_dca_error_cap_divergence(self):
         # e_k doubles per step and passes 1e8 * (1 + e_0) at step 28
@@ -555,13 +549,8 @@ class TestStopRules:
 
 
 class TestConfig:
-    def test_sequence_schedule_warns_on_small_square_sum(self):
-        with pytest.warns(UserWarning, match="gamma_n"):
-            solvers.SolverConfig(gamma_schedule=(0.5, 1.0), max_iters=100)
-
     def test_sequence_schedule_extends_with_last_value(self):
-        with pytest.warns(UserWarning):
-            cfg = solvers.SolverConfig(gamma_schedule=(0.5, 2.0), max_iters=10)
+        cfg = solvers.SolverConfig(gamma_schedule=(0.5, 2.0), max_iters=10)
         assert cfg.gamma_at(0) == 0.5
         assert cfg.gamma_at(1) == 2.0
         assert cfg.gamma_at(7) == 2.0
@@ -571,16 +560,6 @@ class TestConfig:
             solvers.SolverConfig(gamma_schedule=0.0)
         with pytest.raises(ValueError):
             solvers.SolverConfig(gamma_schedule=(1.0, -1.0), max_iters=10)
-
-    def test_reciprocal_alpha_schedule(self):
-        h = solvers.HalpernConfig(anchor=(0.0,))
-        assert h.alpha(0) == 1.0
-        assert h.alpha(4) == pytest.approx(0.2)
-
-    def test_custom_alpha_schedule(self):
-        h = solvers.HalpernConfig(anchor=(0.0,), alpha_schedule=(0.5, 0.25))
-        assert h.alpha(0) == 0.5
-        assert h.alpha(5) == 0.25
 
 
 TRACE_HEADER = ["iter", "residual", "step", "err_to_ref", "seconds"]

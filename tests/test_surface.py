@@ -1,7 +1,8 @@
 """Every module-level function, class and constant of pairprox must be named
-by the library, the benchmark or the scripts, outside its own definition, so
-that code which only tests call, and constants that nothing reads, do not
-build up again."""
+by the library, the benchmark or the scripts, outside its own definition,
+and every defaulted parameter or frozen-dataclass field must be set by one
+of their calls, so that code which only tests call, constants that nothing
+reads and options that nothing sets do not build up again."""
 import ast
 import pathlib
 import re
@@ -79,4 +80,88 @@ def test_every_definition_has_a_caller_outside_tests():
     assert sorted(name.split(".")[1] for name in unnamed) == sorted(ALLOWED), (
         f"defined but named nowhere in src/, perfbench/ or scripts/: {unnamed}; "
         "delete each, or list it in ALLOWED with a reason"
+    )
+
+
+# options kept although no call above sets them, each with its reason
+ALLOWED_OPTIONS = {
+    "linalg.lu_factorize.block": "the tests cover several LU blocks at small n",
+    "solvers.SolverConfig.gamma_schedule": "the paper's step sizes gamma_n",
+    "applications.least_squares_iterate.x0": "the iteration's start point",
+    "applications.generate_inconsistent_system.spectrum": "the function is in ALLOWED, so nothing calls it",
+    "applications.generate_inconsistent_system.zero_fraction": "the function is in ALLOWED, so nothing calls it",
+    "linalg._json_field.default": "passed through the functools.partial alias `get`",
+}
+
+
+def _is_frozen_dataclass(node):
+    for deco in node.decorator_list:
+        if isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "dataclass":
+            if any(k.arg == "frozen" and getattr(k.value, "value", False) is True for k in deco.keywords):
+                return True
+    return False
+
+
+def _options(module, node, owner=None):
+    """(label, callee, position, name) of each defaulted parameter of a
+    function or method, or defaulted field of a frozen dataclass; position
+    is its index among a call's positional arguments, None when only a
+    keyword can pass it."""
+    if isinstance(node, ast.FunctionDef):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        # a method's call passes the instance implicitly, and __init__ is
+        # called by its class's name
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        skip = 1 if owner is not None and not static else 0
+        callee = owner if node.name == "__init__" else node.name
+        label = ".".join(filter(None, (module, owner, node.name)))
+        for i, arg in enumerate(positional[first:], first):
+            yield f"{label}.{arg.arg}", callee, i - skip, arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{label}.{arg.arg}", callee, None, arg.arg
+    elif isinstance(node, ast.ClassDef):
+        if _is_frozen_dataclass(node):
+            fields = [s for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            for i, item in enumerate(fields):
+                if item.value is not None:
+                    yield f"{module}.{node.name}.{item.target.id}", node.name, i, item.target.id
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                yield from _options(module, item, node.name)
+
+
+def _passes(call, callee, position, name):
+    func = call.func
+    called = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    if called == "replace" and any(k.arg == name for k in call.keywords):
+        return True  # dataclasses.replace sets a field by keyword
+    if called != callee:
+        return False
+    if any(k.arg == name or k.arg is None for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _unset_options():
+    calls = [n for path in USERS for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)]
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for label, callee, position, name in _options(path.stem, node):
+                if not any(_passes(call, callee, position, name) for call in calls):
+                    unset.append(label)
+    return unset
+
+
+def test_every_option_is_set_by_a_caller_outside_tests():
+    unset = _unset_options()
+    # an ALLOWED_OPTIONS entry that is gone, or has gained a caller, is stale too
+    assert sorted(unset) == sorted(ALLOWED_OPTIONS), (
+        f"defaulted parameters or fields that no call in src/, perfbench/ or scripts/ sets: {unset}; "
+        "delete each, or list it in ALLOWED_OPTIONS with a reason"
     )
