@@ -319,14 +319,16 @@ class TestLeastSquaresStopRules:
     # every reachable stop path, pinned before the iteration loop was shared;
     # the zero-iteration start is test_zero_matrix_converges_immediately. A
     # step of norm zero repeats v(x_k), so u = 0 and r = 0: such a run has
-    # converged, and the step-stalled rule is never reached
+    # converged, and the step-stalled rule is never reached; at
+    # tol_residual = 0 this run reaches its fixed point exactly at step 67
     @pytest.mark.parametrize(
         "cfg, expected",
         [
             (solvers.SolverConfig(tol_residual=1e-6, max_iters=5000), ("Converged", None, 25)),
             (solvers.SolverConfig(tol_residual=0.0, max_iters=5), ("MaxIters", None, 5)),
+            (solvers.SolverConfig(tol_residual=0.0, max_iters=5000), ("Converged", None, 67)),
         ],
-        ids=["converged", "max-iters"],
+        ids=["converged", "max-iters", "step-stalled"],
     )
     def test_stop_paths(self, cfg, expected):
         sol = apps.least_squares_iterate(
@@ -335,6 +337,8 @@ class TestLeastSquaresStopRules:
         res = sol.result
         assert (res.status.value, res.reason, res.iterations) == expected
         assert len(res.trace.residuals) == res.iterations
+        if cfg.tol_residual == 0.0 and res.status is solvers.Status.CONVERGED:
+            assert res.trace.steps[-1] == res.trace.residuals[-1] == 0.0
         assert len(sol.optimality_residuals) == len(sol.data_errors) == res.iterations + 1
 
     def test_overflowing_first_step_stops_as_diverged(self):

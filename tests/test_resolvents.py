@@ -48,7 +48,37 @@ def bisection_inverse(s, c, d, y, iters=200):
     return 0.5 * (lo + hi)
 
 
+def diagonal_inverse(s, c, d, y):
+    """z with s*Sign(z) + c*z + d containing y, through the diagonal branch
+    of the 1-D engine of F = s*Sign, v = c*z + d at gamma = 1."""
+    engine = resolvents.build_engine(ops.SignBlock(s, (0,)), ops.Affine(np.array([[c]]), np.array([d])), 1.0)
+    assert engine._strategy.diagonal is not None
+    return resolvents.transformed(engine, np.array([y])).preimage[0]
+
+
 class TestScalarSignAffineInverse:
+    def test_above_interval(self):
+        assert bisection_inverse(1.0, 2.0, 0.0, 3.0) == pytest.approx(1.0, abs=1e-12)
+        assert diagonal_inverse(1.0, 2.0, 0.0, 3.0) == pytest.approx(1.0)
+
+    def test_inside_interval(self):
+        assert diagonal_inverse(1.0, 2.0, 0.0, 0.5) == 0.0
+
+    def test_below_interval(self):
+        assert bisection_inverse(1.0, 2.0, 0.0, -5.0) == pytest.approx(-2.0, abs=1e-12)
+        assert diagonal_inverse(1.0, 2.0, 0.0, -5.0) == pytest.approx(-2.0)
+
+    def test_nonpositive_slope_rejected(self):
+        # the diagonal branch divides by the slope, so the build takes it only
+        # for a positive one: slope 0 leaves a singular system, which no
+        # strategy inverts, and a negative slope goes to the pattern table
+        f = ops.SignBlock(1.0, (0,))
+        flat = resolvents.build_engine(f, ops.Affine(np.array([[0.0]]), np.array([0.0])), 1.0)
+        assert flat.kind is resolvents.StrategyKind.UNSUPPORTED
+        falling = resolvents.build_engine(f, ops.Affine(np.array([[-2.0]]), np.array([0.0])), 1.0)
+        assert falling.kind is resolvents.StrategyKind.SIGN_SEPARABLE
+        assert falling._strategy.diagonal is None and not falling.unique_preimage
+
     @given(
         st.floats(0.0, 5.0),
         st.floats(0.1, 10.0),

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,27 @@ class TestInvariants:
             assert res.status is solvers.Status.CONVERGED
             assert res.trace.residuals[-1] <= solvers.SolverConfig().tol_residual
 
+    def test_step_stall_is_not_reported_converged(self):
+        # a step that leaves x where it is while its residual stays above the
+        # tolerance ends the shared loop as step-stalled, whatever the solver
+        cfg = solvers.SolverConfig(tol_residual=1e-8, max_iters=100)
+        x = np.array([1.0, -2.0])
+        rec = solvers._Recorder(cfg, x, None)
+        status, reason, iterations, last = solvers._iterate(cfg, rec, x, lambda n, x: (x.copy(), 1.0, x))
+        assert (status, reason, iterations) == (solvers.Status.FAILED, "step-stalled", 1)
+        assert rec.trace.steps == [0.0] and rec.trace.residuals == [1.0]
+        assert np.array_equal(last, x)
+
+    def test_zero_step_of_a_transformed_iteration_is_converged(self):
+        # a residual of None is ||x - x_next|| / gamma_n, which a zero step
+        # makes 0: the run has converged, even at tol_residual = 0
+        cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=100, gamma_schedule=0.5)
+        x = np.array([1.0, -2.0])
+        rec = solvers._Recorder(cfg, x, None)
+        status, reason, iterations, _ = solvers._iterate(cfg, rec, x, lambda n, x: (x.copy(), None, x))
+        assert (status, reason, iterations) == (solvers.Status.CONVERGED, None, 1)
+        assert rec.trace.steps == rec.trace.residuals == [0.0]
+
 
 # every reachable stop path of each solver, pinned before the iteration loop
 # was shared: (status, reason, iterations); the trace holds one row per step
@@ -437,12 +459,15 @@ class TestStopRules:
         [
             ("gppa", "converged", ("Converged", None, 25)),
             ("gppa", "max-iters", ("MaxIters", None, 5)),
+            ("gppa", "step-stalled", ("Converged", None, 2)),
             ("gppa", "non-finite", ("Failed", "Diverged", 0)),
             ("gppa1", "converged", ("Converged", None, 26)),
             ("gppa1", "max-iters", ("MaxIters", None, 5)),
+            ("gppa1", "step-stalled", ("Converged", None, 2)),
             ("gppa1", "non-finite", ("Failed", "Diverged", 0)),
             ("gppa2", "converged", ("Converged", None, 981)),
             ("gppa2", "max-iters", ("MaxIters", None, 5)),
+            ("gppa2", "step-stalled", ("Converged", None, 2)),
             ("gppa2", "non-finite", ("Failed", "Diverged", 0)),
             ("gppa", "diverged", ("Failed", "Diverged", 23)),
             ("gppa1", "diverged", ("Failed", "Diverged", 22)),
@@ -456,13 +481,21 @@ class TestStopRules:
         # gppa2, which has no such bound, once its step overflows; the
         # non-finite runs start at 1e308, where the first step overflows, and
         # every solver ends there without counting that step
+        #
+        # a step of norm zero repeats the image, so its residual is 0 too and
+        # the step-stalled runs have converged before that rule is reached:
+        # on the sign pair T maps the unit box to its fixed point 0, which is
+        # also gppa2's anchor there, and the second step is zero
         if path in ("non-finite", "diverged"):
             f, v = qp_pair(a=np.diag([1.0, -0.15]), b=np.zeros(2))
+        elif path == "step-stalled":
+            f, v = ops.sign_swap_operator(), ops.swap_operator()
         else:
             f, v = qp_pair()
         cfg = STOP_CONFIGS[path]
         if solver == "gppa2":
-            cfg = dataclasses.replace(cfg, halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)))
+            anchor = (0.0, 0.0) if path == "step-stalled" else (1.0, 1.0)
+            cfg = dataclasses.replace(cfg, halpern=solvers.HalpernConfig(anchor=anchor))
         x0 = np.array([1e308, 1e308]) if path == "non-finite" else np.array([0.3, -0.7])
         overflows = path == "non-finite" or (solver, path) == ("gppa2", "diverged")
         mode = "ignore" if overflows else "warn"
@@ -472,6 +505,8 @@ class TestStopRules:
         assert len(res.trace.residuals) == res.iterations
         if path == "non-finite":
             assert np.array_equal(res.preimage, x0)
+        if path == "step-stalled":
+            assert res.trace.steps[-1] == res.trace.residuals[-1] == 0.0
         if overflows:
             assert np.all(np.isfinite(res.preimage)) and np.all(np.isfinite(res.image))
 
@@ -560,6 +595,37 @@ class TestConfig:
             solvers.SolverConfig(gamma_schedule=0.0)
         with pytest.raises(ValueError):
             solvers.SolverConfig(gamma_schedule=(1.0, -1.0), max_iters=10)
+
+    def test_reciprocal_alpha_schedule(self):
+        # gppa2 weighs the anchor by a_k = 1/(k+1): the first step lands on
+        # the anchor, and every step is the anchored average of T(x_k)
+        f, v = qp_pair()
+        anchor = np.array([1.0, 1.0])
+        cfg = solvers.SolverConfig(
+            tol_residual=0.0, max_iters=20, halpern=solvers.HalpernConfig(anchor=tuple(anchor)),
+            trace_level=solvers.TraceLevel.FULL,
+        )
+        xs = solvers.gppa2(f, v, np.array([0.3, -0.7]), cfg).trace.iterates
+        assert np.array_equal(xs[1], anchor)
+        engine = resolvents.build_engine(f, v, 1.0)
+        for k, (x, x_next) in enumerate(zip(xs, xs[1:])):
+            image = resolvents.transformed(engine, x).image
+            alpha = 1.0 / (k + 1)
+            assert x_next.tobytes() == (alpha * anchor + (1.0 - alpha) * image).tobytes()
+
+    def test_one_entry_schedule_runs_as_its_scalar(self):
+        # (1.0,) and 1.0 are the same schedule: both build without a warning
+        # and run the same iterates bitwise
+        f, v = qp_pair()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runs = [
+                solvers.gppa(f, v, np.array([0.3, -0.7]), dataclasses.replace(FULL, gamma_schedule=gamma))
+                for gamma in (1.0, (1.0,))
+            ]
+        assert runs[0].iterations == runs[1].iterations
+        assert runs[0].trace.residuals == runs[1].trace.residuals
+        assert np.array(runs[0].trace.iterates).tobytes() == np.array(runs[1].trace.iterates).tobytes()
 
 
 TRACE_HEADER = ["iter", "residual", "step", "err_to_ref", "seconds"]
