@@ -106,7 +106,7 @@ def run_trial(spec: BenchSpec, n: int, trial: int) -> RunRecord:
     def failed(reason: str) -> RunRecord:
         return RunRecord(n, trial, trial_seed, 0, 0.0, float("nan"), f"Failed({reason})")
 
-    if not (np.isfinite(system.matrix).all() and np.isfinite(system.rhs).all()):
+    if not (linalg.all_finite(system.matrix) and linalg.all_finite(system.rhs)):
         return failed("non-finite data")
     cfg = solvers.SolverConfig(
         tol_residual=spec.tolerance,

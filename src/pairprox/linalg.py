@@ -46,8 +46,15 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of `a` is finite: np.isfinite(a).all() without
+    the Python-level wrapper that numpy runs `.all()` through, which costs
+    more than the test itself on the short vectors of a sign-pattern step."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def require_finite(a: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
+    if not all_finite(a):
         raise ValueError(f"{name} has non-finite entries")
     return a
 
@@ -221,7 +228,7 @@ def jacobi_eigendecomposition(a: np.ndarray) -> SymmetricEigenDecomposition:
     # halving a normal number is exact, so away from overflow and subnormals
     # this equals 0.5 * (a + a.T) bitwise
     values, vectors = np.linalg.eigh(0.5 * a + 0.5 * a.T)
-    if not np.all(np.isfinite(values)):
+    if not all_finite(values):
         raise ValueError("matrix eigenvalues overflow the float range")
     return SymmetricEigenDecomposition(values, vectors)
 

@@ -114,9 +114,9 @@ class OperatorExpr:
 def evaluate_point(op: OperatorExpr, x: np.ndarray) -> np.ndarray:
     """Evaluate an operator that must be single-valued at x."""
     vs = op.evaluate(x)
-    if not vs.is_singleton:
+    if vs.lower is not vs.upper and not vs.is_singleton:
         raise ValueError("operator is set-valued at this point")
-    return vs.value
+    return vs.lower
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +214,7 @@ class Permutation(OperatorExpr):
         return m
 
     def _eval(self, x: np.ndarray) -> ValueSet:
-        y = self._sign_vector * x[..., self._picks]
+        y = self._sign_vector * x.take(self._picks, axis=-1)
         return ValueSet(y, y)
 
 

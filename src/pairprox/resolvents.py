@@ -10,15 +10,19 @@ Anything else is Unsupported: no generic inner root-finder is attempted.
 The pattern search tries the table in a fixed (+, -, 0) order and returns
 the first pattern whose x solves the inclusion for an input within the
 roundoff n*eps*(|y| + |M||x| + s) of y in the max norm; no other tolerance
-applies. Where the build certifies that the preimage is unique, a caller
-may name a pattern to try first, such as the one its previous step
-accepted; the result is the same point.
+applies. The pattern that pins every row has x = 0 and needs no solve: its
+pinned residual is |y| - s. Near a kink at the origin every step takes it.
+Where the build certifies that the preimage is unique, a caller may name a
+pattern to try first, such as the one its previous step accepted; the
+result is the same point.
 
 The build checks each structural reduction against the tree it came from:
 the normal forms of F and v must agree with their `evaluate` at three fixed
-probe points, or no engine is built. A nonsingular affine gamma*F + v has
-range R^n, and an accepted sign pattern satisfies the inclusion by
-construction, so evaluations then check nothing further per call.
+probe points, within a bound relative to the terms summed plus one
+smallest subnormal per rounding step, or no engine is built. A
+nonsingular affine gamma*F + v has range R^n, and an accepted sign pattern
+satisfies the inclusion by construction, so evaluations then check nothing
+further per call.
 """
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ from .errors import (
 from .rng import SplitMix64
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
 _PATTERN_DIM_LIMIT = 8
 # the smallest eigenvalue of sym(B) must exceed this fraction of the largest
 # magnitude, so that a singular semidefinite part is not certified on roundoff
@@ -168,6 +173,7 @@ def _probe_reduction(role: str, op: ops.OperatorExpr, form: _SignAffineForm, poi
     deviation = np.maximum(np.abs(values.lower - (signed - width)), np.abs(values.upper - (signed + width)))
     abs_matrix, abs_offset = form.magnitude()
     bound = _PROBE_RTOL * (np.abs(points) @ abs_matrix.T + abs_offset + form.scales)
+    bound += _TINY * _rounding_weight(op, points.shape[1])
     # an overflowing row has an infinite bound or a NaN deviation and is let pass
     bad = np.argwhere(deviation > bound)
     if bad.size:
@@ -176,6 +182,23 @@ def _probe_reduction(role: str, op: ops.OperatorExpr, form: _SignAffineForm, poi
             f"{role} = {type(op).__name__}(...) disagrees with its structural reduction: row {i} "
             f"at probe point {k} is off by {deviation[k, i]:.3e}, above the roundoff bound {bound[k, i]:.3e}"
         )
+
+
+def _rounding_weight(op: ops.OperatorExpr, dim: int) -> np.ndarray:
+    """Per row, the rounding steps of evaluating `op` and of reducing it, at
+    most 2*dim + 3 per node, each weighted by the scale factors applied after
+    it. A step may err by half the smallest subnormal whatever the magnitude
+    of its terms, which a relative bound misses on subnormal data."""
+    own = 2.0 * dim + 3.0
+    if isinstance(op, ops.Scale):
+        return own + op.gamma * _rounding_weight(op.inner, dim)
+    if isinstance(op, ops.Sum):
+        return own + sum(_rounding_weight(t, dim) for t in op.terms)
+    weight = np.full(dim, own)
+    if isinstance(op, ops.Stack):
+        for start, stop, sub in op.blocks:
+            weight[start:stop] += _rounding_weight(sub, stop - start)
+    return weight
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +301,7 @@ def build_engine(
         _probe_reduction("F", f, form, points)
         _probe_reduction("v", v, va, points)
         matrix = gamma * form.matrix + va.matrix
-        if not np.isfinite(matrix).all():
+        if not linalg.all_finite(matrix):
             raise ValueError("gamma*F + v overflows the float range: its matrix has non-finite entries")
         offset = gamma * form.offset + va.offset
         if not np.any(form.scales):
@@ -385,15 +408,22 @@ def _solve_pattern(pattern: _SignPattern, y: np.ndarray) -> np.ndarray | None:
     """The x that `pattern` assigns to y in s*Sign(x[sigma]) + M x, or None
     unless x solves that inclusion for an input within `_roundoff` of y:
     zeroing x's entries of the wrong sign moves M x by no more, nor does a
-    pinned row's |residual| pass s by more. Exact hits skip the bound."""
+    pinned row's |residual| pass s by more. Exact hits skip the bound.
+
+    The pattern that pins every row has x = 0: no sign can be wrong, and
+    the pinned residual is |y| - s, bitwise |y - M 0| - s for M finite."""
     x = np.zeros(y.size)
-    if pattern.factorization is not None:
-        x[pattern.cols] = linalg.lu_solve(pattern.factorization, y[pattern.rows] - pattern.shift)
-    low = (pattern.signs * x).min()
+    if pattern.factorization is None:
+        # its pinned rows are all rows, in order
+        passed = np.maximum.reduce(np.abs(y) - pattern.pinned_scales)
+        return None if passed > 0.0 and passed > _roundoff(pattern, y, x) else x
+    x[pattern.cols] = linalg.lu_solve(pattern.factorization, y[pattern.rows] - pattern.shift)
+    # ufunc reductions called directly skip ndarray.min's Python wrapper
+    low = np.minimum.reduce(pattern.signs * x)
     if low < 0.0 and -low * pattern.column_total > _roundoff(pattern, y, x):
         return None
     if pattern.pinned.size:
-        passed = (np.abs(y[pattern.pinned] - pattern.pinned_matrix @ x) - pattern.pinned_scales).max()
+        passed = np.maximum.reduce(np.abs(y[pattern.pinned] - pattern.pinned_matrix @ x) - pattern.pinned_scales)
         if passed > 0.0 and passed > _roundoff(pattern, y, x):
             return None
     return x
@@ -421,7 +451,7 @@ class ResolventOutput:
 
 
 def _invert(engine: ResolventEngine, w: np.ndarray, start: int | None) -> tuple[np.ndarray, int | None]:
-    if not np.isfinite(w).all():
+    if not linalg.all_finite(w):
         raise NonFiniteIterateError("resolvent input contains NaN/Inf")
     pattern = None
     if engine.kind is StrategyKind.AFFINE_AFFINE:
@@ -432,7 +462,7 @@ def _invert(engine: ResolventEngine, w: np.ndarray, start: int | None) -> tuple[
         raise UnsupportedStructureError(
             f"no closed-form resolvent for F={type(engine.f).__name__}, v={type(engine.v).__name__}"
         )
-    if not np.isfinite(z).all():
+    if not linalg.all_finite(z):
         raise NonFiniteIterateError("resolvent produced a non-finite point")
     return z, pattern
 
@@ -447,7 +477,7 @@ def warped(engine: ResolventEngine, x: np.ndarray) -> ResolventOutput:
     x = linalg.as_vector(x)
     if x.size != engine.dim:
         raise DimensionMismatchError(f"engine dim {engine.dim}, input dim {x.size}")
-    if not np.isfinite(x).all():
+    if not linalg.all_finite(x):
         raise NonFiniteIterateError("resolvent input contains NaN/Inf")
     return transformed(engine, ops.evaluate_point(engine.v, x))
 

@@ -62,6 +62,9 @@ class SolverConfig:
             if not sched or any(g <= 0 for g in sched):
                 raise ValueError("gamma schedule must be nonempty and positive")
             object.__setattr__(self, "gamma_schedule", sched)
+        # NaN fails too: no residual would then ever be within it
+        if not self.tol_residual >= 0.0:
+            raise ValueError(f"tol_residual must be nonnegative, got {self.tol_residual!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -137,7 +140,7 @@ def _unanchored(cfg: SolverConfig | None) -> SolverConfig:
 def _start(x0: np.ndarray) -> np.ndarray:
     """A copy of the start point as a float vector; NaN/Inf is rejected."""
     x = linalg.as_vector(x0).copy()
-    if not np.all(np.isfinite(x)):
+    if not linalg.all_finite(x):
         raise NonFiniteIterateError("x0 contains NaN/Inf")
     return x
 
@@ -171,7 +174,7 @@ def _iterate(
             x_next, residual, image = step(n, x)
         except NonFiniteIterateError:
             return Status.FAILED, "Diverged", n, x
-        if not np.isfinite(x_next).all():
+        if not linalg.all_finite(x_next):
             return Status.FAILED, "Diverged", n, x
         dx = linalg.norm(x - x_next)
         if residual is None:

@@ -375,6 +375,36 @@ class TestMatrixTextFormat:
         assert np.array_equal(linalg.read_vector(path), v)
 
 
+def _strided(values):
+    """A view of every other entry of a buffer whose skipped entries are NaN."""
+    buffer = np.full(2 * len(values), np.nan)
+    buffer[::2] = values
+    return buffer[::2]
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([1.0, -0.0, 5e-324, 1.7976931348623157e308]),
+            np.array([np.nan, 1.0]),
+            np.array([1.0, np.inf]),
+            np.array([-np.inf]),
+            np.array([]),
+            np.zeros((0, 3)),
+            np.arange(6.0).reshape(2, 3),
+            np.array([[1.0, 2.0], [3.0, np.inf]]),
+            np.array([[[0.0], [np.nan]]]),
+            _strided([1.0, 2.0, 3.0]),
+            _strided([1.0, -np.inf]),
+            np.array([[1.0, np.nan], [2.0, np.nan]])[:, 0],
+            np.array([[1.0, np.nan], [2.0, 3.0]]).T[1],
+        ],
+    )
+    def test_equals_isfinite_all(self, a):
+        assert linalg.all_finite(a) == np.isfinite(a).all()
+
+
 class TestNorm:
     def test_bitwise_equal_to_numpy_on_seeded_vectors(self):
         # sizes from 1 to 1000 and magnitudes from 1e-150 to 1e150, where the

@@ -21,6 +21,17 @@ class TestEvaluate:
         assert vs.is_singleton
         assert np.array_equal(vs.value, [1.0, -1.0])
 
+    def test_evaluate_point_rejects_a_set_value(self):
+        with pytest.raises(ValueError, match="set-valued"):
+            ops.evaluate_point(ops.SignBlock(1.0, (0,)), np.array([0.0]))
+
+    def test_evaluate_point_accepts_equal_bounds_in_two_arrays(self):
+        class TwoArrays(ops.OperatorExpr):
+            def _eval(self, x):
+                return ops.ValueSet(x.copy(), x.copy())
+
+        assert ops.evaluate_point(TwoArrays(), np.array([1.0, -0.0])).tobytes() == np.array([1.0, -0.0]).tobytes()
+
     def test_sign_block_at_zero_gives_interval(self):
         vs = ops.SignBlock(1.0, (0,)).evaluate(np.array([0.0]))
         assert not vs.is_singleton

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from pairprox import applications as apps
@@ -276,6 +276,23 @@ def _term_magnitude(op, x):
     return out
 
 
+def _scaled_node_count(op, n):
+    """Per row, the nodes of a Sign-plus-affine tree that act on it, each
+    weighted by the scale factors above it. A node rounds each row at most
+    2n + 3 times in the tree and in its normal form, by up to half the
+    smallest subnormal each time whatever its terms' magnitude, and the
+    factors above scale that error."""
+    if isinstance(op, ops.Scale):
+        return 1.0 + op.gamma * _scaled_node_count(op.inner, n)
+    if isinstance(op, ops.Sum):
+        return 1.0 + sum(_scaled_node_count(t, n) for t in op.terms)
+    out = np.ones(n)
+    if isinstance(op, ops.Stack):
+        for start, stop, sub in op.blocks:
+            out[start:stop] += _scaled_node_count(sub, stop - start)
+    return out
+
+
 _ENTRIES = st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
 
 
@@ -340,8 +357,25 @@ def _drop_scale_factors(original):
     return reduce
 
 
+_TINY = np.finfo(float).smallest_subnormal
+# subnormal data: a relative tolerance rounds to zero here, while the tree
+# and its normal form differ by a few subnormal ulps
+_SUBNORMAL_SCALE = ops.Scale(0.001, ops.Scale(0.125, ops.Affine([[0.0, 0.0], [0.0, 1.11e-308]])))
+
+
+def _subnormal_draw(index):
+    """Draw `index` of F = Scale(0.001, Scale(0.125, Affine(m, d))) with m
+    3x3 at magnitudes 1e-315 to 1e-300 and d about 1e-310."""
+    rng = np.random.default_rng(0)
+    for _ in range(index + 1):
+        m = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-315, -300)
+        d = rng.standard_normal(3) * 1e-310
+    return ops.Scale(0.001, ops.Scale(0.125, ops.Affine(m, d)))
+
+
 class TestReductionProbe:
     @given(trees_and_points())
+    @example((_SUBNORMAL_SCALE, SplitMix64(6).uniform(8, -10.0, 10.0).reshape(4, 2)))
     @settings(max_examples=300, deadline=None)
     def test_reduction_matches_evaluate(self, case):
         tree, points = case
@@ -354,7 +388,8 @@ class TestReductionProbe:
         picked = points[:, form.sign_var]
         sign = np.sign(picked)
         width = np.where(picked == 0.0, form.scales, 0.0)
-        tol = 1e-12 * _term_magnitude(tree, points)
+        # the normal form's entries round too, and |points| <= 10 scales that
+        tol = 1e-12 * _term_magnitude(tree, points) + 10.0 * (2 * n + 3) * _TINY * _scaled_node_count(tree, n)
         assert np.all(np.abs(values.lower - (linear + form.scales * sign - width)) <= tol)
         assert np.all(np.abs(values.upper - (linear + form.scales * sign + width)) <= tol)
         # and the build's probe passes it
@@ -368,6 +403,21 @@ class TestReductionProbe:
             (ops.Affine(np.eye(3) + e, np.ones(3)), ops.Pointwise("negation"), ops.Affine(np.zeros((3, 3)), -np.ones(3)))
         )
         engine = resolvents.build_engine(f, ops.identity_operator(3), 1.0)
+        assert engine.kind is resolvents.StrategyKind.AFFINE_AFFINE
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            # the ninth draw failed at probe point 0, off by one subnormal ulp
+            _subnormal_draw(8),
+            # the tree rounds m x among subnormals and then scales the error
+            # up by 1e6, far above the relative bound of the scaled terms
+            ops.Scale(1e3, ops.Scale(1e3, ops.Affine(np.random.default_rng(1).standard_normal((3, 3)) * 1e-321))),
+        ],
+        ids=["draw-8", "scaled-up"],
+    )
+    def test_subnormal_data_passes_the_probe(self, f):
+        engine = resolvents.build_engine(f, ops.identity_operator(f.dim), 1.0)
         assert engine.kind is resolvents.StrategyKind.AFFINE_AFFINE
 
     @pytest.mark.parametrize(
@@ -745,6 +795,74 @@ def _pattern_by_pattern(scales, sigma, matrix):
 def _sample_points(n, count, seed, low=-8.0, high=8.0):
     rng = SplitMix64(seed)
     return [rng.uniform(n, low, high) for _ in range(count)]
+
+
+def general_solve_pattern(pattern, y):
+    """`resolvents._solve_pattern` as it was before its fast paths: one path
+    for every pattern, the reductions through ndarray.min and .max. The fast
+    paths must give its verdict and its x bitwise."""
+    x = np.zeros(y.size)
+    if pattern.factorization is not None:
+        x[pattern.cols] = linalg.lu_solve(pattern.factorization, y[pattern.rows] - pattern.shift)
+    low = (pattern.signs * x).min()
+    if low < 0.0 and -low * pattern.column_total > resolvents._roundoff(pattern, y, x):
+        return None
+    if pattern.pinned.size:
+        passed = (np.abs(y[pattern.pinned] - pattern.pinned_matrix @ x) - pattern.pinned_scales).max()
+        if passed > 0.0 and passed > resolvents._roundoff(pattern, y, x):
+            return None
+    return x
+
+
+def _seeded_sign_strategy(n, seed, all_signed, size):
+    """A sign strategy on n rows from a seeded stream, with its scales and
+    normal matrix entries at magnitude `size`: every row signed, or the
+    first half of them."""
+    rng = SplitMix64(seed)
+    sigma = np.argsort(rng.uniform(n, 0.0, 1.0))
+    scales = size * rng.uniform(n, 0.1, 2.0)
+    if not all_signed:
+        scales[(n + 1) // 2 :] = 0.0
+    matrix = size * rng.normal(n * n).reshape(n, n)
+    return resolvents._assemble_sign_strategy(scales, np.where(scales > 0.0, sigma, -1), matrix, np.zeros(n), n)
+
+
+def _edge_inputs(scales, count, seed):
+    """Inputs whose entries each come from the edge values of their row:
+    +-0.0, +-s exactly and one ulp either side, -(s + 1) and 3s, subnormals,
+    or a normal draw of magnitude 1e-3 to 1e12."""
+    rng = SplitMix64(seed)
+    inputs = []
+    for _ in range(count):
+        picks, normals = rng.uniform(scales.size, 0.0, 1.0), rng.normal(scales.size)
+        powers = rng.uniform(scales.size, -3.0, 12.0)
+        y = np.empty(scales.size)
+        for i, s in enumerate(scales):
+            pool = (0.0, -0.0, s, -s, np.nextafter(s, np.inf), np.nextafter(s, 0.0), np.nextafter(-s, -np.inf),
+                    np.nextafter(-s, 0.0), -(s + 1.0), 3.0 * s, _TINY, -_TINY, 2.5e-310, -1.7e-312,
+                    normals[i] * 10.0 ** powers[i])
+            y[i] = pool[int(picks[i] * len(pool))]
+        inputs.append(y)
+    return inputs
+
+
+class TestPatternFastPaths:
+    @pytest.mark.parametrize("size", [1.0, 1e12])
+    @pytest.mark.parametrize("n, all_signed", [(n, True) for n in (1, 2, 3, 4)] + [(n, False) for n in (2, 3, 4)])
+    def test_verdict_and_x_bitwise_equal_to_the_general_path(self, n, all_signed, size):
+        # the pattern that pins every row exists only where every row is signed
+        seen = {}
+        for seed in (n, 10 + n):
+            strategy = _seeded_sign_strategy(n, seed, all_signed, size)
+            assert strategy is not None and strategy.diagonal is None
+            for y in _edge_inputs(strategy.scales, 100, seed):
+                for pattern in strategy.patterns:
+                    expected, x = general_solve_pattern(pattern, y), resolvents._solve_pattern(pattern, y)
+                    assert (x is None) == (expected is None)
+                    assert x is None or x.tobytes() == expected.tobytes()
+                    seen[pattern.factorization is None, x is None] = True
+        assert (all_signed, False) in seen and (all_signed, True) in seen
+        assert all_signed or (False, False) in seen and (False, True) in seen
 
 
 class TestResolventInvariants:

@@ -596,6 +596,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             solvers.SolverConfig(gamma_schedule=(1.0, -1.0), max_iters=10)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_tolerance_must_be_nonnegative(self, tol):
+        # no residual is within such a tolerance, so a run that reached its
+        # fixed point exactly would stop as step-stalled
+        with pytest.raises(ValueError, match="tol_residual must be nonnegative"):
+            solvers.SolverConfig(tol_residual=tol)
+
+    def test_zero_tolerance_converges_at_an_exact_fixed_point(self):
+        cfg = solvers.SolverConfig(tol_residual=0.0)
+        res = solvers.gppa(ops.sign_swap_operator(), ops.swap_operator(), (5, -3), cfg)
+        assert (res.status, res.iterations, res.trace.residuals[-1]) == (solvers.Status.CONVERGED, 5, 0.0)
+
     def test_reciprocal_alpha_schedule(self):
         # gppa2 weighs the anchor by a_k = 1/(k+1): the first step lands on
         # the anchor, and every step is the anchored average of T(x_k)
