@@ -1,0 +1,258 @@
+#!/usr/bin/env python3
+"""Fingerprints of pairprox's seeded outputs, to show that a change keeps
+them bitwise.
+
+    python3 scripts/fingerprint.py > FINGERPRINTS.json
+
+Prints one JSON object. "fingerprints" maps each entry below to the sha256
+of a fixed serialization of its outputs; "environment" names what those
+bits depend on besides the source: the numpy version, its BLAS, and the
+kernel core OpenBLAS picked for this CPU, where it can be read. BLAS runs
+on one thread while the entries run.
+
+The serialization hashes each part in a fixed order, each prefixed by a
+type tag and its length in bytes: arrays, traces and other numbers as
+float64 bytes, and statuses, reasons, counts, standard output and files as
+UTF-8 text. Wall-clock seconds are left out of traces, CSV files and
+summaries. The entries:
+
+- sign_pair_2d seeds 1-3: the anchored run at FULL trace, in full and cut
+  at 1000 steps, and the check-pair report;
+- gppa and gppa1 at FULL trace on the sign-swap pair from three starts;
+- least squares at FULL trace on lsq_laplacian seeds 1-2, in full and cut
+  at 50 steps;
+- solve-kkt on the cli_defaults QP of seed 1: exit code, standard output,
+  --out and the trace;
+- bench --sizes 5,9 --trials 2: exit code, summary and table;
+- the four demos: exit code, standard output and trace files.
+
+The entries in LONG take most of the tool's run. The cut runs repeat the
+first steps of the full-length ones at a fraction of the cost, so the tests
+re-run every entry outside LONG, and LONG is checked by hand:
+
+    python3 scripts/fingerprint.py | diff FINGERPRINTS.json -
+
+The workload data comes from the set-up of perfbench/workloads.py. The
+library is imported from this checkout's src/ directory.
+"""
+from __future__ import annotations
+
+import contextlib
+import csv
+import ctypes
+import dataclasses
+import functools
+import glob
+import hashlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+for _path in (ROOT / "perfbench", ROOT / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+import numpy as np  # noqa: E402
+
+from pairprox import applications as apps  # noqa: E402
+from pairprox import cli, operators as ops, solvers  # noqa: E402
+from run import environment as bench_environment  # noqa: E402
+from workloads import CliDefaults, LsqLaplacian, SignPair2D  # noqa: E402
+
+FULL = solvers.TraceLevel.FULL
+SIGN_SWAP_STARTS = ((5.0, -3.0), (0.3, -0.7), (-2.5, 4.25))
+DEMOS = ("example-1", "example-2", "least-squares", "dca-divergence")
+ANCHORED_CUT, LSQ_CUT = 1000, 50
+
+
+def digest(parts) -> str:
+    """sha256 over `parts`: None, text, integers, or anything numpy reads as
+    float64, such as arrays, floats and lists of either."""
+    h = hashlib.sha256()
+    for part in parts:
+        if part is None:
+            tag, data = b"n", b""
+        elif isinstance(part, str):
+            tag, data = b"s", part.encode()
+        elif isinstance(part, int):
+            tag, data = b"i", str(int(part)).encode()
+        else:
+            tag, data = b"f", np.asarray(part, dtype=np.float64).tobytes()
+        h.update(tag + len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()
+
+
+def _result(res: solvers.SolveResult) -> list:
+    parts = [res.status.value, res.reason, res.iterations, res.preimage, res.image]
+    trace = res.trace
+    if trace is not None:
+        parts += [len(trace.residuals), trace.residuals, trace.steps, trace.err_to_ref, trace.iterates]
+    return parts
+
+
+def _without_seconds(path) -> str:
+    """A CSV file's text with its seconds column dropped."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index("seconds")
+    return "\n".join(",".join(cell for i, cell in enumerate(row) if i != drop) for row in rows)
+
+
+def _run_cli(argv) -> list:
+    """The exit code and standard output of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return [code, out.getvalue()]
+
+
+def _anchored_run(seed, max_iters=None):
+    def run(workdir):
+        sign_f, _, swap, x0, _, cfg = SignPair2D(seed, workdir).setup()
+        cfg = cfg if max_iters is None else dataclasses.replace(cfg, max_iters=max_iters)
+        return _result(solvers.gppa2(sign_f, swap, x0, cfg, reference=np.zeros(2)))
+
+    return run
+
+
+def _check_pair(seed):
+    def run(workdir):
+        _, trig_f, swap, _, sample_seed, _ = SignPair2D(seed, workdir).setup()
+        report = ops.check_pair_monotone(trig_f, swap, box=SignPair2D.BOX, samples=SignPair2D.SAMPLES, seed=sample_seed)
+        return [report.samples, report.min_quotient, report.min_inner, report.witness_x, report.witness_y,
+                *(s.value for s in report.witness_selections), report.verdict.value]
+
+    return run
+
+
+def _sign_swap(solver, x0):
+    def run(workdir):
+        cfg = solvers.SolverConfig(trace_level=FULL)
+        return _result(solver(ops.sign_swap_operator(), ops.swap_operator(), np.array(x0), cfg, reference=np.zeros(2)))
+
+    return run
+
+
+def _least_squares(seed, max_iters=None):
+    def run(workdir):
+        a, b = LsqLaplacian(seed, workdir).setup()
+        cfg = solvers.SolverConfig(tol_residual=LsqLaplacian.TOL, trace_level=FULL)
+        cfg = cfg if max_iters is None else dataclasses.replace(cfg, max_iters=max_iters)
+        sol = apps.least_squares_iterate(a, b, LsqLaplacian.KAPPA, cfg=cfg)
+        return [*_result(sol.result), sol.optimality_residuals, sol.data_errors]
+
+    return run
+
+
+def _solve_kkt(workdir):
+    workload = CliDefaults(1, workdir)
+    workload.setup()
+    parts = _run_cli(["solve-kkt", workload.problem, "--out", workload.out, "--trace", workload.trace])
+    return [*parts, pathlib.Path(workload.out).read_text(), _without_seconds(workload.trace)]
+
+
+def _bench(workdir):
+    table = os.path.join(workdir, "bench.csv")
+    code, summary = _run_cli(["bench", "--sizes", "5,9", "--trials", "2", "--out", table])
+    # the summary's third column is the median seconds
+    lines = [" ".join(w for i, w in enumerate(line.split()) if i != 2) for line in summary.splitlines()]
+    return [code, "\n".join(lines), _without_seconds(table)]
+
+
+def _demo(name):
+    def run(workdir):
+        out = os.path.join(workdir, f"demo-{name}")
+        parts = _run_cli(["demo", name, "--out", out])
+        for trace in sorted(os.listdir(out)) if os.path.isdir(out) else ():
+            parts += [trace, _without_seconds(os.path.join(out, trace))]
+        return parts
+
+    return run
+
+
+ENTRIES = {
+    **{
+        name: make
+        for seed in (1, 2, 3)
+        for name, make in (
+            (f"sign_pair_2d/seed={seed}/gppa2", _anchored_run(seed)),
+            (f"sign_pair_2d/seed={seed}/gppa2/max_iters={ANCHORED_CUT}", _anchored_run(seed, ANCHORED_CUT)),
+            (f"sign_pair_2d/seed={seed}/check_pair", _check_pair(seed)),
+        )
+    },
+    **{
+        f"sign_swap/{solver.__name__}/x0={x0[0]:g},{x0[1]:g}": _sign_swap(solver, x0)
+        for solver in (solvers.gppa, solvers.gppa1)
+        for x0 in SIGN_SWAP_STARTS
+    },
+    **{f"lsq_laplacian/seed={seed}": _least_squares(seed) for seed in (1, 2)},
+    **{f"lsq_laplacian/seed={seed}/max_iters={LSQ_CUT}": _least_squares(seed, LSQ_CUT) for seed in (1, 2)},
+    "cli_defaults/solve-kkt": _solve_kkt,
+    "bench/sizes=5,9/trials=2": _bench,
+    **{f"demo/{name}": _demo(name) for name in DEMOS},
+}
+
+
+LONG = (
+    *(f"sign_pair_2d/seed={seed}/gppa2" for seed in (1, 2, 3)),
+    *(f"lsq_laplacian/seed={seed}" for seed in (1, 2)),
+    "demo/example-2",
+)
+
+
+@functools.cache
+def _openblas_function(stem, restype, *argtypes):
+    """The function `stem` of the OpenBLAS bundled with numpy, found as
+    perfbench/run.py finds it, with its C signature declared, or None."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for symbol in (f"scipy_openblas_{stem}64_", f"openblas_{stem}64_", f"openblas_{stem}"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = restype, list(argtypes)
+                return fn
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run BLAS on one thread: a threaded product sums in another order."""
+    get = _openblas_function("get_num_threads", ctypes.c_int)
+    put = _openblas_function("set_num_threads", None, ctypes.c_int)
+    if get is None or put is None:
+        yield
+        return
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def fingerprints(names=None) -> dict[str, str]:
+    """The fingerprint of each entry named, of every entry by default, with
+    BLAS on one thread."""
+    with tempfile.TemporaryDirectory() as workdir, _one_blas_thread():
+        return {name: digest(ENTRIES[name](workdir)) for name in (ENTRIES if names is None else names)}
+
+
+def environment() -> dict[str, str | None]:
+    """What the fingerprints depend on besides the source. Where OpenBLAS
+    cannot be found, its core is None and BLAS may run threaded."""
+    bench = bench_environment(np)
+    corename = _openblas_function("get_corename", ctypes.c_char_p)
+    return {
+        "numpy": bench["numpy"],
+        "blas": f"{bench['blas']} {bench['blas_version']}",
+        "openblas_core": corename().decode() if corename else None,
+    }
+
+
+if __name__ == "__main__":
+    print(json.dumps({"environment": environment(), "fingerprints": fingerprints()}, indent=2))

@@ -33,10 +33,6 @@ class NotInRangeError(PairproxError):
     """The requested point is not in the range of the shifted operator."""
 
 
-class ReductionMismatchError(PairproxError):
-    """An operator's structural normal form disagrees with its evaluation."""
-
-
 class NonFiniteIterateError(PairproxError):
     """An iterate contains NaN or Inf."""
 

@@ -120,10 +120,12 @@ class LUFactorization:
 def lu_factorize(a: np.ndarray, block: int = 64) -> LUFactorization:
     """Factorize a square matrix; flags singularity instead of raising.
 
-    A pivot below 1e-12 * max|A| marks the matrix singular (the downstream
-    solvers target deliberately singular systems, so detection must be a
-    reportable state, not an exception). A matrix with a NaN or infinite
-    entry is a ValueError.
+    A pivot below 1e-12 * max|A|, or a zero pivot where that threshold
+    underflows to 0, marks the matrix singular (the downstream solvers
+    target deliberately singular systems, so detection must be a reportable
+    state, not an exception). A matrix with a NaN or infinite entry is a
+    ValueError, and so is one whose factors, or the inverses of their
+    diagonal blocks, overflow the float range.
     """
     a = as_matrix(a)
     n, m = a.shape
@@ -142,7 +144,7 @@ def lu_factorize(a: np.ndarray, block: int = 64) -> LUFactorization:
         jb = min(block, n - j)
         for k in range(j, j + jb):
             p = k + int(np.argmax(np.abs(lu[k:, k])))
-            if abs(lu[p, k]) < threshold:
+            if abs(lu[p, k]) < threshold or lu[p, k] == 0.0:
                 return LUFactorization(n, perm, lu, True)
             if p != k:
                 lu[[k, p], :] = lu[[p, k], :]
@@ -167,6 +169,10 @@ def lu_factorize(a: np.ndarray, block: int = 64) -> LUFactorization:
     for j, end in bounds:
         inverses[0, j:end, : end - j] = np.linalg.inv(np.tril(lu[j:end, j:end], -1) + np.eye(end - j))
         inverses[1, j:end, : end - j] = np.linalg.inv(np.triu(lu[j:end, j:end]))
+    # past the float maximum a factor turns inf or NaN, and an inverse may
+    # read 1/inf as 0 and solve to a wrong but finite x
+    if not all_finite(lu) or not all(all_finite(inverses[:, j:end, : end - j]) for j, end in bounds):
+        raise ValueError("the LU factorization overflows the float range")
     # a matrix-vector product runs about 3x faster on a C-contiguous copy of
     # an off-diagonal strip than on its strided view of `lu`, and sums in the
     # same order

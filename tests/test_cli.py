@@ -144,6 +144,26 @@ class TestLeastSquaresCommand:
         assert cli.main(["least-squares", mat, rhs, *flags]) == 1
         assert "error: gamma*F + v overflows the float range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "b0, code, expected",
+        [
+            # ||A b|| underflows to 0, so the start already meets even --tol 0
+            (1e-320, 0, "status: Converged after 0 iterations"),
+            (1e300, 1, "error: gamma*F + v is singular affine"),
+        ],
+        ids=["start-converged", "first-step"],
+    )
+    def test_subnormal_singular_system_is_reported(self, b0, code, expected, tmp_path, capsys):
+        # 2A + 2 kappa I = diag(2.02e-320, 0): its pivot threshold underflows
+        # to 0, and numpy's "Singular matrix" came out of the factorization
+        mat, rhs = write_least_squares_files(tmp_path)
+        linalg.write_matrix(mat, np.diag([1e-320, -1e-322]))
+        linalg.write_vector(rhs, np.array([b0, 0.0]))
+        assert cli.main(["least-squares", mat, rhs, "--kappa", "1e-322", "--tol", "0"]) == code
+        captured = capsys.readouterr()
+        assert expected in captured.out + captured.err
+        assert "Singular matrix" not in captured.err
+
     def test_overflowing_solve_reports_its_residuals(self, tmp_path, capsys):
         # from b = 1e300 the divergence bound 1e8 * (1 + r_1) is inf and
         # never fires; the resolvent overflows at step 14, and the run ends

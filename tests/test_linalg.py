@@ -38,6 +38,32 @@ class TestLU:
         assert linalg.lu_factorize(np.diag([1.0, 0.0])).singular
         assert linalg.lu_factorize(np.zeros((2, 2))).singular
 
+    @pytest.mark.parametrize(
+        "a",
+        [[[1e-320, 0.0], [0.0, 0.0]], [[1e-320, 1e-320], [1e-320, 1e-320]]],
+        ids=["zero-entry", "eliminated-to-zero"],
+    )
+    def test_zero_pivot_flags_singular_where_the_threshold_underflows(self, a):
+        # 1e-12 * max|A| underflows to 0 on subnormal data, so the zero
+        # pivot is not below it; inverting its block raised LinAlgError
+        assert linalg.lu_factorize(np.array(a)).singular
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            # partial pivoting doubles the last column three times: U[3, 3]
+            # is inf, and its inverse read 0, so solves were finite but wrong
+            4e307 * np.array([[1.0, 0.0, 0.0, 1.0], [-1.0, 1.0, 0.0, 1.0], [-1.0, -1.0, 1.0, 1.0], [-1.0, -1.0, -1.0, 1.0]]),
+            # the pivot 1e-311 passes 1e-12 * max|A|, but 1/1e-311 is inf,
+            # and every solve was NaN
+            np.diag([1e-300, 1e-311]),
+        ],
+        ids=["growth", "inverse"],
+    )
+    def test_factors_past_the_float_maximum_are_a_value_error(self, a):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows the float range"):
+            linalg.lu_factorize(a)
+
     def test_hand_checked_solve(self):
         # A x = (0, 0, 2) has the hand-verifiable solution (1, 1, -2):
         # row sums 2-2=0, 2-2=0, 1+1=2

@@ -16,7 +16,6 @@ from pairprox.errors import (
     DimensionMismatchError,
     NonFiniteIterateError,
     NotInRangeError,
-    ReductionMismatchError,
     SingularMatrixError,
     UnsupportedStructureError,
 )
@@ -108,6 +107,13 @@ def sign_engine(gamma=1.0):
     return resolvents.build_engine(f, v, gamma), f, v
 
 
+_OVERFLOWING_NORMS = 1e308 * np.array([[-0.8, -1.6, -1.6], [1.1, 1.4, 0.4], [0.8, 0.1, 1.5]])
+# partial pivoting doubles the last column at each of three steps
+_OVERFLOWING_GROWTH = 4e307 * np.array(
+    [[1.0, 0.0, 0.0, 1.0], [-1.0, 1.0, 0.0, 1.0], [-1.0, -1.0, 1.0, 1.0], [-1.0, -1.0, -1.0, 1.0]]
+)
+
+
 class TestBuildEngine:
     def test_affine_pair_dispatch(self):
         engine, _, _ = qp_engine()
@@ -128,6 +134,41 @@ class TestBuildEngine:
         f, v = apps.kkt_operator_pair(np.diag([1e308, -1e308]), np.ones(2), 0.2)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows the float range"):
             resolvents.build_engine(f, v, 1.0)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            # sum_j max_i |M_ij| and max_i sum_j |M_ij| pass the float
+            # maximum, so every roundoff bound was inf and the first pattern
+            # tried was accepted; sym(M) summed before halving raised
+            # LinAlgError
+            ops.Sum((ops.SignBlock(1.0, (0, 1, 2)), ops.Affine(_OVERFLOWING_NORMS))),
+            # the norms are finite, but the elimination overflows: the
+            # all-(+) pattern took y = (3, 3, 3, 3) to an x whose row 3
+            # missed y by 16, and the affine engine's row 3 missed it by 24
+            ops.Sum((ops.SignBlock(1.0, (0, 1, 2, 3)), ops.Affine(_OVERFLOWING_GROWTH))),
+            ops.Affine(_OVERFLOWING_GROWTH),
+        ],
+        ids=["sign-norms", "sign-factors", "affine-factors"],
+    )
+    def test_engine_past_the_float_maximum_is_rejected(self, f):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows the float range"):
+            resolvents.build_engine(f, ops.identity_operator(f.dim), 1.0)
+
+    def test_sign_engine_near_the_float_maximum_is_certified(self):
+        # 2 * M[0, 0] overflows but every norm is finite; sym(M) halved
+        # before the sum is positive definite, where the unhalved sum read
+        # an inf eigenvalue and the certificate failed
+        m = np.array([[1.5e308, 1e306, 0.0], [-1e306, 1e307, 0.0], [0.0, 1.0, 1e307]])
+        f = ops.Sum((ops.SignBlock(1.0, (0, 1, 2)), ops.Affine(m)))
+        engine = resolvents.build_engine(f, ops.identity_operator(3), 1.0)
+        assert engine.kind is resolvents.StrategyKind.SIGN_SEPARABLE
+        assert engine.unique_preimage
+        for w in (np.full(3, 3.0), np.array([-1e300, 2e299, 5.0]), np.zeros(3)):
+            out = resolvents.transformed(engine, w)
+            fz = f.evaluate(out.preimage)
+            resid, tol = w - out.image, 1e-12 * (1.0 + np.abs(w))
+            assert np.all(resid >= fz.lower - tol) and np.all(resid <= fz.upper + tol)
 
     def test_trig_pair_unsupported(self):
         engine = resolvents.build_engine(ops.trig_block_operator(), ops.swap_operator(), 1.0)
@@ -373,42 +414,57 @@ def _subnormal_draw(index):
     return ops.Scale(0.001, ops.Scale(0.125, ops.Affine(m, d)))
 
 
-class TestReductionProbe:
+def assert_reduction_matches(tree, points):
+    """The normal form of `tree` must agree with its `evaluate` at each row
+    of `points`, interval bounds included, within the roundoff of the terms
+    summed. Rows are points with |x| <= 10; at a zero coordinate a Sign
+    term gives an interval, so the interval widths must agree too."""
+    n = points.shape[1]
+    form = resolvents._try_sign_affine(tree, n)
+    assert form is not None, "the tree does not reduce"
+    values = tree.evaluate(points)
+    linear = points @ form.matrix.T + form.offset
+    picked = points[:, form.sign_var]
+    sign = np.sign(picked)
+    width = np.where(picked == 0.0, form.scales, 0.0)
+    # the normal form's entries round too, and |points| <= 10 scales that
+    tol = 1e-12 * _term_magnitude(tree, points) + 10.0 * (2 * n + 3) * _TINY * _scaled_node_count(tree, n)
+    assert np.all(np.abs(values.lower - (linear + form.scales * sign - width)) <= tol)
+    assert np.all(np.abs(values.upper - (linear + form.scales * sign + width)) <= tol)
+
+
+def _check_points(n):
+    """Two generic points in [-10, 10]^n, then 0. A wrong matrix or offset
+    shows at a generic point with probability one, as in Freivalds' check
+    of matrix products; at 0 every Sign term gives its interval."""
+    return np.vstack((SplitMix64(7).uniform(2 * n, -10.0, 10.0).reshape(2, n), np.zeros(n)))
+
+
+class TestStructuralReduction:
     @given(trees_and_points())
     @example((_SUBNORMAL_SCALE, SplitMix64(6).uniform(8, -10.0, 10.0).reshape(4, 2)))
     @settings(max_examples=300, deadline=None)
     def test_reduction_matches_evaluate(self, case):
         tree, points = case
-        n = points.shape[1]
-        form = resolvents._try_sign_affine(tree, n)
-        if form is None:
-            return
-        values = tree.evaluate(points)
-        linear = points @ form.matrix.T + form.offset
-        picked = points[:, form.sign_var]
-        sign = np.sign(picked)
-        width = np.where(picked == 0.0, form.scales, 0.0)
-        # the normal form's entries round too, and |points| <= 10 scales that
-        tol = 1e-12 * _term_magnitude(tree, points) + 10.0 * (2 * n + 3) * _TINY * _scaled_node_count(tree, n)
-        assert np.all(np.abs(values.lower - (linear + form.scales * sign - width)) <= tol)
-        assert np.all(np.abs(values.upper - (linear + form.scales * sign + width)) <= tol)
-        # and the build's probe passes it
-        resolvents._probe_reduction("F", tree, form, resolvents._probe_points(n))
+        if resolvents._try_sign_affine(tree, points.shape[1]) is not None:
+            assert_reduction_matches(tree, points)
 
-    def test_cancelling_terms_pass_the_probe(self):
+    def test_cancelling_terms_match_evaluate(self):
         # F = (I + E) - I with E tiny: the tree rounds x + E x at the scale of
         # x, far above the scale of E x that the normal form holds
         e = 1e-10 * np.array([[0.0, 1.0, 2.0], [3.0, 0.0, -1.0], [1.0, 1.0, 0.0]])
         f = ops.Sum(
             (ops.Affine(np.eye(3) + e, np.ones(3)), ops.Pointwise("negation"), ops.Affine(np.zeros((3, 3)), -np.ones(3)))
         )
+        assert_reduction_matches(f, _check_points(3))
         engine = resolvents.build_engine(f, ops.identity_operator(3), 1.0)
         assert engine.kind is resolvents.StrategyKind.AFFINE_AFFINE
 
     @pytest.mark.parametrize(
         "f",
         [
-            # the ninth draw failed at probe point 0, off by one subnormal ulp
+            # the ninth draw was off by one subnormal ulp at 0, where a bound
+            # relative to the terms alone rounds to 0
             _subnormal_draw(8),
             # the tree rounds m x among subnormals and then scales the error
             # up by 1e6, far above the relative bound of the scaled terms
@@ -416,38 +472,38 @@ class TestReductionProbe:
         ],
         ids=["draw-8", "scaled-up"],
     )
-    def test_subnormal_data_passes_the_probe(self, f):
+    def test_subnormal_data_matches_evaluate(self, f):
+        assert_reduction_matches(f, _check_points(f.dim))
         engine = resolvents.build_engine(f, ops.identity_operator(f.dim), 1.0)
         assert engine.kind is resolvents.StrategyKind.AFFINE_AFFINE
 
     @pytest.mark.parametrize(
-        "mutation, f, v, named",
+        "mutation, op",
         [
-            (_flip_affine_offsets, *apps.kkt_operator_pair(np.diag([2.0, 0.0]), np.array([1.0, -1.0]), 0.2), "F = Affine"),
-            (_flip_affine_offsets, _STACK3, _V3, "F = Stack"),
-            (_flip_affine_offsets, SIGN_TREES[3][1], _V3, "v = Affine"),
-            (_drop_scale_factors, AFFINE_TREES[4][1], _V3, "F = Scale"),
-            (_drop_scale_factors, SIGN_TREES[4][1], _V3, "F = Scale"),
-            (_drop_scale_factors, _SIGN_SWAP, ops.Scale(3.0, ops.swap_operator()), "v = Scale"),
+            (_flip_affine_offsets, apps.kkt_operator_pair(np.diag([2.0, 0.0]), np.array([1.0, -1.0]), 0.2)[0]),
+            (_flip_affine_offsets, _STACK3),
+            (_flip_affine_offsets, _V3),
+            (_drop_scale_factors, AFFINE_TREES[4][1]),
+            (_drop_scale_factors, SIGN_TREES[4][1]),
+            (_drop_scale_factors, ops.Scale(3.0, ops.swap_operator())),
         ],
+        ids=["kkt-F-affine", "F-stack", "v-affine", "F-scale", "F-nested-scale", "v-scale"],
     )
-    def test_wrong_reduction_fails_at_build(self, monkeypatch, mutation, f, v, named):
+    def test_wrong_reduction_fails_the_comparison(self, monkeypatch, mutation, op):
         monkeypatch.setattr(resolvents, "_try_sign_affine", mutation(resolvents._try_sign_affine))
-        with pytest.raises(ReductionMismatchError, match=f"^{named}"):
-            resolvents.build_engine(f, v, _GAMMA)
+        with pytest.raises(AssertionError):
+            assert_reduction_matches(op, _check_points(op.dim))
 
     @pytest.mark.parametrize(
-        "f, v, named",
-        [
-            (ops.Sum((_SIGN_SWAP, ops.Pointwise("identity"))), ops.swap_operator(), "F = Sum"),
-            (ops.SignBlock(1.0, (0, 1)), ops.Scale(2.0, ops.Pointwise("identity")), "v = Scale"),
-        ],
+        "op",
+        [ops.Sum((_SIGN_SWAP, ops.Pointwise("identity"))), ops.Scale(2.0, ops.Pointwise("identity"))],
+        ids=["F-sum", "v-scale"],
     )
-    def test_replaced_identity_fails_at_build(self, monkeypatch, f, v, named):
-        # register_pointwise refuses this, so the registry is written directly
+    def test_replaced_identity_fails_the_comparison(self, monkeypatch, op):
+        # the registry is a fixed dict, so a replaced map is written directly
         monkeypatch.setitem(ops._POINTWISE_REGISTRY, "identity", lambda t: 2.0 * t)
-        with pytest.raises(ReductionMismatchError, match=f"^{named}"):
-            resolvents.build_engine(f, v, 1.0, dim=2)
+        with pytest.raises(AssertionError):
+            assert_reduction_matches(op, _check_points(2))
 
 
 class TestWarped:

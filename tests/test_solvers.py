@@ -9,7 +9,7 @@ import pytest
 from pairprox import applications as apps
 from pairprox import operators as ops
 from pairprox import resolvents, solvers
-from pairprox.errors import NonFiniteIterateError
+from pairprox.errors import NonFiniteIterateError, SingularMatrixError
 from pairprox.rng import SplitMix64
 
 FULL = solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL)
@@ -220,6 +220,12 @@ class TestDcaBaseline:
         assert res.iterations == 1
         assert np.allclose(res.preimage, x0, atol=1e-12)
 
+    def test_subnormal_singular_shift_is_reported(self):
+        # A + m I = diag(1e-320, 0), whose pivot threshold 1e-12 * 1e-320
+        # underflows to 0: the zero pivot alone marks it singular
+        with pytest.raises(SingularMatrixError, match=r"A \+ m\*I is singular"):
+            solvers.dca_baseline(np.diag([0.0, -1e-320]), np.zeros(2), 1e-320, np.zeros(2))
+
     @pytest.mark.parametrize(
         "a, b, name",
         [
@@ -324,11 +330,10 @@ class TestSharedDriverJobs:
         assert res.image.tobytes() == evaluate_point(v, res.preimage).tobytes()
 
     def test_anchored_step_checks_one_shape_and_compares_no_bounds(self, monkeypatch):
-        # the engine's build evaluates F and v once each, on a batch of
-        # probe points; each step then evaluates only v, for the image, and
-        # checks its input shape once, at the root. v's values are points
-        # sharing one array for both bounds, so telling whether they are a
-        # point compares nothing
+        # the engine's build evaluates neither F nor v; each step evaluates
+        # only v, for the image, and checks its input shape once, at the
+        # root. v's values are points sharing one array for both bounds, so
+        # telling whether they are a point compares nothing
         checks = compares = 0
         check_dim, array_equal = ops.OperatorExpr._check_dim, np.array_equal
 
@@ -348,7 +353,7 @@ class TestSharedDriverJobs:
         cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=100, halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)))
         res = solvers.gppa2(f, v, np.array([3.0, 1.0]), cfg)
         assert res.iterations == 100
-        assert (checks, compares) == (2 + 100, 0)
+        assert (checks, compares) == (100, 0)
 
 
 class TestResidualAccess:
