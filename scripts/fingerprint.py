@@ -18,16 +18,20 @@ summaries. The entries:
 
 - sign_pair_2d seeds 1-3: the anchored run at FULL trace, in full and cut
   at 1000 steps, and the check-pair report;
-- gppa and gppa1 at FULL trace on the sign-swap pair from three starts;
+- gppa and gppa1 at FULL trace on the sign-swap pair from three starts,
+  at the default gamma = 1 and at the gamma schedule (0.5, 1, 2, 0.75);
 - least squares at FULL trace on lsq_laplacian seeds 1-2, in full and cut
   at 50 steps;
 - solve-kkt on the cli_defaults QP of seed 1: exit code, standard output,
   --out and the trace;
+- the KKT solve of kkt_table's seed-1 trial-0 system at n = 400 and
+  n = 1000, at FULL trace;
 - bench --sizes 5,9 --trials 2: exit code, summary and table;
 - the four demos: exit code, standard output and trace files.
 
 The entries in LONG take most of the tool's run. The cut runs repeat the
-first steps of the full-length ones at a fraction of the cost, so the tests
+first steps of the full-length ones, and the KKT solve at n = 400 runs the
+LU panels of the one at n = 1000, at a fraction of the cost, so the tests
 re-run every entry outside LONG, and LONG is checked by hand:
 
     python3 scripts/fingerprint.py | diff FINGERPRINTS.json -
@@ -61,10 +65,11 @@ import numpy as np  # noqa: E402
 from pairprox import applications as apps  # noqa: E402
 from pairprox import cli, operators as ops, solvers  # noqa: E402
 from run import environment as bench_environment  # noqa: E402
-from workloads import CliDefaults, LsqLaplacian, SignPair2D  # noqa: E402
+from workloads import CliDefaults, KKTTable, LsqLaplacian, SignPair2D  # noqa: E402
 
 FULL = solvers.TraceLevel.FULL
 SIGN_SWAP_STARTS = ((5.0, -3.0), (0.3, -0.7), (-2.5, 4.25))
+GAMMA_SCHEDULE = (0.5, 1.0, 2.0, 0.75)
 DEMOS = ("example-1", "example-2", "least-squares", "dca-divergence")
 ANCHORED_CUT, LSQ_CUT = 1000, 50
 
@@ -129,9 +134,9 @@ def _check_pair(seed):
     return run
 
 
-def _sign_swap(solver, x0):
+def _sign_swap(solver, x0, gamma=1.0):
     def run(workdir):
-        cfg = solvers.SolverConfig(trace_level=FULL)
+        cfg = solvers.SolverConfig(gamma_schedule=gamma, trace_level=FULL)
         return _result(solver(ops.sign_swap_operator(), ops.swap_operator(), np.array(x0), cfg, reference=np.zeros(2)))
 
     return run
@@ -153,6 +158,18 @@ def _solve_kkt(workdir):
     workload.setup()
     parts = _run_cli(["solve-kkt", workload.problem, "--out", workload.out, "--trace", workload.trace])
     return [*parts, pathlib.Path(workload.out).read_text(), _without_seconds(workload.trace)]
+
+
+def _kkt_table(n):
+    def run(workdir):
+        workload = KKTTable(1, workdir)
+        trial_seed = next(seed for size, trial, seed in workload.setup() if size == n and trial == 0)
+        system = apps.generate_consistent_system(n, trial_seed, KKTTable.SPECTRUM, KKTTable.ZERO_FRACTION)
+        kkt = apps.KKTSystem(system.matrix, system.rhs, n)
+        cfg = dataclasses.replace(workload.cfg, trace_level=FULL)
+        return _result(apps.solve_kkt(kkt, KKTTable.KAPPA, x0=np.zeros(n), cfg=cfg).result)
+
+    return run
 
 
 def _bench(workdir):
@@ -189,9 +206,16 @@ ENTRIES = {
         for solver in (solvers.gppa, solvers.gppa1)
         for x0 in SIGN_SWAP_STARTS
     },
+    **{
+        f"sign_swap/{solver.__name__}/gamma={','.join(f'{g:g}' for g in GAMMA_SCHEDULE)}/x0={x0[0]:g},{x0[1]:g}":
+            _sign_swap(solver, x0, GAMMA_SCHEDULE)
+        for solver in (solvers.gppa, solvers.gppa1)
+        for x0 in SIGN_SWAP_STARTS
+    },
     **{f"lsq_laplacian/seed={seed}": _least_squares(seed) for seed in (1, 2)},
     **{f"lsq_laplacian/seed={seed}/max_iters={LSQ_CUT}": _least_squares(seed, LSQ_CUT) for seed in (1, 2)},
     "cli_defaults/solve-kkt": _solve_kkt,
+    **{f"kkt_table/seed=1/n={n}/trial=0/solve_kkt": _kkt_table(n) for n in (400, 1000)},
     "bench/sizes=5,9/trials=2": _bench,
     **{f"demo/{name}": _demo(name) for name in DEMOS},
 }
@@ -200,6 +224,7 @@ ENTRIES = {
 LONG = (
     *(f"sign_pair_2d/seed={seed}/gppa2" for seed in (1, 2, 3)),
     *(f"lsq_laplacian/seed={seed}" for seed in (1, 2)),
+    "kkt_table/seed=1/n=1000/trial=0/solve_kkt",
     "demo/example-2",
 )
 

@@ -2,7 +2,12 @@
 eigendecomposition behind the kernel-shift selection, and matrix text I/O.
 
 The LU factorization eliminates in column panels and then inverts each
-diagonal block of L and U once. A solve is blocked forward and back
+diagonal block of L and U once. Each panel is eliminated in a contiguous
+transposed copy, so the pivot search, the scaling and the rank-1 updates run
+on contiguous rows, and its row interchanges are applied to the rest of the
+matrix once per panel (LAPACK's dgetf2 and dlaswp split). Every entry gets
+the same operations in the same order as in place, so the factors are the
+same bits. A solve is blocked forward and back
 substitution on those cached inverses (Golub & Van Loan, Matrix
 Computations, section 3.1): per block, one matrix-vector product for the
 part already solved and one small product with the block's inverse, so no
@@ -30,6 +35,7 @@ from .errors import (
 
 _PIVOT_RTOL = 1e-12
 _SYMMETRY_RTOL = 1e-10
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 def as_vector(x) -> np.ndarray:
@@ -62,20 +68,23 @@ def require_finite(a: np.ndarray, name: str) -> np.ndarray:
 def norm(x: np.ndarray) -> float:
     """The Euclidean norm of a 1-D float vector.
 
-    Where x.dot(x) is finite this is sqrt(x.dot(x)), bitwise what
-    numpy.linalg.norm computes on a vector, with less call overhead. Where
-    the sum of squares overflows for a finite x, x is first scaled by
-    max|x|, so the norm is inf only when it exceeds the float range. The
-    overflow of the sum of squares is reported as numpy's error state says
-    (a RuntimeWarning by default).
+    Where x.dot(x) is a finite normal number this is sqrt(x.dot(x)),
+    bitwise what numpy.linalg.norm computes on a vector, with less call
+    overhead. Where the sum of squares overflows, or underflows below the
+    smallest normal number, for a finite nonzero x, x is first scaled by
+    max|x|: the norm is then inf only when it exceeds the float range, and
+    0 only for a zero vector. The overflow of the sum of squares is
+    reported as numpy's error state says (a RuntimeWarning by default).
     """
     # a strided view is summed in another order, so it is made contiguous
     # first, as numpy.linalg.norm does
     x = x.ravel()
-    squares = x.dot(x)
-    if squares == math.inf:
+    # compared as a Python float: two comparisons of the numpy scalar made
+    # each call about a fifth slower on the short vectors of a step
+    squares = float(x.dot(x))
+    if not _SMALLEST_NORMAL <= squares < math.inf and x.size:
         scale = float(np.abs(x).max())
-        if scale < math.inf:
+        if 0.0 < scale < math.inf:
             y = x / scale
             return scale * math.sqrt(y.dot(y))
     return math.sqrt(squares)
@@ -123,9 +132,13 @@ def lu_factorize(a: np.ndarray, block: int = 64) -> LUFactorization:
     A pivot below 1e-12 * max|A|, or a zero pivot where that threshold
     underflows to 0, marks the matrix singular (the downstream solvers
     target deliberately singular systems, so detection must be a reportable
-    state, not an exception). A matrix with a NaN or infinite entry is a
-    ValueError, and so is one whose factors, or the inverses of their
-    diagonal blocks, overflow the float range.
+    state, not an exception). `packed` and `perm` then hold the elimination
+    as it stood at that column: the factors of the columns before it, every
+    interchange made so far applied to whole rows, and the rest of the
+    matrix updated through the last finished panel and within the current
+    one. A matrix with a NaN or infinite entry is a ValueError, and so is
+    one whose factors, or the inverses of their diagonal blocks, overflow
+    the float range.
     """
     a = as_matrix(a)
     n, m = a.shape
@@ -140,19 +153,45 @@ def lu_factorize(a: np.ndarray, block: int = 64) -> LUFactorization:
         return LUFactorization(n, perm, lu, True)
     threshold = _PIVOT_RTOL * maxabs
 
+    # each panel lu[j:, j:end] is eliminated in a transposed copy, where its
+    # column c is the contiguous row pt[c]; every copy reuses the storage of
+    # the block inverses, which are computed after the elimination, so the
+    # copies need no allocation of their own
+    inverses = np.empty((2, n, min(block, n)))
+    buffer = inverses[0].reshape(-1)
     for j in range(0, n, block):
         jb = min(block, n - j)
-        for k in range(j, j + jb):
-            p = k + int(np.argmax(np.abs(lu[k:, k])))
-            if abs(lu[p, k]) < threshold or lu[p, k] == 0.0:
-                return LUFactorization(n, perm, lu, True)
-            if p != k:
-                lu[[k, p], :] = lu[[p, k], :]
-                perm[[k, p]] = perm[[p, k]]
-            lu[k + 1 :, k] /= lu[k, k]
-            if k + 1 < j + jb:
-                lu[k + 1 :, k + 1 : j + jb] -= lu[k + 1 :, k : k + 1] * lu[k : k + 1, k + 1 : j + jb]
         end = j + jb
+        pt = buffer[: jb * (n - j)].reshape(jb, n - j)
+        pt[...] = lu[j:, j:end].T
+        # row i of the panel came from row j + order[i]
+        order = np.arange(n - j)
+        singular = False
+        for c in range(jb):
+            col = pt[c]
+            p = c + int(np.abs(col[c:]).argmax())
+            if abs(col[p]) < threshold or col[p] == 0.0:
+                singular = True
+                break
+            if p != c:
+                swap = pt[:, c].copy()
+                pt[:, c] = pt[:, p]
+                pt[:, p] = swap
+                order[c], order[p] = order[p], order[c]
+            col[c + 1 :] /= col[c]
+            if c + 1 < jb:
+                pt[c + 1 :, c + 1 :] -= pt[c + 1 :, c : c + 1] * col[c + 1 :]
+        # the interchanges reach the rows outside the panel in one gather of
+        # the rows they moved
+        moved = np.flatnonzero(order != np.arange(n - j))
+        if moved.size:
+            rows, source = j + moved, j + order[moved]
+            lu[rows, :j] = lu[source, :j]
+            lu[rows, end:] = lu[source, end:]
+            perm[rows] = perm[source]
+        lu[j:, j:end] = pt.T
+        if singular:
+            return LUFactorization(n, perm, lu, True)
         if end < n:
             # U12 = L11^{-1} A12, then GEMM trailing update
             panel = lu[j:end, j:end]
@@ -165,7 +204,6 @@ def lu_factorize(a: np.ndarray, block: int = 64) -> LUFactorization:
     # and peak RSS then grew by a full n x n matrix in about half of the
     # benchmark's runs
     bounds = [(j, min(j + block, n)) for j in range(0, n, block)]
-    inverses = np.empty((2, n, min(block, n)))
     for j, end in bounds:
         inverses[0, j:end, : end - j] = np.linalg.inv(np.tril(lu[j:end, j:end], -1) + np.eye(end - j))
         inverses[1, j:end, : end - j] = np.linalg.inv(np.triu(lu[j:end, j:end]))

@@ -9,6 +9,7 @@ from pairprox.errors import AllEigenvaluesZeroError, NonFiniteIterateError, NotS
 from pairprox.rng import SplitMix64
 
 FULL = solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL)
+EPS = np.finfo(float).eps
 
 REMARK_MATRIX = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, -2.0, -3.0]])
 
@@ -208,6 +209,39 @@ class TestSolveKKT:
         kkt = apps.build_kkt(example_qp())
         with pytest.raises(ValueError, match="defined at constant gamma = 1"):
             apps.solve_kkt(kkt, kappa=0.2, cfg=solvers.SolverConfig(gamma_schedule=2.0))
+
+
+# (n, seed) of the linear-rate check: n from 6 to 35, and one n = 130, where
+# the LU of 2A + 2 kappa I spans three panels of 64
+RATE_SYSTEMS = [(6 + i, 700 + i) for i in range(30)] + [(130, 7)]
+
+
+@pytest.mark.parametrize("n, seed", RATE_SYSTEMS)
+def test_gppa_contracts_the_residual_at_the_linear_rate(n, seed):
+    # gppa's error map x_k - z -> x_{k+1} - z is (2A + 2 kappa I)^{-1}
+    # (A + 2 kappa I), which commutes with A, so e_k = ||A x_k - b|| falls
+    # by rho = max over nonzero lambda of |lambda + 2 kappa| / |2 lambda + 2
+    # kappa| per step. A step's roundoff is about n*eps*(||A|| ||x|| + ||b||)
+    # in the residual, and cond(2A + 2 kappa I) times that through the solve.
+    kappa = 0.2
+    system = apps.generate_consistent_system(n, seed)
+    a, b, lam = system.matrix, system.rhs, system.eigenvalues
+    nonzero = lam[lam != 0.0]
+    rho = float(np.max(np.abs(nonzero + 2 * kappa) / np.abs(2 * nonzero + 2 * kappa)))
+    shifted = np.abs(2 * lam + 2 * kappa)
+    amplify = 1.0 + shifted.max() / shifted.min()
+    f, v = apps.kkt_operator_pair(a, b, kappa)
+    cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=200, trace_level=solvers.TraceLevel.FULL)
+    iterates = solvers.gppa(f, v, np.zeros(n), cfg).trace.iterates
+    errors = [np.linalg.norm(a @ x - b) for x in iterates]
+    slack = [n * EPS * amplify * (np.abs(lam).max() * np.linalg.norm(x) + np.linalg.norm(b)) for x in iterates]
+    checked = 0
+    for k in range(len(iterates) - 1):
+        if errors[k] <= 100 * slack[k]:
+            break  # the residual has reached its roundoff
+        assert errors[k + 1] <= rho * errors[k] + slack[k + 1], (k, errors[k + 1] / errors[k], rho)
+        checked += 1
+    assert checked >= 20
 
 
 class TestLeastSquares:

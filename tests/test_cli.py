@@ -150,8 +150,10 @@ class TestLeastSquaresCommand:
             # ||A b|| underflows to 0, so the start already meets even --tol 0
             (1e-320, 0, "status: Converged after 0 iterations"),
             (1e300, 1, "error: gamma*F + v is singular affine"),
+            # ||A b|| = 1e-320 is subnormal, not 0, so the first step runs
+            (1.0, 1, "error: gamma*F + v is singular affine"),
         ],
-        ids=["start-converged", "first-step"],
+        ids=["start-converged", "first-step", "subnormal-residual"],
     )
     def test_subnormal_singular_system_is_reported(self, b0, code, expected, tmp_path, capsys):
         # 2A + 2 kappa I = diag(2.02e-320, 0): its pivot threshold underflows

@@ -1,8 +1,10 @@
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairprox import linalg
@@ -127,20 +129,23 @@ def conditioned_system(n, seed):
 
 def reference_elimination(a, block):
     """The panel elimination with partial pivoting that lu_factorize ran
-    before its solve was blocked: (packed, perm), or None when singular."""
+    before it eliminated each panel in a transposed copy, swapping two full
+    rows per column: (packed, perm, singular). A pivot below 1e-12 * max|A|,
+    or a zero pivot, stops it as singular with the factors and permutation
+    of that moment."""
     n = a.shape[0]
     lu = a.copy()
     perm = np.arange(n)
     maxabs = float(np.max(np.abs(a)))
     if maxabs == 0.0:
-        return None
+        return lu, perm, True
     threshold = 1e-12 * maxabs
     for j in range(0, n, block):
         jb = min(block, n - j)
         for k in range(j, j + jb):
             p = k + int(np.argmax(np.abs(lu[k:, k])))
-            if abs(lu[p, k]) < threshold:
-                return None
+            if abs(lu[p, k]) < threshold or lu[p, k] == 0.0:
+                return lu, perm, True
             if p != k:
                 lu[[k, p], :] = lu[[p, k], :]
                 perm[[k, p]] = perm[[p, k]]
@@ -154,7 +159,16 @@ def reference_elimination(a, block):
             for r in range(1, jb):
                 tail[r] -= panel[r, :r] @ tail[:r]
             lu[end:, end:] -= lu[end:, j:end] @ tail
-    return lu, perm
+    return lu, perm, False
+
+
+def assert_elimination_matches_reference(fact, a, block):
+    """`packed`, `perm` and the singular flag are bytes-equal to
+    reference_elimination's, partial ones included."""
+    packed, perm, singular = reference_elimination(a, block)
+    assert fact.singular == singular
+    assert fact.packed.tobytes() == packed.tobytes()
+    assert fact.perm.tobytes() == perm.tobytes()
 
 
 def strided_solve(fact, b):
@@ -226,22 +240,58 @@ class TestBlockedSolve:
             a[-1] = a[0]  # the duplicate row eliminates to exact zeros
         fact = linalg.lu_factorize(a, block=block)
         assert fact.singular
-        assert reference_elimination(a, block) is None
+        assert_elimination_matches_reference(fact, a, block)
         with pytest.raises(SingularMatrixError):
             linalg.lu_solve(fact, np.ones(n))
 
     def test_elimination_bitwise_unchanged(self, n, block):
         a, _ = conditioned_system(n, 1000 * n + block)
         fact = linalg.lu_factorize(a, block=block)
-        packed, perm = reference_elimination(a, block)
-        assert np.array_equal(fact.packed, packed)
-        assert np.array_equal(fact.perm, perm)
+        assert not fact.singular
+        assert_elimination_matches_reference(fact, a, block)
 
     def test_solve_bitwise_equal_to_strided_reference(self, n, block):
         a, _ = conditioned_system(n, 1000 * n + block)
         fact = linalg.lu_factorize(a, block=block)
         assert_strips_copy_packed(fact)
         assert_solves_like_strided_reference(fact, 11 * n + block)
+
+
+# (n, column): the first, a middle and the last column of a panel of the
+# default block 64 is made to go singular; in a panel past the first, the
+# partial factors hold the interchanges of rows left of the panel
+SINGULAR_COLUMNS = (
+    (63, 0), (63, 31), (63, 62), (64, 0), (64, 32), (64, 63),
+    (65, 63), (65, 64), (129, 64), (129, 96), (129, 127), (129, 128),
+)
+
+
+@pytest.mark.parametrize("scale", (1e-300, 1.0, 1e300))
+@pytest.mark.parametrize("how", ("zeroed", "dependent"))
+@pytest.mark.parametrize("n, column", SINGULAR_COLUMNS)
+def test_singular_column_stops_as_the_reference_does(n, column, how, scale):
+    # a zeroed column stays exactly zero under elimination; a column that is
+    # a combination of the columns before it eliminates to roundoff, far
+    # below the pivot threshold 1e-12 * max|A|
+    a, _ = conditioned_system(n, 100 * n + column)
+    if how == "zeroed":
+        a[:, column] = 0.0
+    else:
+        a[:, column] = a[:, :column] @ SplitMix64(n + column).normal(column)
+    a *= scale
+    fact = linalg.lu_factorize(a)
+    assert fact.singular
+    assert_elimination_matches_reference(fact, a, 64)
+
+
+@pytest.mark.parametrize("scale", (1e-300, 1e300))
+@pytest.mark.parametrize("n", (63, 64, 65, 129))
+def test_elimination_at_extreme_scales_matches_the_reference(n, scale):
+    a, _ = conditioned_system(n, 31 * n)
+    a *= scale
+    fact = linalg.lu_factorize(a)
+    assert not fact.singular
+    assert_elimination_matches_reference(fact, a, 64)
 
 
 @pytest.mark.parametrize("n", (65, 129, 130, 900, 1000))
@@ -460,3 +510,30 @@ class TestNorm:
     def test_sum_of_squares_that_overflows_is_scaled(self, x, expected):
         with np.errstate(over="ignore"):
             assert linalg.norm(np.array(x)) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            ([1e-320, 0.0], 1e-320),  # the sum of squares underflows to 0
+            ([3e-160, 4e-160], 5e-160),  # a subnormal sum of squares
+            ([-5e-324], 5e-324),
+            ([1e-200, 1e-320, -1e-200], 1e-200 * np.sqrt(2.0)),
+        ],
+    )
+    def test_sum_of_squares_that_underflows_is_scaled(self, x, expected):
+        # approx's default absolute tolerance would pass 0 for each of these
+        assert linalg.norm(np.array(x)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("x", [[0.0], [-0.0], [0.0, -0.0, 0.0]])
+    def test_zero_vector_has_norm_plus_zero(self, x):
+        result = linalg.norm(np.array(x))
+        assert result == 0.0 and math.copysign(1.0, result) == 1.0
+
+    @given(st.lists(st.floats(-1e160, 1e160), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_sqrt_of_the_sum_of_squares_where_that_is_normal(self, values):
+        x = np.array(values)
+        with np.errstate(over="ignore"):
+            squares = x.dot(x)
+        assume(sys.float_info.min <= squares < math.inf)
+        assert linalg.norm(x) == math.sqrt(squares)
