@@ -24,6 +24,8 @@ summaries. The entries:
   at 50 steps;
 - solve-kkt on the cli_defaults QP of seed 1: exit code, standard output,
   --out and the trace;
+- the files the writers make: the text of that QP's problem.json,
+  problem-Q.mat and problem-C.mat, and of the sign-swap operator's file;
 - the KKT solve of kkt_table's seed-1 trial-0 system at n = 400 and
   n = 1000, at FULL trace;
 - bench --sizes 5,9 --trials 2: exit code, summary and table;
@@ -160,6 +162,15 @@ def _solve_kkt(workdir):
     return [*parts, pathlib.Path(workload.out).read_text(), _without_seconds(workload.trace)]
 
 
+def _written_files(workdir):
+    workload = CliDefaults(1, workdir)
+    workload.setup()
+    stem = os.path.splitext(workload.problem)[0]
+    operator = os.path.join(workdir, "sign_swap.json")
+    ops.save_operator(operator, ops.sign_swap_operator())
+    return [pathlib.Path(path).read_text() for path in (workload.problem, f"{stem}-Q.mat", f"{stem}-C.mat", operator)]
+
+
 def _kkt_table(n):
     def run(workdir):
         workload = KKTTable(1, workdir)
@@ -215,6 +226,7 @@ ENTRIES = {
     **{f"lsq_laplacian/seed={seed}": _least_squares(seed) for seed in (1, 2)},
     **{f"lsq_laplacian/seed={seed}/max_iters={LSQ_CUT}": _least_squares(seed, LSQ_CUT) for seed in (1, 2)},
     "cli_defaults/solve-kkt": _solve_kkt,
+    "written_files/cli_defaults/seed=1+sign_swap": _written_files,
     **{f"kkt_table/seed=1/n={n}/trial=0/solve_kkt": _kkt_table(n) for n in (400, 1000)},
     "bench/sizes=5,9/trials=2": _bench,
     **{f"demo/{name}": _demo(name) for name in DEMOS},

@@ -368,8 +368,8 @@ def write_qp(path: str, qp: QPProblem) -> None:
     doc = {
         "Q": q_file,
         "C": c_file,
-        "c": [float(v) for v in qp.c],
-        "d": [float(v) for v in qp.d],
+        "c": qp.c.tolist(),
+        "d": qp.d.tolist(),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)

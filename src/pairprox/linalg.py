@@ -278,12 +278,15 @@ def jacobi_eigendecomposition(a: np.ndarray) -> SymmetricEigenDecomposition:
 
 
 def write_matrix(path, a: np.ndarray) -> None:
-    """Text format: first line "rows cols", one whitespace-separated row per line."""
+    """Text format: first line "rows cols", one whitespace-separated row per
+    line. Each row is formatted from Python floats with one "%.17g" template,
+    the same routine and bytes as f"{x:.17g}", non-finite values included."""
     a = as_matrix(a)
+    line = " ".join(["%.17g"] * a.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
         for row in a:
-            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+            fh.write(line % tuple(row.tolist()))
 
 
 def read_matrix(path) -> np.ndarray:
@@ -300,15 +303,13 @@ def read_matrix(path) -> np.ndarray:
         flat = fh.read().split()
     if len(flat) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} entries, found {len(flat)}")
-    data = np.array([float(tok) for tok in flat], dtype=float)
-    return data.reshape(rows, cols)
+    return np.fromiter(map(float, flat), dtype=float, count=len(flat)).reshape(rows, cols)
 
 
 def write_vector(path, x: np.ndarray) -> None:
     x = as_vector(x)
     with open(path, "w") as fh:
-        for val in x:
-            fh.write(f"{val:.17g}\n")
+        fh.write(("%.17g\n" * x.size) % tuple(x.tolist()))
 
 
 def read_vector(path) -> np.ndarray:
@@ -316,7 +317,7 @@ def read_vector(path) -> np.ndarray:
         toks = fh.read().split()
     if not toks:
         raise ValueError(f"{path}: empty vector file")
-    return np.array([float(tok) for tok in toks], dtype=float)
+    return np.fromiter(map(float, toks), dtype=float, count=len(toks))
 
 
 def _is_number(t) -> bool:

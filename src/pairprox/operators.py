@@ -544,8 +544,8 @@ def operator_to_json(op: OperatorExpr) -> dict:
     if isinstance(op, Affine):
         return {
             "kind": "affine",
-            "offset": list(map(float, op.offset)),
-            "matrix": [[float(x) for x in row] for row in op.matrix],
+            "offset": op.offset.tolist(),
+            "matrix": op.matrix.tolist(),
         }
     if isinstance(op, SignBlock):
         return {"kind": "sign-block", "scale": float(op.scale), "selector": list(op.selector)}
@@ -576,7 +576,9 @@ def operator_from_json(doc: dict, base_dir: str = ".") -> OperatorExpr:
     kind = doc.get("kind")
     if kind == "affine":
         if "matrix-file" in doc:
-            matrix = linalg.read_matrix(os.path.join(base_dir, get(doc, "matrix-file", "string")))
+            path = os.path.join(base_dir, get(doc, "matrix-file", "string"))
+            # finite, as the inline "matrix" key's "rows" shape requires
+            matrix = linalg.require_finite(linalg.read_matrix(path), f"operator matrix file {path}")
         elif "matrix" in doc:
             matrix = np.asarray(get(doc, "matrix", "rows"), dtype=float)
         else:

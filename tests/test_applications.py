@@ -216,25 +216,35 @@ class TestSolveKKT:
 RATE_SYSTEMS = [(6 + i, 700 + i) for i in range(30)] + [(130, 7)]
 
 
-@pytest.mark.parametrize("n, seed", RATE_SYSTEMS)
-def test_gppa_contracts_the_residual_at_the_linear_rate(n, seed):
-    # gppa's error map x_k - z -> x_{k+1} - z is (2A + 2 kappa I)^{-1}
-    # (A + 2 kappa I), which commutes with A, so e_k = ||A x_k - b|| falls
-    # by rho = max over nonzero lambda of |lambda + 2 kappa| / |2 lambda + 2
-    # kappa| per step. A step's roundoff is about n*eps*(||A|| ||x|| + ||b||)
-    # in the residual, and cond(2A + 2 kappa I) times that through the solve.
-    kappa = 0.2
-    system = apps.generate_consistent_system(n, seed)
+def rate_and_roundoff(system, kappa):
+    """(rho, roundoff) of the KKT pair of a generated system. Every map of
+    the iterations, (2A + 2 kappa I)^{-1} (A + 2 kappa I) and T's linear
+    part, commutes with A, so each contracts ran A by rho = max over nonzero
+    lambda of |lambda + 2 kappa| / |2 lambda + 2 kappa| and fixes ker A.
+    roundoff(r) bounds one step's rounding from an iterate of norm r: about
+    n*eps*(||A|| r + ||b||), and cond(2A + 2 kappa I) times that through the
+    solve."""
     a, b, lam = system.matrix, system.rhs, system.eigenvalues
     nonzero = lam[lam != 0.0]
     rho = float(np.max(np.abs(nonzero + 2 * kappa) / np.abs(2 * nonzero + 2 * kappa)))
     shifted = np.abs(2 * lam + 2 * kappa)
     amplify = 1.0 + shifted.max() / shifted.min()
+    return rho, lambda r: a.shape[0] * EPS * amplify * (np.abs(lam).max() * r + np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("n, seed", RATE_SYSTEMS)
+def test_gppa_contracts_the_residual_at_the_linear_rate(n, seed):
+    # gppa's error map x_k - z -> x_{k+1} - z is (2A + 2 kappa I)^{-1}
+    # (A + 2 kappa I), so e_k = ||A x_k - b|| falls by rho per step
+    kappa = 0.2
+    system = apps.generate_consistent_system(n, seed)
+    a, b = system.matrix, system.rhs
+    rho, roundoff = rate_and_roundoff(system, kappa)
     f, v = apps.kkt_operator_pair(a, b, kappa)
     cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=200, trace_level=solvers.TraceLevel.FULL)
     iterates = solvers.gppa(f, v, np.zeros(n), cfg).trace.iterates
     errors = [np.linalg.norm(a @ x - b) for x in iterates]
-    slack = [n * EPS * amplify * (np.abs(lam).max() * np.linalg.norm(x) + np.linalg.norm(b)) for x in iterates]
+    slack = [roundoff(np.linalg.norm(x)) for x in iterates]
     checked = 0
     for k in range(len(iterates) - 1):
         if errors[k] <= 100 * slack[k]:
@@ -242,6 +252,68 @@ def test_gppa_contracts_the_residual_at_the_linear_rate(n, seed):
         assert errors[k + 1] <= rho * errors[k] + slack[k + 1], (k, errors[k + 1] / errors[k], rho)
         checked += 1
     assert checked >= 20
+
+
+# (n, seed) of the limit checks: 30% of the eigenvalues are zero, so the
+# fixed points of T = v (F + v)^{-1} form Fix T = v(x*) + ker A, not a point
+LIMIT_SYSTEMS = [(6 + i, 900 + i) for i in range(20)]
+
+
+def kkt_with_kernel(n, seed, kappa):
+    """A generated consistent system with a kernel, its KKT pair, and the
+    orthogonal projection onto Fix T = v(x*) + ker A, built from the
+    planted solution and the kernel's columns of `basis`."""
+    system = apps.generate_consistent_system(n, seed, zero_fraction=0.3)
+    kernel = system.basis[:, system.eigenvalues == 0.0]
+    assert kernel.shape[1] > 0
+    v_star = (system.matrix + 2 * kappa * np.eye(n)) @ system.solution
+    return system, apps.kkt_operator_pair(system.matrix, system.rhs, kappa), lambda y: v_star + kernel @ (kernel.T @ (y - v_star))
+
+
+@pytest.mark.parametrize("n, seed", LIMIT_SYSTEMS)
+def test_gppa1_ends_at_the_projection_of_the_start_onto_the_fixed_points(n, seed):
+    # A is symmetric, so T's linear part M is symmetric: x_k - P(x0) =
+    # M^k (x0 - P(x0)) lies in ran A and falls by rho per step (the weak
+    # limit of the paper, here strong as n is finite). Each step's roundoff
+    # stays undamped in ker A and within 1/(1 - rho) of it on ran A
+    kappa, steps = 0.2, 100
+    system, (f, v), project = kkt_with_kernel(n, seed, kappa)
+    rho, roundoff = rate_and_roundoff(system, kappa)
+    x0 = 3.0 * SplitMix64(seed).normal(n)
+    res = solvers.gppa1(f, v, x0, solvers.SolverConfig(tol_residual=0.0, max_iters=steps))
+    limit = project(x0)
+    start = np.linalg.norm(x0 - limit)
+    # every iterate lies within `start` of the limit
+    slack = (steps + 1.0 / (1.0 - rho)) * roundoff(np.linalg.norm(limit) + start)
+    assert np.linalg.norm(res.image - limit) <= rho**res.iterations * start + slack
+
+
+@pytest.mark.parametrize("n, seed", LIMIT_SYSTEMS[::2])
+def test_gppa2_approaches_the_projection_of_the_anchor_at_the_halpern_rate(n, seed):
+    # x_1 = anchor, as a_0 = 1. Lieder's bound (Optim. Lett. 2021):
+    # ||x_k - T(x_k)|| <= 2 ||anchor - p|| / k. With p = P(anchor), e_k =
+    # x_k - p satisfies k e_k = (I + M + ... + M^{k-1}) e_1 with e_1 in ran
+    # A, so ||e_k|| <= ||e_1|| / ((1 - rho) k): the strong limit is p, at
+    # that rate. Rounding by delta per step moves x_k by at most k delta / 2
+    kappa, steps = 0.2, 500
+    system, (f, v), project = kkt_with_kernel(n, seed, kappa)
+    rho, roundoff = rate_and_roundoff(system, kappa)
+    anchor = 3.0 * SplitMix64(seed).normal(n)
+    p = project(anchor)
+    cfg = solvers.SolverConfig(
+        tol_residual=0.0, max_iters=steps, trace_level=solvers.TraceLevel.FULL,
+        halpern=solvers.HalpernConfig(anchor=tuple(anchor)),
+    )
+    iterates = solvers.gppa2(f, v, np.zeros(n), cfg).trace.iterates
+    assert len(iterates) == steps + 1 and np.array_equal(iterates[1], anchor)
+    engine = resolvents.build_engine(f, v, 1.0)
+    distance = np.linalg.norm(anchor - p)
+    # the iterates stay within `distance` of p
+    delta = roundoff(np.linalg.norm(p) + distance)
+    for k in range(1, steps + 1):
+        x = iterates[k]
+        assert k * np.linalg.norm(x - resolvents.transformed(engine, x).image) <= 2 * distance + k * (k + 1) * delta
+        assert np.linalg.norm(x - p) <= distance / ((1.0 - rho) * k) + k * delta
 
 
 class TestLeastSquares:

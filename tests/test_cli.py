@@ -564,6 +564,21 @@ class TestCheckPairCommand:
         assert "violation-found" in out
         assert "violation value: -0.5" in out
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_matrix_file_exits_one(self, entry, tmp_path, capsys):
+        # the inline "matrix" key must be finite, and so must a matrix file:
+        # a NaN used to end in a box-too-large error and an Inf in a
+        # violation with quotient -inf
+        (tmp_path / "f.mat").write_text(f"2 2\n1 {entry}\n0 1\n")
+        f_path = tmp_path / "f.json"
+        f_path.write_text(json.dumps({"kind": "affine", "matrix-file": "f.mat"}))
+        v_path = tmp_path / "v.json"
+        ops.save_operator(str(v_path), ops.identity_operator(2))
+        assert cli.main(["check-pair", str(f_path), str(v_path), "--samples", "200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: operator matrix file {tmp_path / 'f.mat'} has non-finite entries\n"
+
     def test_bad_pair_argument(self, tmp_path, capsys):
         path = tmp_path / "id.json"
         ops.save_operator(str(path), ops.identity_operator(2))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from pairprox import linalg
-from pairprox.applications import generate_consistent_system
+from pairprox import linalg, operators
+from pairprox.applications import QPProblem, generate_consistent_system, write_qp
 from pairprox.errors import (
     DimensionMismatchError,
     NonSquareError,
@@ -449,6 +450,83 @@ class TestMatrixTextFormat:
         path = tmp_path / "v.txt"
         linalg.write_vector(path, v)
         assert np.array_equal(linalg.read_vector(path), v)
+
+    # the texts below were written by the per-entry f"{x:.17g}" writer
+    def test_special_values_keep_their_text(self, tmp_path):
+        values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+        path = tmp_path / "m.mat"
+        linalg.write_matrix(path, np.array([values[:5], values[4:]]))
+        assert path.read_text() == (
+            "2 5\n"
+            "nan inf -inf -0 4.9406564584124654e-324\n"
+            "4.9406564584124654e-324 2.2250738585072014e-308 1.7976931348623157e+308"
+            " 0.10000000000000001 0.33333333333333331\n"
+        )
+        linalg.write_vector(path, np.array(values))
+        assert path.read_text() == (
+            "nan\ninf\n-inf\n-0\n4.9406564584124654e-324\n2.2250738585072014e-308\n"
+            "1.7976931348623157e+308\n0.10000000000000001\n0.33333333333333331\n"
+        )
+
+    @pytest.mark.parametrize(
+        "shape, text", [((0, 3), "0 3\n"), ((3, 0), "3 0\n\n\n\n"), ((1, 1), "1 1\n0.5\n")], ids=["0x3", "3x0", "1x1"]
+    )
+    def test_edge_shapes_keep_their_text(self, shape, text, tmp_path):
+        path = tmp_path / "m.mat"
+        linalg.write_matrix(path, np.full(shape, 0.5))
+        assert path.read_text() == text
+        back = linalg.read_matrix(path)
+        assert back.shape == shape and np.array_equal(back, np.full(shape, 0.5))
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5),
+            elements=st.floats(width=64),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_is_bitwise(self, tmp_path_factory, a):
+        path = tmp_path_factory.getbasetemp() / "round-trip.mat"
+        linalg.write_matrix(path, a)
+        back = linalg.read_matrix(path)
+        nan = np.isnan(a)
+        # the text of every NaN is "nan", so only its place survives
+        assert back.shape == a.shape and np.array_equal(np.isnan(back), nan)
+        assert np.array_equal(back[~nan].view(np.uint64), a[~nan].view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "read, text", [(linalg.read_matrix, "1 2\n1 abc\n"), (linalg.read_vector, "1\nabc\n")], ids=["matrix", "vector"]
+    )
+    def test_bad_token_is_float_own_error(self, read, text, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"^could not convert string to float: 'abc'$"):
+            read(path)
+
+    def test_operator_json_text_is_unchanged(self, tmp_path):
+        path = tmp_path / "op.json"
+        affine = operators.Affine(np.array([[0.1, -0.0], [1.0 / 3.0, 2.0]]), np.array([5e-324, -1e300]))
+        operators.save_operator(str(path), operators.Sum((operators.SignBlock(0.5, (0, 1)), affine)))
+        assert path.read_text() == (
+            '{\n  "kind": "sum",\n  "terms": [\n    {\n      "kind": "sign-block",\n      "scale": 0.5,\n'
+            '      "selector": [\n        0,\n        1\n      ]\n    },\n    {\n      "kind": "affine",\n'
+            '      "offset": [\n        5e-324,\n        -1e+300\n      ],\n      "matrix": [\n        [\n'
+            '          0.1,\n          -0.0\n        ],\n        [\n          0.3333333333333333,\n'
+            '          2.0\n        ]\n      ]\n    }\n  ]\n}\n'
+        )
+
+    def test_qp_files_text_is_unchanged(self, tmp_path):
+        qp = QPProblem(
+            np.array([[2.0, 0.1], [0.1, 1.0 / 3.0]]), np.array([-0.0, 1e-310]), np.array([[1.0, -1.0 / 3.0]]), np.array([0.1])
+        )
+        write_qp(str(tmp_path / "qp.json"), qp)
+        assert (tmp_path / "qp.json").read_text() == (
+            '{\n  "Q": "qp-Q.mat",\n  "C": "qp-C.mat",\n  "c": [\n    -0.0,\n    1e-310\n  ],\n'
+            '  "d": [\n    0.1\n  ]\n}\n'
+        )
+        assert (tmp_path / "qp-Q.mat").read_text() == "2 2\n2 0.10000000000000001\n0.10000000000000001 0.33333333333333331\n"
+        assert (tmp_path / "qp-C.mat").read_text() == "1 2\n1 -0.33333333333333331\n"
 
 
 def _strided(values):

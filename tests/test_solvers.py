@@ -5,12 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pairprox import applications as apps
 from pairprox import operators as ops
 from pairprox import resolvents, solvers
 from pairprox.errors import NonFiniteIterateError, SingularMatrixError
 from pairprox.rng import SplitMix64
+from test_resolvents import SignAffinePair
 
 FULL = solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL)
 
@@ -146,6 +149,22 @@ class TestHalpernConfigOnlyForGppa2:
             run()
 
 
+# SignAffinePair draws of full rank: sym(P^T B) = scale * L L^T is definite,
+# so every build is certified and F has the one zero x*. At scale 1e-6, T is
+# within about 1e-6 of the identity and a run of 100 steps barely moves, so
+# the draws take scales 1 and 1e12 only
+FULL_RANK_SIGN_AFFINE = st.integers(1, 8).flatmap(
+    lambda n: st.builds(
+        SignAffinePair,
+        st.permutations(range(n)),
+        st.just(n),
+        st.booleans(),
+        st.sampled_from([1.0, 1e12]),
+        st.integers(0, 2**32),
+    )
+)
+
+
 class TestGppa2:
     def test_requires_halpern_config(self):
         with pytest.raises(ValueError):
@@ -189,6 +208,45 @@ class TestGppa2:
         assert res.status is solvers.Status.CONVERGED
         assert res.iterations == 1
         assert np.array_equal(res.image, np.zeros(2))
+
+    @given(FULL_RANK_SIGN_AFFINE)
+    @settings(max_examples=10, deadline=None)
+    def test_halpern_rate_and_strong_limit_on_sign_affine_pairs(self, pair):
+        # the pair is sigma-strongly monotone, sigma the least eigenvalue of
+        # sym(P^T B), and v is an isometry, so <x - y, T x - T y> >= (1 +
+        # sigma) ||T x - T y||^2: T is a 1/(1 + sigma) contraction onto its
+        # one fixed point p = v(x*). Lieder's bound then reads ||x_k -
+        # T(x_k)|| <= 2 ||anchor - p|| / k, and k ||x_k - p|| <= ||anchor -
+        # p|| (1 + sigma) / sigma: the KKT test's bounds at rho = 1/(1 + sigma).
+        # p solves the rounded data only within dp = delta (1 + sigma) /
+        # sigma, and rounding by delta per step moves x_k by at most k delta
+        engine = pair.engine
+        assume(engine.kind is resolvents.StrategyKind.SIGN_SEPARABLE and engine.unique_preimage)
+        perm = pair.v.as_matrix()
+        monotone_part = perm.T @ (pair.matrix - perm)
+        sigma = np.linalg.eigvalsh(0.5 * (monotone_part + monotone_part.T))[0]
+        assume(sigma > 0.0)
+        n, steps = engine.dim, 100
+        p = ops.evaluate_point(pair.v, pair.x_star)
+        anchor = pair.points.uniform(n, -8.0, 8.0)
+        cfg = solvers.SolverConfig(
+            tol_residual=0.0, max_iters=steps, trace_level=solvers.TraceLevel.FULL,
+            halpern=solvers.HalpernConfig(anchor=tuple(anchor)),
+        )
+        iterates = solvers.gppa2(pair.f, pair.v, np.zeros(n), cfg).trace.iterates
+        assert len(iterates) == steps + 1
+        big = max(np.linalg.norm(x) for x in iterates)
+        delta = 10.0 * pair.unit(big, big)
+        dp = delta * (1.0 + sigma) / sigma
+        distance = np.linalg.norm(anchor - p) + dp
+        pattern = None
+        for k in range(1, steps + 1):
+            x = iterates[k]
+            out = resolvents.transformed(engine, x, pattern)
+            pattern = out.pattern
+            assert k * np.linalg.norm(x - out.image) <= 2 * distance + k * (k + 1) * delta
+            approach = min(1.0, (1.0 + sigma) / (sigma * k))
+            assert np.linalg.norm(x - p) <= approach * distance + dp + k * delta
 
 
 class TestDcaBaseline:

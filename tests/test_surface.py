@@ -14,7 +14,6 @@ USERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"
 # public names kept although nothing above calls them, each with its reason
 ALLOWED = {
     "generate_inconsistent_system": "the least-squares problems with b outside ran A, the paper's second application",
-    "save_operator": "the writer of the operator file format that load_operator and check-pair read",
 }
 
 
