@@ -229,12 +229,12 @@ class Pointwise(OperatorExpr):
 
     name: str
 
+    def __post_init__(self):
+        if self.name not in _POINTWISE_REGISTRY:
+            raise UnknownRegistryKeyError(f"no pointwise map named {self.name!r}")
+
     def _eval(self, x: np.ndarray) -> ValueSet:
-        try:
-            fn = _POINTWISE_REGISTRY[self.name]
-        except KeyError:
-            raise UnknownRegistryKeyError(f"no pointwise map named {self.name!r}") from None
-        return ValueSet.singleton(np.asarray(fn(x), dtype=float))
+        return ValueSet.singleton(np.asarray(_POINTWISE_REGISTRY[self.name](x), dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,10 +589,7 @@ def operator_from_json(doc: dict, base_dir: str = ".") -> OperatorExpr:
     if kind == "permutation":
         return Permutation(tuple(get(doc, "permutation", "integers")), get(doc, "signs", "numbers", None))
     if kind == "pointwise":
-        name = get(doc, "registry-name", "string")
-        if name not in _POINTWISE_REGISTRY:
-            raise UnknownRegistryKeyError(f"no pointwise map named {name!r}")
-        return Pointwise(name)
+        return Pointwise(get(doc, "registry-name", "string"))
     if kind == "scale":
         return Scale(float(get(doc, "scale", "number")), operator_from_json(get(doc, "inner", "object"), base_dir))
     if kind == "sum":

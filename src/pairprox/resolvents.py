@@ -5,7 +5,8 @@ through a cached LU factorization (both operators affine), or, when the
 shifted operator reduces to Sign terms plus an invertible linear part, by
 one soft-threshold per coordinate (linear part diagonal) or by a table of
 sign patterns whose subsystems are factored when the engine is built.
-Anything else is Unsupported: no generic inner root-finder is attempted.
+The build raises UnsupportedStructureError for any other pair: no generic
+inner root-finder is attempted.
 
 The pattern search tries the table in a fixed (+, -, 0) order and returns
 the first pattern whose x solves the inclusion for an input within the
@@ -131,7 +132,6 @@ def _try_sign_affine(op: ops.OperatorExpr, dim: int) -> _SignAffineForm | None:
 class StrategyKind(Enum):
     AFFINE_AFFINE = "affine-affine"
     SIGN_SEPARABLE = "sign-separable"
-    UNSUPPORTED = "unsupported"
 
 
 @dataclass(eq=False)
@@ -183,12 +183,10 @@ class _SignStrategy:
 class ResolventEngine:
     """Evaluator of (gamma*F + v)^{-1}; immutable after build."""
 
-    f: ops.OperatorExpr
     v: ops.OperatorExpr
-    gamma: float
     dim: int
     kind: StrategyKind
-    _strategy: object | None
+    _strategy: _AffineStrategy | _SignStrategy
 
     @property
     def unique_preimage(self) -> bool:
@@ -197,16 +195,17 @@ class ResolventEngine:
         strongly monotone in its sign variables."""
         if self.kind is StrategyKind.AFFINE_AFFINE:
             return not self._strategy.factorization.singular
-        return self.kind is StrategyKind.SIGN_SEPARABLE and self._strategy.unique_preimage
+        return self._strategy.unique_preimage
 
 
 def build_engine(
     f: ops.OperatorExpr, v: ops.OperatorExpr, gamma: float, dim: int | None = None
 ) -> ResolventEngine:
     """Select an inversion strategy for gamma*F + v by pattern matching on
-    the trees of F and v; no operator is evaluated."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    the trees of F and v; no operator is evaluated. A pair that no strategy
+    inverts is an UnsupportedStructureError; a singular affine one builds."""
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     n = f.dim if f.dim is not None else (v.dim if v.dim is not None else dim)
     if n is None:
         raise DimensionMismatchError("cannot infer dimension; pass dim explicitly")
@@ -222,12 +221,11 @@ def build_engine(
         offset = gamma * form.offset + va.offset
         if not np.any(form.scales):
             fact = linalg.lu_factorize(matrix)
-            return ResolventEngine(f, v, gamma, n, StrategyKind.AFFINE_AFFINE, _AffineStrategy(fact, offset))
+            return ResolventEngine(v, n, StrategyKind.AFFINE_AFFINE, _AffineStrategy(fact, offset))
         strategy = _assemble_sign_strategy(gamma * form.scales, form.sign_var, matrix, offset, n)
         if strategy is not None:
-            return ResolventEngine(f, v, gamma, n, StrategyKind.SIGN_SEPARABLE, strategy)
-
-    return ResolventEngine(f, v, gamma, n, StrategyKind.UNSUPPORTED, None)
+            return ResolventEngine(v, n, StrategyKind.SIGN_SEPARABLE, strategy)
+    raise UnsupportedStructureError(f"no closed-form resolvent for F={type(f).__name__}, v={type(v).__name__}")
 
 
 def _assemble_sign_strategy(
@@ -290,14 +288,6 @@ def _pattern_table(scales, sigma, matrix, full) -> tuple[_SignPattern, ...]:
 
 # ---------------------------------------------------------------------------
 # inversion
-
-
-def _invert_affine(strategy: _AffineStrategy, w: np.ndarray) -> np.ndarray:
-    if strategy.factorization.singular:
-        raise SingularMatrixError(
-            "gamma*F + v is singular affine; the range condition fails and no pseudo-solution is returned"
-        )
-    return linalg.lu_solve(strategy.factorization, w - strategy.offset)
 
 
 def _invert_sign(strategy: _SignStrategy, w: np.ndarray, start: int | None = None) -> tuple[np.ndarray, int | None]:
@@ -371,21 +361,13 @@ class ResolventOutput:
     pattern: int | None = None
 
 
-def _invert(engine: ResolventEngine, w: np.ndarray, start: int | None) -> tuple[np.ndarray, int | None]:
-    if not linalg.all_finite(w):
+def _checked_input(engine: ResolventEngine, x: np.ndarray) -> np.ndarray:
+    x = linalg.as_vector(x)
+    if x.size != engine.dim:
+        raise DimensionMismatchError(f"engine dim {engine.dim}, input dim {x.size}")
+    if not linalg.all_finite(x):
         raise NonFiniteIterateError("resolvent input contains NaN/Inf")
-    pattern = None
-    if engine.kind is StrategyKind.AFFINE_AFFINE:
-        z = _invert_affine(engine._strategy, w)
-    elif engine.kind is StrategyKind.SIGN_SEPARABLE:
-        z, pattern = _invert_sign(engine._strategy, w, start)
-    else:
-        raise UnsupportedStructureError(
-            f"no closed-form resolvent for F={type(engine.f).__name__}, v={type(engine.v).__name__}"
-        )
-    if not linalg.all_finite(z):
-        raise NonFiniteIterateError("resolvent produced a non-finite point")
-    return z, pattern
+    return x
 
 
 def warped(engine: ResolventEngine, x: np.ndarray) -> ResolventOutput:
@@ -395,19 +377,14 @@ def warped(engine: ResolventEngine, x: np.ndarray) -> ResolventOutput:
     as the image of its previous step, should call `transformed` on it
     directly and save one evaluation of v per step.
     """
-    x = linalg.as_vector(x)
-    if x.size != engine.dim:
-        raise DimensionMismatchError(f"engine dim {engine.dim}, input dim {x.size}")
-    if not linalg.all_finite(x):
-        raise NonFiniteIterateError("resolvent input contains NaN/Inf")
-    return transformed(engine, ops.evaluate_point(engine.v, x))
+    return transformed(engine, ops.evaluate_point(engine.v, _checked_input(engine, x)))
 
 
 def transformed(engine: ResolventEngine, x: np.ndarray, start_pattern: int | None = None) -> ResolventOutput:
     """v(z) with z in (gamma*F + v)^{-1}(x); fixed points are v-images of
     zeros of F. Raises NotInRangeError when no sign pattern takes x, which
     is then outside ran(gamma*F + v), and SingularMatrixError when an
-    affine gamma*F + v is singular.
+    affine gamma*F + v is singular; `build_engine` refuses unsupported pairs.
 
     z is not checked against F: the inversion solves the structural
     reduction of gamma*F + v exactly up to roundoff.
@@ -416,8 +393,16 @@ def transformed(engine: ResolventEngine, x: np.ndarray, start_pattern: int | Non
     the `pattern` of the previous output; engines with `unique_preimage`
     try it first, others ignore it. It never changes which point is found.
     """
-    x = linalg.as_vector(x)
-    if x.size != engine.dim:
-        raise DimensionMismatchError(f"engine dim {engine.dim}, input dim {x.size}")
-    z, pattern = _invert(engine, x, start_pattern)
+    w = _checked_input(engine, x)
+    strategy, pattern = engine._strategy, None
+    if engine.kind is StrategyKind.AFFINE_AFFINE:
+        if strategy.factorization.singular:
+            raise SingularMatrixError(
+                "gamma*F + v is singular affine; the range condition fails and no pseudo-solution is returned"
+            )
+        z = linalg.lu_solve(strategy.factorization, w - strategy.offset)
+    else:
+        z, pattern = _invert_sign(strategy, w, start_pattern)
+    if not linalg.all_finite(z):
+        raise NonFiniteIterateError("resolvent produced a non-finite point")
     return ResolventOutput(z, ops.evaluate_point(engine.v, z), pattern)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 import sys
 import time
 from collections.abc import Callable
@@ -55,13 +56,16 @@ class SolverConfig:
 
     def __post_init__(self):
         if isinstance(self.gamma_schedule, (int, float)):
-            if self.gamma_schedule <= 0:
-                raise ValueError("gamma must be positive")
+            sched = (self.gamma_schedule,)
         else:
             sched = tuple(float(g) for g in self.gamma_schedule)
-            if not sched or any(g <= 0 for g in sched):
-                raise ValueError("gamma schedule must be nonempty and positive")
+            if not sched:
+                raise ValueError("gamma schedule must be nonempty")
             object.__setattr__(self, "gamma_schedule", sched)
+        # NaN fails too, and an infinite gamma leaves gamma*F + v non-finite
+        for g in sched:
+            if not 0.0 < g < math.inf:
+                raise ValueError(f"gamma must be positive and finite, got {g!r}")
         # NaN fails too: no residual would then ever be within it
         if not self.tol_residual >= 0.0:
             raise ValueError(f"tol_residual must be nonnegative, got {self.tol_residual!r}")
@@ -295,6 +299,8 @@ def gppa2(
     anchor = linalg.as_vector(np.asarray(cfg.halpern.anchor, dtype=float))
     if anchor.size != x.size:
         raise ValueError("anchor dimension mismatch")
+    if not linalg.all_finite(anchor):
+        raise ValueError("anchor contains NaN/Inf")
     engine = resolvents.build_engine(f, v, float(cfg.gamma_schedule), dim=x.size)
     rec = _Recorder(cfg, x, linalg.as_vector(reference) if reference is not None else None)
     out = resolvents.ResolventOutput(x, x)

@@ -579,6 +579,17 @@ class TestCheckPairCommand:
         assert captured.out == ""
         assert captured.err == f"error: operator matrix file {tmp_path / 'f.mat'} has non-finite entries\n"
 
+    def test_unknown_pointwise_map_exits_one(self, tmp_path, capsys):
+        # the name is checked when the operator is built
+        f_path = tmp_path / "f.json"
+        f_path.write_text(json.dumps({"kind": "pointwise", "registry-name": "nope"}))
+        v_path = tmp_path / "v.json"
+        ops.save_operator(str(v_path), ops.identity_operator(2))
+        assert cli.main(["check-pair", str(f_path), str(v_path), "--samples", "200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no pointwise map named 'nope'\n"
+
     def test_bad_pair_argument(self, tmp_path, capsys):
         path = tmp_path / "id.json"
         ops.save_operator(str(path), ops.identity_operator(2))

@@ -60,6 +60,10 @@ class TestEvaluate:
         with pytest.raises(UnknownRegistryKeyError):
             ops.Pointwise("does-not-exist").evaluate(np.zeros(1))
 
+    def test_unknown_registry_key_is_rejected_when_built(self):
+        with pytest.raises(UnknownRegistryKeyError, match="no pointwise map named 'does-not-exist'"):
+            ops.Pointwise("does-not-exist")
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             ops.Affine(np.eye(2)).evaluate(np.zeros(3))

@@ -72,8 +72,8 @@ class TestScalarSignAffineInverse:
         # for a positive one: slope 0 leaves a singular system, which no
         # strategy inverts, and a negative slope goes to the pattern table
         f = ops.SignBlock(1.0, (0,))
-        flat = resolvents.build_engine(f, ops.Affine(np.array([[0.0]]), np.array([0.0])), 1.0)
-        assert flat.kind is resolvents.StrategyKind.UNSUPPORTED
+        with pytest.raises(UnsupportedStructureError, match="no closed-form resolvent for F=SignBlock, v=Affine"):
+            resolvents.build_engine(f, ops.Affine(np.array([[0.0]]), np.array([0.0])), 1.0)
         falling = resolvents.build_engine(f, ops.Affine(np.array([[-2.0]]), np.array([0.0])), 1.0)
         assert falling.kind is resolvents.StrategyKind.SIGN_SEPARABLE
         assert falling._strategy.diagonal is None and not falling.unique_preimage
@@ -171,10 +171,9 @@ class TestBuildEngine:
             assert np.all(resid >= fz.lower - tol) and np.all(resid <= fz.upper + tol)
 
     def test_trig_pair_unsupported(self):
-        engine = resolvents.build_engine(ops.trig_block_operator(), ops.swap_operator(), 1.0)
-        assert engine.kind is resolvents.StrategyKind.UNSUPPORTED
-        with pytest.raises(UnsupportedStructureError):
-            resolvents.warped(engine, np.zeros(2))
+        # refused at build: no engine exists that could fail at evaluation
+        with pytest.raises(UnsupportedStructureError, match="no closed-form resolvent for F=Sum, v=Permutation"):
+            resolvents.build_engine(ops.trig_block_operator(), ops.swap_operator(), 1.0)
 
     def test_scalar_sign_plus_identity_is_diagonal(self):
         # Sign + 2 Id on each coordinate: the fully separable branch
@@ -189,6 +188,12 @@ class TestBuildEngine:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             resolvents.build_engine(ops.identity_operator(1), ops.identity_operator(1), 0.0)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    def test_gamma_must_be_finite(self, gamma):
+        # checked first: the overflow check of gamma*F + v would blame the data
+        with pytest.raises(ValueError, match=f"gamma must be positive and finite, got {gamma!r}"):
+            resolvents.build_engine(ops.sign_swap_operator(), ops.swap_operator(), gamma)
 
     def test_dim_inference_failure(self):
         with pytest.raises(DimensionMismatchError):
@@ -277,10 +282,11 @@ class TestStructuralDispatch:
         "f, v, scales, variables", [row[1:] for row in SIGN_TREES], ids=[row[0] for row in SIGN_TREES]
     )
     def test_sign_trees(self, f, v, scales, variables):
-        engine = resolvents.build_engine(f, v, _GAMMA)
         if scales is None:
-            assert engine.kind is resolvents.StrategyKind.UNSUPPORTED
+            with pytest.raises(UnsupportedStructureError, match="no closed-form resolvent"):
+                resolvents.build_engine(f, v, _GAMMA)
             return
+        engine = resolvents.build_engine(f, v, _GAMMA)
         assert engine.kind is resolvents.StrategyKind.SIGN_SEPARABLE
         strategy = engine._strategy
         assert np.array_equal(strategy.scales, _GAMMA * np.array(scales))
@@ -702,7 +708,6 @@ class TestPatternTable:
         assert qp_engine()[0].unique_preimage
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
         assert not resolvents.build_engine(ops.Affine(a), ops.Affine(a), 1.0).unique_preimage
-        assert not resolvents.build_engine(ops.trig_block_operator(), ops.swap_operator(), 1.0).unique_preimage
 
     @pytest.mark.parametrize("name", ["stack", "nested"])
     def test_uncertified_engines_ignore_the_start_pattern(self, name):
@@ -923,22 +928,24 @@ class TestPatternFastPaths:
 
 class TestResolventInvariants:
     def test_membership_warped(self):
-        for engine, f, v, n in [(*sign_engine(), 2), (*qp_engine(), 2)]:
+        gamma = 1.0
+        for engine, f, v, n in [(*sign_engine(gamma), 2), (*qp_engine(gamma=gamma), 2)]:
             for x in _sample_points(n, 50, seed=21):
                 out = resolvents.warped(engine, x)
                 resid = ops.evaluate_point(v, x) - out.image
                 fz = f.evaluate(out.preimage)
-                assert np.all(resid >= engine.gamma * fz.lower - 1e-9)
-                assert np.all(resid <= engine.gamma * fz.upper + 1e-9)
+                assert np.all(resid >= gamma * fz.lower - 1e-9)
+                assert np.all(resid <= gamma * fz.upper + 1e-9)
 
     def test_membership_transformed(self):
-        for engine, f, v, n in [(*sign_engine(), 2), (*qp_engine(), 2)]:
+        gamma = 1.0
+        for engine, f, v, n in [(*sign_engine(gamma), 2), (*qp_engine(gamma=gamma), 2)]:
             for x in _sample_points(n, 50, seed=22):
                 out = resolvents.transformed(engine, x)
                 resid = x - out.image
                 fz = f.evaluate(out.preimage)
-                assert np.all(resid >= engine.gamma * fz.lower - 1e-9)
-                assert np.all(resid <= engine.gamma * fz.upper + 1e-9)
+                assert np.all(resid >= gamma * fz.lower - 1e-9)
+                assert np.all(resid <= gamma * fz.upper + 1e-9)
 
     def test_firm_nonexpansiveness_of_transformed(self):
         for engine, _, _, n in [(*sign_engine(), 2), (*qp_engine(), 2)]:
@@ -1138,8 +1145,11 @@ SIGN_AFFINE = st.integers(1, 8).flatmap(
 
 def _supported(pair):
     # at scale 1e12 a skew part can leave M nearly singular; the build then
-    # refuses the pair (Unsupported), which is not a wrong answer
-    assume(pair.engine.kind is resolvents.StrategyKind.SIGN_SEPARABLE)
+    # refuses the pair (UnsupportedStructureError), which is not a wrong answer
+    try:
+        pair.engine
+    except UnsupportedStructureError:
+        reject()
     return pair
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pairprox import applications as apps
 from pairprox import operators as ops
 from pairprox import resolvents, solvers
-from pairprox.errors import NonFiniteIterateError, SingularMatrixError
+from pairprox.errors import NonFiniteIterateError, SingularMatrixError, UnsupportedStructureError
 from pairprox.rng import SplitMix64
 from test_resolvents import SignAffinePair
 
@@ -149,6 +149,16 @@ class TestHalpernConfigOnlyForGppa2:
             run()
 
 
+class TestUnsupportedPair:
+    @pytest.mark.parametrize("driver", ["gppa", "gppa1", "gppa2"])
+    def test_pair_without_a_resolvent_is_refused(self, driver):
+        # the trig terms have no closed-form resolvent, so the engine build
+        # fails before any resolvent is evaluated
+        cfg = solvers.SolverConfig(halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)) if driver == "gppa2" else None)
+        with pytest.raises(UnsupportedStructureError, match="no closed-form resolvent for F=Sum, v=Permutation"):
+            getattr(solvers, driver)(ops.trig_block_operator(), ops.swap_operator(), np.array([3.0, 1.0]), cfg)
+
+
 # SignAffinePair draws of full rank: sym(P^T B) = scale * L L^T is definite,
 # so every build is certified and F has the one zero x*. At scale 1e-6, T is
 # within about 1e-6 of the identity and a run of 100 steps barely moves, so
@@ -200,6 +210,14 @@ class TestGppa2:
         for k in (10, 100, 1999):
             assert np.allclose(iterates[k], [1.0 / k, 1.0 / k], atol=1e-15)
         assert res.trace.err_to_ref[-1] <= 1e-3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_anchor_is_rejected(self, bad):
+        # rejected before the first step, as a NaN/Inf x0 is, rather than
+        # reported as a diverged run
+        cfg = solvers.SolverConfig(halpern=solvers.HalpernConfig(anchor=(bad, 1.0)))
+        with pytest.raises(ValueError, match="anchor contains NaN/Inf"):
+            solvers.gppa2(ops.sign_swap_operator(), ops.swap_operator(), np.array([3.0, 1.0]), cfg)
 
     def test_anchor_at_fixed_point_is_constant(self):
         f, v = ops.sign_swap_operator(), ops.swap_operator()
@@ -658,6 +676,17 @@ class TestConfig:
             solvers.SolverConfig(gamma_schedule=0.0)
         with pytest.raises(ValueError):
             solvers.SolverConfig(gamma_schedule=(1.0, -1.0), max_iters=10)
+
+    @pytest.mark.parametrize(
+        "schedule, shown",
+        [(float("nan"), "nan"), (float("inf"), "inf"), ((1.0, float("nan")), "nan"), ((1.0, float("inf")), "inf")],
+        ids=["nan", "inf", "schedule-nan", "schedule-inf"],
+    )
+    def test_gamma_must_be_positive_and_finite(self, schedule, shown):
+        # rejected with the config, before an engine build would blame the
+        # data with "gamma*F + v overflows the float range"
+        with pytest.raises(ValueError, match=f"gamma must be positive and finite, got {shown}$"):
+            solvers.SolverConfig(gamma_schedule=schedule)
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan")])
     def test_tolerance_must_be_nonnegative(self, tol):
