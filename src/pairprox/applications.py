@@ -133,9 +133,15 @@ class PairLemmaReport:
     kappa_within_bound: bool
 
 
+def require_kappa(kappa: float) -> None:
+    """The kernel shift rule 0 < 2 kappa < inf; NaN fails it too."""
+    # 2 kappa is finite iff kappa <= max/2; no product, so a numpy scalar raises no overflow warning
+    if not 0.0 < kappa <= np.finfo(float).max / 2:
+        raise ValueError(f"kappa must be positive, with 2*kappa finite, got {kappa!r}")
+
+
 def verify_pair_lemma(a: np.ndarray, kappa: float) -> PairLemmaReport:
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    require_kappa(kappa)
     eigen = linalg.jacobi_eigendecomposition(a)
     vals = eigen.values
     products = vals * (vals + 2.0 * kappa)
@@ -156,6 +162,7 @@ def verify_pair_lemma(a: np.ndarray, kappa: float) -> PairLemmaReport:
 
 def kkt_operator_pair(a: np.ndarray, b: np.ndarray, kappa: float) -> tuple[ops.Affine, ops.Affine]:
     """F(x) = Ax - b and the shifted kernel v(x) = (A + 2 kappa I) x."""
+    require_kappa(kappa)
     a = linalg.as_matrix(a)
     b = linalg.as_vector(b)
     n = a.shape[0]
@@ -168,7 +175,7 @@ def _unit_gamma(cfg: solvers.SolverConfig | None) -> solvers.SolverConfig:
     """`cfg`, or the default config; the shifted-kernel iteration is
     defined at constant gamma = 1 only, and is not anchored."""
     cfg = solvers._unanchored(cfg)
-    if cfg.gamma_schedule != 1.0:
+    if cfg.gamma_schedule != (1.0,):
         raise ValueError("the shifted-kernel iteration is defined at constant gamma = 1")
     return cfg
 
@@ -237,7 +244,6 @@ def least_squares_iterate(
     n = a.shape[0]
     x = solvers._start(np.zeros(n) if x0 is None else x0)
     f, v = kkt_operator_pair(a, b, kappa)
-    engine = resolvents.build_engine(f, v, 1.0)
     rs: list[float] = []
     es: list[float] = []
 
@@ -253,6 +259,8 @@ def least_squares_iterate(
     measure(ops.evaluate_point(f, x))
     status, reason, iters = solvers.Status.CONVERGED, None, 0
     if rs[0] > cfg.tol_residual:
+        # built here, so that a start within tol converges on a singular system
+        engine = resolvents.build_engine(f, v, 1.0)
         # each step inverts at v(x_k), the image the previous step returned
         def step(k, x):
             nonlocal w

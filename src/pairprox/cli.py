@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import os
 import statistics
 import sys
@@ -31,6 +32,8 @@ EXIT_NOT_CONVERGED = 2
 EXIT_VIOLATION = 3
 
 WORKERS_ENV = "PAIRPROX_WORKERS"
+# numpy's error state in every subcommand, and in each bench worker thread
+_QUIET_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
 
 
 # ---------------------------------------------------------------------------
@@ -56,14 +59,13 @@ class BenchSpec:
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         if not self.sizes or any(n < 1 for n in self.sizes):
             raise ValueError("sizes must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        solvers._require_count("trials", self.trials)
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         if (self.kappa is None) == (self.kappa_fraction is None):
             raise ValueError("set exactly one of kappa (absolute) or kappa_fraction")
         if self.kappa is not None:
-            _require_kappa(self.kappa)
+            apps.require_kappa(self.kappa)
         if self.kappa_fraction is not None:
             _require_kappa_fraction(self.kappa_fraction)
         if len(self.spectrum) != 2:
@@ -71,8 +73,7 @@ class BenchSpec:
         # checked here as well as by the generator, so that a bad interval
         # ends the campaign before its first trial
         apps._check_spectrum(self.spectrum, self.zero_fraction)
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        solvers._require_count("max_iters", self.max_iters)
         require_seed(self.seed)
 
 
@@ -108,11 +109,7 @@ def run_trial(spec: BenchSpec, n: int, trial: int) -> RunRecord:
 
     if not (linalg.all_finite(system.matrix) and linalg.all_finite(system.rhs)):
         return failed("non-finite data")
-    cfg = solvers.SolverConfig(
-        tol_residual=spec.tolerance,
-        max_iters=spec.max_iters,
-        trace_level=solvers.TraceLevel.NORMS,
-    )
+    cfg = solvers.SolverConfig(tol_residual=spec.tolerance, max_iters=spec.max_iters)
     kkt = apps.KKTSystem(system.matrix, system.rhs, n)
     try:
         if spec.kappa is not None:
@@ -124,8 +121,7 @@ def run_trial(spec: BenchSpec, n: int, trial: int) -> RunRecord:
     except (PairproxError, ValueError) as exc:
         return failed(type(exc).__name__)
     elapsed = time.perf_counter() - t0
-    ek = sol.result.trace.residuals[-1] if sol.result.trace and sol.result.trace.residuals else float("nan")
-    return RunRecord(n, trial, trial_seed, sol.result.iterations, elapsed, ek, _status_label(sol.result))
+    return RunRecord(n, trial, trial_seed, sol.result.iterations, elapsed, _last_residual(sol.result), _status_label(sol.result))
 
 
 def run_bench(spec: BenchSpec, workers: int | None = None) -> list[RunRecord]:
@@ -135,7 +131,8 @@ def run_bench(spec: BenchSpec, workers: int | None = None) -> list[RunRecord]:
     if workers <= 1:
         records = [run_trial(spec, n, t) for n, t in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # threads do not inherit the caller's numpy error state
+        with ThreadPoolExecutor(workers, initializer=functools.partial(np.seterr, **_QUIET_ERRSTATE)) as pool:
             records = list(pool.map(lambda nt: run_trial(spec, *nt), tasks))
     return sorted(records, key=lambda r: (r.n, r.trial))
 
@@ -204,12 +201,6 @@ def _parse_box(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _require_kappa(kappa: float) -> None:
-    # the kernel shift is 2 * kappa, which must not overflow
-    if not 0.0 < 2.0 * kappa < float("inf"):
-        raise ValueError(f"kappa must be positive, with 2*kappa finite, got {kappa!r}")
-
-
 def _require_kappa_fraction(fraction: float) -> None:
     if not 0.0 < fraction < 0.5:
         raise ValueError(f"--kappa-fraction must lie in (0, 0.5), got {fraction!r}")
@@ -218,7 +209,7 @@ def _require_kappa_fraction(fraction: float) -> None:
 def _check_solve_args(args) -> None:
     """Reject out-of-range options before any file is read or solve runs."""
     if args.kappa is not None:
-        _require_kappa(args.kappa)
+        apps.require_kappa(args.kappa)
     if args.kappa_fraction is not None:
         _require_kappa_fraction(args.kappa_fraction)
     if not args.tol >= 0.0:
@@ -243,6 +234,20 @@ def _resolve_kappa(args, matrix: np.ndarray) -> float:
     return apps.select_kappa(matrix, fraction=fraction).kappa
 
 
+def _last_residual(result: solvers.SolveResult) -> float:
+    """The residual of the last recorded step; NaN if no step was recorded."""
+    return result.trace.residuals[-1] if result.trace.residuals else float("nan")
+
+
+def _finish(result: solvers.SolveResult, out: str | None, trace: str | None) -> int:
+    """Write the preimage to --out and the trace to --trace, and return the exit code."""
+    if out:
+        linalg.write_vector(out, result.preimage)
+    if trace:
+        solvers.write_trace_csv(trace, result.trace)
+    return EXIT_OK if result.status is solvers.Status.CONVERGED else EXIT_NOT_CONVERGED
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -255,15 +260,10 @@ def cmd_solve_kkt(args) -> int:
     cfg = solvers.SolverConfig(tol_residual=args.tol, max_iters=args.max_iters)
     sol = apps.solve_kkt(kkt, kappa, cfg=cfg)
     print(f"status: {_status_label(sol.result)} after {sol.result.iterations} iterations (kappa={kappa:g})")
-    final = sol.result.trace.residuals[-1] if sol.result.trace.residuals else float("nan")
-    print(f"final error ||Ax - b|| = {final:.6e}")
+    print(f"final error ||Ax - b|| = {_last_residual(sol.result):.6e}")
     print("primal y:", " ".join(f"{v:.12g}" for v in sol.primal))
     print("multipliers:", " ".join(f"{v:.12g}" for v in sol.multipliers))
-    if args.out:
-        linalg.write_vector(args.out, sol.x)
-    if args.trace:
-        solvers.write_trace_csv(args.trace, sol.result.trace)
-    return EXIT_OK if sol.result.status is solvers.Status.CONVERGED else EXIT_NOT_CONVERGED
+    return _finish(sol.result, args.out, args.trace)
 
 
 def cmd_least_squares(args) -> int:
@@ -277,11 +277,7 @@ def cmd_least_squares(args) -> int:
     print(f"status: {_status_label(res)} after {res.iterations} iterations (kappa={kappa:g})")
     print(f"optimality residual ||A^2 x - A b|| = {sol.optimality_residuals[-1]:.6e}")
     print(f"data error ||A x - b|| = {sol.data_errors[-1]:.6e}")
-    if args.out:
-        linalg.write_vector(args.out, res.preimage)
-    if args.trace and res.trace is not None:
-        solvers.write_trace_csv(args.trace, res.trace)
-    return EXIT_OK if res.status is solvers.Status.CONVERGED else EXIT_NOT_CONVERGED
+    return _finish(res, args.out, args.trace)
 
 
 def cmd_bench(args) -> int:
@@ -333,11 +329,11 @@ def cmd_check_pair(args) -> int:
 # demos
 
 
-def _demo_trace_path(out_dir: str | None, name: str) -> str | None:
-    if out_dir is None:
-        return None
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+def _save_trace(out_dir: str | None, name: str, result: solvers.SolveResult) -> None:
+    """Write the result's trace CSV as `name` under --out, if it is set."""
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        solvers.write_trace_csv(os.path.join(out_dir, name), result.trace)
 
 
 def _demo_example_1(out_dir: str | None) -> int:
@@ -367,15 +363,13 @@ def _demo_example_2(out_dir: str | None) -> int:
     mono = all(b <= a + 1e-10 for a, b in zip(res.trace.residuals, res.trace.residuals[1:]))
     print(f"  residual norms nonincreasing: {mono}")
     ok &= mono
-    if out_dir:
-        solvers.write_trace_csv(_demo_trace_path(out_dir, "example-2-warped.csv"), res.trace)
+    _save_trace(out_dir, "example-2-warped.csv", res)
 
     res1 = solvers.gppa1(f, v, np.array([3.0, 1.0]), solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL), reference=zero)
     dist1 = float(np.linalg.norm(res1.image))
     ok &= res1.status is solvers.Status.CONVERGED and dist1 <= 1e-9
     print(f"transformed iteration from (3, 1): {_status_label(res1)} in {res1.iterations} steps, |image - 0| = {dist1:.2e}")
-    if out_dir:
-        solvers.write_trace_csv(_demo_trace_path(out_dir, "example-2-transformed.csv"), res1.trace)
+    _save_trace(out_dir, "example-2-transformed.csv", res1)
 
     cfg2 = solvers.SolverConfig(
         tol_residual=0.0,
@@ -387,8 +381,7 @@ def _demo_example_2(out_dir: str | None) -> int:
     dist2 = res2.trace.err_to_ref[-1]
     ok &= dist2 <= 1e-3
     print(f"anchored iteration, 10000 steps: |x - 0| = {dist2:.2e} (anchored averaging is slow by design)")
-    if out_dir:
-        solvers.write_trace_csv(_demo_trace_path(out_dir, "example-2-anchored.csv"), res2.trace)
+    _save_trace(out_dir, "example-2-anchored.csv", res2)
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
 
@@ -403,8 +396,7 @@ def _demo_least_squares(out_dir: str | None) -> int:
     print(f"final optimality residual: {sol.optimality_residuals[-1]:.3e}")
     print(f"final data error: {sol.data_errors[-1]:.6f} (distance from b to ran A)")
     print(f"minimizer first coordinate: {res.preimage[0]:.9f} (exact projection: 1)")
-    if out_dir and res.trace is not None:
-        solvers.write_trace_csv(_demo_trace_path(out_dir, "least-squares.csv"), res.trace)
+    _save_trace(out_dir, "least-squares.csv", res)
     ok = res.status is solvers.Status.CONVERGED and abs(sol.data_errors[-1] - 1.0) <= 1e-6
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
 
@@ -416,14 +408,12 @@ def _demo_dca_divergence(out_dir: str | None) -> int:
     print("A = diag(1, -1), b = 0: indefinite and perfectly solvable (x = 0).")
     dca = solvers.dca_baseline(a, b, m=2.0, x0=x0, cfg=solvers.SolverConfig(max_iters=1000))
     print(f"difference-of-convex splitting (m = 2): {_status_label(dca)} after {dca.iterations} iterations")
-    if out_dir and dca.trace is not None:
-        solvers.write_trace_csv(_demo_trace_path(out_dir, "dca-divergence-dca.csv"), dca.trace)
+    _save_trace(out_dir, "dca-divergence-dca.csv", dca)
     kkt = apps.KKTSystem(a, b, 1)
     sol = apps.solve_kkt(kkt, kappa=0.2, x0=x0, cfg=solvers.SolverConfig(tol_residual=1e-8))
-    ek = sol.result.trace.residuals[-1]
+    ek = _last_residual(sol.result)
     print(f"shifted-kernel iteration (kappa = 0.2): {_status_label(sol.result)} in {sol.result.iterations} iterations, e_k = {ek:.2e}")
-    if out_dir and sol.result.trace is not None:
-        solvers.write_trace_csv(_demo_trace_path(out_dir, "dca-divergence-gppa.csv"), sol.result.trace)
+    _save_trace(out_dir, "dca-divergence-gppa.csv", sol.result)
     ok = dca.status is solvers.Status.FAILED and dca.reason == "Diverged"
     ok &= sol.result.status is solvers.Status.CONVERGED and ek <= 1e-8
     return EXIT_OK if ok else EXIT_NOT_CONVERGED
@@ -518,7 +508,7 @@ def main(argv=None) -> int:
     # Failed solve, non-finite data an input error), so numpy's overflow and
     # invalid-value warnings are noise
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(**_QUIET_ERRSTATE):
             return args.fn(args)
     except (OSError, ValueError, KeyError, PairproxError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ from .errors import (
     SingularMatrixError,
 )
 
-_PIVOT_RTOL = 1e-12
+PIVOT_RTOL = 1e-12
 _SYMMETRY_RTOL = 1e-10
 _SMALLEST_NORMAL = sys.float_info.min
 
@@ -126,17 +126,17 @@ class LUFactorization:
     upper_blocks: tuple[tuple[int, int, np.ndarray, np.ndarray], ...] = ()
 
 
-def lu_factorize(a: np.ndarray, block: int = 64) -> LUFactorization:
+def lu_factorize(a: np.ndarray, block: int = 64, pivot_rtol: float = PIVOT_RTOL) -> LUFactorization:
     """Factorize a square matrix; flags singularity instead of raising.
 
-    A pivot below 1e-12 * max|A|, or a zero pivot where that threshold
-    underflows to 0, marks the matrix singular (the downstream solvers
-    target deliberately singular systems, so detection must be a reportable
-    state, not an exception). `packed` and `perm` then hold the elimination
-    as it stood at that column: the factors of the columns before it, every
-    interchange made so far applied to whole rows, and the rest of the
-    matrix updated through the last finished panel and within the current
-    one. A matrix with a NaN or infinite entry is a ValueError, and so is
+    A pivot below pivot_rtol * max|A| (1e-12 by default), or a zero pivot
+    where that threshold underflows to 0, marks the matrix singular (the
+    downstream solvers target deliberately singular systems, so detection
+    must be a reportable state, not an exception). `packed` and `perm` then
+    hold the elimination as it stood at that column: the factors of the
+    columns before it, every interchange made so far applied to whole rows,
+    and the rest of the matrix updated through the last finished panel and
+    within the current one. A matrix with a NaN or infinite entry is a ValueError, and so is
     one whose factors, or the inverses of their diagonal blocks, overflow
     the float range.
     """
@@ -151,7 +151,7 @@ def lu_factorize(a: np.ndarray, block: int = 64) -> LUFactorization:
         raise ValueError("matrix has non-finite entries")
     if maxabs == 0.0:
         return LUFactorization(n, perm, lu, True)
-    threshold = _PIVOT_RTOL * maxabs
+    threshold = pivot_rtol * maxabs
 
     # each panel lu[j:, j:end] is eliminated in a transposed copy, where its
     # column c is the contiguous row pt[c]; every copy reuses the storage of

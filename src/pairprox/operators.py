@@ -39,21 +39,10 @@ class ValueSet:
     lower: np.ndarray
     upper: np.ndarray
 
-    @staticmethod
-    def singleton(x: np.ndarray) -> "ValueSet":
-        x = np.asarray(x, dtype=float)
-        return ValueSet(x, x)
-
     @property
     def is_singleton(self) -> bool:
         # single-valued evaluations share one array for both bounds
         return self.lower is self.upper or bool(np.array_equal(self.lower, self.upper))
-
-    @property
-    def value(self) -> np.ndarray:
-        if not self.is_singleton:
-            raise ValueError("value set is not a single point")
-        return self.lower
 
 
 class Selection(Enum):
@@ -121,13 +110,15 @@ def evaluate_point(op: OperatorExpr, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Affine(OperatorExpr):
-    """x -> A x + c."""
+    """x -> A x + c, A square."""
 
     matrix: np.ndarray
     offset: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", linalg.as_matrix(self.matrix))
+        if self.matrix.shape[0] != self.matrix.shape[1]:
+            raise DimensionMismatchError(f"affine matrix must be square, got shape {self.matrix.shape}")
         off = np.zeros(self.matrix.shape[0]) if self.offset is None else linalg.as_vector(self.offset)
         if off.size != self.matrix.shape[0]:
             raise DimensionMismatchError("offset length must match matrix rows")
@@ -234,7 +225,8 @@ class Pointwise(OperatorExpr):
             raise UnknownRegistryKeyError(f"no pointwise map named {self.name!r}")
 
     def _eval(self, x: np.ndarray) -> ValueSet:
-        return ValueSet.singleton(np.asarray(_POINTWISE_REGISTRY[self.name](x), dtype=float))
+        y = np.asarray(_POINTWISE_REGISTRY[self.name](x), dtype=float)
+        return ValueSet(y, y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,6 +491,8 @@ def check_pair_monotone(
             if any(p.size != dim for p in sides):
                 raise DimensionMismatchError(f"include pairs must have {dim} coordinates, as the box")
             pts = np.array(sides).reshape(-1, 2, dim)
+            if not linalg.all_finite(pts):
+                raise ValueError("include pairs must have finite coordinates")
             yield pts[:, 0], pts[:, 1]
         for start in range(0, samples, _PAIR_CHUNK):
             size = min(_PAIR_CHUNK, samples - start)

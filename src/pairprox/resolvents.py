@@ -6,7 +6,8 @@ shifted operator reduces to Sign terms plus an invertible linear part, by
 one soft-threshold per coordinate (linear part diagonal) or by a table of
 sign patterns whose subsystems are factored when the engine is built.
 The build raises UnsupportedStructureError for any other pair: no generic
-inner root-finder is attempted.
+inner root-finder is attempted. It raises SingularMatrixError for a
+singular affine gamma*F + v, so every engine it returns can be evaluated.
 
 The pattern search tries the table in a fixed (+, -, 0) order and returns
 the first pattern whose x solves the inclusion for an input within the
@@ -17,10 +18,10 @@ Where the build certifies that the preimage is unique, a caller may name a
 pattern to try first, such as the one its previous step accepted; the
 result is the same point.
 
-A nonsingular affine gamma*F + v has range R^n, and an accepted sign
-pattern satisfies the inclusion by construction, so evaluations check
-nothing further per call. The structural reduction itself is trusted: the
-tests compare it with each tree's `evaluate`.
+An affine engine's gamma*F + v is nonsingular, so its range is R^n, and an
+accepted sign pattern satisfies the inclusion by construction; evaluations
+check nothing further per call. The structural reduction itself is
+trusted: the tests compare it with each tree's `evaluate`.
 """
 from __future__ import annotations
 
@@ -190,12 +191,10 @@ class ResolventEngine:
 
     @property
     def unique_preimage(self) -> bool:
-        """Whether the build proved that each input has at most one
-        preimage: a nonsingular affine system, or a Sign system certified as
-        strongly monotone in its sign variables."""
-        if self.kind is StrategyKind.AFFINE_AFFINE:
-            return not self._strategy.factorization.singular
-        return self._strategy.unique_preimage
+        """Whether the build proved that each input has exactly one
+        preimage: an affine system, which builds only when nonsingular, or a
+        Sign system certified as strongly monotone in its sign variables."""
+        return self.kind is StrategyKind.AFFINE_AFFINE or self._strategy.unique_preimage
 
 
 def build_engine(
@@ -203,7 +202,8 @@ def build_engine(
 ) -> ResolventEngine:
     """Select an inversion strategy for gamma*F + v by pattern matching on
     the trees of F and v; no operator is evaluated. A pair that no strategy
-    inverts is an UnsupportedStructureError; a singular affine one builds."""
+    inverts is an UnsupportedStructureError, a singular affine one a
+    SingularMatrixError."""
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     n = f.dim if f.dim is not None else (v.dim if v.dim is not None else dim)
@@ -221,6 +221,10 @@ def build_engine(
         offset = gamma * form.offset + va.offset
         if not np.any(form.scales):
             fact = linalg.lu_factorize(matrix)
+            if fact.singular:
+                raise SingularMatrixError(
+                    "gamma*F + v is singular affine; the range condition fails and no pseudo-solution is returned"
+                )
             return ResolventEngine(v, n, StrategyKind.AFFINE_AFFINE, _AffineStrategy(fact, offset))
         strategy = _assemble_sign_strategy(gamma * form.scales, form.sign_var, matrix, offset, n)
         if strategy is not None:
@@ -249,19 +253,27 @@ def _assemble_sign_strategy(
     full = linalg.lu_factorize(permuted)
     if full.singular:
         return None
-    table = _pattern_table(scales, sigma, matrix, full)
     # halving first keeps the sum of two entries near the float maximum finite
     eig = np.linalg.eigvalsh(0.5 * permuted + 0.5 * permuted.T)
+    largest = np.abs(eig).max()
+    # past the roundoff n*eps*max|eig| of eig[0], sym(permuted) is positive
+    # definite, and so is the symmetric part of each kept subsystem, a
+    # principal submatrix: none is singular, however ill-conditioned. At
+    # scale 1e12 the relative pivot test dropped subsystems of condition
+    # 4e12 to 7e12, and inputs in range raised NotInRangeError
+    pivot_rtol = 0.0 if eig[0] > n * _EPS * largest else linalg.PIVOT_RTOL
+    table = _pattern_table(scales, sigma, matrix, full, pivot_rtol)
     return _SignStrategy(
-        scales, sigma, matrix, offset, None, table, unique_preimage=bool(eig[0] > _CERTIFICATE_RTOL * np.abs(eig).max())
+        scales, sigma, matrix, offset, None, table, unique_preimage=bool(eig[0] > _CERTIFICATE_RTOL * largest)
     )
 
 
-def _pattern_table(scales, sigma, matrix, full) -> tuple[_SignPattern, ...]:
+def _pattern_table(scales, sigma, matrix, full, pivot_rtol=linalg.PIVOT_RTOL) -> tuple[_SignPattern, ...]:
     """Every sign pattern on the signed rows, in (+, -, 0) order, whose kept
-    subsystem is nonsingular. Patterns that pin the same rows share their
-    kept rows, factorization and pinned rows of M; `full`, the factorization
-    of matrix[:, sigma], serves every pattern that pins none."""
+    subsystem `lu_factorize` does not flag as singular at `pivot_rtol`.
+    Patterns that pin the same rows share their kept rows, factorization and
+    pinned rows of M; `full`, the factorization of matrix[:, sigma], serves
+    every pattern that pins none."""
     signed = np.flatnonzero(scales > 0.0)
     entries = np.abs(matrix)
     norms = (float(entries.max(axis=0).sum()), float(entries.sum(axis=1).max()), float(scales.max()))
@@ -269,7 +281,10 @@ def _pattern_table(scales, sigma, matrix, full) -> tuple[_SignPattern, ...]:
     for zeros in itertools.product((False, True), repeat=signed.size):
         pinned = signed[np.array(zeros, dtype=bool)]
         rows = np.delete(np.arange(scales.size), pinned)
-        fact = full if not pinned.size else linalg.lu_factorize(matrix[np.ix_(rows, sigma[rows])]) if rows.size else None
+        if not pinned.size:
+            fact = full
+        else:
+            fact = linalg.lu_factorize(matrix[np.ix_(rows, sigma[rows])], pivot_rtol=pivot_rtol) if rows.size else None
         if fact is None or not fact.singular:
             shared[zeros] = (rows, sigma[rows], fact, pinned, matrix[pinned], scales[pinned])
     # column_total bounds matrix_norm; past the float maximum a norm makes
@@ -383,8 +398,8 @@ def warped(engine: ResolventEngine, x: np.ndarray) -> ResolventOutput:
 def transformed(engine: ResolventEngine, x: np.ndarray, start_pattern: int | None = None) -> ResolventOutput:
     """v(z) with z in (gamma*F + v)^{-1}(x); fixed points are v-images of
     zeros of F. Raises NotInRangeError when no sign pattern takes x, which
-    is then outside ran(gamma*F + v), and SingularMatrixError when an
-    affine gamma*F + v is singular; `build_engine` refuses unsupported pairs.
+    is then outside ran(gamma*F + v); `build_engine` refuses unsupported
+    pairs and singular affine ones.
 
     z is not checked against F: the inversion solves the structural
     reduction of gamma*F + v exactly up to roundoff.
@@ -396,10 +411,6 @@ def transformed(engine: ResolventEngine, x: np.ndarray, start_pattern: int | Non
     w = _checked_input(engine, x)
     strategy, pattern = engine._strategy, None
     if engine.kind is StrategyKind.AFFINE_AFFINE:
-        if strategy.factorization.singular:
-            raise SingularMatrixError(
-                "gamma*F + v is singular affine; the range condition fails and no pseudo-solution is returned"
-            )
         z = linalg.lu_solve(strategy.factorization, w - strategy.offset)
     else:
         z, pattern = _invert_sign(strategy, w, start_pattern)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import numbers
 import sys
 import time
 from collections.abc import Callable
@@ -48,6 +49,7 @@ class HalpernConfig:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    # stored as a tuple of floats, a constant gamma as (gamma,)
     gamma_schedule: float | tuple[float, ...] = 1.0
     tol_residual: float = 1e-8
     max_iters: int = 100_000
@@ -55,13 +57,11 @@ class SolverConfig:
     trace_level: TraceLevel = TraceLevel.NORMS
 
     def __post_init__(self):
-        if isinstance(self.gamma_schedule, (int, float)):
-            sched = (self.gamma_schedule,)
-        else:
-            sched = tuple(float(g) for g in self.gamma_schedule)
-            if not sched:
-                raise ValueError("gamma schedule must be nonempty")
-            object.__setattr__(self, "gamma_schedule", sched)
+        sched = self.gamma_schedule
+        sched = tuple(float(g) for g in ((sched,) if isinstance(sched, (int, float)) else sched))
+        if not sched:
+            raise ValueError("gamma schedule must be nonempty")
+        object.__setattr__(self, "gamma_schedule", sched)
         # NaN fails too, and an infinite gamma leaves gamma*F + v non-finite
         for g in sched:
             if not 0.0 < g < math.inf:
@@ -69,14 +69,17 @@ class SolverConfig:
         # NaN fails too: no residual would then ever be within it
         if not self.tol_residual >= 0.0:
             raise ValueError(f"tol_residual must be nonnegative, got {self.tol_residual!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        _require_count("max_iters", self.max_iters)
 
     def gamma_at(self, n: int) -> float:
-        if isinstance(self.gamma_schedule, tuple):
-            sched = self.gamma_schedule
-            return sched[n] if n < len(sched) else sched[-1]
-        return float(self.gamma_schedule)
+        sched = self.gamma_schedule
+        return sched[n] if n < len(sched) else sched[-1]
+
+
+def _require_count(name: str, value) -> None:
+    """An iteration or trial count: an integer >= 1 that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be >= 1 and an integer other than a bool, got {value!r}")
 
 
 @dataclass
@@ -293,7 +296,7 @@ def gppa2(
     """
     if cfg.halpern is None:
         raise ValueError("gppa2 requires cfg.halpern")
-    if isinstance(cfg.gamma_schedule, tuple):
+    if len(cfg.gamma_schedule) != 1:
         raise ValueError("gppa2 requires a constant gamma")
     x = _start(x0)
     anchor = linalg.as_vector(np.asarray(cfg.halpern.anchor, dtype=float))
@@ -301,7 +304,7 @@ def gppa2(
         raise ValueError("anchor dimension mismatch")
     if not linalg.all_finite(anchor):
         raise ValueError("anchor contains NaN/Inf")
-    engine = resolvents.build_engine(f, v, float(cfg.gamma_schedule), dim=x.size)
+    engine = resolvents.build_engine(f, v, cfg.gamma_schedule[0], dim=x.size)
     rec = _Recorder(cfg, x, linalg.as_vector(reference) if reference is not None else None)
     out = resolvents.ResolventOutput(x, x)
 

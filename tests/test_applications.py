@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,29 @@ class TestVerifyPairLemma:
             assert report.kappa_within_bound
 
 
+class TestKappaRule:
+    """0 < 2 kappa < inf, checked by each driver before it uses kappa."""
+
+    A = np.diag([1.0, -1.0])
+    DRIVERS = {
+        "solve_kkt": lambda kappa: apps.solve_kkt(apps.KKTSystem(TestKappaRule.A, np.ones(2), 1), kappa),
+        "least_squares_iterate": lambda kappa: apps.least_squares_iterate(TestKappaRule.A, np.ones(2), kappa),
+        "verify_pair_lemma": lambda kappa: apps.verify_pair_lemma(TestKappaRule.A, kappa),
+    }
+
+    @pytest.mark.parametrize(
+        "kappa",
+        [float("nan"), float("inf"), float("-inf"), 1e308, np.float64(1e308), -0.1, 0.0],
+        ids=["nan", "inf", "-inf", "1e308", "numpy-1e308", "-0.1", "0"],
+    )
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_kappa_out_of_range_is_rejected(self, driver, kappa):
+        # these used to blame the data ("gamma*F + v overflows the float
+        # range"), run a pair outside the lemma to Converged, or return a report
+        with pytest.raises(ValueError, match=r"kappa must be positive, with 2\*kappa finite, got " + re.escape(repr(kappa)) + "$"):
+            self.DRIVERS[driver](kappa)
+
+
 class TestEigenParity:
     """select_kappa's |alpha| is the smallest nonzero |eigenvalue| that
     numpy's symmetric eigenvalue routine finds."""
@@ -209,6 +233,14 @@ class TestSolveKKT:
         kkt = apps.build_kkt(example_qp())
         with pytest.raises(ValueError, match="defined at constant gamma = 1"):
             apps.solve_kkt(kkt, kappa=0.2, cfg=solvers.SolverConfig(gamma_schedule=2.0))
+
+    def test_one_entry_unit_schedule_is_accepted(self):
+        # (1.0,) is the constant gamma 1; it used to be refused
+        kkt = apps.build_kkt(example_qp())
+        default = apps.solve_kkt(kkt, kappa=0.2)
+        unit = apps.solve_kkt(kkt, kappa=0.2, cfg=solvers.SolverConfig(gamma_schedule=(1.0,)))
+        assert unit.x.tobytes() == default.x.tobytes()
+        assert unit.result.trace.residuals == default.result.trace.residuals
 
 
 # (n, seed) of the linear-rate check: n from 6 to 35, and one n = 130, where
@@ -399,6 +431,14 @@ class TestLeastSquares:
             xs = sol.result.trace.iterates
             assert np.linalg.norm(system.matrix @ (xs[-1] - xs[-2])) <= 1e-6
 
+
+    def test_one_entry_unit_schedule_is_accepted(self):
+        # (1.0,) is the constant gamma 1; it used to be refused
+        a, b = np.diag([1.0, 0.0]), np.ones(2)
+        default = apps.least_squares_iterate(a, b, kappa=0.2)
+        unit = apps.least_squares_iterate(a, b, kappa=0.2, cfg=solvers.SolverConfig(gamma_schedule=(1.0,)))
+        assert unit.result.preimage.tobytes() == default.result.preimage.tobytes()
+        assert unit.optimality_residuals == default.optimality_residuals
 
     @pytest.mark.parametrize("gamma", [2.0, (1.0, 4.0)], ids=["constant", "sequence"])
     def test_requires_unit_gamma(self, gamma):

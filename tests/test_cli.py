@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,30 @@ class TestBenchCommand:
         assert unsolved and all((r[3], r[5]) == ("0", "nan") for r in unsolved)
         assert sorted(solved) == sorted(int(r[0]) for r in rows if r not in unsolved)
         assert "error:" not in captured.err
+
+    def test_two_workers_print_no_warning(self, monkeypatch, capsys):
+        # every trial's data overflows while it is generated; worker threads
+        # do not inherit the numpy error state the CLI sets in main
+        argv = ["bench", "--sizes", "3,4", "--trials", "2", "--spectrum", "1e308,1e308", "--zero-fraction", "0"]
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(cli.WORKERS_ENV, workers)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert cli.main(argv) == 2
+            assert [str(w.message) for w in caught] == []
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        # the rows of unsolved trials read 0 seconds, so the outputs match whole
+        assert "Failed(non-finite data)" in outputs[0]
+        assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("field", ["trials", "max_iters"])
+    @pytest.mark.parametrize("value", [2.5, float("nan"), True], ids=["fraction", "nan", "bool"])
+    def test_spec_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} must be >= 1 and an integer other than a bool, got {value!r}$"):
+            cli.BenchSpec(sizes=(4,), **{field: value})
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -589,6 +614,28 @@ class TestCheckPairCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: no pointwise map named 'nope'\n"
+
+    def test_non_square_affine_exits_one(self, tmp_path, capsys):
+        # numpy used to broadcast the 1-vector F(x) against the 2-vector v(x)
+        f_path = tmp_path / "f.json"
+        f_path.write_text(json.dumps({"kind": "affine", "matrix": [[1, 0]]}))
+        v_path = tmp_path / "v.json"
+        ops.save_operator(str(v_path), ops.identity_operator(2))
+        assert cli.main(["check-pair", str(f_path), str(v_path), "--samples", "200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: affine matrix must be square, got shape (1, 2)\n"
+
+    @pytest.mark.parametrize("pair", ["nan,1:3,1", "1,1:3,inf"])
+    def test_non_finite_include_pair_exits_one(self, pair, tmp_path, capsys):
+        # a NaN inner product never becomes the minimum, so such a pair was
+        # counted as scanned without being tested
+        path = tmp_path / "id.json"
+        ops.save_operator(str(path), ops.identity_operator(2))
+        assert cli.main(["check-pair", str(path), str(path), f"--include-pair={pair}", "--samples", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: include pairs must have finite coordinates\n"
 
     def test_bad_pair_argument(self, tmp_path, capsys):
         path = tmp_path / "id.json"

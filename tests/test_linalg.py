@@ -41,6 +41,15 @@ class TestLU:
         assert linalg.lu_factorize(np.diag([1.0, 0.0])).singular
         assert linalg.lu_factorize(np.zeros((2, 2))).singular
 
+    def test_pivot_rtol_sets_the_singular_threshold(self):
+        # the pivot 1 is below 1e-12 * 1e13; at rtol 0 only a zero pivot flags
+        a = np.diag([1e13, 1.0])
+        assert linalg.lu_factorize(a).singular
+        fact = linalg.lu_factorize(a, pivot_rtol=0.0)
+        assert not fact.singular
+        assert np.array_equal(linalg.lu_solve(fact, np.array([1e13, 2.0])), np.array([1.0, 2.0]))
+        assert linalg.lu_factorize(np.diag([1.0, 0.0]), pivot_rtol=0.0).singular
+
     @pytest.mark.parametrize(
         "a",
         [[[1e-320, 0.0], [0.0, 0.0]], [[1e-320, 1e-320], [1e-320, 1e-320]]],

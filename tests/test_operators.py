@@ -19,7 +19,7 @@ class TestEvaluate:
     def test_sign_block_off_zero(self):
         vs = ops.SignBlock(1.0, (0, 1)).evaluate(np.array([2.0, -3.0]))
         assert vs.is_singleton
-        assert np.array_equal(vs.value, [1.0, -1.0])
+        assert np.array_equal(vs.lower, [1.0, -1.0])
 
     def test_evaluate_point_rejects_a_set_value(self):
         with pytest.raises(ValueError, match="set-valued"):
@@ -42,7 +42,7 @@ class TestEvaluate:
         # (0 + |sin 0|, 0 - cos 0) = (0, -1)
         vs = ops.trig_block_operator().evaluate(np.zeros(2))
         assert vs.is_singleton
-        assert np.allclose(vs.value, [0.0, -1.0])
+        assert np.allclose(vs.lower, [0.0, -1.0])
 
     def test_sign_swap_operator_set_values(self):
         vs = ops.sign_swap_operator().evaluate(np.array([0.0, 2.0]))
@@ -55,6 +55,11 @@ class TestEvaluate:
         vs = op.evaluate(np.array([0.0]))
         assert np.array_equal(vs.lower, [4.0])
         assert np.array_equal(vs.upper, [6.0])
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 3)], ids=["row", "column", "wide"])
+    def test_affine_matrix_must_be_square(self, shape):
+        with pytest.raises(DimensionMismatchError, match=rf"affine matrix must be square, got shape \({shape[0]}, {shape[1]}\)"):
+            ops.Affine(np.ones(shape))
 
     def test_unknown_registry_key(self):
         with pytest.raises(UnknownRegistryKeyError):
@@ -222,7 +227,9 @@ class TestRootChecked:
 def test_permutation_is_isometry(perm, signs, xs, ys):
     p = ops.Permutation(tuple(perm), tuple(signs))
     x, y = np.array(xs), np.array(ys)
-    px, py = p.evaluate(x).value, p.evaluate(y).value
+    vx, vy = p.evaluate(x), p.evaluate(y)
+    assert vx.is_singleton and vy.is_singleton
+    px, py = vx.lower, vy.lower
     assert np.linalg.norm(px - py) == pytest.approx(np.linalg.norm(x - y), abs=1e-9)
 
 
@@ -320,7 +327,7 @@ def _loop_check_pair_monotone(f, v, box=None, samples=10_000, seed=0, include=()
 
     def candidates(vs):
         if vs.is_singleton:
-            return [(ops.Selection.MID, vs.value)]
+            return [(ops.Selection.MID, vs.lower)]
         return [
             (ops.Selection.LOW, vs.lower),
             (ops.Selection.MID, 0.5 * (vs.lower + vs.upper)),
@@ -412,6 +419,14 @@ class TestBatchedCheckMatchesLoop:
         report = ops.check_pair_monotone(f, v, box=(-5.0, 5.0), samples=samples, seed=3)
         expected = _loop_check_pair_monotone(f, v, box=(-5.0, 5.0), samples=samples, seed=3)
         assert _report_fields(report) == _report_fields(expected)
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_include_pairs_must_be_finite(self, entry):
+        with pytest.raises(ValueError, match="include pairs must have finite coordinates"):
+            ops.check_pair_monotone(
+                ops.identity_operator(2), ops.identity_operator(2), samples=10,
+                include=[(np.array([entry, 1.0]), np.array([3.0, 1.0]))],
+            )
 
     def test_include_pairs_must_match_the_box(self):
         with pytest.raises(DimensionMismatchError):

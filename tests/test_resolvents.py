@@ -542,10 +542,8 @@ class TestWarped:
 
     def test_singular_affine_is_loud(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        engine = resolvents.build_engine(ops.Affine(a), ops.Affine(a), 1.0)
-        assert engine.kind is resolvents.StrategyKind.AFFINE_AFFINE
-        with pytest.raises(SingularMatrixError):
-            resolvents.warped(engine, np.ones(2))
+        with pytest.raises(SingularMatrixError, match=r"gamma\*F \+ v is singular affine"):
+            resolvents.build_engine(ops.Affine(a), ops.Affine(a), 1.0)
 
     def test_dimension_mismatch(self):
         engine, _, _ = qp_engine()
@@ -707,7 +705,8 @@ class TestPatternTable:
     def test_certificate_on_other_engines(self):
         assert qp_engine()[0].unique_preimage
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
-        assert not resolvents.build_engine(ops.Affine(a), ops.Affine(a), 1.0).unique_preimage
+        with pytest.raises(SingularMatrixError):
+            resolvents.build_engine(ops.Affine(a), ops.Affine(a), 1.0)
 
     @pytest.mark.parametrize("name", ["stack", "nested"])
     def test_uncertified_engines_ignore_the_start_pattern(self, name):
@@ -1210,10 +1209,10 @@ class TestSignAffineProperties:
     def test_wrong_sign_by_roundoff_at_scale_1e12(self):
         # a draw of the property above: z has zeros at variables 2 and 4, and
         # the row reading variable 2 selects the box edge +1. The pattern
-        # that pins both has a numerically singular subsystem, so the table
-        # lacks it; the one that pins x4 and takes Sign(x2) = +1 gives
-        # x2 = -1e-16, a wrong sign that setting x2 to zero undoes within
-        # roundoff. Exact sign tests raised NotInRangeError here
+        # that pins x4 and takes Sign(x2) = +1 comes before the one that pins
+        # both, and gives x2 = -1e-16, a wrong sign that setting x2 to zero
+        # undoes within roundoff. Exact sign tests raised NotInRangeError
+        # here while the table lacked the pattern that pins both
         pair = SignAffinePair([4, 0, 1, 3, 2], 0, True, 1e12, 3445961160)
         zero = np.array([False, False, True, False, True])
         z, w = pair.planted_input(zero, np.array([0.999, 0.0, 0.0, 0.0, 1.0]))
@@ -1221,6 +1220,38 @@ class TestSignAffineProperties:
         assert list(pair.engine._strategy.patterns[out.pattern].signs) == [-1.0, -1.0, 1.0, -1.0, 0.0]
         assert out.preimage[2] < 0.0
         assert np.linalg.norm(out.image - ops.evaluate_point(pair.v, z)) <= 10.0 * pair.planted_unit(w, z)
+
+    def test_ill_conditioned_subsystem_of_a_certified_engine(self):
+        # a draw of the planted property: z has a zero at variable 1, and
+        # row 2, which reads it, selects -0.99. The pattern that pins row 2
+        # has a 3x3 subsystem with singular values (3.8e12, 3.8e12, 1), and a
+        # relative pivot test dropped it from the table; no other pattern
+        # took w, which raised NotInRangeError. The engine is certified, so
+        # no kept subsystem is singular and the table holds all 3^4 patterns
+        pair = SignAffinePair([0, 2, 1, 3], 0, True, 1e12, 481)
+        z, w = pair.planted_input(np.array([False, True, False, False]), np.array([0.0, 0.0, -0.99, 0.0]))
+        strategy = pair.engine._strategy
+        assert strategy.unique_preimage and len(strategy.patterns) == 3**4
+        out = resolvents.transformed(pair.engine, w)
+        assert list(strategy.patterns[out.pattern].signs) == [-1.0, 0.0, -1.0, 1.0]
+        assert np.linalg.norm(out.image - ops.evaluate_point(pair.v, z)) <= 10.0 * pair.planted_unit(w, z)
+
+    def test_ill_conditioned_subsystem_of_an_uncertified_engine(self):
+        # a draw of the first property: sym(M[:, sigma]) = I + 1e12 * L L^T
+        # has eigenvalues from 1 to 7e12, too spread for the certificate but
+        # positive definite far past roundoff. Three subsystems have least
+        # singular value 1 against a largest of 4e12 to 7e12; a relative pivot
+        # test dropped their 48 patterns, and the second x raised
+        # NotInRangeError
+        pair = SignAffinePair([0, 3, 2, 1, 4], 3, False, 1e12, 115)
+        engine = pair.engine
+        assert not engine.unique_preimage and len(engine._strategy.patterns) == 3**5
+        for _ in range(2):
+            x, y = pair.points.uniform(5, -8.0, 8.0), pair.points.uniform(5, -8.0, 8.0)
+            ox, oy = resolvents.transformed(engine, x), resolvents.transformed(engine, y)
+            dx, dt = x - y, ox.image - oy.image
+            slack = 10.0 * (pair.unit(x, ox.preimage) + pair.unit(y, oy.preimage)) * np.linalg.norm(dx)
+            assert float(dt @ dt) <= float(dx @ dt) + slack
 
     def test_pinned_row_on_its_box_bound_at_scale_1e12(self):
         # a draw of the properties above: at step 9 the iteration reaches a

@@ -211,6 +211,24 @@ class TestGppa2:
             assert np.allclose(iterates[k], [1.0 / k, 1.0 / k], atol=1e-15)
         assert res.trace.err_to_ref[-1] <= 1e-3
 
+    def test_one_entry_schedule_is_a_constant_gamma(self):
+        # (0.5,) is the constant gamma 0.5; it used to be refused
+        halpern = solvers.HalpernConfig(anchor=(1.0, 1.0))
+        runs = [
+            solvers.gppa2(
+                ops.sign_swap_operator(), ops.swap_operator(), np.array([3.0, 1.0]),
+                solvers.SolverConfig(gamma_schedule=gamma, tol_residual=0.0, max_iters=50, halpern=halpern),
+            )
+            for gamma in (0.5, (0.5,))
+        ]
+        assert runs[0].image.tobytes() == runs[1].image.tobytes()
+        assert runs[0].trace.residuals == runs[1].trace.residuals
+
+    def test_schedule_of_several_gammas_is_refused(self):
+        cfg = solvers.SolverConfig(gamma_schedule=(0.5, 0.5), halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)))
+        with pytest.raises(ValueError, match="gppa2 requires a constant gamma"):
+            solvers.gppa2(ops.sign_swap_operator(), ops.swap_operator(), np.array([3.0, 1.0]), cfg)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_anchor_is_rejected(self, bad):
         # rejected before the first step, as a NaN/Inf x0 is, rather than
@@ -687,6 +705,23 @@ class TestConfig:
         # data with "gamma*F + v overflows the float range"
         with pytest.raises(ValueError, match=f"gamma must be positive and finite, got {shown}$"):
             solvers.SolverConfig(gamma_schedule=schedule)
+
+    @pytest.mark.parametrize("schedule", [0.5, 2, (0.5,), [0.5, 2.0]], ids=["float", "int", "one-entry", "list"])
+    def test_schedule_is_stored_as_a_tuple_of_floats(self, schedule):
+        cfg = solvers.SolverConfig(gamma_schedule=schedule)
+        expected = tuple(map(float, schedule)) if isinstance(schedule, (tuple, list)) else (float(schedule),)
+        assert cfg.gamma_schedule == expected
+        assert all(type(g) is float for g in cfg.gamma_schedule)
+
+    @pytest.mark.parametrize("max_iters", [2.5, float("nan"), True, False], ids=["fraction", "nan", "true", "false"])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        # a float used to fail inside the solve with a TypeError, and True
+        # ran one step and reported iterations=True
+        with pytest.raises(ValueError, match=rf"max_iters must be >= 1 and an integer other than a bool, got {max_iters!r}$"):
+            solvers.SolverConfig(max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_is_accepted(self):
+        assert solvers.SolverConfig(max_iters=np.int64(3)).max_iters == 3
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan")])
     def test_tolerance_must_be_nonnegative(self, tol):
