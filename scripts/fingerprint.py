@@ -20,6 +20,9 @@ summaries. The entries:
   at 1000 steps, and the check-pair report;
 - gppa and gppa1 at FULL trace on the sign-swap pair from three starts,
   at the default gamma = 1 and at the gamma schedule (0.5, 1, 2, 0.75);
+- check-pair on the sign-swap pair with the swap kernel: one report for
+  each pinned pair, some with Sign coordinates at zero where F is a box,
+  and one for all of them with 2000 seeded samples;
 - least squares at FULL trace on lsq_laplacian seeds 1-2, in full and cut
   at 50 steps;
 - solve-kkt on the cli_defaults QP of seed 1: exit code, standard output,
@@ -71,6 +74,14 @@ from workloads import CliDefaults, KKTTable, LsqLaplacian, SignPair2D  # noqa: E
 
 FULL = solvers.TraceLevel.FULL
 SIGN_SWAP_STARTS = ((5.0, -3.0), (0.3, -0.7), (-2.5, 4.25))
+# pairs with coordinates at zero, where Sign is an interval, and one without
+SIGN_SWAP_PAIRS = (
+    ((0.0, 0.0), (0.0, 1.0)),
+    ((0.0, 2.0), (-1.5, 0.0)),
+    ((0.5, 0.0), (-0.5, 0.0)),
+    ((0.0, -3.0), (2.0, 0.25)),
+    ((1.0, -2.0), (-0.75, 0.5)),
+)
 GAMMA_SCHEDULE = (0.5, 1.0, 2.0, 0.75)
 DEMOS = ("example-1", "example-2", "least-squares", "dca-divergence")
 ANCHORED_CUT, LSQ_CUT = 1000, 50
@@ -126,14 +137,26 @@ def _anchored_run(seed, max_iters=None):
     return run
 
 
+def _report(report: ops.PairMonotonicityReport) -> list:
+    return [report.samples, report.min_quotient, report.min_inner, report.witness_x, report.witness_y,
+            *(s.value for s in report.witness_selections), report.verdict.value]
+
+
 def _check_pair(seed):
     def run(workdir):
         _, trig_f, swap, _, sample_seed, _ = SignPair2D(seed, workdir).setup()
-        report = ops.check_pair_monotone(trig_f, swap, box=SignPair2D.BOX, samples=SignPair2D.SAMPLES, seed=sample_seed)
-        return [report.samples, report.min_quotient, report.min_inner, report.witness_x, report.witness_y,
-                *(s.value for s in report.witness_selections), report.verdict.value]
+        return _report(ops.check_pair_monotone(trig_f, swap, box=SignPair2D.BOX, samples=SignPair2D.SAMPLES, seed=sample_seed))
 
     return run
+
+
+def _sign_swap_check_pair(workdir):
+    f, v = ops.sign_swap_operator(), ops.swap_operator()
+    # over a one-point box every seeded pair coincides and is skipped, so
+    # each of these reports reads one pinned pair alone
+    parts = [part for pair in SIGN_SWAP_PAIRS
+             for part in _report(ops.check_pair_monotone(f, v, box=(0.0, 0.0), samples=2, include=[pair]))]
+    return parts + _report(ops.check_pair_monotone(f, v, box=SignPair2D.BOX, samples=2_000, seed=1, include=SIGN_SWAP_PAIRS))
 
 
 def _sign_swap(solver, x0, gamma=1.0):
@@ -223,6 +246,7 @@ ENTRIES = {
         for solver in (solvers.gppa, solvers.gppa1)
         for x0 in SIGN_SWAP_STARTS
     },
+    "sign_swap/check_pair/include=zeros": _sign_swap_check_pair,
     **{f"lsq_laplacian/seed={seed}": _least_squares(seed) for seed in (1, 2)},
     **{f"lsq_laplacian/seed={seed}/max_iters={LSQ_CUT}": _least_squares(seed, LSQ_CUT) for seed in (1, 2)},
     "cli_defaults/solve-kkt": _solve_kkt,

@@ -443,9 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_kappa_flags(p):
-        p.add_argument("--kappa", type=float, default=None, help="absolute kernel shift")
-        p.add_argument("--kappa-fraction", type=float, default=None,
-                       help="kernel shift as a fraction of the smallest absolute nonzero eigenvalue")
+        kappa = p.add_mutually_exclusive_group()
+        kappa.add_argument("--kappa", type=float, default=None, help="absolute kernel shift")
+        kappa.add_argument("--kappa-fraction", type=float, default=None,
+                           help="kernel shift as a fraction of the smallest absolute nonzero eigenvalue")
 
     p = sub.add_parser("solve-kkt", help="solve a QP problem file through its saddle system")
     p.add_argument("problem", help="QP JSON file (matrix files Q, C plus inline vectors c, d)")
@@ -506,11 +507,12 @@ def main(argv=None) -> int:
     # data or options of extreme size may overflow anywhere along the way;
     # the checks on the results report that (a non-finite iterate is a
     # Failed solve, non-finite data an input error), so numpy's overflow and
-    # invalid-value warnings are noise
+    # invalid-value warnings are noise; an input file nested too deeply to
+    # read is a RecursionError
     try:
         with np.errstate(**_QUIET_ERRSTATE):
             return args.fn(args)
-    except (OSError, ValueError, KeyError, PairproxError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError, PairproxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -41,7 +41,8 @@ class ValueSet:
 
     @property
     def is_singleton(self) -> bool:
-        # single-valued evaluations share one array for both bounds
+        # the variants single-valued by type (Affine, Permutation, Pointwise)
+        # return one array as both bounds; a composite or Sign has two
         return self.lower is self.upper or bool(np.array_equal(self.lower, self.upper))
 
 
@@ -165,10 +166,8 @@ class SignBlock(OperatorExpr):
     def _eval(self, x: np.ndarray) -> ValueSet:
         picked = x[..., self._picks]
         lower = self.scale * np.sign(picked)
-        at_zero = picked == 0.0
-        if not at_zero.any():
-            return ValueSet(lower, lower)
         upper = lower.copy()
+        at_zero = picked == 0.0
         lower[at_zero] = -self.scale
         upper[at_zero] = self.scale
         return ValueSet(lower, upper)
@@ -246,9 +245,6 @@ class Scale(OperatorExpr):
 
     def _eval(self, x: np.ndarray) -> ValueSet:
         vs = self.inner._eval(x)
-        if vs.lower is vs.upper:
-            scaled = self.gamma * vs.lower
-            return ValueSet(scaled, scaled)
         return ValueSet(self.gamma * vs.lower, self.gamma * vs.upper)
 
 
@@ -275,15 +271,10 @@ class Sum(OperatorExpr):
         return None
 
     def _eval(self, x: np.ndarray) -> ValueSet:
-        parts = [t._eval(x) for t in self.terms]
-        lower = np.zeros(x.shape)
-        for vs in parts:
-            lower = lower + vs.lower
-        if all(vs.lower is vs.upper for vs in parts):
-            return ValueSet(lower, lower)
-        upper = np.zeros(x.shape)
-        for vs in parts:
-            upper = upper + vs.upper
+        lower, upper = np.zeros(x.shape), np.zeros(x.shape)
+        for t in self.terms:
+            vs = t._eval(x)
+            lower, upper = lower + vs.lower, upper + vs.upper
         return ValueSet(lower, upper)
 
 
@@ -314,15 +305,10 @@ class Stack(OperatorExpr):
         return self.ambient_dim
 
     def _eval(self, x: np.ndarray) -> ValueSet:
-        parts = [(start, stop, op._eval(x[..., start:stop])) for start, stop, op in self.blocks]
-        lower = np.zeros(x.shape)
-        for start, stop, vs in parts:
-            lower[..., start:stop] = vs.lower
-        if all(vs.lower is vs.upper for _, _, vs in parts):
-            return ValueSet(lower, lower)
-        upper = np.zeros(x.shape)
-        for start, stop, vs in parts:
-            upper[..., start:stop] = vs.upper
+        lower, upper = np.zeros(x.shape), np.zeros(x.shape)
+        for start, stop, op in self.blocks:
+            vs = op._eval(x[..., start:stop])
+            lower[..., start:stop], upper[..., start:stop] = vs.lower, vs.upper
         return ValueSet(lower, upper)
 
 

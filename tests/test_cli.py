@@ -425,6 +425,19 @@ class TestOutOfRangeOptions:
         assert cli.main(["bench", "--sizes", "4", "--trials", "1", "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order", ["kappa-first", "fraction-first"])
+    @pytest.mark.parametrize("name", ["solve-kkt", "least-squares", "bench"])
+    def test_kappa_and_kappa_fraction_are_refused_together(self, name, order, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an input was read or generated for rejected options")
+
+        argv = self.command(name, tmp_path)
+        for module, reader in ((apps, "read_qp"), (linalg, "read_matrix"), (linalg, "read_vector"), (apps, "generate_consistent_system")):
+            monkeypatch.setattr(module, reader, fail)
+        flags = ["--kappa=0.2", "--kappa-fraction=0.3"]
+        assert cli.main([*argv, *(flags if order == "kappa-first" else flags[::-1])]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_bench_spec_rejects_kappa_fraction(self):
         with pytest.raises(ValueError, match=r"--kappa-fraction must lie in \(0, 0\.5\)"):
             cli.BenchSpec(sizes=(4,), kappa=None, kappa_fraction=0.7)
@@ -743,6 +756,25 @@ def _run_clean(argv):
     assert "Traceback" not in err.getvalue()
     assert (code == 1) == ("error:" in err.getvalue())
     return code
+
+
+@pytest.mark.parametrize("name", ["solve-kkt", "check-pair"])
+def test_too_deeply_nested_json_exits_one(name, tmp_path):
+    # a document nested past Python's recursion limit is an input error;
+    # json.dumps cannot write one, so its text is built by hand
+    path = tmp_path / "input.json"
+    if name == "solve-kkt":
+        doc = json.loads(write_example_problem(tmp_path).read_text())
+        text = json.dumps(doc)[:-1] + ', "c": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        argv = ["solve-kkt", str(path)]
+    else:
+        text = '{"kind": "pointwise", "registry-name": "identity"}'
+        for _ in range(3000):
+            text = f'{{"kind": "scale", "scale": 2, "inner": {text}}}'
+        ops.save_operator(str(tmp_path / "v.json"), ops.swap_operator())
+        argv = ["check-pair", str(path), str(tmp_path / "v.json"), "--samples=10"]
+    path.write_text(text)
+    assert _run_clean(argv) == 1
 
 
 # any JSON value, so that every key of a file can hold the wrong type

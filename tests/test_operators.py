@@ -188,18 +188,23 @@ class TestRootChecked:
         [row[1] for row in AFFINE_TREES] + [ops.trig_block_operator(), ops.swap_operator()],
         ids=[f"affine-tree-{row[0]}" for row in AFFINE_TREES] + ["trig", "swap"],
     )
-    def test_single_valued_trees_share_one_array(self, op):
+    def test_single_valued_trees_are_points(self, op):
+        # only the variants single-valued by type return one array as both
+        # bounds; a composite computes two equal ones
+        leaf = isinstance(op, (ops.Affine, ops.Permutation, ops.Pointwise))
         n = op.dim or 3
         for x in (np.linspace(-1.0, 2.0, n), _batch_points(n)):
             vs = op.evaluate(x)
-            assert vs.lower is vs.upper and vs.is_singleton
+            assert vs.is_singleton and vs.lower.tobytes() == vs.upper.tobytes()
+            assert (vs.lower is vs.upper) == leaf
 
-    def test_sign_off_zero_is_one_array_and_at_zero_a_box(self):
-        op = ops.sign_swap_operator()
-        off = op.evaluate(np.array([0.5, -2.0]))
-        assert off.lower is off.upper
+    @pytest.mark.parametrize("op", [ops.sign_swap_operator(), ops.SignBlock(1.0, (1, 0))], ids=["sign-swap", "sign-block"])
+    def test_sign_off_zero_is_a_point_and_at_zero_a_box(self, op):
+        for x in (np.array([0.5, -2.0]), np.array([[0.5, -2.0], [-1.0, 3.0]])):
+            off = op.evaluate(x)
+            assert off.is_singleton and off.lower.tobytes() == off.upper.tobytes()
         at = op.evaluate(np.array([0.0, 2.0]))
-        assert at.lower is not at.upper and not at.is_singleton
+        assert not at.is_singleton
 
     @pytest.mark.parametrize(
         "op",

@@ -423,11 +423,34 @@ class TestSharedDriverJobs:
         assert calls == res.iterations == 50
         assert res.image.tobytes() == evaluate_point(v, res.preimage).tobytes()
 
-    def test_anchored_step_checks_one_shape_and_compares_no_bounds(self, monkeypatch):
-        # the engine's build evaluates neither F nor v; each step evaluates
-        # only v, for the image, and checks its input shape once, at the
-        # root. v's values are points sharing one array for both bounds, so
-        # telling whether they are a point compares nothing
+    # each driver's run of 100 steps that stop at the iteration cap, with the
+    # evaluations it makes before its first step: gppa reads v(x0), least
+    # squares v(x0) and F(x0)
+    STEPPERS = {
+        "gppa": (1, lambda cfg: solvers.gppa(
+            ops.sign_swap_operator(), ops.swap_operator(), np.array([3.0, 1.0]), dataclasses.replace(cfg, gamma_schedule=(0.01,))
+        )),
+        "gppa1": (0, lambda cfg: solvers.gppa1(
+            ops.sign_swap_operator(), ops.swap_operator(), np.array([3.0, 1.0]), dataclasses.replace(cfg, gamma_schedule=(0.01,))
+        )),
+        "gppa2": (0, lambda cfg: solvers.gppa2(
+            ops.sign_swap_operator(), ops.swap_operator(), np.array([3.0, 1.0]),
+            dataclasses.replace(cfg, halpern=solvers.HalpernConfig(anchor=(1.0, 1.0))),
+        )),
+        "solve_kkt": (1, lambda cfg: apps.solve_kkt(
+            apps.KKTSystem(np.diag([1.0, 0.05]), np.ones(2), 2), 0.2, cfg=cfg
+        ).result),
+        "least_squares_iterate": (2, lambda cfg: apps.least_squares_iterate(
+            np.diag([1.0, 0.05]), np.ones(2), 0.2, cfg=cfg
+        ).result),
+    }
+
+    @pytest.mark.parametrize("driver", list(STEPPERS))
+    def test_step_checks_one_shape_and_compares_no_bounds(self, driver, monkeypatch):
+        # no engine's build evaluates F or v; each step evaluates only v, for
+        # the image, and checks its input shape once, at the root. v is an
+        # Affine or Permutation leaf, whose value holds one array as both
+        # bounds, so telling that it is a point compares nothing
         checks = compares = 0
         check_dim, array_equal = ops.OperatorExpr._check_dim, np.array_equal
 
@@ -443,11 +466,10 @@ class TestSharedDriverJobs:
 
         monkeypatch.setattr(ops.OperatorExpr, "_check_dim", counted_check)
         monkeypatch.setattr(np, "array_equal", counted_equal)
-        f, v = ops.sign_swap_operator(), ops.swap_operator()
-        cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=100, halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)))
-        res = solvers.gppa2(f, v, np.array([3.0, 1.0]), cfg)
-        assert res.iterations == 100
-        assert (checks, compares) == (100, 0)
+        start_up, run = self.STEPPERS[driver]
+        res = run(solvers.SolverConfig(tol_residual=0.0, max_iters=100))
+        assert res.status is solvers.Status.MAX_ITERS and res.iterations == 100
+        assert (checks, compares) == (100 + start_up, 0)
 
 
 class TestResidualAccess:
