@@ -31,6 +31,10 @@ summaries. The entries:
   problem-Q.mat and problem-C.mat, and of the sign-swap operator's file;
 - the KKT solve of kkt_table's seed-1 trial-0 system at n = 400 and
   n = 1000, at FULL trace;
+- the LU factorization, at blocks 7 and 64, of three seeded zero-laden
+  matrices: one with a fifth of its entries +0 and a fifth -0, one with
+  nine tenths zeros, half of them -0, and one whose column 100, mid-panel
+  at both blocks, is a combination of those before it;
 - bench --sizes 5,9 --trials 2: exit code, summary and table;
 - the four demos: exit code, standard output and trace files.
 
@@ -68,7 +72,8 @@ for _path in (ROOT / "perfbench", ROOT / "src"):
 import numpy as np  # noqa: E402
 
 from pairprox import applications as apps  # noqa: E402
-from pairprox import cli, operators as ops, solvers  # noqa: E402
+from pairprox import cli, linalg, operators as ops, solvers  # noqa: E402
+from pairprox.rng import SplitMix64  # noqa: E402
 from run import environment as bench_environment  # noqa: E402
 from workloads import CliDefaults, KKTTable, LsqLaplacian, SignPair2D  # noqa: E402
 
@@ -206,6 +211,30 @@ def _kkt_table(n):
     return run
 
 
+def _zero_laden_matrices(n=150):
+    rng = SplitMix64(7)
+    signed, sparse, dependent = (rng.normal(n * n).reshape(n, n) for _ in range(3))
+    u = rng.uniform(n * n).reshape(n, n)
+    signed[u < 0.2] = 0.0
+    signed[u > 0.8] = -0.0
+    u = rng.uniform(n * n).reshape(n, n)
+    sparse[u < 0.45] = 0.0
+    sparse[(0.45 <= u) & (u < 0.9)] = -0.0
+    dependent[:, 100] = dependent[:, :100] @ rng.normal(100)
+    return signed, sparse, dependent
+
+
+def _lu_factorize(workdir):
+    parts = []
+    for a in _zero_laden_matrices():
+        for block in (7, 64):
+            fact = linalg.lu_factorize(a, block=block)
+            parts += [fact.packed, fact.perm, int(fact.singular)]
+            for start, stop, strip, inverse in fact.lower_blocks + fact.upper_blocks:
+                parts += [start, stop, strip, inverse]
+    return parts
+
+
 def _bench(workdir):
     table = os.path.join(workdir, "bench.csv")
     code, summary = _run_cli(["bench", "--sizes", "5,9", "--trials", "2", "--out", table])
@@ -252,6 +281,7 @@ ENTRIES = {
     "cli_defaults/solve-kkt": _solve_kkt,
     "written_files/cli_defaults/seed=1+sign_swap": _written_files,
     **{f"kkt_table/seed=1/n={n}/trial=0/solve_kkt": _kkt_table(n) for n in (400, 1000)},
+    "linalg/lu_factorize/signed-zeros": _lu_factorize,
     "bench/sizes=5,9/trials=2": _bench,
     **{f"demo/{name}": _demo(name) for name in DEMOS},
 }

@@ -59,6 +59,11 @@ class BenchSpec:
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         if not self.sizes or any(n < 1 for n in self.sizes):
             raise ValueError("sizes must be positive")
+        # a repeated size re-runs the same seeded trials, and every median of
+        # the summary would count them twice
+        repeated = sorted({n for n in self.sizes if self.sizes.count(n) > 1})
+        if repeated:
+            raise ValueError(f"sizes must be distinct, got {', '.join(map(str, repeated))} more than once")
         solvers._require_count("trials", self.trials)
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")

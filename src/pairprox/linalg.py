@@ -5,9 +5,12 @@ The LU factorization eliminates in column panels and then inverts each
 diagonal block of L and U once. Each panel is eliminated in a contiguous
 transposed copy, so the pivot search, the scaling and the rank-1 updates run
 on contiguous rows, and its row interchanges are applied to the rest of the
-matrix once per panel (LAPACK's dgetf2 and dlaswp split). Every entry gets
-the same operations in the same order as in place, so the factors are the
-same bits. A solve is blocked forward and back
+matrix once per panel (LAPACK's dgetf2 and dlaswp split). The rank-1
+updates of a panel and the GEMM update of the trailing matrix subtract their
+products over whole C-contiguous rows, in one 1-D pass each, with +0 in the
+columns an update leaves alone: x - (+0) is x bitwise. Every entry gets the
+same operations in the same order as in place, so the factors are the same
+bits. A solve is blocked forward and back
 substitution on those cached inverses (Golub & Van Loan, Matrix
 Computations, section 3.1): per block, one matrix-vector product for the
 part already solved and one small product with the block's inverse, so no
@@ -153,16 +156,34 @@ def lu_factorize(a: np.ndarray, block: int = 64, pivot_rtol: float = PIVOT_RTOL)
         return LUFactorization(n, perm, lu, True)
     threshold = pivot_rtol * maxabs
 
-    # each panel lu[j:, j:end] is eliminated in a transposed copy, where its
-    # column c is the contiguous row pt[c]; every copy reuses the storage of
-    # the block inverses, which are computed after the elimination, so the
-    # copies need no allocation of their own
+    # all inverses share one allocation, and so do all strips: as separate
+    # small arrays that live through a whole solve they fragmented the heap,
+    # and peak RSS then grew by a full n x n matrix in about half of the
+    # benchmark's runs
+    bounds = [(j, min(j + block, n)) for j in range(0, n, block)]
     inverses = np.empty((2, n, min(block, n)))
-    buffer = inverses[0].reshape(-1)
+    # a matrix-vector product runs about 3x faster on a C-contiguous copy of
+    # an off-diagonal strip than on its strided view of `lu`, and sums in the
+    # same order
+    strips = np.empty(sum((end - j) * (n - end + j) for j, end in bounds))
+    # the elimination's scratch lives in the storage of the inverses and the
+    # strips, which are filled only after it: each panel lu[j:, j:end] is
+    # eliminated in a transposed copy `pt`, where its column c is the
+    # contiguous row pt[c], beside the column entries of its rank-1 updates,
+    # and the strips, at least (n - block) x n doubles, hold the trailing
+    # products. Every 2-D update subtracts its products over whole
+    # C-contiguous rows in one 1-D pass (numpy's 2-D loop over a strided view
+    # costs about 1 us per row), with +0 in the columns it leaves alone: a
+    # rank-1 update multiplies two factors that hold +0 there, and the
+    # trailing update writes +0 there. x - (+0) is x bitwise for every x, -0
+    # and NaN included, and raises no floating-point flag; the GEMM keeps its
+    # shape, and only its output's row stride changes
+    scratch = np.empty(n)
     for j in range(0, n, block):
         jb = min(block, n - j)
         end = j + jb
-        pt = buffer[: jb * (n - j)].reshape(jb, n - j)
+        pt, columns = (storage.reshape(-1)[: jb * (n - j)].reshape(jb, n - j) for storage in inverses)
+        multipliers = scratch[: n - j]
         pt[...] = lu[j:, j:end].T
         # row i of the panel came from row j + order[i]
         order = np.arange(n - j)
@@ -180,7 +201,12 @@ def lu_factorize(a: np.ndarray, block: int = 64, pivot_rtol: float = PIVOT_RTOL)
                 order[c], order[p] = order[p], order[c]
             col[c + 1 :] /= col[c]
             if c + 1 < jb:
-                pt[c + 1 :, c + 1 :] -= pt[c + 1 :, c : c + 1] * col[c + 1 :]
+                # pt[c + 1 :, c + 1 :] -= pt[c + 1 :, c : c + 1] * col[c + 1 :];
+                # the entries before c were zeroed at the earlier steps
+                multipliers[c] = columns[c + 1 :, c] = 0.0
+                multipliers[c + 1 :] = col[c + 1 :]
+                columns[c + 1 :, c + 1 :] = pt[c + 1 :, c : c + 1]
+                pt[c + 1 :] -= np.multiply(columns[c + 1 :], multipliers, out=columns[c + 1 :])
         # the interchanges reach the rows outside the panel in one gather of
         # the rows they moved
         moved = np.flatnonzero(order != np.arange(n - j))
@@ -198,23 +224,21 @@ def lu_factorize(a: np.ndarray, block: int = 64, pivot_rtol: float = PIVOT_RTOL)
             tail = lu[j:end, end:]
             for r in range(1, jb):
                 tail[r] -= panel[r, :r] @ tail[:r]
-            lu[end:, end:] -= lu[end:, j:end] @ tail
-    # all inverses share one allocation, and so do all strips: as separate
-    # small arrays that live through a whole solve they fragmented the heap,
-    # and peak RSS then grew by a full n x n matrix in about half of the
-    # benchmark's runs
-    bounds = [(j, min(j + block, n)) for j in range(0, n, block)]
+            # lu[end:, end:] -= lu[end:, j:end] @ tail; the rows keep their
+            # length n, so the columns before j were zeroed at the last panel
+            products = strips[: (n - end) * n].reshape(n - end, n)
+            products[:, j:end] = 0.0
+            np.matmul(lu[end:, j:end], tail, out=products[:, end:])
+            lu[end:] -= products
     for j, end in bounds:
         inverses[0, j:end, : end - j] = np.linalg.inv(np.tril(lu[j:end, j:end], -1) + np.eye(end - j))
         inverses[1, j:end, : end - j] = np.linalg.inv(np.triu(lu[j:end, j:end]))
     # past the float maximum a factor turns inf or NaN, and an inverse may
-    # read 1/inf as 0 and solve to a wrong but finite x
-    if not all_finite(lu) or not all(all_finite(inverses[:, j:end, : end - j]) for j, end in bounds):
+    # read 1/inf as 0 and solve to a wrong but finite x; `lu` is tested a
+    # block row at a time, so that the test's mask of n x n booleans does
+    # not come on top of the strips
+    if not all(all_finite(lu[j:end]) and all_finite(inverses[:, j:end, : end - j]) for j, end in bounds):
         raise ValueError("the LU factorization overflows the float range")
-    # a matrix-vector product runs about 3x faster on a C-contiguous copy of
-    # an off-diagonal strip than on its strided view of `lu`, and sums in the
-    # same order
-    strips = np.empty(sum((end - j) * (n - end + j) for j, end in bounds))
     used = 0
 
     def copy(part: np.ndarray) -> np.ndarray:

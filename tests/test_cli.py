@@ -456,6 +456,21 @@ class TestOutOfRangeOptions:
         assert f"--sizes must be 'n1,n2,...' with positive integers, got {sizes!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sizes, repeated", [("3,3", "3"), ("3,2,3", "3"), ("2,4,2,4", "2, 4")])
+    def test_bench_sizes_must_be_distinct(self, sizes, repeated, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a trial ran for rejected sizes")
+
+        monkeypatch.setattr(cli, "run_trial", fail)
+        assert cli.main(["bench", "--sizes", sizes, "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: sizes must be distinct, got {repeated} more than once" in err
+        assert "Traceback" not in err
+
+    def test_bench_spec_rejects_repeated_sizes(self):
+        with pytest.raises(ValueError, match="sizes must be distinct, got 3 more than once"):
+            cli.BenchSpec(sizes=(3, 2, 3))
+
 
 class TestMalformedFiles:
     """Input files of the wrong JSON shape exit 1 with a message that names

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,60 @@ def test_elimination_at_extreme_scales_matches_the_reference(n, scale):
     assert_elimination_matches_reference(fact, a, 64)
 
 
+def zero_laden_matrix(n, seed, kind, scale):
+    """A Gaussian matrix with about a fifth of its entries planted as +0.0
+    and a fifth as -0.0, times `scale`. "dependent" replaces a column by a
+    combination of the columns before it, and "zeroed" sets one to +0.0."""
+    rng = SplitMix64(seed)
+    a = rng.normal(n * n).reshape(n, n)
+    u = rng.uniform(n * n).reshape(n, n)
+    a[u < 0.2] = 0.0
+    a[u > 0.8] = -0.0
+    column = int(rng.uniform(1)[0] * n)
+    if kind == "dependent" and column:
+        a[:, column] = a[:, :column] @ rng.normal(column)
+    elif kind == "zeroed":
+        a[:, column] = 0.0
+    return a * scale
+
+
+def assert_factors_match_reference(fact, a, block):
+    """`packed`, `perm`, the singular flag, the strips and the inverses are
+    bytes-equal to what reference_elimination's factors give; np.array_equal
+    would not tell -0.0 from +0.0."""
+    assert_elimination_matches_reference(fact, a, block)
+    if fact.singular:
+        assert fact.lower_blocks == fact.upper_blocks == ()
+        return
+    packed = fact.packed
+    bounds = [(j, min(j + block, a.shape[0])) for j in range(0, a.shape[0], block)]
+    lower = [(j, end, packed[j:end, :j], np.linalg.inv(np.tril(packed[j:end, j:end], -1) + np.eye(end - j))) for j, end in bounds]
+    upper = [(j, end, packed[j:end, end:], np.linalg.inv(np.triu(packed[j:end, j:end]))) for j, end in reversed(bounds)]
+    for blocks, expected in ((fact.lower_blocks, lower), (fact.upper_blocks, upper)):
+        assert [b[:2] for b in blocks] == [e[:2] for e in expected]
+        for (_, _, strip, inverse), (_, _, part, inverted) in zip(blocks, expected):
+            assert strip.tobytes() == np.ascontiguousarray(part).tobytes()
+            assert inverse.tobytes() == inverted.tobytes()
+
+
+@pytest.mark.parametrize("kind", ("signed-zeros", "dependent", "zeroed"))
+@pytest.mark.parametrize("block", (1, 2, 3, 7, 64))
+def test_zero_laden_factors_are_the_reference_bits(block, kind):
+    # the whole-row updates subtract +0 from the columns they leave alone;
+    # a -0 there, from a product with a nonzero entry, would turn a -0 of
+    # the factors into +0
+    singular = 0
+    for n in (1, 2, 5, 9, 17, 40, 70, 130):
+        for scale in (1e-300, 1.0, 1e300):
+            a = zero_laden_matrix(n, 1000 * n + 10 * block + len(kind), kind, scale)
+            fact = linalg.lu_factorize(a, block=block)
+            assert_factors_match_reference(fact, a, block)
+            singular += fact.singular
+    # signed zeros reach the strips and inverses of nonsingular factors, the
+    # planted columns stop the elimination mid-panel
+    assert singular <= 6 if kind == "signed-zeros" else singular >= 18
+
+
 @pytest.mark.parametrize("n", (65, 129, 130, 900, 1000))
 def test_contiguous_strips_at_default_block(n):
     # diagonally dominant, so the pivots stay away from the singular flag
@@ -313,6 +368,24 @@ def test_contiguous_strips_at_default_block(n):
     assert len(fact.lower_blocks) == -(-n // 64)
     assert_strips_copy_packed(fact)
     assert_solves_like_strided_reference(fact, 5 * n)
+
+
+@pytest.mark.parametrize("n", (300, 900))
+def test_factorization_peak_memory_is_what_it_keeps_and_one_panel(n):
+    # the elimination keeps its scratch, the trailing products included, in
+    # the storage of the inverses and the strips, and the factors are tested
+    # for overflow a block row at a time, so only temporaries smaller than a
+    # panel of 64 x n doubles come on top of what the factorization keeps
+    a = SplitMix64(n).normal(n * n).reshape(n, n) + n * np.eye(n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fact = linalg.lu_factorize(a)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not fact.singular
+    assert peak - before <= after - before + 8 * 64 * n
 
 
 class TestNonFiniteMatrix:

@@ -84,7 +84,6 @@ def test_every_definition_has_a_caller_outside_tests():
 
 # options kept although no call above sets them, each with its reason
 ALLOWED_OPTIONS = {
-    "linalg.lu_factorize.block": "the tests cover several LU blocks at small n",
     "applications.least_squares_iterate.x0": "the iteration's start point",
     "applications.generate_inconsistent_system.spectrum": "the function is in ALLOWED, so nothing calls it",
     "applications.generate_inconsistent_system.zero_fraction": "the function is in ALLOWED, so nothing calls it",
