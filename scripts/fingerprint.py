@@ -35,6 +35,8 @@ summaries. The entries:
   matrices: one with a fifth of its entries +0 and a fifth -0, one with
   nine tenths zeros, half of them -0, and one whose column 100, mid-panel
   at both blocks, is a combination of those before it;
+- dca_baseline at FULL trace on a seeded 200 x 200 positive definite
+  system with m = 2;
 - bench --sizes 5,9 --trials 2: exit code, summary and table;
 - the four demos: exit code, standard output and trace files.
 
@@ -235,6 +237,17 @@ def _lu_factorize(workdir):
     return parts
 
 
+def _dca_baseline(workdir):
+    # A = G G^T / n + I / 2 has its spectrum in about [0.5, 4.5], so the
+    # iteration contracts by at most 2 / 2.5 per step
+    n = 200
+    rng = SplitMix64(11)
+    g = rng.normal(n * n).reshape(n, n)
+    a = g @ g.T / n + 0.5 * np.eye(n)
+    b = a @ rng.normal(n)
+    return _result(solvers.dca_baseline(a, b, 2.0, np.zeros(n), solvers.SolverConfig(trace_level=FULL)))
+
+
 def _bench(workdir):
     table = os.path.join(workdir, "bench.csv")
     code, summary = _run_cli(["bench", "--sizes", "5,9", "--trials", "2", "--out", table])
@@ -282,6 +295,7 @@ ENTRIES = {
     "written_files/cli_defaults/seed=1+sign_swap": _written_files,
     **{f"kkt_table/seed=1/n={n}/trial=0/solve_kkt": _kkt_table(n) for n in (400, 1000)},
     "linalg/lu_factorize/signed-zeros": _lu_factorize,
+    "dca_baseline/n=200": _dca_baseline,
     "bench/sizes=5,9/trials=2": _bench,
     **{f"demo/{name}": _demo(name) for name in DEMOS},
 }

@@ -16,6 +16,13 @@ Computations, section 3.1): per block, one matrix-vector product for the
 part already solved and one small product with the block's inverse, so no
 Python loop runs over the rows.
 
+`lu_factorize` factors a copy of its argument. The affine resolvent
+engine's build and the DCA baseline instead hand the matrix they built,
+gamma*F + v or A + m*I, to the same elimination, which factors it in place
+(LAPACK's dgetrf overwrites A with its factors too): that array becomes the
+factorization's `packed`, and their build's peak memory is what the
+factorization keeps plus the scratch of one panel and its interchanges.
+
 Everything operates on plain float64 numpy arrays; matrices are row-major
 2-D arrays, vectors are 1-D arrays. The readers of the JSON operator and QP
 files check each value's shape here before converting it.
@@ -147,11 +154,21 @@ def lu_factorize(a: np.ndarray, block: int = 64, pivot_rtol: float = PIVOT_RTOL)
     n, m = a.shape
     if n != m:
         raise NonSquareError(f"matrix is {n}x{m}")
-    lu = a.copy()
+    return _factorize_in_place(a.copy(), block, pivot_rtol)
+
+
+def _factorize_in_place(lu: np.ndarray, block: int = 64, pivot_rtol: float = PIVOT_RTOL) -> LUFactorization:
+    """`lu_factorize` of a square float64 matrix that the caller gives up:
+    its storage, copied first only if it is not C-contiguous, becomes the
+    factorization's `packed`."""
+    lu = np.ascontiguousarray(lu)
+    n = lu.shape[0]
     perm = np.arange(n)
-    maxabs = float(np.max(np.abs(a))) if a.size else 0.0
-    if not math.isfinite(maxabs):
+    # two reductions instead of np.max(np.abs(lu)), whose |A| is one more n x n array
+    high, low = (float(lu.max()), float(lu.min())) if lu.size else (0.0, 0.0)
+    if not (math.isfinite(high) and math.isfinite(low)):
         raise ValueError("matrix has non-finite entries")
+    maxabs = max(high, -low)
     if maxabs == 0.0:
         return LUFactorization(n, perm, lu, True)
     threshold = pivot_rtol * maxabs

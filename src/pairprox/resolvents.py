@@ -215,12 +215,14 @@ def build_engine(
     form = _try_sign_affine(f, n)
     va = _try_sign_affine(v, n)
     if form is not None and va is not None and not np.any(va.scales):
+        # numpy writes the sum into the product's temporary: one n x n array,
+        # which an affine engine's factorization then keeps as `packed`
         matrix = gamma * form.matrix + va.matrix
         if not linalg.all_finite(matrix):
             raise ValueError("gamma*F + v overflows the float range: its matrix has non-finite entries")
         offset = gamma * form.offset + va.offset
         if not np.any(form.scales):
-            fact = linalg.lu_factorize(matrix)
+            fact = linalg._factorize_in_place(matrix)
             if fact.singular:
                 raise SingularMatrixError(
                     "gamma*F + v is singular affine; the range condition fails and no pseudo-solution is returned"

@@ -329,15 +329,22 @@ def dca_baseline(
     """Difference-of-convex iteration (A + m I) x_{k+1} = m x_k + b for
     Ax = b, splitting A = (A + m I) - m I. Reports Failed('Diverged') once
     the error e_k = ||A x_k - b|| exceeds 1e8 * (1 + e_0). A or b with a
-    NaN or infinite entry is a ValueError."""
+    NaN or infinite entry is a ValueError, and so are a non-finite m and an
+    A + m I that overflows the float range."""
     cfg = _unanchored(cfg)
     a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
     b = linalg.require_finite(linalg.as_vector(b), "b")
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m!r}")
     x = _start(x0)
     n = a.shape[0]
     if b.size != n or x.size != n:
         raise DimensionMismatchError("A, b, x0 dimensions disagree")
-    fact = linalg.lu_factorize(a + m * np.eye(n))
+    # numpy writes the sum into the temporary m I, which the factorization keeps
+    shifted = a + m * np.eye(n)
+    if not linalg.all_finite(shifted):
+        raise ValueError("A + m*I overflows the float range")
+    fact = linalg._factorize_in_place(shifted)
     if fact.singular:
         raise SingularMatrixError("A + m*I is singular")
     e0 = linalg.norm(a @ x - b)

@@ -388,6 +388,17 @@ def test_factorization_peak_memory_is_what_it_keeps_and_one_panel(n):
     assert peak - before <= after - before + 8 * 64 * n
 
 
+@pytest.mark.parametrize("n", (1, 70, 130))
+def test_factorize_leaves_its_argument_unmodified(n):
+    # the public function factors a copy; only the affine engine's build and
+    # dca_baseline hand their own array to the in-place core
+    a = zero_laden_matrix(n, 13 * n, "signed-zeros", 1.0)
+    original = a.tobytes()
+    fact = linalg.lu_factorize(a)
+    assert a.tobytes() == original
+    assert not np.shares_memory(fact.packed, a)
+
+
 class TestNonFiniteMatrix:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_factorize_rejects_a_non_finite_entry(self, bad):

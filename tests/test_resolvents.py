@@ -3,6 +3,7 @@ import functools
 import itertools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,85 @@ class TestBuildEngine:
     def test_dim_inference_failure(self):
         with pytest.raises(DimensionMismatchError):
             resolvents.build_engine(ops.Pointwise("identity"), ops.Pointwise("identity"), 1.0)
+
+
+def _kkt_type_pair(n, seed):
+    """kkt_operator_pair of [[H, C^T], [C, 0]], H = G G^T / n, with a
+    quarter of the rows constraints: symmetric indefinite, so partial
+    pivoting interchanges rows."""
+    rng = SplitMix64(seed)
+    m = n // 4
+    g = rng.normal((n - m) * (n - m)).reshape(n - m, n - m)
+    c = rng.normal(m * (n - m)).reshape(m, n - m)
+    a = np.block([[g @ g.T / n, c.T], [c, np.zeros((m, m))]])
+    return apps.kkt_operator_pair(a, rng.normal(n), 0.2)
+
+
+def _signed_zero_pair(n, seed):
+    """F a Gaussian matrix with a fifth of its entries +0 and a fifth -0, and
+    v = 2n I with -0 off the diagonal: gamma*F + v keeps the signs of
+    gamma*F's zeros, since x + (-0) is x bitwise."""
+    rng = SplitMix64(seed)
+    a = rng.normal(n * n).reshape(n, n)
+    u = rng.uniform(n * n).reshape(n, n)
+    a[u < 0.2] = 0.0
+    a[u > 0.8] = -0.0
+    v = np.full((n, n), -0.0)
+    np.fill_diagonal(v, 2.0 * n)
+    return ops.Affine(a), ops.Affine(v)
+
+
+def _fortran_pair(n, seed):
+    """Both matrices in column-major order, so gamma*F + v is too."""
+    f, v = _kkt_type_pair(n, seed)
+    return ops.Affine(np.asfortranarray(f.matrix), f.offset), ops.Affine(np.asfortranarray(v.matrix))
+
+
+def assert_same_factorization(fact, expected):
+    """`packed`, `perm`, the flag, the strips and the inverses are
+    bytes-equal; np.array_equal would not tell -0.0 from +0.0."""
+    assert fact.packed.tobytes() == expected.packed.tobytes()
+    assert fact.perm.tobytes() == expected.perm.tobytes() and fact.singular == expected.singular
+    for blocks, reference in ((fact.lower_blocks, expected.lower_blocks), (fact.upper_blocks, expected.upper_blocks)):
+        assert [b[:2] for b in blocks] == [b[:2] for b in reference]
+        for (_, _, strip, inverse), (_, _, strip_ref, inverse_ref) in zip(blocks, reference):
+            assert strip.tobytes() == strip_ref.tobytes() and inverse.tobytes() == inverse_ref.tobytes()
+
+
+class TestAffineBuildInPlace:
+    """An affine engine factors the gamma*F + v it built in that array."""
+
+    @pytest.mark.parametrize("pair", [_kkt_type_pair, _signed_zero_pair, _fortran_pair], ids=["kkt", "signed-zeros", "fortran"])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_factors_are_those_of_the_public_factorization(self, pair, gamma):
+        n = 130
+        f, v = pair(n, 17)
+        engine = resolvents.build_engine(f, v, gamma)
+        fact = engine._strategy.factorization
+        assert_same_factorization(fact, linalg.lu_factorize(gamma * f.matrix + v.matrix))
+        if pair is not _signed_zero_pair:
+            assert np.any(fact.perm != np.arange(n))
+        assert fact.packed.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", (300, 900))
+    def test_build_peak_is_what_the_engine_keeps_and_three_panels(self, n):
+        # gamma*F + v is one array, and it becomes the factorization's
+        # `packed`; before the LU allocates its strips, that array and the
+        # finiteness mask hold less than the engine keeps. Within the LU,
+        # the rows that a panel's interchanges move, at most two per column,
+        # are gathered once, 2 x 64 rows of n doubles, and the other
+        # temporaries are smaller than one more panel. A build that factored
+        # a copy of gamma*F + v held n x n doubles more
+        f, v = _kkt_type_pair(n, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine = resolvents.build_engine(f, v, 1.0)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert engine.kind is resolvents.StrategyKind.AFFINE_AFFINE
+        assert peak - before <= after - before + 8 * 3 * 64 * n
 
 
 # structural dispatch, one row per tree shape: the affine rows give the

@@ -333,6 +333,18 @@ class TestDcaBaseline:
         with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
             solvers.dca_baseline(np.array(a), np.array(b), 2.0, np.zeros(2))
 
+    @pytest.mark.parametrize("m", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_shift_is_named(self, m):
+        # m * I turned A + m I non-finite, and the LU blamed the matrix
+        with pytest.raises(ValueError, match=f"m must be finite, got {m!r}"):
+            solvers.dca_baseline(np.diag([1.0, 2.0]), np.ones(2), m, np.zeros(2))
+
+    @pytest.mark.parametrize("a", [np.diag([1e308, 1.0]), np.diag([1.0, 1e308])], ids=["first", "last"])
+    def test_overflowing_shift_is_named(self, a):
+        # A and m are finite, A + m I is not
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"A \+ m\*I overflows the float range"):
+            solvers.dca_baseline(a, np.ones(2), 1e308, np.zeros(2))
+
 
 class TestWarmStart:
     @pytest.mark.parametrize("solver", ["gppa", "gppa1", "gppa2"])
