@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import linalg, operators as ops, resolvents, solvers
+from . import linalg, operators as ops, solvers
 from .errors import AllEigenvaluesZeroError, DimensionMismatchError
 from .rng import SplitMix64
 
@@ -235,8 +235,8 @@ def least_squares_iterate(
 
     Each step from x_k to x_{k+1} finds u = v(x_k) - v(x_{k+1}) = F(x_{k+1})
     = A x_{k+1} - b, so e = ||u|| and r = ||A u|| cost one product with A.
-    On a monotone pair r never increases, and the run stops as
-    Failed('Diverged') on the bound `solvers.gppa` uses.
+    The steps are `solvers.gppa`'s with residual r, so on a monotone pair r
+    never increases and the run stops as Failed('Diverged') on gppa's bound.
     """
     cfg = _unit_gamma(cfg)
     a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
@@ -253,25 +253,15 @@ def least_squares_iterate(
         rs.append(linalg.norm(a @ u))
         return rs[-1]
 
-    # the trace records u against the reference 0, so err_to_ref holds e
-    rec = solvers._Recorder(cfg, x, np.zeros(n))
-    w = ops.evaluate_point(v, x)
-    measure(ops.evaluate_point(f, x))
-    status, reason, iters = solvers.Status.CONVERGED, None, 0
-    if rs[0] > cfg.tol_residual:
-        # built here, so that a start within tol converges on a singular system
-        engine = resolvents.build_engine(f, v, 1.0)
-        # each step inverts at v(x_k), the image the previous step returned
-        def step(k, x):
-            nonlocal w
-            out = resolvents.transformed(engine, w)
-            u = w - out.image
-            w = out.image
-            return out.preimage, measure(u), u
-
-        status, reason, iters, x = solvers._iterate(cfg, rec, x, step, solvers._divergence_bound)
-
-    result = solvers.SolveResult(status, reason, x, w, iters, rec.trace)
+    if measure(ops.evaluate_point(f, x)) <= cfg.tol_residual:
+        # no engine is built, so that a start within tol converges on a singular system
+        trace = solvers._Recorder(cfg, x, None).trace
+        result = solvers.SolveResult(solvers.Status.CONVERGED, None, x, ops.evaluate_point(v, x), 0, trace)
+    else:
+        result = solvers.gppa(f, v, x, cfg, residual=measure)
+    if result.trace is not None:
+        # ||u - 0|| is bitwise ||u||: the distance of u to the reference 0
+        result.trace.err_to_ref = es[1:]
     return LeastSquaresSolution(result, rs, es)
 
 

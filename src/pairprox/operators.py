@@ -120,6 +120,8 @@ class Affine(OperatorExpr):
         object.__setattr__(self, "matrix", linalg.as_matrix(self.matrix))
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise DimensionMismatchError(f"affine matrix must be square, got shape {self.matrix.shape}")
+        if not self.matrix.size:
+            raise DimensionMismatchError("affine matrix must be nonempty")
         off = np.zeros(self.matrix.shape[0]) if self.offset is None else linalg.as_vector(self.offset)
         if off.size != self.matrix.shape[0]:
             raise DimensionMismatchError("offset length must match matrix rows")
@@ -154,8 +156,8 @@ class SignBlock(OperatorExpr):
         if self.scale < 0:
             raise ValueError("sign-block scale must be nonnegative")
         sel = tuple(int(i) for i in self.selector)
-        if sorted(sel) != list(range(len(sel))):
-            raise ValueError("selector must be a permutation of 0..n-1")
+        if not sel or sorted(sel) != list(range(len(sel))):
+            raise ValueError("selector must be a permutation of 0..n-1 with n >= 1")
         object.__setattr__(self, "selector", sel)
         object.__setattr__(self, "_picks", np.array(sel, dtype=np.intp))
 
@@ -182,8 +184,8 @@ class Permutation(OperatorExpr):
 
     def __post_init__(self):
         perm = tuple(int(i) for i in self.perm)
-        if sorted(perm) != list(range(len(perm))):
-            raise ValueError("perm must be a permutation of 0..n-1")
+        if not perm or sorted(perm) != list(range(len(perm))):
+            raise ValueError("perm must be a permutation of 0..n-1 with n >= 1")
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "_picks", np.array(perm, dtype=np.intp))
         signs = (1.0,) * len(perm) if self.signs is None else tuple(float(s) for s in self.signs)
@@ -287,6 +289,8 @@ class Stack(OperatorExpr):
     blocks: tuple[tuple[int, int, OperatorExpr], ...]
 
     def __post_init__(self):
+        if self.ambient_dim < 1:
+            raise DimensionMismatchError(f"stack dim must be >= 1, got {self.ambient_dim}")
         blocks = tuple((int(a), int(b), op) for a, b, op in self.blocks)
         covered: set[int] = set()
         for start, stop, op in blocks:
@@ -430,6 +434,8 @@ def _first_minima(f: OperatorExpr, v: OperatorExpr, xs: np.ndarray, ys: np.ndarr
 def _resolve_box(
     f: OperatorExpr, v: OperatorExpr, box: tuple | None
 ) -> tuple[np.ndarray, np.ndarray]:
+    if None not in (f.dim, v.dim) and f.dim != v.dim:
+        raise DimensionMismatchError(f"F and v disagree on dimension: F has {f.dim}, v has {v.dim}")
     dim = f.dim if f.dim is not None else v.dim
     if box is None:
         if dim is None:

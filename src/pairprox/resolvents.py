@@ -210,7 +210,7 @@ def build_engine(
     if n is None:
         raise DimensionMismatchError("cannot infer dimension; pass dim explicitly")
     if (f.dim is not None and f.dim != n) or (v.dim is not None and v.dim != n):
-        raise DimensionMismatchError("F and v disagree on dimension")
+        raise DimensionMismatchError(f"F and v disagree on dimension: F has {f.dim}, v has {v.dim}")
 
     form = _try_sign_affine(f, n)
     va = _try_sign_affine(v, n)

@@ -205,11 +205,11 @@ _DIVERGENCE_FACTOR = 1e8
 
 def _divergence_bound(r0: float) -> float:
     # on a monotone pair the residuals of gppa and gppa1 never increase, nor
-    # does the least-squares residual ||A u|| (u's step map commutes with A
-    # and has norm at most 1), so a residual this far above the first one
-    # shows the pair is not monotone along the run. Capped at the float
-    # maximum: past r0 ~ 1.8e300 no finite residual exceeds the product, so
-    # the cap only stops a residual that overflows to inf
+    # does ||A u||, least squares' residual via gppa's `residual` hook (u's
+    # step map commutes with A and has norm at most 1), so a residual this
+    # far above the first shows the pair is not monotone along the run.
+    # Capped at the float maximum: past r0 ~ 1.8e300 no finite residual
+    # exceeds the product, so the cap only stops one that overflows to inf
     return min(_DIVERGENCE_FACTOR * (1.0 + r0), sys.float_info.max)
 
 
@@ -219,15 +219,18 @@ def gppa(
     x0: np.ndarray,
     cfg: SolverConfig | None = None,
     reference: np.ndarray | None = None,
+    residual: Callable[[np.ndarray], float] | None = None,
 ) -> SolveResult:
     """Warped-resolvent iteration x_{n+1} = J_{gamma_n F}^v(x_n).
 
     `reference`, when given, is a known zero of F; the trace then records
-    ||v(x_{n+1}) - v(reference)|| per step. Each step inverts at the image
-    v(x_n) that the previous step returned, so v is evaluated once per step,
-    and starts the sign-pattern search at the pattern the previous step
-    accepted. The run stops as Failed('Diverged') once the residual exceeds
-    1e8 * (1 + r_0), r_0 being the first step's residual.
+    ||v(x_{n+1}) - v(reference)|| per step. `residual`, when given, maps each
+    step's u = v(x_n) - v(x_{n+1}) to its residual in place of ||u|| / gamma_n
+    (least squares passes ||A u||). Each step inverts at the image v(x_n)
+    that the previous step returned, so v is evaluated once per step, and
+    starts the sign-pattern search at the pattern the previous step accepted.
+    The run stops as Failed('Diverged') once the residual exceeds 1e8 * (1 +
+    r_0), r_0 being the first step's residual.
     """
     cfg = _unanchored(cfg)
     x = _start(x0)
@@ -241,9 +244,9 @@ def gppa(
         nonlocal w, pattern
         gamma = cfg.gamma_at(n)
         out = resolvents.transformed(engines(gamma), w, pattern)
-        residual = linalg.norm(w - out.image) / gamma
+        u = w - out.image
         w, pattern = out.image, out.pattern
-        return out.preimage, residual, w
+        return out.preimage, linalg.norm(u) / gamma if residual is None else residual(u), w
 
     status, reason, iterations, x = _iterate(cfg, rec, x, step, _divergence_bound)
     return SolveResult(status, reason, x, w, iterations, rec.trace)

@@ -6,7 +6,7 @@ import pytest
 
 from pairprox import applications as apps
 from pairprox import operators as ops, resolvents, solvers
-from pairprox.errors import AllEigenvaluesZeroError, NonFiniteIterateError, NotSymmetricError
+from pairprox.errors import AllEigenvaluesZeroError, NonFiniteIterateError, NotSymmetricError, SingularMatrixError
 from pairprox.rng import SplitMix64
 
 FULL = solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL)
@@ -402,6 +402,28 @@ class TestLeastSquares:
         assert sol.result.preimage.tobytes() == kkt.result.preimage.tobytes()
         assert sol.result.image.tobytes() == kkt.result.image.tobytes()
 
+    def test_trace_levels_record_the_measured_lists(self):
+        # the run is gppa's with residual r = ||A u||; the trace's residuals
+        # and err_to_ref are the step entries of both lists, at any level
+        system = apps.generate_inconsistent_system(16, 9)
+        runs = {
+            level: apps.least_squares_iterate(
+                system.matrix, system.rhs, kappa=0.2, cfg=solvers.SolverConfig(tol_residual=1e-9, trace_level=level)
+            )
+            for level in solvers.TraceLevel
+        }
+        none = runs[solvers.TraceLevel.NONE]
+        assert none.result.trace is None
+        for sol in runs.values():
+            assert sol.result.iterations == none.result.iterations > 1
+            assert len(sol.optimality_residuals) == len(sol.data_errors) == sol.result.iterations + 1
+            assert sol.optimality_residuals == none.optimality_residuals and sol.data_errors == none.data_errors
+            assert sol.result.preimage.tobytes() == none.result.preimage.tobytes()
+            if sol.result.trace is not None:
+                assert np.array(sol.result.trace.residuals).tobytes() == np.array(sol.optimality_residuals[1:]).tobytes()
+                assert np.array(sol.result.trace.err_to_ref).tobytes() == np.array(sol.data_errors[1:]).tobytes()
+        assert len(runs[solvers.TraceLevel.FULL].result.trace.iterates) == none.result.iterations + 1
+
     def test_consistent_rhs_drives_both_errors_to_zero(self):
         system = apps.generate_consistent_system(12, 13)
         sol = apps.least_squares_iterate(
@@ -419,6 +441,19 @@ class TestLeastSquares:
         assert sol.result.iterations == 0
         assert np.array_equal(sol.result.preimage, x0)
         assert sol.optimality_residuals == [0.0]
+        # no engine is built for a start within tol: at A = diag(1, -0.2)
+        # the step's 2A + 2 kappa I = diag(2.4, 0) is singular, which
+        # build_engine refuses, yet x0 solves A x = A x0
+        a = np.diag([1.0, -0.2])
+        f, v = apps.kkt_operator_pair(a, a @ x0, 0.2)
+        with pytest.raises(SingularMatrixError):
+            resolvents.build_engine(f, v, 1.0)
+        sol = apps.least_squares_iterate(a, a @ x0, kappa=0.2, x0=x0, cfg=FULL)
+        assert (sol.result.status, sol.result.iterations) == (solvers.Status.CONVERGED, 0)
+        assert sol.optimality_residuals == sol.data_errors == [0.0]
+        assert np.array_equal(sol.result.image, ops.evaluate_point(v, x0))
+        trace = sol.result.trace
+        assert trace.residuals == trace.err_to_ref == [] and np.array_equal(trace.iterates, [x0])
 
     def test_final_step_image_is_small_on_converged_runs(self):
         for seed in (3, 4):

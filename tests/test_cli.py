@@ -654,6 +654,32 @@ class TestCheckPairCommand:
         assert captured.out == ""
         assert captured.err == "error: affine matrix must be square, got shape (1, 2)\n"
 
+    @pytest.mark.parametrize(
+        "f_doc, v_doc, message",
+        [
+            # the sampler used to take F's size and evaluate v off it
+            ({"kind": "affine", "matrix": [[1, 0], [0, 1]]}, {"kind": "affine", "matrix": np.eye(3).tolist()},
+             "F and v disagree on dimension: F has 2, v has 3"),
+            # numpy's "negative dimensions are not allowed"
+            ({"kind": "stack", "dim": -1, "blocks": []}, None, "stack dim must be >= 1, got -1"),
+            # the zero-size ones used to end in "no usable sample pairs"
+            ({"kind": "stack", "dim": 0, "blocks": []}, None, "stack dim must be >= 1, got 0"),
+            ({"kind": "sign-block", "selector": []}, None, "selector must be a permutation of 0..n-1 with n >= 1"),
+            ({"kind": "permutation", "permutation": []}, None, "perm must be a permutation of 0..n-1 with n >= 1"),
+            ({"kind": "affine", "matrix-file": "empty.mat"}, None, "affine matrix must be nonempty"),
+        ],
+        ids=["f2-v3", "stack-negative", "stack-zero", "sign-block-empty", "permutation-empty", "affine-empty"],
+    )
+    def test_operator_dimensions_are_checked_when_built(self, f_doc, v_doc, message, tmp_path, capsys):
+        (tmp_path / "empty.mat").write_text("0 0\n")
+        f_path, v_path = tmp_path / "f.json", tmp_path / "v.json"
+        f_path.write_text(json.dumps(f_doc))
+        v_path.write_text(json.dumps(f_doc if v_doc is None else v_doc))
+        assert cli.main(["check-pair", str(f_path), str(v_path), "--samples", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("pair", ["nan,1:3,1", "1,1:3,inf"])
     def test_non_finite_include_pair_exits_one(self, pair, tmp_path, capsys):
         # a NaN inner product never becomes the minimum, so such a pair was

@@ -18,6 +18,7 @@ from pairprox.errors import (
     SingularMatrixError,
 )
 from pairprox.rng import SplitMix64
+from test_resolvents import _kkt_type_pair
 
 KKT_EXAMPLE = np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 0.0]])
 
@@ -374,9 +375,30 @@ def test_contiguous_strips_at_default_block(n):
 def test_factorization_peak_memory_is_what_it_keeps_and_one_panel(n):
     # the elimination keeps its scratch, the trailing products included, in
     # the storage of the inverses and the strips, and the factors are tested
-    # for overflow a block row at a time, so only temporaries smaller than a
-    # panel of 64 x n doubles come on top of what the factorization keeps
+    # for overflow a block row at a time. This matrix is diagonally dominant
+    # and never pivots, so only temporaries smaller than a panel of 64 x n
+    # doubles come on top of what the factorization keeps; the next test
+    # covers the rows that interchanges move
     a = SplitMix64(n).normal(n * n).reshape(n, n) + n * np.eye(n)
+    fact, excess = _factorization_excess(a)
+    assert not fact.singular
+    assert excess <= 8 * 64 * n
+
+
+@pytest.mark.parametrize("n", (300, 900))
+def test_pivoting_factorization_peak_memory_is_what_it_keeps_and_three_panels(n):
+    # a symmetric indefinite KKT-type matrix interchanges rows; the rows a
+    # panel's interchanges move, at most two per column, are gathered once,
+    # 2 x 64 rows of n doubles, and the other temporaries are smaller than
+    # one more panel, the allowance of TestAffineBuildInPlace
+    a = _kkt_type_pair(n, n)[0].matrix
+    fact, excess = _factorization_excess(a)
+    assert not fact.singular and np.any(fact.perm != np.arange(n))
+    assert excess <= 8 * 3 * 64 * n
+
+
+def _factorization_excess(a):
+    """The factorization of a, and the bytes its peak holds above what it keeps."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -384,8 +406,7 @@ def test_factorization_peak_memory_is_what_it_keeps_and_one_panel(n):
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert not fact.singular
-    assert peak - before <= after - before + 8 * 64 * n
+    return fact, peak - after
 
 
 @pytest.mark.parametrize("n", (1, 70, 130))

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from pairprox import applications as apps
 from pairprox import operators as ops
-from pairprox import resolvents, solvers
+from pairprox import linalg, resolvents, solvers
 from pairprox.errors import NonFiniteIterateError, SingularMatrixError, UnsupportedStructureError
 from pairprox.rng import SplitMix64
-from test_resolvents import SignAffinePair
+from test_resolvents import EPS, SignAffinePair
 
 FULL = solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL)
 
@@ -97,6 +97,29 @@ class TestGppa:
         assert res.iterations == len(res.trace.iterates) - 1 > 1
         assert np.array_equal(res.image, ops.evaluate_point(v, x))
 
+    @pytest.mark.parametrize("kind", ["sign-schedule", "shifted-kkt"])
+    def test_norm_residual_hook_is_the_default_bitwise(self, kind):
+        # the hook sees u = v(x_n) - v(x_{n+1}); ||u|| / gamma_n is the
+        # residual gppa computes without it
+        if kind == "shifted-kkt":
+            system = apps.generate_consistent_system(12, 5)
+            f, v = apps.kkt_operator_pair(system.matrix, system.rhs, 0.2)
+            x0, schedule = np.zeros(12), 1.0
+        else:
+            f, v = ops.sign_swap_operator(), ops.swap_operator()
+            x0, schedule = np.array([5.0, -3.0]), (0.5, 1.0, 2.0, 0.75)
+        cfg = solvers.SolverConfig(gamma_schedule=schedule, tol_residual=1e-12, trace_level=solvers.TraceLevel.FULL)
+        step = iter(range(cfg.max_iters))
+        hooked = solvers.gppa(f, v, x0, cfg, residual=lambda u: linalg.norm(u) / cfg.gamma_at(next(step)))
+        default = solvers.gppa(f, v, x0, cfg)
+        assert (hooked.status, hooked.reason, hooked.iterations) == (default.status, default.reason, default.iterations)
+        assert next(step) == hooked.iterations > 1
+        assert hooked.preimage.tobytes() == default.preimage.tobytes()
+        assert hooked.image.tobytes() == default.image.tobytes()
+        assert hooked.trace.residuals == default.trace.residuals
+        assert hooked.trace.steps == default.trace.steps
+        assert np.array(hooked.trace.iterates).tobytes() == np.array(default.trace.iterates).tobytes()
+
     def test_reference_tracks_image_distance(self):
         f, v = qp_pair()
         x_star = np.array([1.0, 0.0])
@@ -163,16 +186,20 @@ class TestUnsupportedPair:
 # so every build is certified and F has the one zero x*. At scale 1e-6, T is
 # within about 1e-6 of the identity and a run of 100 steps barely moves, so
 # the draws take scales 1 and 1e12 only
-FULL_RANK_SIGN_AFFINE = st.integers(1, 8).flatmap(
-    lambda n: st.builds(
-        SignAffinePair,
-        st.permutations(range(n)),
-        st.just(n),
-        st.booleans(),
-        st.sampled_from([1.0, 1e12]),
-        st.integers(0, 2**32),
+def full_rank_sign_affine(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.builds(
+            SignAffinePair,
+            st.permutations(range(n)),
+            st.just(n),
+            st.booleans(),
+            st.sampled_from([1.0, 1e12]),
+            st.integers(0, 2**32),
+        )
     )
-)
+
+
+FULL_RANK_SIGN_AFFINE = full_rank_sign_affine(8)
 
 
 class TestGppa2:
@@ -283,6 +310,70 @@ class TestGppa2:
             assert k * np.linalg.norm(x - out.image) <= 2 * distance + k * (k + 1) * delta
             approach = min(1.0, (1.0 + sigma) / (sigma * k))
             assert np.linalg.norm(x - p) <= approach * distance + dp + k * delta
+
+
+class TestLinearRateOnSignAffinePairs:
+    # at gamma the pair (gamma F, v) is gamma sigma-strongly monotone, sigma
+    # the least eigenvalue of sym(P^T B), and v is an isometry, so T_gamma is
+    # a 1/(1 + gamma sigma) contraction onto the one fixed point p = v(x*)
+    # that every T_gamma shares: the paper's linear rate on a set-valued F
+    SCHEDULES = {"unit": 1.0, "schedule": (0.5, 1.0, 2.0, 0.75)}
+    STEPS = 40
+
+    @staticmethod
+    def sigma(pair):
+        perm = pair.v.as_matrix()
+        monotone_part = perm.T @ (pair.matrix - perm)
+        return np.linalg.eigvalsh(0.5 * (monotone_part + monotone_part.T))[0]
+
+    @staticmethod
+    def roundoff(pair, gamma, size):
+        """`pair.unit` at gamma: the roundoff of one evaluation of T_gamma
+        whose input and preimage have norm at most `size`."""
+        perm = pair.v.as_matrix()
+        m, n = gamma * (pair.matrix - perm) + perm, perm.shape[0]
+        data = size + gamma * (np.linalg.norm(pair.d) + pair.s * np.sqrt(n))
+        return n * EPS * np.linalg.norm(np.linalg.inv(m), 2) * (data + np.linalg.norm(m, 2) * size)
+
+    @classmethod
+    def check_rate(cls, pair, cfg, images, factor=1.0):
+        """||x_{k+1} - p|| <= factor ||x_k - p|| / (1 + gamma_k sigma) plus
+        one step's roundoff delta and twice the distance dp of p from the
+        fixed point of the rounded data, checked until the error is within
+        100 times that slack. Returns the steps checked."""
+        sigma = cls.sigma(pair)
+        p = ops.evaluate_point(pair.v, pair.x_star)
+        big = max(np.linalg.norm(x) for x in images)
+        gammas = [cfg.gamma_at(k) for k in range(len(images) - 1)]
+        delta = 10.0 * max(cls.roundoff(pair, g, big) for g in gammas)
+        # T_gamma(p) is within delta of p, so p is within delta / (1 - rho) of the fixed point
+        slack = delta + 2.0 * max(delta * (1.0 + g * sigma) / (g * sigma) for g in gammas)
+        errors = [np.linalg.norm(x - p) for x in images]
+        checked = 0
+        for gamma, before, after in zip(gammas, errors, errors[1:]):
+            if before <= 100.0 * slack:
+                break
+            assert after <= factor * before / (1.0 + gamma * sigma) + slack
+            checked += 1
+        return checked
+
+    @pytest.mark.parametrize("schedule", SCHEDULES.values(), ids=SCHEDULES.keys())
+    # n <= 5 keeps each engine build below 10 ms; the rate does not depend on n
+    @given(pair=full_rank_sign_affine(5))
+    @settings(max_examples=15, deadline=None)
+    def test_gppa1_and_gppa_images_contract_at_the_linear_rate(self, schedule, pair):
+        # full-rank draws certify every build, at each gamma; gppa's trace
+        # holds the preimages z_k, and their images v(z_k) run T as gppa1's
+        # iterates do
+        assume(self.sigma(pair) > 0.0)
+        cfg = solvers.SolverConfig(
+            gamma_schedule=schedule, tol_residual=0.0, max_iters=self.STEPS, trace_level=solvers.TraceLevel.FULL,
+        )
+        x0 = pair.points.uniform(len(pair.v.perm), -8.0, 8.0)
+        images = solvers.gppa1(pair.f, pair.v, ops.evaluate_point(pair.v, x0), cfg).trace.iterates
+        assert self.check_rate(pair, cfg, images) >= 1
+        preimages = solvers.gppa(pair.f, pair.v, x0, cfg).trace.iterates
+        assert self.check_rate(pair, cfg, [ops.evaluate_point(pair.v, z) for z in preimages]) >= 1
 
 
 class TestDcaBaseline:
