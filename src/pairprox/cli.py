@@ -23,7 +23,7 @@ import numpy as np
 
 from . import applications as apps
 from . import linalg, operators as ops, solvers
-from .errors import PairproxError, UnknownDemoError
+from .errors import PairproxError
 from .rng import derive_seed, require_seed
 
 EXIT_OK = 0
@@ -433,10 +433,7 @@ _DEMOS = {
 
 
 def cmd_demo(args) -> int:
-    fn = _DEMOS.get(args.name)
-    if fn is None:
-        raise UnknownDemoError(f"unknown demo {args.name!r}; choose from {sorted(_DEMOS)}")
-    return fn(args.out)
+    return _DEMOS[args.name](args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check_pair)
 
     p = sub.add_parser("demo", help="run a curated example")
-    p.add_argument("name", help=f"one of {sorted(_DEMOS)}")
+    p.add_argument("name", choices=sorted(_DEMOS), help="the demo to run")
     p.add_argument("--out", default=None, help="directory for trace CSVs")
     p.set_defaults(fn=cmd_demo)
 

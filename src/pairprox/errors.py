@@ -39,7 +39,3 @@ class NonFiniteIterateError(PairproxError):
 
 class AllEigenvaluesZeroError(PairproxError):
     """The matrix has no eigenvalue above the zero threshold."""
-
-
-class UnknownDemoError(PairproxError):
-    """No demo is registered under that name."""

@@ -16,11 +16,11 @@ Computations, section 3.1): per block, one matrix-vector product for the
 part already solved and one small product with the block's inverse, so no
 Python loop runs over the rows.
 
-`lu_factorize` factors a copy of its argument. The affine resolvent
-engine's build and the DCA baseline instead hand the matrix they built,
-gamma*F + v or A + m*I, to the same elimination, which factors it in place
+`lu_factorize` factors a copy of its argument. Only the affine resolvent
+engine's build, the DCA baseline's included, instead hands the matrix it
+built, gamma*F + v, to the same elimination, which factors it in place
 (LAPACK's dgetrf overwrites A with its factors too): that array becomes the
-factorization's `packed`, and their build's peak memory is what the
+factorization's `packed`, and the build's peak memory is what the
 factorization keeps plus the scratch of one panel and its interchanges.
 
 Everything operates on plain float64 numpy arrays; matrices are row-major

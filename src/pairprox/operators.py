@@ -153,8 +153,8 @@ class SignBlock(OperatorExpr):
     selector: tuple[int, ...]
 
     def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError("sign-block scale must be nonnegative")
+        if not 0.0 <= self.scale < np.inf:
+            raise ValueError(f"sign-block scale must be nonnegative and finite, got {self.scale!r}")
         sel = tuple(int(i) for i in self.selector)
         if not sel or sorted(sel) != list(range(len(sel))):
             raise ValueError("selector must be a permutation of 0..n-1 with n >= 1")
@@ -232,14 +232,14 @@ class Pointwise(OperatorExpr):
 
 @dataclass(frozen=True, eq=False)
 class Scale(OperatorExpr):
-    """x -> gamma * inner(x) with gamma > 0."""
+    """x -> gamma * inner(x) with 0 < gamma < inf."""
 
     gamma: float
     inner: OperatorExpr
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("scale factor must be positive")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError(f"scale factor must be positive and finite, got {self.gamma!r}")
 
     @property
     def dim(self) -> int | None:

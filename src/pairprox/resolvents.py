@@ -203,7 +203,7 @@ def build_engine(
     """Select an inversion strategy for gamma*F + v by pattern matching on
     the trees of F and v; no operator is evaluated. A pair that no strategy
     inverts is an UnsupportedStructureError, a singular affine one a
-    SingularMatrixError."""
+    SingularMatrixError, a non-finite one a ValueError."""
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     n = f.dim if f.dim is not None else (v.dim if v.dim is not None else dim)
@@ -220,7 +220,9 @@ def build_engine(
         matrix = gamma * form.matrix + va.matrix
         if not linalg.all_finite(matrix):
             raise ValueError("gamma*F + v overflows the float range: its matrix has non-finite entries")
-        offset = gamma * form.offset + va.offset
+        offset, scales = gamma * form.offset + va.offset, gamma * form.scales
+        if not (linalg.all_finite(offset) and linalg.all_finite(scales)):
+            raise ValueError("gamma*F + v overflows the float range: its offset or Sign scales are not finite")
         if not np.any(form.scales):
             fact = linalg._factorize_in_place(matrix)
             if fact.singular:
@@ -228,7 +230,7 @@ def build_engine(
                     "gamma*F + v is singular affine; the range condition fails and no pseudo-solution is returned"
                 )
             return ResolventEngine(v, n, StrategyKind.AFFINE_AFFINE, _AffineStrategy(fact, offset))
-        strategy = _assemble_sign_strategy(gamma * form.scales, form.sign_var, matrix, offset, n)
+        strategy = _assemble_sign_strategy(scales, form.sign_var, matrix, offset, n)
         if strategy is not None:
             return ResolventEngine(v, n, StrategyKind.SIGN_SEPARABLE, strategy)
     raise UnsupportedStructureError(f"no closed-form resolvent for F={type(f).__name__}, v={type(v).__name__}")

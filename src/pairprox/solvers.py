@@ -1,9 +1,11 @@
 """Proximal point iterations on warped / transformed resolvents, an anchored
-(Halpern) variant, and a difference-of-convex baseline for linear systems.
+(Halpern) variant, and a difference-of-convex (DC) baseline for linear
+systems: the warped iteration on F(x) = Ax - b with kernel m I.
 
 All solvers record per-iteration diagnostics driven by the residual
 u_n = (v(x_n) - v(x_{n+1})) / gamma_n   (warped iteration)
 u_n = (x_n - x_{n+1}) / gamma_n         (transformed / anchored iterations)
+A x_{n+1} - b                           (DC baseline)
 and stop on residual norm, divergence, a step of norm zero, or the
 iteration cap. A hard iteration cap is mandatory: the target inclusion can
 be solution-free even under strong monotonicity, so non-termination is a
@@ -24,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg, operators as ops, resolvents
-from .errors import DimensionMismatchError, NonFiniteIterateError, SingularMatrixError
+from .errors import DimensionMismatchError, NonFiniteIterateError
 
 
 class TraceLevel(Enum):
@@ -111,6 +113,8 @@ class SolveResult:
 
 class _Recorder:
     def __init__(self, cfg: SolverConfig, x0: np.ndarray, reference: np.ndarray | None):
+        if reference is not None and reference.shape != x0.shape:
+            raise DimensionMismatchError(f"reference has shape {reference.shape}, the start {x0.shape}")
         self.level = cfg.trace_level
         self.reference = reference
         self.t0 = time.perf_counter()
@@ -330,31 +334,26 @@ def dca_baseline(
     cfg: SolverConfig | None = None,
 ) -> SolveResult:
     """Difference-of-convex iteration (A + m I) x_{k+1} = m x_k + b for
-    Ax = b, splitting A = (A + m I) - m I. Reports Failed('Diverged') once
-    the error e_k = ||A x_k - b|| exceeds 1e8 * (1 + e_0). A or b with a
-    NaN or infinite entry is a ValueError, and so are a non-finite m and an
-    A + m I that overflows the float range."""
+    Ax = b, the warped resolvent of F(x) = Ax - b at gamma = 1 with kernel
+    v = m I. Reports Failed('Diverged') once e_k = ||A x_k - b|| exceeds
+    1e8 * (1 + e_0). Non-finite A or b and m outside (0, inf) are ValueErrors;
+    `build_engine` refuses an A + m I that overflows or is singular."""
     cfg = _unanchored(cfg)
     a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
     b = linalg.require_finite(linalg.as_vector(b), "b")
-    if not math.isfinite(m):
-        raise ValueError(f"m must be finite, got {m!r}")
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"m must be positive and finite, got {m!r}")
     x = _start(x0)
     n = a.shape[0]
     if b.size != n or x.size != n:
         raise DimensionMismatchError("A, b, x0 dimensions disagree")
-    # numpy writes the sum into the temporary m I, which the factorization keeps
-    shifted = a + m * np.eye(n)
-    if not linalg.all_finite(shifted):
-        raise ValueError("A + m*I overflows the float range")
-    fact = linalg._factorize_in_place(shifted)
-    if fact.singular:
-        raise SingularMatrixError("A + m*I is singular")
+    # the right-hand side m x - (-b) is m x + b bitwise, but for the sign of a zero
+    engine = resolvents.build_engine(ops.Affine(a, -b), ops.Scale(m, ops.Pointwise("identity")), 1.0)
     e0 = linalg.norm(a @ x - b)
     rec = _Recorder(cfg, x, None)
 
     def step(k, x):
-        x_next = linalg.lu_solve(fact, m * x + b)
+        x_next = resolvents.warped(engine, x).preimage
         return x_next, linalg.norm(a @ x_next - b), x_next
 
     status, reason, iterations, x = _iterate(cfg, rec, x, step, lambda _r0: _divergence_bound(e0))

@@ -1011,7 +1011,7 @@ class TestDemoCommand:
 
     def test_unknown_demo_exits_one(self, capsys):
         assert cli.main(["demo", "no-such-demo"]) == 1
-        assert "unknown demo" in capsys.readouterr().err
+        assert "invalid choice: 'no-such-demo'" in capsys.readouterr().err
 
 
 class TestEntryPoints:

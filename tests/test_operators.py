@@ -574,6 +574,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             ops.SignBlock(-1.0, (0,))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_scales_must_be_finite(self, value):
+        # both passed `scale < 0` and `gamma <= 0`; a NaN Sign scale plus I
+        # built a diagonal engine that mapped every input to 0
+        with pytest.raises(ValueError, match=f"sign-block scale must be nonnegative and finite, got {value!r}"):
+            ops.SignBlock(value, (0, 1))
+        with pytest.raises(ValueError, match=f"scale factor must be positive and finite, got {value!r}"):
+            ops.Scale(value, ops.identity_operator(2))
+
     def test_selector_must_be_permutation(self):
         with pytest.raises(ValueError):
             ops.SignBlock(1.0, (0, 0))

@@ -156,6 +156,27 @@ class TestBuildEngine:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflows the float range"):
             resolvents.build_engine(f, ops.identity_operator(f.dim), 1.0)
 
+    @pytest.mark.parametrize(
+        "f, v, gamma",
+        [
+            # the soft-threshold read the NaN row as 0: gppa from (1, 2)
+            # returned Converged at (0, 0), where F has a NaN row
+            (ops.Sum((ops.SignBlock(1.0, (0, 1)), ops.Affine(np.eye(2), offset=(np.nan, 0.0)))),
+             ops.identity_operator(2), 1.0),
+            # affine and tabled engines built, and gppa reported Failed(Diverged) after 0 steps
+            (ops.Affine(np.eye(2), offset=(np.nan, 0.0)), ops.identity_operator(2), 1.0),
+            (ops.Affine(np.eye(2), offset=(0.0, -np.inf)), ops.identity_operator(2), 1.0),
+            (ops.Sum((ops.SignBlock(1.0, (1, 0)), ops.Affine(np.diag([1.0, -1.0]), offset=(np.inf, 0.0)))),
+             ops.swap_operator(), 1.0),
+            # gamma * 1e300 is inf: the soft-threshold mapped every input to 0
+            (ops.SignBlock(1e300, (0, 1)), ops.identity_operator(2), 1e10),
+        ],
+        ids=["diagonal-nan-offset", "affine-nan-offset", "affine-inf-offset", "tabled-inf-offset", "inf-sign-scale"],
+    )
+    def test_non_finite_offset_or_sign_scale_is_rejected(self, f, v, gamma):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="its offset or Sign scales are not finite"):
+            resolvents.build_engine(f, v, gamma)
+
     def test_sign_engine_near_the_float_maximum_is_certified(self):
         # 2 * M[0, 0] overflows but every norm is finite; sym(M) halved
         # before the sum is positive definite, where the unhalved sum read

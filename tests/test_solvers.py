@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pairprox import applications as apps
 from pairprox import operators as ops
 from pairprox import linalg, resolvents, solvers
-from pairprox.errors import NonFiniteIterateError, SingularMatrixError, UnsupportedStructureError
+from pairprox.errors import DimensionMismatchError, NonFiniteIterateError, SingularMatrixError, UnsupportedStructureError
 from pairprox.rng import SplitMix64
 from test_resolvents import EPS, SignAffinePair
 
@@ -408,7 +408,7 @@ class TestDcaBaseline:
     def test_subnormal_singular_shift_is_reported(self):
         # A + m I = diag(1e-320, 0), whose pivot threshold 1e-12 * 1e-320
         # underflows to 0: the zero pivot alone marks it singular
-        with pytest.raises(SingularMatrixError, match=r"A \+ m\*I is singular"):
+        with pytest.raises(SingularMatrixError, match=r"gamma\*F \+ v is singular affine"):
             solvers.dca_baseline(np.diag([0.0, -1e-320]), np.zeros(2), 1e-320, np.zeros(2))
 
     @pytest.mark.parametrize(
@@ -427,14 +427,55 @@ class TestDcaBaseline:
     @pytest.mark.parametrize("m", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
     def test_non_finite_shift_is_named(self, m):
         # m * I turned A + m I non-finite, and the LU blamed the matrix
-        with pytest.raises(ValueError, match=f"m must be finite, got {m!r}"):
+        with pytest.raises(ValueError, match=f"m must be positive and finite, got {m!r}"):
             solvers.dca_baseline(np.diag([1.0, 2.0]), np.ones(2), m, np.zeros(2))
 
     @pytest.mark.parametrize("a", [np.diag([1e308, 1.0]), np.diag([1.0, 1e308])], ids=["first", "last"])
     def test_overflowing_shift_is_named(self, a):
-        # A and m are finite, A + m I is not
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"A \+ m\*I overflows the float range"):
+        # A and m are finite, A + m I is not; at gamma = 1 that is gamma*F + v
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"gamma\*F \+ v overflows the float range"):
             solvers.dca_baseline(a, np.ones(2), 1e308, np.zeros(2))
+
+    @pytest.mark.parametrize("a, m", [(np.eye(2), 0.0), (2.0 * np.eye(2), -1.0)], ids=["zero", "negative"])
+    def test_nonpositive_shift_is_named(self, a, m):
+        # v = m I is no positive kernel: m = 0 made one step x = A^{-1} b
+        # and returned Converged, m = -1 ran to MaxIters
+        with pytest.raises(ValueError, match=f"m must be positive and finite, got {m!r}"):
+            solvers.dca_baseline(a, np.ones(2), m, np.zeros(2))
+
+    @staticmethod
+    def _shifted_lu_run(a, b, m, x0, cfg):
+        # the reference: an LU solve of A + m I at m x + b, DCA's step before it ran `warped`
+        fact = linalg.lu_factorize(a + m * np.eye(a.shape[0]))
+        res = solvers.dca_baseline(a, b, m, x0, cfg)
+        xs = [x0]
+        for _ in range(res.iterations):
+            xs.append(linalg.lu_solve(fact, m * xs[-1] + b))
+        return res, xs, [linalg.norm(a @ x - b) for x in xs[1:]]
+
+    @pytest.mark.parametrize("m", [0.5, 2.0])
+    @pytest.mark.parametrize("n", [2, 50, 200])
+    def test_steps_are_the_shifted_lu_solve_bitwise(self, n, m):
+        # the engine factors 1.0 * A + m I, bitwise A + m I, and its
+        # right-hand side m x - (-b + 0) rounds as m x + b
+        rng = SplitMix64(7 * n + int(4 * m))
+        g = rng.normal(n * n).reshape(n, n) / np.sqrt(n)
+        a, b = 0.5 * (g + g.T), rng.sign(n) * rng.uniform(n, 0.5, 1.5)
+        cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=25, trace_level=solvers.TraceLevel.FULL)
+        res, xs, residuals = self._shifted_lu_run(a, b, m, rng.uniform(n, -1.0, 1.0), cfg)
+        # the draws are indefinite: at n >= 50 the runs diverge after 4 to 18 steps
+        assert res.iterations >= 4
+        assert np.array(res.trace.iterates).tobytes() == np.array(xs).tobytes()
+        assert np.array(res.trace.residuals).tobytes() == np.array(residuals).tobytes()
+
+    def test_zero_rhs_entries_differ_at_most_in_the_sign_of_zero(self):
+        # where b_i = +0 and m x_i = -0, m x + b is +0 and m x - (-b + 0) is -0
+        a, b = np.diag([2.0, 3.0, -0.5]), np.array([0.0, 1.0, 0.0])
+        cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=10, trace_level=solvers.TraceLevel.FULL)
+        res, xs, residuals = self._shifted_lu_run(a, b, 1.0, np.array([-0.0, 2.0, 1.0]), cfg)
+        assert res.iterations == 10
+        assert np.array_equal(res.trace.iterates, xs)
+        assert res.trace.residuals == residuals
 
 
 class TestWarmStart:
@@ -490,6 +531,27 @@ class TestSharedDriverJobs:
     def test_every_driver_rejects_a_non_finite_start(self, driver, x0):
         with pytest.raises(NonFiniteIterateError, match="x0 contains NaN/Inf"):
             self.DRIVERS[driver](np.array(x0))
+
+    @pytest.mark.parametrize("level", [solvers.TraceLevel.NONE, solvers.TraceLevel.NORMS], ids=["none", "norms"])
+    @pytest.mark.parametrize("solver", ["gppa1", "gppa2"])
+    def test_reference_of_the_wrong_size_is_refused_before_the_first_step(self, solver, level, monkeypatch):
+        # numpy failed to broadcast (2,) against (3,) after one resolvent
+        # evaluation, and at NONE gppa1 ignored the reference and converged
+        steps = 0
+        transformed = resolvents.transformed
+
+        def counted(*args):
+            nonlocal steps
+            steps += 1
+            return transformed(*args)
+
+        monkeypatch.setattr(resolvents, "transformed", counted)
+        halpern = solvers.HalpernConfig(anchor=(1.0, 1.0)) if solver == "gppa2" else None
+        cfg = solvers.SolverConfig(halpern=halpern, trace_level=level)
+        f, v = ops.sign_swap_operator(), ops.swap_operator()
+        with pytest.raises(DimensionMismatchError, match=r"reference has shape \(3,\), the start \(2,\)"):
+            getattr(solvers, solver)(f, v, np.array([1.0, 2.0]), cfg, reference=np.zeros(3))
+        assert steps == 0
 
     @pytest.mark.parametrize("solver", ["gppa", "gppa1"])
     def test_gamma_schedule_builds_one_engine_per_distinct_gamma(self, solver, monkeypatch):
