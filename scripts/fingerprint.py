@@ -18,6 +18,9 @@ summaries. The entries:
 
 - sign_pair_2d seeds 1-3: the anchored run at FULL trace, in full and cut
   at 1000 steps, and the check-pair report;
+- gppa2 at FULL trace on a 2-D Sign pair whose kernel has an offset and
+  a -1 sign, with an anchor from which all but its first 8 steps take the
+  sign pattern that pins every row;
 - gppa and gppa1 at FULL trace on the sign-swap pair from three starts,
   at the default gamma = 1 and at the gamma schedule (0.5, 1, 2, 0.75);
 - check-pair on the sign-swap pair with the swap kernel: one report for
@@ -92,6 +95,7 @@ SIGN_SWAP_PAIRS = (
 GAMMA_SCHEDULE = (0.5, 1.0, 2.0, 0.75)
 DEMOS = ("example-1", "example-2", "least-squares", "dca-divergence")
 ANCHORED_CUT, LSQ_CUT = 1000, 50
+KINK_ANCHOR = (4.5, -3.25)
 
 
 def digest(parts) -> str:
@@ -164,6 +168,16 @@ def _sign_swap_check_pair(workdir):
     parts = [part for pair in SIGN_SWAP_PAIRS
              for part in _report(ops.check_pair_monotone(f, v, box=(0.0, 0.0), samples=2, include=[pair]))]
     return parts + _report(ops.check_pair_monotone(f, v, box=SignPair2D.BOX, samples=2_000, seed=1, include=SIGN_SWAP_PAIRS))
+
+
+def _kink_run(workdir):
+    # sym of the linear part (in the sign variables) is positive definite,
+    # so the engine is certified, and off its diagonal, so it runs the table
+    f = ops.Sum((ops.SignBlock(1.0, (1, 0)), ops.Affine([[0.5, 0.0], [2.0, -0.5]])))
+    v = ops.Sum((ops.Permutation((1, 0), (1.0, -1.0)), ops.Affine(np.zeros((2, 2)), offset=(0.5, -0.25))))
+    cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=200, halpern=solvers.HalpernConfig(anchor=KINK_ANCHOR),
+                               trace_level=FULL)
+    return _result(solvers.gppa2(f, v, np.array([5.0, -3.0]), cfg, reference=np.array([0.5, -0.25])))
 
 
 def _sign_swap(solver, x0, gamma=1.0):
@@ -277,6 +291,7 @@ ENTRIES = {
             (f"sign_pair_2d/seed={seed}/check_pair", _check_pair(seed)),
         )
     },
+    f"sign_kink/gppa2/anchor={KINK_ANCHOR[0]:g},{KINK_ANCHOR[1]:g}": _kink_run,
     **{
         f"sign_swap/{solver.__name__}/x0={x0[0]:g},{x0[1]:g}": _sign_swap(solver, x0)
         for solver in (solvers.gppa, solvers.gppa1)

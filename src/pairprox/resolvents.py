@@ -13,7 +13,9 @@ The pattern search tries the table in a fixed (+, -, 0) order and returns
 the first pattern whose x solves the inclusion for an input within the
 roundoff n*eps*(|y| + |M||x| + s) of y in the max norm; no other tolerance
 applies. The pattern that pins every row has x = 0 and needs no solve: its
-pinned residual is |y| - s. Near a kink at the origin every step takes it.
+pinned residual is |y| - s. Near a kink at the origin every step takes it,
+and its image is the engine's v(0), computed on the first such step and
+copied out on each, so the build still evaluates no operator.
 Where the build certifies that the preimage is unique, a caller may name a
 pattern to try first, such as the one its previous step accepted; the
 result is the same point.
@@ -25,6 +27,7 @@ trusted: the tests compare it with each tree's `evaluate`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -196,6 +199,11 @@ class ResolventEngine:
         Sign system certified as strongly monotone in its sign variables."""
         return self.kind is StrategyKind.AFFINE_AFFINE or self._strategy.unique_preimage
 
+    @functools.cached_property
+    def kink_image(self) -> np.ndarray:
+        """v(0), the image of the sign pattern that pins every row."""
+        return ops.evaluate_point(self.v, np.zeros(self.dim))
+
 
 def build_engine(
     f: ops.OperatorExpr, v: ops.OperatorExpr, gamma: float, dim: int | None = None
@@ -360,8 +368,13 @@ def _solve_pattern(pattern: _SignPattern, y: np.ndarray) -> np.ndarray | None:
 
 
 def _roundoff(pattern: _SignPattern, y: np.ndarray, x: np.ndarray) -> float:
-    """n*eps*(|y| + |M||x| + s) in max norms: the roundoff of any row's terms."""
-    return y.size * _EPS * (max(map(abs, y.tolist())) + pattern.matrix_norm * max(map(abs, x.tolist())) + pattern.scale_max)
+    """n*eps*(|y| + |M||x| + s) in max norms: the roundoff of any row's terms.
+    A y that overflowed is a NonFiniteIterateError: an infinite bound would
+    accept any pattern."""
+    top = max(map(abs, y.tolist()))
+    if not top < math.inf:
+        raise NonFiniteIterateError("resolvent input minus the offset overflows the float range")
+    return y.size * _EPS * (top + pattern.matrix_norm * max(map(abs, x.tolist())) + pattern.scale_max)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +431,8 @@ def transformed(engine: ResolventEngine, x: np.ndarray, start_pattern: int | Non
         z = linalg.lu_solve(strategy.factorization, w - strategy.offset)
     else:
         z, pattern = _invert_sign(strategy, w, start_pattern)
+        if pattern is not None and strategy.patterns[pattern].factorization is None:
+            return ResolventOutput(z, engine.kink_image.copy(), pattern)  # z = 0
     if not linalg.all_finite(z):
         raise NonFiniteIterateError("resolvent produced a non-finite point")
     return ResolventOutput(z, ops.evaluate_point(engine.v, z), pattern)

@@ -113,8 +113,6 @@ class SolveResult:
 
 class _Recorder:
     def __init__(self, cfg: SolverConfig, x0: np.ndarray, reference: np.ndarray | None):
-        if reference is not None and reference.shape != x0.shape:
-            raise DimensionMismatchError(f"reference has shape {reference.shape}, the start {x0.shape}")
         self.level = cfg.trace_level
         self.reference = reference
         self.t0 = time.perf_counter()
@@ -154,6 +152,19 @@ def _start(x0: np.ndarray) -> np.ndarray:
     if not linalg.all_finite(x):
         raise NonFiniteIterateError("x0 contains NaN/Inf")
     return x
+
+
+def _reference(reference, x: np.ndarray) -> np.ndarray | None:
+    """The reference point as a float vector of the start's shape, or None;
+    checked before any operator is evaluated at it."""
+    if reference is None:
+        return None
+    reference = linalg.as_vector(reference)
+    if reference.shape != x.shape:
+        raise DimensionMismatchError(f"reference has shape {reference.shape}, the start {x.shape}")
+    if not linalg.all_finite(reference):
+        raise ValueError("reference contains NaN/Inf")
+    return reference
 
 
 def _iterate(
@@ -239,8 +250,8 @@ def gppa(
     cfg = _unanchored(cfg)
     x = _start(x0)
     engines = functools.cache(lambda gamma: resolvents.build_engine(f, v, gamma, dim=x.size))
-    v_ref = ops.evaluate_point(v, reference) if reference is not None else None
-    rec = _Recorder(cfg, x, v_ref)
+    reference = _reference(reference, x)
+    rec = _Recorder(cfg, x, ops.evaluate_point(v, reference) if reference is not None else None)
     w = ops.evaluate_point(v, x)
     pattern = None
 
@@ -274,7 +285,7 @@ def gppa1(
     cfg = _unanchored(cfg)
     x = _start(x0)
     engines = functools.cache(lambda gamma: resolvents.build_engine(f, v, gamma, dim=x.size))
-    rec = _Recorder(cfg, x, linalg.as_vector(reference) if reference is not None else None)
+    rec = _Recorder(cfg, x, _reference(reference, x))
     z = x
     pattern = None
 
@@ -312,7 +323,7 @@ def gppa2(
     if not linalg.all_finite(anchor):
         raise ValueError("anchor contains NaN/Inf")
     engine = resolvents.build_engine(f, v, cfg.gamma_schedule[0], dim=x.size)
-    rec = _Recorder(cfg, x, linalg.as_vector(reference) if reference is not None else None)
+    rec = _Recorder(cfg, x, _reference(reference, x))
     out = resolvents.ResolventOutput(x, x)
 
     def step(k, x):

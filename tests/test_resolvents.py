@@ -714,6 +714,114 @@ class TestNonFiniteInput:
             evaluate(engine, np.array([1.0, bad]))
 
 
+def _kink_pair_3d():
+    # F's linear part puts sym(M[:, sigma]) at the identity, skew off it
+    v = ops.Sum((ops.Permutation((2, 0, 1), (-1.0, 1.0, 1.0)), ops.Affine(np.zeros((3, 3)), offset=(0.0, 1.5, -2.0))))
+    permuted = np.array([[1.0, 0.5, 0.0], [-0.5, 1.0, 0.25], [0.0, -0.25, 1.0]])
+    matrix = np.empty((3, 3))
+    matrix[:, [1, 2, 0]] = permuted
+    f = ops.Sum((ops.SignBlock(0.75, (1, 2, 0)), ops.Affine(matrix - ops.Permutation((2, 0, 1), (-1.0, 1.0, 1.0)).as_matrix())))
+    return f, v
+
+
+# table engines whose kernels have an offset, a -1 sign (the plain
+# permutation's v(0) holds -0), and Sum or Scale trees: (F, v, gamma)
+KINK_PAIRS = {
+    "offset-sum": (
+        ops.Sum((ops.SignBlock(1.0, (1, 0)), ops.Affine([[0.5, 0.0], [2.0, -0.5]]))),
+        ops.Sum((ops.Permutation((1, 0), (1.0, -1.0)), ops.Affine(np.zeros((2, 2)), offset=(0.5, -0.25)))),
+        1.0,
+    ),
+    "negative-zero": (
+        ops.Sum((ops.SignBlock(1.0, (1, 0)), ops.Affine([[0.5, 0.0], [2.0, -0.5]]))),
+        ops.Permutation((1, 0), (1.0, -1.0)),
+        1.0,
+    ),
+    "scale": (ops.sign_swap_operator(), ops.Scale(2.0, ops.Affine([[0.0, 1.0], [1.0, 0.0]], offset=(1.0, -3.0))), 0.5),
+    "three-dim": (*_kink_pair_3d(), 2.0),
+    "sign-swap": (ops.sign_swap_operator(), ops.swap_operator(), 1.0),
+}
+
+
+def _kink_engine(name):
+    """The engine of KINK_PAIRS[name], its kernel, the index of its pattern
+    that pins every row, and inputs that only that pattern takes: the
+    box's centre and seeded points inside it. On the box's faces the
+    patterns that free a row on that side solve to x = 0 as well."""
+    f, v, gamma = KINK_PAIRS[name]
+    engine = resolvents.build_engine(f, v, gamma)
+    strategy = engine._strategy
+    assert strategy.diagonal is None and engine.unique_preimage
+    kink = next(i for i, p in enumerate(strategy.patterns) if p.factorization is None)
+    n = engine.dim
+    boxed = [np.zeros(n), *(SplitMix64(41).uniform(8 * n, -0.99, 0.99).reshape(8, n))]
+    return engine, v, kink, [strategy.offset + strategy.scales * t for t in boxed]
+
+
+class TestKinkImage:
+    # the pattern that pins every row has x = 0, and its image is the
+    # engine's v(0), computed on the first step that takes it
+
+    @pytest.mark.parametrize("name", KINK_PAIRS)
+    def test_outputs_are_zero_and_v_at_zero_bitwise(self, name):
+        engine, v, kink, inputs = _kink_engine(name)
+        zero = np.zeros(engine.dim)
+        expected = ops.evaluate_point(v, np.zeros(engine.dim))
+        assert np.any((expected == 0.0) & np.signbit(expected)) == (name == "negative-zero")
+        for w in inputs:
+            for start in (None, kink):
+                out = resolvents.transformed(engine, w, start)
+                assert out.pattern == kink
+                assert out.preimage.tobytes() == zero.tobytes() and out.image.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["offset-sum", "negative-zero"])
+    def test_each_output_is_a_fresh_array(self, name):
+        engine, v, kink, inputs = _kink_engine(name)
+        expected = ops.evaluate_point(v, np.zeros(engine.dim))
+        first = resolvents.transformed(engine, inputs[0])
+        first.preimage[:] = 7.0
+        first.image[:] = 7.0
+        second = resolvents.transformed(engine, inputs[0])
+        assert second.preimage.tobytes() == np.zeros(engine.dim).tobytes()
+        assert second.image.tobytes() == expected.tobytes()
+
+    def test_v_is_evaluated_once_per_engine_and_not_by_the_build(self, monkeypatch):
+        points = []
+        evaluate_point = ops.evaluate_point
+
+        def recorded(op, x):
+            points.append(np.array(x))
+            return evaluate_point(op, x)
+
+        monkeypatch.setattr(ops, "evaluate_point", recorded)
+        (engine, _, kink, inputs), (other, _, _, other_inputs) = _kink_engine("offset-sum"), _kink_engine("scale")
+        assert points == []
+        for w in inputs:
+            resolvents.transformed(engine, w, kink)
+        assert len(points) == 1 and points[0].tobytes() == np.zeros(2).tobytes()
+        # a step off the kink evaluates v at its preimage, as before
+        far = resolvents.transformed(engine, inputs[0] + 10.0)
+        assert far.pattern != kink and len(points) == 2
+        for w in inputs:
+            resolvents.transformed(engine, w)
+        assert len(points) == 2
+        for w in other_inputs:
+            resolvents.transformed(other, w)
+        assert len(points) == 3
+
+    def test_overflowing_shifted_input_is_refused_warm_or_cold(self):
+        # y = w - offset overflows to inf; an infinite roundoff bound then
+        # accepted the pattern that pins every row when the search started
+        # there, though gamma*F(0) + v(0) lies near (-1e308, 0)
+        f = ops.Sum((ops.SignBlock(1.0, (1, 0)), ops.Affine([[1.0, 1.0], [1.0, -1.0]], offset=(-1e308, 0.0))))
+        engine = resolvents.build_engine(f, ops.swap_operator(), 1.0)
+        kink = next(i for i, p in enumerate(engine._strategy.patterns) if p.factorization is None)
+        assert engine.unique_preimage and kink == 8
+        for start in (kink, None):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterateError):
+                resolvents.transformed(engine, np.array([1e308, 0.0]), start)
+
+
 def _consistent_solutions(strategy, w):
     """The x of every table pattern that passes its sign and box checks."""
     y = w - strategy.offset

@@ -515,6 +515,22 @@ class TestWarmStart:
             assert a.preimage.tobytes() == b.preimage.tobytes() and a.image.tobytes() == b.image.tobytes()
 
 
+def record_kink_steps(monkeypatch) -> list[bool]:
+    """Wrap `resolvents.transformed`; the list returned gets, per call, whether
+    it took the sign pattern that pins every row, whose image is the
+    engine's v(0), evaluated on the first such step only."""
+    kinks = []
+    transformed = resolvents.transformed
+
+    def recorded(engine, *args):
+        out = transformed(engine, *args)
+        kinks.append(out.pattern is not None and engine._strategy.patterns[out.pattern].factorization is None)
+        return out
+
+    monkeypatch.setattr(resolvents, "transformed", recorded)
+    return kinks
+
+
 class TestSharedDriverJobs:
     DRIVERS = {
         "gppa": lambda x0: solvers.gppa(*qp_pair(), x0),
@@ -532,26 +548,41 @@ class TestSharedDriverJobs:
         with pytest.raises(NonFiniteIterateError, match="x0 contains NaN/Inf"):
             self.DRIVERS[driver](np.array(x0))
 
-    @pytest.mark.parametrize("level", [solvers.TraceLevel.NONE, solvers.TraceLevel.NORMS], ids=["none", "norms"])
-    @pytest.mark.parametrize("solver", ["gppa1", "gppa2"])
-    def test_reference_of_the_wrong_size_is_refused_before_the_first_step(self, solver, level, monkeypatch):
-        # numpy failed to broadcast (2,) against (3,) after one resolvent
-        # evaluation, and at NONE gppa1 ignored the reference and converged
-        steps = 0
-        transformed = resolvents.transformed
+    @staticmethod
+    def _count_evaluations(monkeypatch) -> list[str]:
+        """The list that gets one entry per resolvent evaluation or
+        evaluation of an operator at a point."""
+        calls = []
+        transformed, evaluate_point = resolvents.transformed, ops.evaluate_point
+        monkeypatch.setattr(resolvents, "transformed", lambda *args: calls.append("transformed") or transformed(*args))
+        monkeypatch.setattr(ops, "evaluate_point", lambda *args: calls.append("evaluate_point") or evaluate_point(*args))
+        return calls
 
-        def counted(*args):
-            nonlocal steps
-            steps += 1
-            return transformed(*args)
-
-        monkeypatch.setattr(resolvents, "transformed", counted)
+    @staticmethod
+    def _run_sign_swap(solver, level, reference):
         halpern = solvers.HalpernConfig(anchor=(1.0, 1.0)) if solver == "gppa2" else None
         cfg = solvers.SolverConfig(halpern=halpern, trace_level=level)
-        f, v = ops.sign_swap_operator(), ops.swap_operator()
+        getattr(solvers, solver)(ops.sign_swap_operator(), ops.swap_operator(), np.array([1.0, 2.0]), cfg, reference=reference)
+
+    @pytest.mark.parametrize("level", [solvers.TraceLevel.NONE, solvers.TraceLevel.NORMS], ids=["none", "norms"])
+    @pytest.mark.parametrize("solver", ["gppa", "gppa1", "gppa2"])
+    def test_reference_of_the_wrong_size_is_refused_before_the_first_step(self, solver, level, monkeypatch):
+        # numpy failed to broadcast (2,) against (3,) after one resolvent
+        # evaluation, at NONE gppa1 ignored the reference and converged, and
+        # gppa evaluated v at it and raised on the operator's dimension
+        calls = self._count_evaluations(monkeypatch)
         with pytest.raises(DimensionMismatchError, match=r"reference has shape \(3,\), the start \(2,\)"):
-            getattr(solvers, solver)(f, v, np.array([1.0, 2.0]), cfg, reference=np.zeros(3))
-        assert steps == 0
+            self._run_sign_swap(solver, level, np.zeros(3))
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("solver", ["gppa", "gppa1", "gppa2"])
+    def test_non_finite_reference_is_refused_before_the_first_step(self, solver, bad, monkeypatch):
+        # every err_to_ref read NaN, and gppa evaluated v at the reference
+        calls = self._count_evaluations(monkeypatch)
+        with pytest.raises(ValueError, match="reference contains NaN/Inf"):
+            self._run_sign_swap(solver, solvers.TraceLevel.NORMS, np.array([0.0, bad]))
+        assert calls == []
 
     @pytest.mark.parametrize("solver", ["gppa", "gppa1"])
     def test_gamma_schedule_builds_one_engine_per_distinct_gamma(self, solver, monkeypatch):
@@ -571,8 +602,10 @@ class TestSharedDriverJobs:
         assert built == [1.0, 2.0, 0.5]
 
     def test_anchored_result_reuses_the_last_image(self, monkeypatch):
-        # v is evaluated once per step, inside the resolvent, and the result
-        # carries that step's image rather than a fresh v(z)
+        # v is evaluated once per step, inside the resolvent, but once in all
+        # on the steps at the kink, and the result carries that step's image
+        # rather than a fresh v(z)
+        kinks = record_kink_steps(monkeypatch)
         calls = 0
         evaluate_point = ops.evaluate_point
 
@@ -585,7 +618,8 @@ class TestSharedDriverJobs:
         f, v = ops.sign_swap_operator(), ops.swap_operator()
         cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=50, halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)))
         res = solvers.gppa2(f, v, np.array([3.0, 1.0]), cfg)
-        assert calls == res.iterations == 50
+        assert res.iterations == len(kinks) == 50 and any(kinks)
+        assert calls == kinks.count(False) + 1
         assert res.image.tobytes() == evaluate_point(v, res.preimage).tobytes()
 
     # each driver's run of 100 steps that stop at the iteration cap, with the
@@ -613,9 +647,11 @@ class TestSharedDriverJobs:
     @pytest.mark.parametrize("driver", list(STEPPERS))
     def test_step_checks_one_shape_and_compares_no_bounds(self, driver, monkeypatch):
         # no engine's build evaluates F or v; each step evaluates only v, for
-        # the image, and checks its input shape once, at the root. v is an
+        # the image, and checks its input shape once, at the root, except
+        # that the steps at the kink share one evaluation, of v(0). v is an
         # Affine or Permutation leaf, whose value holds one array as both
         # bounds, so telling that it is a point compares nothing
+        kinks = record_kink_steps(monkeypatch)
         checks = compares = 0
         check_dim, array_equal = ops.OperatorExpr._check_dim, np.array_equal
 
@@ -633,8 +669,8 @@ class TestSharedDriverJobs:
         monkeypatch.setattr(np, "array_equal", counted_equal)
         start_up, run = self.STEPPERS[driver]
         res = run(solvers.SolverConfig(tol_residual=0.0, max_iters=100))
-        assert res.status is solvers.Status.MAX_ITERS and res.iterations == 100
-        assert (checks, compares) == (100 + start_up, 0)
+        assert res.status is solvers.Status.MAX_ITERS and res.iterations == len(kinks) == 100
+        assert (checks, compares) == (kinks.count(False) + any(kinks) + start_up, 0)
 
 
 class TestResidualAccess:
