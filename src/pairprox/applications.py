@@ -6,7 +6,7 @@ forming A^T A.
 Both reduce to the fixed-point map x_{k+1} = (2A + 2k I)^{-1}((A + 2k I)x_k + b),
 i.e. the warped-resolvent iteration for F(x) = Ax - b with linear kernel
 v = A + 2k I, where 0 < k < |alpha|/2 and |alpha| is the smallest absolute
-nonzero eigenvalue of A.
+nonzero eigenvalue of A. Both run at gamma = 1 only, by `solvers._unit_gamma`.
 """
 from __future__ import annotations
 
@@ -58,32 +58,20 @@ class QPProblem:
         object.__setattr__(self, "constraint", con)
         object.__setattr__(self, "d", d)
 
-    @property
-    def n_primal(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def n_dual(self) -> int:
-        return self.constraint.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class KKTSystem:
-    """Assembled saddle system A x = b with x = (y, lambda), split at n_primal."""
+    """Assembled saddle system A x = b with x = (y, lambda), split after y."""
 
     matrix: np.ndarray
     rhs: np.ndarray
     split: int
 
-    def recover(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = linalg.as_vector(x)
-        return x[: self.split], x[self.split :]
-
 
 def build_kkt(qp: QPProblem) -> KKTSystem:
     """[[Q, C^T], [C, 0]] x = (-c, d): stationarity plus feasibility."""
-    n1, n2 = qp.n_primal, qp.n_dual
-    n = n1 + n2
+    n1 = qp.q.shape[0]
+    n = n1 + qp.constraint.shape[0]
     a = np.zeros((n, n))
     a[:n1, :n1] = qp.q
     a[:n1, n1:] = qp.constraint.T
@@ -107,18 +95,16 @@ def _smallest_nonzero_abs(values: np.ndarray) -> float:
 class KappaSelection:
     alpha_abs: float  # smallest absolute nonzero eigenvalue
     kappa: float
-    eigen: linalg.SymmetricEigenDecomposition
 
 
 def select_kappa(a: np.ndarray, fraction: float = DEFAULT_KAPPA_FRACTION) -> KappaSelection:
     """kappa = fraction * |alpha|, strictly inside (0, |alpha|/2) by default."""
     if not 0.0 < fraction < 0.5:
         raise ValueError("fraction must lie in (0, 0.5)")
-    eigen = linalg.jacobi_eigendecomposition(a)
-    alpha_abs = _smallest_nonzero_abs(eigen.values)
+    alpha_abs = _smallest_nonzero_abs(linalg.jacobi_eigendecomposition(a).values)
     if alpha_abs == 0.0:
         raise AllEigenvaluesZeroError("matrix has no eigenvalue above the zero threshold")
-    return KappaSelection(alpha_abs, fraction * alpha_abs, eigen)
+    return KappaSelection(alpha_abs, fraction * alpha_abs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,24 +157,11 @@ def kkt_operator_pair(a: np.ndarray, b: np.ndarray, kappa: float) -> tuple[ops.A
     return ops.Affine(a, -b), ops.Affine(a + 2.0 * kappa * np.eye(n))
 
 
-def _unit_gamma(cfg: solvers.SolverConfig | None) -> solvers.SolverConfig:
-    """`cfg`, or the default config; the shifted-kernel iteration is
-    defined at constant gamma = 1 only, and is not anchored."""
-    cfg = solvers._unanchored(cfg)
-    if cfg.gamma_schedule != (1.0,):
-        raise ValueError("the shifted-kernel iteration is defined at constant gamma = 1")
-    return cfg
-
-
 @dataclass
 class KKTSolution:
     result: solvers.SolveResult
     primal: np.ndarray
     multipliers: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.result.preimage
 
 
 def solve_kkt(
@@ -202,13 +175,13 @@ def solve_kkt(
     The recorded residual at step k equals e_{k+1} = ||A x_{k+1} - b||, so the
     stopping tolerance applies directly to the linear-system error.
     """
-    cfg = _unit_gamma(cfg)
+    cfg = solvers._unit_gamma(cfg)
     n = kkt.matrix.shape[0]
     x0 = np.zeros(n) if x0 is None else linalg.as_vector(x0)
     f, v = kkt_operator_pair(kkt.matrix, kkt.rhs, kappa)
     result = solvers.gppa(f, v, x0, cfg)
-    y, lam = kkt.recover(result.preimage)
-    return KKTSolution(result, y, lam)
+    x = result.preimage
+    return KKTSolution(result, x[: kkt.split], x[kkt.split :])
 
 
 @dataclass
@@ -238,7 +211,7 @@ def least_squares_iterate(
     The steps are `solvers.gppa`'s with residual r, so on a monotone pair r
     never increases and the run stops as Failed('Diverged') on gppa's bound.
     """
-    cfg = _unit_gamma(cfg)
+    cfg = solvers._unit_gamma(cfg)
     a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
     b = linalg.require_finite(linalg.as_vector(b), "b")
     n = a.shape[0]

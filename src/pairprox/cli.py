@@ -510,11 +510,11 @@ def main(argv=None) -> int:
     # the checks on the results report that (a non-finite iterate is a
     # Failed solve, non-finite data an input error), so numpy's overflow and
     # invalid-value warnings are noise; an input file nested too deeply to
-    # read is a RecursionError
+    # read is a RecursionError, and one of a size no array can hold a MemoryError
     try:
         with np.errstate(**_QUIET_ERRSTATE):
             return args.fn(args)
-    except (OSError, ValueError, KeyError, RecursionError, PairproxError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError, MemoryError, PairproxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -100,18 +100,14 @@ def norm(x: np.ndarray) -> float:
     return math.sqrt(squares)
 
 
-def max_asymmetry(a: np.ndarray) -> float:
+def require_symmetric(a: np.ndarray) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise NonSquareError(f"matrix is {a.shape[0]}x{a.shape[1]}")
-    return float(np.max(np.abs(a - a.T))) if a.size else 0.0
-
-
-def require_symmetric(a: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    scale = 1.0 + (float(np.max(np.abs(a))) if a.size else 0.0)
-    if max_asymmetry(a) > _SYMMETRY_RTOL * scale:
-        raise NotSymmetricError(f"asymmetry {max_asymmetry(a):.3e} exceeds tolerance")
+    if a.size:
+        asymmetry = float(np.max(np.abs(a - a.T)))
+        if asymmetry > _SYMMETRY_RTOL * (1.0 + float(np.max(np.abs(a)))):
+            raise NotSymmetricError(f"asymmetry {asymmetry:.3e} exceeds tolerance")
     return a
 
 

@@ -41,9 +41,9 @@ class ValueSet:
 
     @property
     def is_singleton(self) -> bool:
-        # the variants single-valued by type (Affine, Permutation, Pointwise)
-        # return one array as both bounds; a composite or Sign has two
-        return self.lower is self.upper or bool(np.array_equal(self.lower, self.upper))
+        # the variants single-valued by type return one array as both bounds;
+        # NaN equals NaN here, so an overflowing inf - inf is a point, not a box
+        return self.lower is self.upper or bool(np.array_equal(self.lower, self.upper, equal_nan=True))
 
 
 class Selection(Enum):
@@ -292,16 +292,15 @@ class Stack(OperatorExpr):
         if self.ambient_dim < 1:
             raise DimensionMismatchError(f"stack dim must be >= 1, got {self.ambient_dim}")
         blocks = tuple((int(a), int(b), op) for a, b, op in self.blocks)
-        covered: set[int] = set()
         for start, stop, op in blocks:
             if not (0 <= start < stop <= self.ambient_dim):
                 raise ValueError(f"slice [{start}, {stop}) out of range for dim {self.ambient_dim}")
-            span = set(range(start, stop))
-            if covered & span:
-                raise ValueError("stack blocks must not overlap")
             if op.dim is not None and op.dim != stop - start:
                 raise DimensionMismatchError("block operator dimension does not match its slice")
-            covered |= span
+        # sorted by start, two spans overlap iff some span starts before its predecessor stops
+        spans = sorted((start, stop) for start, stop, _ in blocks)
+        if any(nxt[0] < prev[1] for prev, nxt in zip(spans, spans[1:])):
+            raise ValueError("stack blocks must not overlap")
         object.__setattr__(self, "blocks", blocks)
 
     @property

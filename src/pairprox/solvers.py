@@ -1,6 +1,8 @@
 """Proximal point iterations on warped / transformed resolvents, an anchored
 (Halpern) variant, and a difference-of-convex (DC) baseline for linear
 systems: the warped iteration on F(x) = Ax - b with kernel m I.
+Each input rule is checked here once, before the first step: `_start`,
+`_point` (a reference, gppa2's anchor) and `_unit_gamma` (DCA, applications).
 
 All solvers record per-iteration diagnostics driven by the residual
 u_n = (v(x_n) - v(x_{n+1})) / gamma_n   (warped iteration)
@@ -146,6 +148,15 @@ def _unanchored(cfg: SolverConfig | None) -> SolverConfig:
     return cfg
 
 
+def _unit_gamma(cfg: SolverConfig | None) -> SolverConfig:
+    """`cfg`, or the default config, for an iteration on a shifted kernel (m I,
+    A + 2 kappa I): it is defined at constant gamma = 1 only, not anchored."""
+    cfg = _unanchored(cfg)
+    if cfg.gamma_schedule != (1.0,):
+        raise ValueError("the shifted-kernel iteration is defined at constant gamma = 1")
+    return cfg
+
+
 def _start(x0: np.ndarray) -> np.ndarray:
     """A copy of the start point as a float vector; NaN/Inf is rejected."""
     x = linalg.as_vector(x0).copy()
@@ -154,17 +165,17 @@ def _start(x0: np.ndarray) -> np.ndarray:
     return x
 
 
-def _reference(reference, x: np.ndarray) -> np.ndarray | None:
-    """The reference point as a float vector of the start's shape, or None;
+def _point(name: str, value, x: np.ndarray) -> np.ndarray | None:
+    """A reference or anchor as a float vector of the start's shape, or None;
     checked before any operator is evaluated at it."""
-    if reference is None:
+    if value is None:
         return None
-    reference = linalg.as_vector(reference)
-    if reference.shape != x.shape:
-        raise DimensionMismatchError(f"reference has shape {reference.shape}, the start {x.shape}")
-    if not linalg.all_finite(reference):
-        raise ValueError("reference contains NaN/Inf")
-    return reference
+    value = linalg.as_vector(value)
+    if value.shape != x.shape:
+        raise DimensionMismatchError(f"{name} has shape {value.shape}, the start {x.shape}")
+    if not linalg.all_finite(value):
+        raise ValueError(f"{name} contains NaN/Inf")
+    return value
 
 
 def _iterate(
@@ -250,7 +261,7 @@ def gppa(
     cfg = _unanchored(cfg)
     x = _start(x0)
     engines = functools.cache(lambda gamma: resolvents.build_engine(f, v, gamma, dim=x.size))
-    reference = _reference(reference, x)
+    reference = _point("reference", reference, x)
     rec = _Recorder(cfg, x, ops.evaluate_point(v, reference) if reference is not None else None)
     w = ops.evaluate_point(v, x)
     pattern = None
@@ -285,7 +296,7 @@ def gppa1(
     cfg = _unanchored(cfg)
     x = _start(x0)
     engines = functools.cache(lambda gamma: resolvents.build_engine(f, v, gamma, dim=x.size))
-    rec = _Recorder(cfg, x, _reference(reference, x))
+    rec = _Recorder(cfg, x, _point("reference", reference, x))
     z = x
     pattern = None
 
@@ -317,13 +328,10 @@ def gppa2(
     if len(cfg.gamma_schedule) != 1:
         raise ValueError("gppa2 requires a constant gamma")
     x = _start(x0)
-    anchor = linalg.as_vector(np.asarray(cfg.halpern.anchor, dtype=float))
-    if anchor.size != x.size:
-        raise ValueError("anchor dimension mismatch")
-    if not linalg.all_finite(anchor):
-        raise ValueError("anchor contains NaN/Inf")
+    # asarray first: a None anchor is then a 0-d array, refused, not read as no anchor
+    anchor = _point("anchor", np.asarray(cfg.halpern.anchor, dtype=float), x)
     engine = resolvents.build_engine(f, v, cfg.gamma_schedule[0], dim=x.size)
-    rec = _Recorder(cfg, x, _reference(reference, x))
+    rec = _Recorder(cfg, x, _point("reference", reference, x))
     out = resolvents.ResolventOutput(x, x)
 
     def step(k, x):
@@ -347,9 +355,9 @@ def dca_baseline(
     """Difference-of-convex iteration (A + m I) x_{k+1} = m x_k + b for
     Ax = b, the warped resolvent of F(x) = Ax - b at gamma = 1 with kernel
     v = m I. Reports Failed('Diverged') once e_k = ||A x_k - b|| exceeds
-    1e8 * (1 + e_0). Non-finite A or b and m outside (0, inf) are ValueErrors;
-    `build_engine` refuses an A + m I that overflows or is singular."""
-    cfg = _unanchored(cfg)
+    1e8 * (1 + e_0). Non-finite A or b, m outside (0, inf) and a gamma other
+    than 1 are ValueErrors; `build_engine` refuses a singular or overflowing A + m I."""
+    cfg = _unit_gamma(cfg)
     a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
     b = linalg.require_finite(linalg.as_vector(b), "b")
     if not 0.0 < m < math.inf:

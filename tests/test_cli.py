@@ -617,6 +617,15 @@ class TestCheckPairCommand:
         assert "violation-found" in out
         assert "violation value: -0.5" in out
 
+    def test_operator_too_large_to_allocate_exits_one(self, tmp_path, capped_python):
+        # numpy's MemoryError for a vector of 1e12 floats ended in a traceback
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"kind": "stack", "dim": 10**12, "blocks": []}))
+        proc = capped_python("-m", "pairprox", "check-pair", str(path), str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: Unable to allocate")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("entry", ["nan", "inf"])
     def test_non_finite_matrix_file_exits_one(self, entry, tmp_path, capsys):
         # the inline "matrix" key must be finite, and so must a matrix file:

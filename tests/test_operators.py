@@ -32,6 +32,11 @@ class TestEvaluate:
 
         assert ops.evaluate_point(TwoArrays(), np.array([1.0, -0.0])).tobytes() == np.array([1.0, -0.0]).tobytes()
 
+    def test_nan_bounds_are_a_point(self):
+        # NaN != NaN made a NaN value (inf - inf) set-valued; a box stays one
+        assert ops.ValueSet(np.array([np.nan, 1.0]), np.array([np.nan, 1.0])).is_singleton
+        assert not ops.ValueSet(np.array([np.nan, 1.0]), np.array([np.nan, 2.0])).is_singleton
+
     def test_sign_block_at_zero_gives_interval(self):
         vs = ops.SignBlock(1.0, (0,)).evaluate(np.array([0.0]))
         assert not vs.is_singleton
@@ -590,6 +595,28 @@ class TestValidation:
     def test_stack_overlap_rejected(self):
         with pytest.raises(ValueError):
             ops.Stack(2, ((0, 2, ops.Pointwise("identity")), (1, 2, ops.Pointwise("identity"))))
+
+    def test_stack_spans_may_touch_in_any_order(self):
+        ident = ops.Pointwise("identity")
+        ops.Stack(4, ((2, 4, ident), (0, 2, ident)))
+        with pytest.raises(ValueError, match="stack blocks must not overlap"):
+            ops.Stack(4, ((3, 4, ident), (0, 2, ident), (1, 3, ident)))
+
+    def test_stack_spans_are_checked_without_listing_their_indices(self, capped_python):
+        # a set of every covered index took about 1.1 GB at dim 1e7, so a
+        # child capped at a few GB ran out of memory at dim 1e12
+        code = """if True:
+            from pairprox import operators as ops
+            ident = ops.Pointwise("identity")
+            ops.Stack(10**12, ((0, 10**12, ident),))
+            try:
+                ops.Stack(10**12, ((10**6, 10**12, ident), (0, 10**6 + 1, ident)))
+            except ValueError as exc:
+                print(exc)
+        """
+        proc = capped_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "stack blocks must not overlap\n"
 
     def test_sum_dimension_conflict(self):
         with pytest.raises(DimensionMismatchError):

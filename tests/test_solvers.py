@@ -436,6 +436,13 @@ class TestDcaBaseline:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"gamma\*F \+ v overflows the float range"):
             solvers.dca_baseline(a, np.ones(2), 1e308, np.zeros(2))
 
+    @pytest.mark.parametrize("gamma", [0.25, (0.5, 4.0)], ids=["constant", "sequence"])
+    def test_requires_unit_gamma(self, gamma):
+        # the step is built at gamma = 1; any other schedule ran as gamma = 1
+        cfg = solvers.SolverConfig(gamma_schedule=gamma)
+        with pytest.raises(ValueError, match="the shifted-kernel iteration is defined at constant gamma = 1"):
+            solvers.dca_baseline(np.diag([1.0, -1.0]), np.zeros(2), 2.0, np.ones(2), cfg)
+
     @pytest.mark.parametrize("a, m", [(np.eye(2), 0.0), (2.0 * np.eye(2), -1.0)], ids=["zero", "negative"])
     def test_nonpositive_shift_is_named(self, a, m):
         # v = m I is no positive kernel: m = 0 made one step x = A^{-1} b
@@ -574,6 +581,30 @@ class TestSharedDriverJobs:
         with pytest.raises(DimensionMismatchError, match=r"reference has shape \(3,\), the start \(2,\)"):
             self._run_sign_swap(solver, level, np.zeros(3))
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "anchor, match",
+        [((1.0, 2.0, 3.0), r"anchor has shape \(3,\), the start \(2,\)"), (None, r"expected a 1-D vector, got shape \(\)")],
+        ids=["size", "none"],
+    )
+    def test_anchor_of_the_wrong_shape_is_refused_before_the_first_step(self, anchor, match, monkeypatch):
+        # the anchor is checked as a reference is; a 3-vector anchor was a
+        # ValueError that named neither shape
+        calls = self._count_evaluations(monkeypatch)
+        cfg = solvers.SolverConfig(halpern=solvers.HalpernConfig(anchor=anchor))
+        with pytest.raises(DimensionMismatchError, match=match):
+            solvers.gppa2(ops.sign_swap_operator(), ops.swap_operator(), np.array([1.0, 2.0]), cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("solver", ["gppa", "gppa1"])
+    def test_nan_image_ends_the_run_as_diverged(self, solver):
+        # v(x0) = 2 x0 - 2 x0 overflows to inf - inf = NaN, a value that was
+        # called set-valued, so the run raised instead of stopping
+        f = ops.Affine(np.eye(2))
+        v = ops.Sum((ops.Affine(2.0 * np.eye(2)), ops.Affine(-2.0 * np.eye(2))))
+        with np.errstate(all="ignore"):
+            res = getattr(solvers, solver)(f, v, np.array([1e308, 0.0]))
+        assert (res.status, res.reason, res.iterations) == (solvers.Status.FAILED, "Diverged", 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("solver", ["gppa", "gppa1", "gppa2"])
