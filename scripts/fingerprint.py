@@ -40,6 +40,9 @@ summaries. The entries:
   at both blocks, is a combination of those before it;
 - dca_baseline at FULL trace on a seeded 200 x 200 positive definite
   system with m = 2;
+- the seeded generators: the matrix, right-hand side, solution,
+  eigenvalues and range distance of an inconsistent system with 30% of its
+  eigenvalues zero and of a consistent system at n = 200;
 - bench --sizes 5,9 --trials 2: exit code, summary and table;
 - the four demos: exit code, standard output and trace files.
 
@@ -262,6 +265,11 @@ def _dca_baseline(workdir):
     return _result(solvers.dca_baseline(a, b, 2.0, np.zeros(n), solvers.SolverConfig(trace_level=FULL)))
 
 
+def _generated_systems(workdir):
+    systems = (apps.generate_inconsistent_system(33, 5007, zero_fraction=0.3), apps.generate_consistent_system(200, 1))
+    return [part for s in systems for part in (s.matrix, s.rhs, s.solution, s.eigenvalues, s.range_distance)]
+
+
 def _bench(workdir):
     table = os.path.join(workdir, "bench.csv")
     code, summary = _run_cli(["bench", "--sizes", "5,9", "--trials", "2", "--out", table])
@@ -311,6 +319,7 @@ ENTRIES = {
     **{f"kkt_table/seed=1/n={n}/trial=0/solve_kkt": _kkt_table(n) for n in (400, 1000)},
     "linalg/lu_factorize/signed-zeros": _lu_factorize,
     "dca_baseline/n=200": _dca_baseline,
+    "generators/inconsistent/n=33/seed=5007/zero_fraction=0.3+consistent/n=200/seed=1": _generated_systems,
     "bench/sizes=5,9/trials=2": _bench,
     **{f"demo/{name}": _demo(name) for name in DEMOS},
 }

@@ -244,14 +244,14 @@ def least_squares_iterate(
 
 @dataclass(frozen=True, eq=False)
 class GeneratedSystem:
-    """Random symmetric system with pinned spectrum; solution solves Ax = b
+    """Random symmetric system A = V diag(lam) V^T with pinned spectrum; it
+    holds A, b, the solution and lam, not V. The solution solves Ax = b
     exactly for consistent systems, and minimizes ||Ax - b|| otherwise."""
 
     matrix: np.ndarray
     rhs: np.ndarray
     solution: np.ndarray
     eigenvalues: np.ndarray
-    basis: np.ndarray
     range_distance: float  # ||b - proj_{ran A} b||
 
 
@@ -281,14 +281,15 @@ def _spectrum(n: int, rng: SplitMix64, spectrum: tuple[float, float], zero_fract
 
 def _planted_system(
     n: int, rng: SplitMix64, spectrum: tuple[float, float], zero_fraction: float
-) -> GeneratedSystem:
-    """A = V diag(lam) V^T and b = A z, drawing lam, V and then z from rng."""
+) -> tuple[GeneratedSystem, np.ndarray]:
+    """A = V diag(lam) V^T and b = A z, drawing lam, V and then z from rng;
+    returns the system and V, for a caller that reads it before it is freed."""
     lam = _spectrum(n, rng, spectrum, zero_fraction)
     basis = _random_orthogonal(n, rng)
     a = (basis * lam) @ basis.T
     a = 0.5 * (a + a.T)
     z = rng.normal(n)
-    return GeneratedSystem(a, a @ z, z, lam, basis, 0.0)
+    return GeneratedSystem(a, a @ z, z, lam, 0.0), basis
 
 
 def generate_consistent_system(
@@ -299,7 +300,7 @@ def generate_consistent_system(
 ) -> GeneratedSystem:
     """A = V diag(lam) V^T with |lam| in the spectrum interval (a configurable
     fraction exactly zero) and b = A z for Gaussian z, so z solves Ax = b."""
-    return _planted_system(n, SplitMix64(seed), spectrum, zero_fraction)
+    return _planted_system(n, SplitMix64(seed), spectrum, zero_fraction)[0]
 
 
 def generate_inconsistent_system(
@@ -312,13 +313,13 @@ def generate_inconsistent_system(
     b is outside ran A; `solution` minimizes ||Ax - b|| and `range_distance`
     is the residual floor."""
     rng = SplitMix64(seed)
-    system = _planted_system(n, rng, spectrum, zero_fraction)
+    system, basis = _planted_system(n, rng, spectrum, zero_fraction)
     kernel = system.eigenvalues == 0.0
     if not np.any(kernel):
         raise ValueError("zero_fraction too small: A has no kernel, b cannot leave ran A")
     w = rng.normal(int(np.sum(kernel)))
     w[np.abs(w) < 0.1] += 0.5  # keep the kernel component well away from zero
-    kernel_part = system.basis[:, kernel] @ w
+    kernel_part = basis[:, kernel] @ w
     return replace(
         system, rhs=system.rhs + kernel_part, range_distance=float(np.linalg.norm(kernel_part))
     )

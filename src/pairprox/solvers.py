@@ -165,12 +165,14 @@ def _start(x0: np.ndarray) -> np.ndarray:
     return x
 
 
-def _point(name: str, value, x: np.ndarray) -> np.ndarray | None:
-    """A reference or anchor as a float vector of the start's shape, or None;
-    checked before any operator is evaluated at it."""
-    if value is None:
-        return None
-    value = linalg.as_vector(value)
+def _point(name: str, value, x: np.ndarray) -> np.ndarray:
+    """A reference or anchor as a float vector of the start's shape, checked
+    before any operator is evaluated at it. None has shape (): a None anchor
+    is refused, and callers pass no None reference (it means none)."""
+    try:
+        value = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} is not a numeric vector: {exc}") from None
     if value.shape != x.shape:
         raise DimensionMismatchError(f"{name} has shape {value.shape}, the start {x.shape}")
     if not linalg.all_finite(value):
@@ -261,8 +263,9 @@ def gppa(
     cfg = _unanchored(cfg)
     x = _start(x0)
     engines = functools.cache(lambda gamma: resolvents.build_engine(f, v, gamma, dim=x.size))
-    reference = _point("reference", reference, x)
-    rec = _Recorder(cfg, x, ops.evaluate_point(v, reference) if reference is not None else None)
+    if reference is not None:
+        reference = ops.evaluate_point(v, _point("reference", reference, x))
+    rec = _Recorder(cfg, x, reference)
     w = ops.evaluate_point(v, x)
     pattern = None
 
@@ -296,7 +299,7 @@ def gppa1(
     cfg = _unanchored(cfg)
     x = _start(x0)
     engines = functools.cache(lambda gamma: resolvents.build_engine(f, v, gamma, dim=x.size))
-    rec = _Recorder(cfg, x, _point("reference", reference, x))
+    rec = _Recorder(cfg, x, None if reference is None else _point("reference", reference, x))
     z = x
     pattern = None
 
@@ -328,10 +331,9 @@ def gppa2(
     if len(cfg.gamma_schedule) != 1:
         raise ValueError("gppa2 requires a constant gamma")
     x = _start(x0)
-    # asarray first: a None anchor is then a 0-d array, refused, not read as no anchor
-    anchor = _point("anchor", np.asarray(cfg.halpern.anchor, dtype=float), x)
+    anchor = _point("anchor", cfg.halpern.anchor, x)
     engine = resolvents.build_engine(f, v, cfg.gamma_schedule[0], dim=x.size)
-    rec = _Recorder(cfg, x, _point("reference", reference, x))
+    rec = _Recorder(cfg, x, None if reference is None else _point("reference", reference, x))
     out = resolvents.ResolventOutput(x, x)
 
     def step(k, x):

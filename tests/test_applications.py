@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,12 +293,21 @@ def test_gppa_contracts_the_residual_at_the_linear_rate(n, seed):
 LIMIT_SYSTEMS = [(6 + i, 900 + i) for i in range(20)]
 
 
+def planted_draws(n, seed, zero_fraction):
+    """The generators' first draws for (n, seed): the stream after them, the
+    eigenvalues lam and the eigenbasis V, which a generated system does not
+    keep, replayed from SplitMix64(seed) as the generators draw them."""
+    rng = SplitMix64(seed)
+    lam = apps._spectrum(n, rng, (0.5, 2.0), zero_fraction)
+    return rng, lam, apps._random_orthogonal(n, rng)
+
+
 def kkt_with_kernel(n, seed, kappa):
     """A generated consistent system with a kernel, its KKT pair, and the
     orthogonal projection onto Fix T = v(x*) + ker A, built from the
-    planted solution and the kernel's columns of `basis`."""
+    planted solution and the kernel's columns of V."""
     system = apps.generate_consistent_system(n, seed, zero_fraction=0.3)
-    kernel = system.basis[:, system.eigenvalues == 0.0]
+    kernel = planted_draws(n, seed, 0.3)[2][:, system.eigenvalues == 0.0]
     assert kernel.shape[1] > 0
     v_star = (system.matrix + 2 * kappa * np.eye(n)) @ system.solution
     return system, apps.kkt_operator_pair(system.matrix, system.rhs, kappa), lambda y: v_star + kernel @ (kernel.T @ (y - v_star))
@@ -584,7 +594,9 @@ class TestGenerators:
         assert np.sum(system.eigenvalues == 0.0) == 4  # 10% of 40
         assert np.all(np.abs(nonzero) >= 0.5) and np.all(np.abs(nonzero) <= 2.0)
         assert np.array_equal(system.rhs, system.matrix @ system.solution)
-        assert np.linalg.norm(system.basis.T @ system.basis - np.eye(40)) <= 1e-12
+        _, lam, basis = planted_draws(40, 11, 0.1)
+        assert lam.tobytes() == system.eigenvalues.tobytes()
+        assert np.linalg.norm(basis.T @ basis - np.eye(40)) <= 1e-12
         # realized spectrum matches the requested one
         eig = np.linalg.eigvalsh(system.matrix)
         assert np.allclose(np.sort(eig), np.sort(system.eigenvalues), atol=1e-10)
@@ -606,9 +618,7 @@ class TestGenerators:
     def test_inconsistent_system_keeps_its_draws(self, n, seed, zero_fraction):
         # the construction as written out before it shared the consistent
         # generator's code: the arrays must stay byte-identical
-        rng = SplitMix64(seed)
-        lam = apps._spectrum(n, rng, (0.5, 2.0), zero_fraction)
-        basis = apps._random_orthogonal(n, rng)
+        rng, lam, basis = planted_draws(n, seed, zero_fraction)
         a = (basis * lam) @ basis.T
         a = 0.5 * (a + a.T)
         z = rng.normal(n)
@@ -616,12 +626,28 @@ class TestGenerators:
         w[np.abs(w) < 0.1] += 0.5
         kernel_part = basis[:, lam == 0.0] @ w
         system = apps.generate_inconsistent_system(n, seed, zero_fraction=zero_fraction)
-        expected = (a, a @ z + kernel_part, z, lam, basis)
-        got = (system.matrix, system.rhs, system.solution, system.eigenvalues, system.basis)
+        expected = (a, a @ z + kernel_part, z, lam)
+        got = (system.matrix, system.rhs, system.solution, system.eigenvalues)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
         assert system.range_distance == float(np.linalg.norm(kernel_part))
         consistent = apps.generate_consistent_system(n, seed, zero_fraction=zero_fraction)
         assert consistent.matrix.tobytes() == system.matrix.tobytes()
+
+    @pytest.mark.parametrize("generate", [apps.generate_consistent_system, apps.generate_inconsistent_system])
+    def test_a_generated_system_holds_one_n_by_n_array(self, generate):
+        # A, plus the vectors b, z and lam, about 1.008 n^2 doubles: the
+        # eigenbasis V, a second n x n array, is freed on return
+        n = 400
+        generate(8, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            system = generate(n, 7)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert system.matrix.shape == (n, n)
+        assert held <= 1.05 * 8 * n * n, held / (8 * n * n)
 
     def test_inconsistent_needs_kernel(self):
         with pytest.raises(ValueError):

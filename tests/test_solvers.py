@@ -583,17 +583,40 @@ class TestSharedDriverJobs:
         assert calls == []
 
     @pytest.mark.parametrize(
-        "anchor, match",
-        [((1.0, 2.0, 3.0), r"anchor has shape \(3,\), the start \(2,\)"), (None, r"expected a 1-D vector, got shape \(\)")],
-        ids=["size", "none"],
+        "anchor, shape",
+        [((1.0, 2.0, 3.0), r"\(3,\)"), (None, r"\(\)"), ([[1.0, 2.0]], r"\(1, 2\)"), ((), r"\(0,\)")],
+        ids=["size", "none", "row", "empty"],
     )
-    def test_anchor_of_the_wrong_shape_is_refused_before_the_first_step(self, anchor, match, monkeypatch):
+    def test_anchor_of_the_wrong_shape_is_refused_before_the_first_step(self, anchor, shape, monkeypatch):
         # the anchor is checked as a reference is; a 3-vector anchor was a
-        # ValueError that named neither shape
+        # ValueError that named neither shape, and a None, 1 x 2 or empty
+        # anchor failed the 1-D check with a message that did not name it
         calls = self._count_evaluations(monkeypatch)
         cfg = solvers.SolverConfig(halpern=solvers.HalpernConfig(anchor=anchor))
-        with pytest.raises(DimensionMismatchError, match=match):
+        with pytest.raises(DimensionMismatchError, match=rf"anchor has shape {shape}, the start \(2,\)"):
             solvers.gppa2(ops.sign_swap_operator(), ops.swap_operator(), np.array([1.0, 2.0]), cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("reference, shape", [([[1.0, 2.0]], r"\(1, 2\)"), ((), r"\(0,\)")], ids=["row", "empty"])
+    @pytest.mark.parametrize("solver", ["gppa", "gppa1", "gppa2"])
+    def test_reference_that_is_not_a_vector_names_its_shape(self, solver, reference, shape, monkeypatch):
+        # the 1-D check refused these as "expected a 1-D vector, got shape
+        # (1, 2)", a message that did not name the reference
+        calls = self._count_evaluations(monkeypatch)
+        with pytest.raises(DimensionMismatchError, match=rf"reference has shape {shape}, the start \(2,\)"):
+            self._run_sign_swap(solver, solvers.TraceLevel.NORMS, reference)
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["anchor", "reference"])
+    def test_a_point_that_is_not_numeric_is_refused_by_name(self, name, monkeypatch):
+        # numpy's "could not convert string to float" named neither argument
+        calls = self._count_evaluations(monkeypatch)
+        halpern = solvers.HalpernConfig(anchor="ab" if name == "anchor" else (1.0, 1.0))
+        with pytest.raises(ValueError, match=rf"^{name} is not a numeric vector: could not convert string to float: 'ab'$"):
+            solvers.gppa2(
+                ops.sign_swap_operator(), ops.swap_operator(), np.array([1.0, 2.0]), solvers.SolverConfig(halpern=halpern),
+                reference="ab" if name == "reference" else None,
+            )
         assert calls == []
 
     @pytest.mark.parametrize("solver", ["gppa", "gppa1"])

@@ -12,9 +12,7 @@ PACKAGE = ROOT / "src" / "pairprox"
 USERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
 
 # public names kept although nothing above calls them, each with its reason
-ALLOWED = {
-    "generate_inconsistent_system": "the least-squares problems with b outside ran A, the paper's second application",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _docstrings(tree):
@@ -85,8 +83,7 @@ def test_every_definition_has_a_caller_outside_tests():
 # options kept although no call above sets them, each with its reason
 ALLOWED_OPTIONS = {
     "applications.least_squares_iterate.x0": "the iteration's start point",
-    "applications.generate_inconsistent_system.spectrum": "the function is in ALLOWED, so nothing calls it",
-    "applications.generate_inconsistent_system.zero_fraction": "the function is in ALLOWED, so nothing calls it",
+    "applications.generate_inconsistent_system.spectrum": "as generate_consistent_system's, which bench sets; only scripts/fingerprint.py calls this one",
     "linalg._json_field.default": "passed through the functools.partial alias `get`",
 }
 
