@@ -43,6 +43,9 @@ summaries. The entries:
 - the seeded generators: the matrix, right-hand side, solution,
   eigenvalues and range distance of an inconsistent system with 30% of its
   eigenvalues zero and of a consistent system at n = 200;
+- the trace's edge paths at FULL trace: least squares from a start within
+  tol on a system whose step matrix 2A + 2 kappa I is singular, and a
+  gppa run whose first step overflows;
 - bench --sizes 5,9 --trials 2: exit code, summary and table;
 - the four demos: exit code, standard output and trace files.
 
@@ -119,11 +122,11 @@ def digest(parts) -> str:
 
 
 def _result(res: solvers.SolveResult) -> list:
-    parts = [res.status.value, res.reason, res.iterations, res.preimage, res.image]
     trace = res.trace
-    if trace is not None:
-        parts += [len(trace.residuals), trace.residuals, trace.steps, trace.err_to_ref, trace.iterates]
-    return parts
+    return [
+        res.status.value, res.reason, res.iterations, res.preimage, res.image,
+        len(trace.residuals), trace.residuals, trace.steps, trace.err_to_ref, trace.iterates,
+    ]
 
 
 def _without_seconds(path) -> str:
@@ -265,6 +268,19 @@ def _dca_baseline(workdir):
     return _result(solvers.dca_baseline(a, b, 2.0, np.zeros(n), solvers.SolverConfig(trace_level=FULL)))
 
 
+def _trace_edges(workdir):
+    # least squares from a start within tol, where the step's 2A + 2 kappa I
+    # is singular: no engine is built and no step is taken
+    a, x0 = np.diag([1.0, -0.2]), np.array([2.0, -1.0])
+    sol = apps.least_squares_iterate(a, a @ x0, 0.2, x0=x0, cfg=solvers.SolverConfig(trace_level=FULL))
+    # v(x0) = 2 x0 - 2 x0 overflows to inf - inf, so the first step fails
+    f = ops.Affine(np.eye(2))
+    v = ops.Sum((ops.Affine(2.0 * np.eye(2)), ops.Affine(-2.0 * np.eye(2))))
+    with np.errstate(all="ignore"):
+        res = solvers.gppa(f, v, np.array([1e308, 0.0]), solvers.SolverConfig(trace_level=FULL))
+    return [*_result(sol.result), sol.optimality_residuals, sol.data_errors, *_result(res)]
+
+
 def _generated_systems(workdir):
     systems = (apps.generate_inconsistent_system(33, 5007, zero_fraction=0.3), apps.generate_consistent_system(200, 1))
     return [part for s in systems for part in (s.matrix, s.rhs, s.solution, s.eigenvalues, s.range_distance)]
@@ -320,6 +336,7 @@ ENTRIES = {
     "linalg/lu_factorize/signed-zeros": _lu_factorize,
     "dca_baseline/n=200": _dca_baseline,
     "generators/inconsistent/n=33/seed=5007/zero_fraction=0.3+consistent/n=200/seed=1": _generated_systems,
+    "trace_edges/least_squares/start_within_tol+gppa/first_step_overflows": _trace_edges,
     "bench/sizes=5,9/trials=2": _bench,
     **{f"demo/{name}": _demo(name) for name in DEMOS},
 }

@@ -177,9 +177,8 @@ def solve_kkt(
     """
     cfg = solvers._unit_gamma(cfg)
     n = kkt.matrix.shape[0]
-    x0 = np.zeros(n) if x0 is None else linalg.as_vector(x0)
     f, v = kkt_operator_pair(kkt.matrix, kkt.rhs, kappa)
-    result = solvers.gppa(f, v, x0, cfg)
+    result = solvers.gppa(f, v, np.zeros(n) if x0 is None else x0, cfg)
     x = result.preimage
     return KKTSolution(result, x[: kkt.split], x[kkt.split :])
 
@@ -228,13 +227,12 @@ def least_squares_iterate(
 
     if measure(ops.evaluate_point(f, x)) <= cfg.tol_residual:
         # no engine is built, so that a start within tol converges on a singular system
-        trace = solvers._Recorder(cfg, x, None).trace
+        trace = solvers._trace(cfg, x, None)
         result = solvers.SolveResult(solvers.Status.CONVERGED, None, x, ops.evaluate_point(v, x), 0, trace)
     else:
         result = solvers.gppa(f, v, x, cfg, residual=measure)
-    if result.trace is not None:
-        # ||u - 0|| is bitwise ||u||: the distance of u to the reference 0
-        result.trace.err_to_ref = es[1:]
+    # ||u - 0|| is bitwise ||u||: the distance of u to the reference 0
+    result.trace.err_to_ref = es[1:]
     return LeastSquaresSolution(result, rs, es)
 
 

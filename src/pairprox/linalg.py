@@ -48,6 +48,13 @@ _SYMMETRY_RTOL = 1e-10
 _SMALLEST_NORMAL = sys.float_info.min
 
 
+def as_real(x) -> np.ndarray:
+    """`x` as a float array; a complex value is a ValueError, not cast to its real part."""
+    if np.iscomplexobj(x):
+        raise ValueError("complex values are not accepted, only real ones")
+    return np.asarray(x, dtype=float)
+
+
 def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
@@ -56,7 +63,7 @@ def as_vector(x) -> np.ndarray:
 
 
 def as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=float)
+    m = as_real(a)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
     return m

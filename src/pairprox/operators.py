@@ -449,6 +449,9 @@ def _resolve_box(
         upper = np.full(dim, upper[0])
     if lower.shape != upper.shape or np.any(lower > upper):
         raise ValueError("invalid sampling box")
+    # a NaN bound passes the order test, and an infinite one makes the sampling warn
+    if not (linalg.all_finite(lower) and linalg.all_finite(upper)):
+        raise ValueError(f"the sampling box must have finite bounds, got {box!r}")
     return lower, upper
 
 

@@ -32,7 +32,6 @@ from .errors import DimensionMismatchError, NonFiniteIterateError
 
 
 class TraceLevel(Enum):
-    NONE = 0
     NORMS = 1
     FULL = 2
 
@@ -62,7 +61,11 @@ class SolverConfig:
 
     def __post_init__(self):
         sched = self.gamma_schedule
-        sched = tuple(float(g) for g in ((sched,) if isinstance(sched, (int, float)) else sched))
+        # "12" is no schedule (1, 2); any real scalar, 0-d arrays included, is a constant gamma
+        if isinstance(sched, (str, bytes)):
+            raise ValueError(f"gamma schedule must be a number or a sequence of numbers, got {sched!r}")
+        scalar = isinstance(sched, (int, float)) or np.ndim(sched) == 0
+        sched = tuple(float(g) for g in ((sched,) if scalar else sched))
         if not sched:
             raise ValueError("gamma schedule must be nonempty")
         object.__setattr__(self, "gamma_schedule", sched)
@@ -90,7 +93,7 @@ def _require_count(name: str, value) -> None:
 class IterationTrace:
     """Per-iteration diagnostics; `iterates` only at FULL level.
 
-    `seconds` holds cumulative wall time since the solve started. When a
+    `seconds` holds cumulative wall time since the first step started. When a
     reference point is supplied, `err_to_ref` records the distance of the
     iterate's image to it (warped iteration: ||v(x_{n+1}) - v(ref)||;
     transformed iterations: ||x_{n+1} - ref||).
@@ -110,33 +113,15 @@ class SolveResult:
     preimage: np.ndarray
     image: np.ndarray
     iterations: int
-    trace: IterationTrace | None
+    trace: IterationTrace
 
 
-class _Recorder:
-    def __init__(self, cfg: SolverConfig, x0: np.ndarray, reference: np.ndarray | None):
-        self.level = cfg.trace_level
-        self.reference = reference
-        self.t0 = time.perf_counter()
-        if self.level is TraceLevel.NONE:
-            self.trace = None
-        else:
-            self.trace = IterationTrace()
-            if reference is not None:
-                self.trace.err_to_ref = []
-            if self.level is TraceLevel.FULL:
-                self.trace.iterates = [np.array(x0, dtype=float)]
-
-    def record(self, residual: float, step: float, image_next: np.ndarray, x_next: np.ndarray) -> None:
-        if self.trace is None:
-            return
-        self.trace.residuals.append(residual)
-        self.trace.steps.append(step)
-        self.trace.seconds.append(time.perf_counter() - self.t0)
-        if self.trace.err_to_ref is not None:
-            self.trace.err_to_ref.append(linalg.norm(image_next - self.reference))
-        if self.level is TraceLevel.FULL:
-            self.trace.iterates.append(np.array(x_next, dtype=float))
+def _trace(cfg: SolverConfig, x0: np.ndarray, reference: np.ndarray | None) -> IterationTrace:
+    """An empty trace: `err_to_ref` given a reference, `iterates` from a copy of x0 at FULL."""
+    return IterationTrace(
+        err_to_ref=None if reference is None else [],
+        iterates=[np.array(x0, dtype=float)] if cfg.trace_level is TraceLevel.FULL else None,
+    )
 
 
 def _unanchored(cfg: SolverConfig | None) -> SolverConfig:
@@ -158,8 +143,9 @@ def _unit_gamma(cfg: SolverConfig | None) -> SolverConfig:
 
 
 def _start(x0: np.ndarray) -> np.ndarray:
-    """A copy of the start point as a float vector; NaN/Inf is rejected."""
-    x = linalg.as_vector(x0).copy()
+    """A copy of the start point as a float vector; complex values and NaN/Inf
+    are rejected (here, not in `as_vector`, which every resolvent step runs)."""
+    x = linalg.as_vector(linalg.as_real(x0)).copy()
     if not linalg.all_finite(x):
         raise NonFiniteIterateError("x0 contains NaN/Inf")
     return x
@@ -170,7 +156,7 @@ def _point(name: str, value, x: np.ndarray) -> np.ndarray:
     before any operator is evaluated at it. None has shape (): a None anchor
     is refused, and callers pass no None reference (it means none)."""
     try:
-        value = np.asarray(value, dtype=float)
+        value = linalg.as_real(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} is not a numeric vector: {exc}") from None
     if value.shape != x.shape:
@@ -182,50 +168,60 @@ def _point(name: str, value, x: np.ndarray) -> np.ndarray:
 
 def _iterate(
     cfg: SolverConfig,
-    rec: _Recorder,
     x: np.ndarray,
     step: Callable[[int, np.ndarray], tuple],
+    reference: np.ndarray | None = None,
     diverge_above: Callable[[float], float] | None = None,
-) -> tuple[Status, str | None, int, np.ndarray]:
-    """The proximal-point loop every solver runs.
+) -> tuple[Status, str | None, int, np.ndarray, IterationTrace]:
+    """The proximal-point loop every solver runs, and the one that records it.
 
     `step(n, x)` takes iteration n from the iterate x and returns
-    (x_next, residual, image); the image only feeds the trace. A residual
-    of None stands for ||x - x_next|| / gamma_n, the residual of the
-    transformed iterations, so that the loop computes that norm once, as the
-    step norm. `diverge_above`, when set, maps the first step's residual to
-    the divergence bound. A step that overflows, raising
-    NonFiniteIterateError or returning a non-finite x_next, stops the loop
-    as Failed('Diverged') without being counted. After a finite step is
-    recorded, the first rule that holds stops the loop: residual above the
-    divergence bound (Diverged), residual within tol_residual (Converged),
-    a step of norm zero (step-stalled). In the other iterations a zero step
-    makes a zero residual, so only DCA, whose residual is ||A x - b||, stops
-    on that rule. Returns (status, reason, iterations, last finite iterate).
+    (x_next, residual, image); the image only feeds the trace, as its
+    distance to `reference` when given. A residual of None stands for
+    ||x - x_next|| / gamma_n, the residual of the transformed iterations,
+    so that the loop computes that norm once, as the step norm.
+    `diverge_above`, when set, maps the first step's residual to the
+    divergence bound. A step that overflows, raising NonFiniteIterateError
+    or returning a non-finite x_next, stops the loop as Failed('Diverged')
+    without being counted. After a finite step is recorded, the first rule
+    that holds stops the loop: residual above the divergence bound
+    (Diverged), residual within tol_residual (Converged), a step of norm
+    zero (step-stalled). In the other iterations a zero step makes a zero
+    residual, so only DCA, whose residual is ||A x - b||, stops on that
+    rule. Returns (status, reason, iterations, last finite iterate, trace),
+    whose `seconds` count from the start of the loop.
     """
+    trace = _trace(cfg, x, reference)
+    t0 = time.perf_counter()
     bound = None
     for n in range(cfg.max_iters):
         try:
             x_next, residual, image = step(n, x)
         except NonFiniteIterateError:
-            return Status.FAILED, "Diverged", n, x
+            return Status.FAILED, "Diverged", n, x, trace
         if not linalg.all_finite(x_next):
-            return Status.FAILED, "Diverged", n, x
+            return Status.FAILED, "Diverged", n, x, trace
         dx = linalg.norm(x - x_next)
         if residual is None:
             residual = dx / cfg.gamma_at(n)
-        rec.record(residual, dx, image, x_next)
+        trace.residuals.append(residual)
+        trace.steps.append(dx)
+        trace.seconds.append(time.perf_counter() - t0)
+        if reference is not None:
+            trace.err_to_ref.append(linalg.norm(image - reference))
+        if trace.iterates is not None:
+            trace.iterates.append(np.array(x_next, dtype=float))
         x = x_next
         if diverge_above is not None:
             if bound is None:
                 bound = diverge_above(residual)
             if residual > bound:
-                return Status.FAILED, "Diverged", n + 1, x
+                return Status.FAILED, "Diverged", n + 1, x, trace
         if residual <= cfg.tol_residual:
-            return Status.CONVERGED, None, n + 1, x
+            return Status.CONVERGED, None, n + 1, x, trace
         if dx == 0.0:
-            return Status.FAILED, "step-stalled", n + 1, x
-    return Status.MAX_ITERS, None, cfg.max_iters, x
+            return Status.FAILED, "step-stalled", n + 1, x, trace
+    return Status.MAX_ITERS, None, cfg.max_iters, x, trace
 
 
 _DIVERGENCE_FACTOR = 1e8
@@ -265,20 +261,17 @@ def gppa(
     engines = functools.cache(lambda gamma: resolvents.build_engine(f, v, gamma, dim=x.size))
     if reference is not None:
         reference = ops.evaluate_point(v, _point("reference", reference, x))
-    rec = _Recorder(cfg, x, reference)
-    w = ops.evaluate_point(v, x)
-    pattern = None
+    out = resolvents.ResolventOutput(x, ops.evaluate_point(v, x))
 
     def step(n, x):
-        nonlocal w, pattern
-        gamma = cfg.gamma_at(n)
-        out = resolvents.transformed(engines(gamma), w, pattern)
+        nonlocal out
+        gamma, w = cfg.gamma_at(n), out.image
+        out = resolvents.transformed(engines(gamma), w, out.pattern)
         u = w - out.image
-        w, pattern = out.image, out.pattern
-        return out.preimage, linalg.norm(u) / gamma if residual is None else residual(u), w
+        return out.preimage, linalg.norm(u) / gamma if residual is None else residual(u), out.image
 
-    status, reason, iterations, x = _iterate(cfg, rec, x, step, _divergence_bound)
-    return SolveResult(status, reason, x, w, iterations, rec.trace)
+    status, reason, iterations, x, trace = _iterate(cfg, x, step, reference, _divergence_bound)
+    return SolveResult(status, reason, x, out.image, iterations, trace)
 
 
 def gppa1(
@@ -299,18 +292,16 @@ def gppa1(
     cfg = _unanchored(cfg)
     x = _start(x0)
     engines = functools.cache(lambda gamma: resolvents.build_engine(f, v, gamma, dim=x.size))
-    rec = _Recorder(cfg, x, None if reference is None else _point("reference", reference, x))
-    z = x
-    pattern = None
+    reference = None if reference is None else _point("reference", reference, x)
+    out = resolvents.ResolventOutput(x, x)
 
     def step(n, x):
-        nonlocal z, pattern
-        out = resolvents.transformed(engines(cfg.gamma_at(n)), x, pattern)
-        z, pattern = out.preimage, out.pattern
+        nonlocal out
+        out = resolvents.transformed(engines(cfg.gamma_at(n)), x, out.pattern)
         return out.image, None, out.image
 
-    status, reason, iterations, x = _iterate(cfg, rec, x, step, _divergence_bound)
-    return SolveResult(status, reason, z, x, iterations, rec.trace)
+    status, reason, iterations, x, trace = _iterate(cfg, x, step, reference, _divergence_bound)
+    return SolveResult(status, reason, out.preimage, x, iterations, trace)
 
 
 def gppa2(
@@ -333,7 +324,7 @@ def gppa2(
     x = _start(x0)
     anchor = _point("anchor", cfg.halpern.anchor, x)
     engine = resolvents.build_engine(f, v, cfg.gamma_schedule[0], dim=x.size)
-    rec = _Recorder(cfg, x, None if reference is None else _point("reference", reference, x))
+    reference = None if reference is None else _point("reference", reference, x)
     out = resolvents.ResolventOutput(x, x)
 
     def step(k, x):
@@ -343,8 +334,8 @@ def gppa2(
         x_next = alpha * anchor + (1.0 - alpha) * out.image
         return x_next, None, x_next
 
-    status, reason, iterations, _ = _iterate(cfg, rec, x, step)
-    return SolveResult(status, reason, out.preimage, out.image, iterations, rec.trace)
+    status, reason, iterations, _, trace = _iterate(cfg, x, step, reference)
+    return SolveResult(status, reason, out.preimage, out.image, iterations, trace)
 
 
 def dca_baseline(
@@ -371,14 +362,13 @@ def dca_baseline(
     # the right-hand side m x - (-b) is m x + b bitwise, but for the sign of a zero
     engine = resolvents.build_engine(ops.Affine(a, -b), ops.Scale(m, ops.Pointwise("identity")), 1.0)
     e0 = linalg.norm(a @ x - b)
-    rec = _Recorder(cfg, x, None)
 
     def step(k, x):
         x_next = resolvents.warped(engine, x).preimage
         return x_next, linalg.norm(a @ x_next - b), x_next
 
-    status, reason, iterations, x = _iterate(cfg, rec, x, step, lambda _r0: _divergence_bound(e0))
-    return SolveResult(status, reason, x, x, iterations, rec.trace)
+    status, reason, iterations, x, trace = _iterate(cfg, x, step, diverge_above=lambda _r0: _divergence_bound(e0))
+    return SolveResult(status, reason, x, x, iterations, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -423,17 +423,15 @@ class TestLeastSquares:
             )
             for level in solvers.TraceLevel
         }
-        none = runs[solvers.TraceLevel.NONE]
-        assert none.result.trace is None
+        norms = runs[solvers.TraceLevel.NORMS]
         for sol in runs.values():
-            assert sol.result.iterations == none.result.iterations > 1
+            assert sol.result.iterations == norms.result.iterations > 1
             assert len(sol.optimality_residuals) == len(sol.data_errors) == sol.result.iterations + 1
-            assert sol.optimality_residuals == none.optimality_residuals and sol.data_errors == none.data_errors
-            assert sol.result.preimage.tobytes() == none.result.preimage.tobytes()
-            if sol.result.trace is not None:
-                assert np.array(sol.result.trace.residuals).tobytes() == np.array(sol.optimality_residuals[1:]).tobytes()
-                assert np.array(sol.result.trace.err_to_ref).tobytes() == np.array(sol.data_errors[1:]).tobytes()
-        assert len(runs[solvers.TraceLevel.FULL].result.trace.iterates) == none.result.iterations + 1
+            assert sol.optimality_residuals == norms.optimality_residuals and sol.data_errors == norms.data_errors
+            assert sol.result.preimage.tobytes() == norms.result.preimage.tobytes()
+            assert np.array(sol.result.trace.residuals).tobytes() == np.array(sol.optimality_residuals[1:]).tobytes()
+            assert np.array(sol.result.trace.err_to_ref).tobytes() == np.array(sol.data_errors[1:]).tobytes()
+        assert len(runs[solvers.TraceLevel.FULL].result.trace.iterates) == norms.result.iterations + 1
 
     def test_consistent_rhs_drives_both_errors_to_zero(self):
         system = apps.generate_consistent_system(12, 13)

@@ -650,6 +650,30 @@ def _strided(values):
     return buffer[::2]
 
 
+class TestRealInput:
+    @pytest.mark.parametrize(
+        "convert, value",
+        [
+            (linalg.as_real, np.array([1.0 + 5.0j, 2.0])),
+            (linalg.as_real, (1.0 + 5.0j, 2.0)),
+            (linalg.as_real, np.array([1.0, 2.0], dtype=np.complex64)),
+            (linalg.as_real, 1.0 + 0.0j),
+            (linalg.as_matrix, np.eye(2) * (1.0 + 0.0j)),
+            (linalg.as_matrix, [[1.0, 2.0j], [0.0, 1.0]]),
+        ],
+        ids=["vector", "tuple", "zero-imaginary", "scalar", "matrix", "nested-list"],
+    )
+    def test_complex_value_is_refused(self, convert, value):
+        # the float cast kept the real part, with numpy's ComplexWarning, or
+        # raised a TypeError that named no input
+        with pytest.raises(ValueError, match="^complex values are not accepted, only real ones$"):
+            convert(value)
+
+    def test_real_values_of_any_dtype_convert_to_float(self):
+        assert linalg.as_real(np.array([1, 2], dtype=np.int32)).dtype == np.float64
+        assert linalg.as_matrix(np.eye(2, dtype=np.float32)).dtype == np.float64
+
+
 class TestAllFinite:
     @pytest.mark.parametrize(
         "a",

@@ -445,6 +445,17 @@ class TestBatchedCheckMatchesLoop:
                 include=[(np.zeros(2), np.ones(2))],
             )
 
+    @pytest.mark.parametrize(
+        "box",
+        [(np.nan, 1.0), (-np.inf, np.inf), (0.0, np.inf), (np.zeros(2), np.array([1.0, np.nan]))],
+        ids=["nan", "infinite", "half-infinite", "per-coordinate"],
+    )
+    def test_non_finite_box_is_refused_by_name(self, box):
+        # a NaN bound passed the order test, and the report said the box was
+        # too large; an infinite one made numpy warn on inf - inf first
+        with pytest.raises(ValueError, match="^the sampling box must have finite bounds, got "):
+            ops.check_pair_monotone(ops.sign_swap_operator(), ops.swap_operator(), box=box, samples=10)
+
     def test_overflowing_box_is_an_input_error(self):
         # every draw is +-inf or NaN, so no quotient is finite
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="too large"):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 import sys
 import warnings
 
@@ -22,6 +23,28 @@ def qp_pair(a=None, b=None, kappa=0.2):
     a = np.diag([1.0, 0.0]) if a is None else a
     b = np.array([1.0, 0.0]) if b is None else b
     return apps.kkt_operator_pair(a, b, kappa)
+
+
+# every driver on a pair with a growing mode (kappa = 0.2 is outside
+# (0, 0.15 / 2)), so that from 1e308 its first step overflows
+GROWING = np.diag([1.0, -0.15])
+TRACED_DRIVERS = {
+    "gppa": lambda x0, cfg: solvers.gppa(*qp_pair(GROWING, np.zeros(2)), x0, cfg, reference=np.zeros(2)),
+    "gppa1": lambda x0, cfg: solvers.gppa1(*qp_pair(GROWING, np.zeros(2)), x0, cfg, reference=np.zeros(2)),
+    "gppa2": lambda x0, cfg: solvers.gppa2(
+        *qp_pair(GROWING, np.zeros(2)), x0, dataclasses.replace(cfg, halpern=solvers.HalpernConfig(anchor=(1.0, 1.0))),
+        reference=np.zeros(2),
+    ),
+    "dca_baseline": lambda x0, cfg: solvers.dca_baseline(np.diag([1.0, -1.0]), np.zeros(2), 2.0, x0, cfg),
+    "solve_kkt": lambda x0, cfg: apps.solve_kkt(apps.KKTSystem(GROWING, np.zeros(2), 1), 0.2, x0=x0, cfg=cfg).result,
+    "least_squares_iterate": lambda x0, cfg: apps.least_squares_iterate(GROWING, np.zeros(2), 0.2, x0=x0, cfg=cfg).result,
+}
+TRACED_STARTS = {
+    "steps": ((0.3, -0.7), ("MaxIters", None, 5)),
+    "overflow": ((1e308, 1e308), ("Failed", "Diverged", 0)),
+    # least squares' start check: F(0) = 0, so no engine is built
+    "within-tol": ((0.0, 0.0), ("Converged", None, 0)),
+}
 
 
 class TestGppa:
@@ -571,12 +594,12 @@ class TestSharedDriverJobs:
         cfg = solvers.SolverConfig(halpern=halpern, trace_level=level)
         getattr(solvers, solver)(ops.sign_swap_operator(), ops.swap_operator(), np.array([1.0, 2.0]), cfg, reference=reference)
 
-    @pytest.mark.parametrize("level", [solvers.TraceLevel.NONE, solvers.TraceLevel.NORMS], ids=["none", "norms"])
+    @pytest.mark.parametrize("level", [solvers.TraceLevel.NORMS, solvers.TraceLevel.FULL], ids=["norms", "full"])
     @pytest.mark.parametrize("solver", ["gppa", "gppa1", "gppa2"])
     def test_reference_of_the_wrong_size_is_refused_before_the_first_step(self, solver, level, monkeypatch):
         # numpy failed to broadcast (2,) against (3,) after one resolvent
-        # evaluation, at NONE gppa1 ignored the reference and converged, and
-        # gppa evaluated v at it and raised on the operator's dimension
+        # evaluation, and gppa evaluated v at it and raised on the
+        # operator's dimension
         calls = self._count_evaluations(monkeypatch)
         with pytest.raises(DimensionMismatchError, match=r"reference has shape \(3,\), the start \(2,\)"):
             self._run_sign_swap(solver, level, np.zeros(3))
@@ -607,16 +630,32 @@ class TestSharedDriverJobs:
             self._run_sign_swap(solver, solvers.TraceLevel.NORMS, reference)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "value, error",
+        [("ab", "could not convert string to float: 'ab'"), ((1.0 + 5.0j, 0.0), "complex values are not accepted, only real ones")],
+        ids=["string", "complex"],
+    )
     @pytest.mark.parametrize("name", ["anchor", "reference"])
-    def test_a_point_that_is_not_numeric_is_refused_by_name(self, name, monkeypatch):
-        # numpy's "could not convert string to float" named neither argument
+    def test_a_point_that_is_not_numeric_is_refused_by_name(self, name, value, error, monkeypatch):
+        # numpy's "could not convert string to float" named neither argument,
+        # and a complex point was cast to its real part
         calls = self._count_evaluations(monkeypatch)
-        halpern = solvers.HalpernConfig(anchor="ab" if name == "anchor" else (1.0, 1.0))
-        with pytest.raises(ValueError, match=rf"^{name} is not a numeric vector: could not convert string to float: 'ab'$"):
+        halpern = solvers.HalpernConfig(anchor=value if name == "anchor" else (1.0, 1.0))
+        with pytest.raises(ValueError, match=rf"^{name} is not a numeric vector: {re.escape(error)}$"):
             solvers.gppa2(
                 ops.sign_swap_operator(), ops.swap_operator(), np.array([1.0, 2.0]), solvers.SolverConfig(halpern=halpern),
-                reference="ab" if name == "reference" else None,
+                reference=value if name == "reference" else None,
             )
+        assert calls == []
+
+    @pytest.mark.parametrize("x0", [np.array([1.0 + 5.0j, 2.0]), (1.0 + 5.0j, 2.0)], ids=["array", "tuple"])
+    @pytest.mark.parametrize("driver", list(TRACED_DRIVERS))
+    def test_complex_start_is_refused_before_the_first_step(self, driver, x0, monkeypatch):
+        # gppa1 on the sign-swap pair ran from (1, 2) and reported
+        # Converged, and a tuple raised numpy's TypeError
+        calls = self._count_evaluations(monkeypatch)
+        with pytest.raises(ValueError, match="^complex values are not accepted, only real ones$"):
+            TRACED_DRIVERS[driver](x0, solvers.SolverConfig())
         assert calls == []
 
     @pytest.mark.parametrize("solver", ["gppa", "gppa1"])
@@ -728,10 +767,30 @@ class TestSharedDriverJobs:
 
 
 class TestResidualAccess:
-    def test_trace_disabled(self):
-        f, v = qp_pair()
-        res = solvers.gppa(f, v, np.zeros(2), solvers.SolverConfig(trace_level=solvers.TraceLevel.NONE))
-        assert res.trace is None
+    @pytest.mark.parametrize("level", list(solvers.TraceLevel), ids=lambda level: level.name.lower())
+    @pytest.mark.parametrize(
+        "driver, start",
+        [(driver, start) for driver in TRACED_DRIVERS for start in ("steps", "overflow")]
+        + [("least_squares_iterate", "within-tol")],
+    )
+    def test_every_solve_has_a_trace_of_one_row_per_step(self, driver, start, level):
+        # the loop records every solve at every level, including a run that
+        # stops before its first step and a start that needs no step
+        x0, expected = TRACED_STARTS[start]
+        x0 = np.array(x0)
+        with np.errstate(all="ignore" if start == "overflow" else "warn"):
+            res = TRACED_DRIVERS[driver](x0, solvers.SolverConfig(tol_residual=0.0, max_iters=5, trace_level=level))
+        assert (res.status.value, res.reason, res.iterations) == expected
+        trace = res.trace
+        assert isinstance(trace, solvers.IterationTrace)
+        assert len(trace.residuals) == len(trace.steps) == len(trace.seconds) == res.iterations
+        if trace.err_to_ref is not None:
+            assert len(trace.err_to_ref) == res.iterations
+        if level is solvers.TraceLevel.FULL:
+            assert len(trace.iterates) == res.iterations + 1
+            assert trace.iterates[0].tobytes() == x0.tobytes()
+        else:
+            assert trace.iterates is None
 
     def test_constant_sequence_all_zero_residuals(self):
         res = solvers.gppa(ops.sign_swap_operator(), ops.swap_operator(), np.zeros(2), FULL)
@@ -801,10 +860,9 @@ class TestInvariants:
         # tolerance ends the shared loop as step-stalled, whatever the solver
         cfg = solvers.SolverConfig(tol_residual=1e-8, max_iters=100)
         x = np.array([1.0, -2.0])
-        rec = solvers._Recorder(cfg, x, None)
-        status, reason, iterations, last = solvers._iterate(cfg, rec, x, lambda n, x: (x.copy(), 1.0, x))
+        status, reason, iterations, last, trace = solvers._iterate(cfg, x, lambda n, x: (x.copy(), 1.0, x))
         assert (status, reason, iterations) == (solvers.Status.FAILED, "step-stalled", 1)
-        assert rec.trace.steps == [0.0] and rec.trace.residuals == [1.0]
+        assert trace.steps == [0.0] and trace.residuals == [1.0]
         assert np.array_equal(last, x)
 
     def test_zero_step_of_a_transformed_iteration_is_converged(self):
@@ -812,10 +870,9 @@ class TestInvariants:
         # makes 0: the run has converged, even at tol_residual = 0
         cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=100, gamma_schedule=0.5)
         x = np.array([1.0, -2.0])
-        rec = solvers._Recorder(cfg, x, None)
-        status, reason, iterations, _ = solvers._iterate(cfg, rec, x, lambda n, x: (x.copy(), None, x))
+        status, reason, iterations, _, trace = solvers._iterate(cfg, x, lambda n, x: (x.copy(), None, x))
         assert (status, reason, iterations) == (solvers.Status.CONVERGED, None, 1)
-        assert rec.trace.steps == rec.trace.residuals == [0.0]
+        assert trace.steps == trace.residuals == [0.0]
 
 
 # every reachable stop path of each solver, pinned before the iteration loop
@@ -983,12 +1040,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"gamma must be positive and finite, got {shown}$"):
             solvers.SolverConfig(gamma_schedule=schedule)
 
-    @pytest.mark.parametrize("schedule", [0.5, 2, (0.5,), [0.5, 2.0]], ids=["float", "int", "one-entry", "list"])
+    @pytest.mark.parametrize(
+        "schedule",
+        [0.5, 2, (0.5,), [0.5, 2.0], np.float32(0.5), np.int64(1), np.array(0.5), np.array([0.5, 2.0])],
+        ids=["float", "int", "one-entry", "list", "float32", "int64", "0-d-array", "array"],
+    )
     def test_schedule_is_stored_as_a_tuple_of_floats(self, schedule):
+        # numpy scalars and 0-d arrays raised "not iterable"
         cfg = solvers.SolverConfig(gamma_schedule=schedule)
-        expected = tuple(map(float, schedule)) if isinstance(schedule, (tuple, list)) else (float(schedule),)
+        expected = (float(schedule),) if np.ndim(schedule) == 0 else tuple(map(float, schedule))
         assert cfg.gamma_schedule == expected
         assert all(type(g) is float for g in cfg.gamma_schedule)
+
+    @pytest.mark.parametrize("schedule", ["12", b"12"], ids=["str", "bytes"])
+    def test_string_schedule_is_refused(self, schedule):
+        # "12" was read as the schedule (1, 2)
+        with pytest.raises(ValueError, match="^gamma schedule must be a number or a sequence of numbers, got "):
+            solvers.SolverConfig(gamma_schedule=schedule)
 
     @pytest.mark.parametrize("max_iters", [2.5, float("nan"), True, False], ids=["fraction", "nan", "true", "false"])
     def test_max_iters_must_be_an_integer(self, max_iters):

@@ -82,7 +82,6 @@ def test_every_definition_has_a_caller_outside_tests():
 
 # options kept although no call above sets them, each with its reason
 ALLOWED_OPTIONS = {
-    "applications.least_squares_iterate.x0": "the iteration's start point",
     "applications.generate_inconsistent_system.spectrum": "as generate_consistent_system's, which bench sets; only scripts/fingerprint.py calls this one",
     "linalg._json_field.default": "passed through the functools.partial alias `get`",
 }
