@@ -41,12 +41,12 @@ class QPProblem:
 
     def __post_init__(self):
         q = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(self.q), "Q"))
-        c = linalg.require_finite(linalg.as_vector(self.c), "c")
-        con = np.asarray(self.constraint, dtype=float)
+        c = linalg.require_finite(linalg.as_vector(linalg.as_real(self.c)), "c")
+        con = linalg.as_real(self.constraint)
         if con.ndim != 2:
             raise DimensionMismatchError("C must be a 2-D matrix (possibly with 0 rows)")
         linalg.require_finite(con, "C")
-        d = linalg.require_finite(np.asarray(self.d, dtype=float).reshape(-1), "d")
+        d = linalg.require_finite(linalg.as_real(self.d).reshape(-1), "d")
         if c.size != q.shape[0]:
             raise DimensionMismatchError("c length must match Q")
         if con.shape[1] != q.shape[0]:
@@ -150,7 +150,7 @@ def kkt_operator_pair(a: np.ndarray, b: np.ndarray, kappa: float) -> tuple[ops.A
     """F(x) = Ax - b and the shifted kernel v(x) = (A + 2 kappa I) x."""
     require_kappa(kappa)
     a = linalg.as_matrix(a)
-    b = linalg.as_vector(b)
+    b = linalg.as_vector(linalg.as_real(b))
     n = a.shape[0]
     if a.shape[0] != a.shape[1] or b.size != n:
         raise DimensionMismatchError("A must be square and match b")
@@ -212,7 +212,7 @@ def least_squares_iterate(
     """
     cfg = solvers._unit_gamma(cfg)
     a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
-    b = linalg.require_finite(linalg.as_vector(b), "b")
+    b = linalg.require_finite(linalg.as_vector(linalg.as_real(b)), "b")
     n = a.shape[0]
     x = solvers._start(np.zeros(n) if x0 is None else x0)
     f, v = kkt_operator_pair(a, b, kappa)

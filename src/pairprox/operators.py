@@ -122,7 +122,7 @@ class Affine(OperatorExpr):
             raise DimensionMismatchError(f"affine matrix must be square, got shape {self.matrix.shape}")
         if not self.matrix.size:
             raise DimensionMismatchError("affine matrix must be nonempty")
-        off = np.zeros(self.matrix.shape[0]) if self.offset is None else linalg.as_vector(self.offset)
+        off = np.zeros(self.matrix.shape[0]) if self.offset is None else linalg.as_vector(linalg.as_real(self.offset))
         if off.size != self.matrix.shape[0]:
             raise DimensionMismatchError("offset length must match matrix rows")
         object.__setattr__(self, "offset", off)
@@ -441,8 +441,8 @@ def _resolve_box(
             raise DimensionMismatchError("box required when operator dimension is ambiguous")
         return np.full(dim, -10.0), np.full(dim, 10.0)
     lower, upper = box
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    lower = np.atleast_1d(linalg.as_real(lower))
+    upper = np.atleast_1d(linalg.as_real(upper))
     if lower.size == 1 and dim is not None:
         lower = np.full(dim, lower[0])
     if upper.size == 1 and dim is not None:
@@ -481,7 +481,7 @@ def check_pair_monotone(
 
     def batches():
         if include:
-            sides = [linalg.as_vector(p) for pair in include for p in pair]
+            sides = [linalg.as_vector(linalg.as_real(p)) for pair in include for p in pair]
             if any(p.size != dim for p in sides):
                 raise DimensionMismatchError(f"include pairs must have {dim} coordinates, as the box")
             pts = np.array(sides).reshape(-1, 2, dim)

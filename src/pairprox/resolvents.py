@@ -13,9 +13,10 @@ The pattern search tries the table in a fixed (+, -, 0) order and returns
 the first pattern whose x solves the inclusion for an input within the
 roundoff n*eps*(|y| + |M||x| + s) of y in the max norm; no other tolerance
 applies. The pattern that pins every row has x = 0 and needs no solve: its
-pinned residual is |y| - s. Near a kink at the origin every step takes it,
-and its image is the engine's v(0), computed on the first such step and
-copied out on each, so the build still evaluates no operator.
+pinned residual is |y| - s, tested over Python floats. Near a kink at the
+origin every step takes it, and its image is the engine's v(0), computed on
+the first such step and copied out on each, so the build still evaluates no
+operator.
 Where the build certifies that the preimage is unique, a caller may name a
 pattern to try first, such as the one its previous step accepted; the
 result is the same point.
@@ -349,11 +350,14 @@ def _solve_pattern(pattern: _SignPattern, y: np.ndarray) -> np.ndarray | None:
     pinned row's |residual| pass s by more. Exact hits skip the bound.
 
     The pattern that pins every row has x = 0: no sign can be wrong, and
-    the pinned residual is |y| - s, bitwise |y - M 0| - s for M finite."""
+    the pinned residual is |y| - s, bitwise |y - M 0| - s for M finite.
+    Its largest entry is taken over Python floats, cheaper on the at most
+    _PATTERN_DIM_LIMIT rows and the same value provided y holds no NaN, as
+    `_invert_sign`'s y = w - offset does, both finite: an entry is at worst +-inf."""
     x = np.zeros(y.size)
     if pattern.factorization is None:
         # its pinned rows are all rows, in order
-        passed = np.maximum.reduce(np.abs(y) - pattern.pinned_scales)
+        passed = max(abs(t) - s for t, s in zip(y.tolist(), pattern.pinned_scales.tolist()))
         return None if passed > 0.0 and passed > _roundoff(pattern, y, x) else x
     x[pattern.cols] = linalg.lu_solve(pattern.factorization, y[pattern.rows] - pattern.shift)
     # ufunc reductions called directly skip ndarray.min's Python wrapper

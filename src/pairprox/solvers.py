@@ -1,8 +1,12 @@
 """Proximal point iterations on warped / transformed resolvents, an anchored
 (Halpern) variant, and a difference-of-convex (DC) baseline for linear
-systems: the warped iteration on F(x) = Ax - b with kernel m I.
+systems: the warped iteration on F(x) = Ax - b with kernel m I. The warped
+drivers step with `resolvents.transformed` at the previous step's image v(x_n),
+so each evaluates v once per step.
 Each input rule is checked here once, before the first step: `_start`,
-`_point` (a reference, gppa2's anchor) and `_unit_gamma` (DCA, applications).
+`_point` (a reference, gppa2's anchor), `_unit_gamma` (DCA, applications) and
+`_gamma_entry` (each gamma of a schedule). A complex value is refused where it
+enters, not cast to its real part.
 
 All solvers record per-iteration diagnostics driven by the residual
 u_n = (v(x_n) - v(x_{n+1})) / gamma_n   (warped iteration)
@@ -65,7 +69,7 @@ class SolverConfig:
         if isinstance(sched, (str, bytes)):
             raise ValueError(f"gamma schedule must be a number or a sequence of numbers, got {sched!r}")
         scalar = isinstance(sched, (int, float)) or np.ndim(sched) == 0
-        sched = tuple(float(g) for g in ((sched,) if scalar else sched))
+        sched = tuple(map(_gamma_entry, (sched,) if scalar else sched))
         if not sched:
             raise ValueError("gamma schedule must be nonempty")
         object.__setattr__(self, "gamma_schedule", sched)
@@ -81,6 +85,14 @@ class SolverConfig:
     def gamma_at(self, n: int) -> float:
         sched = self.gamma_schedule
         return sched[n] if n < len(sched) else sched[-1]
+
+
+def _gamma_entry(g) -> float:
+    """One gamma as a float. A complex or text entry is a ValueError naming
+    it: float() would drop an imaginary part, or read "1" as 1.0."""
+    if not isinstance(g, (int, float)) and np.asarray(g).dtype.kind in "cSU":
+        raise ValueError(f"gamma must be a real number, got {g!r}")
+    return float(g)
 
 
 def _require_count(name: str, value) -> None:
@@ -347,12 +359,14 @@ def dca_baseline(
 ) -> SolveResult:
     """Difference-of-convex iteration (A + m I) x_{k+1} = m x_k + b for
     Ax = b, the warped resolvent of F(x) = Ax - b at gamma = 1 with kernel
-    v = m I. Reports Failed('Diverged') once e_k = ||A x_k - b|| exceeds
-    1e8 * (1 + e_0). Non-finite A or b, m outside (0, inf) and a gamma other
-    than 1 are ValueErrors; `build_engine` refuses a singular or overflowing A + m I."""
+    v = m I. As in `gppa`, each step inverts at the image m x_k that the
+    previous step returned, so v is evaluated once per step. Reports
+    Failed('Diverged') once e_k = ||A x_k - b|| exceeds 1e8 * (1 + e_0).
+    Non-finite or complex A or b, m outside (0, inf) and a gamma other than 1
+    are ValueErrors; `build_engine` refuses a singular or overflowing A + m I."""
     cfg = _unit_gamma(cfg)
     a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
-    b = linalg.require_finite(linalg.as_vector(b), "b")
+    b = linalg.require_finite(linalg.as_vector(linalg.as_real(b)), "b")
     if not 0.0 < m < math.inf:
         raise ValueError(f"m must be positive and finite, got {m!r}")
     x = _start(x0)
@@ -362,10 +376,12 @@ def dca_baseline(
     # the right-hand side m x - (-b) is m x + b bitwise, but for the sign of a zero
     engine = resolvents.build_engine(ops.Affine(a, -b), ops.Scale(m, ops.Pointwise("identity")), 1.0)
     e0 = linalg.norm(a @ x - b)
+    out = resolvents.ResolventOutput(x, ops.evaluate_point(engine.v, x))
 
     def step(k, x):
-        x_next = resolvents.warped(engine, x).preimage
-        return x_next, linalg.norm(a @ x_next - b), x_next
+        nonlocal out
+        out = resolvents.transformed(engine, out.image)
+        return out.preimage, linalg.norm(a @ out.preimage - b), out.preimage
 
     status, reason, iterations, x, trace = _iterate(cfg, x, step, diverge_above=lambda _r0: _divergence_bound(e0))
     return SolveResult(status, reason, x, x, iterations, trace)

@@ -75,6 +75,27 @@ class TestNonFiniteData:
             apps.least_squares_iterate(data["A"], data["b"], kappa=0.2)
 
 
+class TestComplexData:
+    # each was cast to its real part with numpy's ComplexWarning, and a run
+    # on it returned Converged
+    @pytest.mark.parametrize("name", ["c", "C", "d"])
+    def test_qp_refuses_complex_data(self, name):
+        data = {"q": 2.0 * np.eye(2), "c": np.zeros(2), "constraint": np.array([[1.0, 1.0]]), "d": np.array([2.0])}
+        field = {"C": "constraint"}.get(name, name)
+        data[field] = data[field] + 1.0j
+        with pytest.raises(ValueError, match="^complex values are not accepted, only real ones$"):
+            apps.QPProblem(**data)
+
+    def test_least_squares_refuses_a_complex_rhs(self):
+        with pytest.raises(ValueError, match="^complex values are not accepted, only real ones$"):
+            apps.least_squares_iterate(np.eye(2), np.array([1.0 + 1.0j, 1.0]), 0.2)
+
+    def test_kkt_solve_refuses_a_complex_rhs(self):
+        kkt = apps.KKTSystem(np.eye(2), np.array([1.0 + 1.0j, 1.0]), 1)
+        with pytest.raises(ValueError, match="^complex values are not accepted, only real ones$"):
+            apps.solve_kkt(kkt, 0.2)
+
+
 class TestSelectKappa:
     def test_reference_spectrum(self):
         sel = apps.select_kappa(np.diag([1.0, 0.0, -0.5]))

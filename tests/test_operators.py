@@ -456,6 +456,25 @@ class TestBatchedCheckMatchesLoop:
         with pytest.raises(ValueError, match="^the sampling box must have finite bounds, got "):
             ops.check_pair_monotone(ops.sign_swap_operator(), ops.swap_operator(), box=box, samples=10)
 
+    @pytest.mark.parametrize(
+        "box",
+        [(-5.0 + 1.0j, 5.0), (-5.0, np.array([5.0, 5.0 + 0.0j]))],
+        ids=["lower", "per-coordinate-upper"],
+    )
+    def test_complex_box_is_refused(self, box):
+        # a complex scalar bound was a bare TypeError from the float cast,
+        # and a complex array was cast to its real part
+        with pytest.raises(ValueError, match="^complex values are not accepted, only real ones$"):
+            ops.check_pair_monotone(ops.sign_swap_operator(), ops.swap_operator(), box=box, samples=10)
+
+    def test_complex_include_pair_is_refused(self):
+        # the pair was scanned as its real part
+        with pytest.raises(ValueError, match="^complex values are not accepted, only real ones$"):
+            ops.check_pair_monotone(
+                ops.identity_operator(2), ops.identity_operator(2), samples=10,
+                include=[(np.array([1.0 + 1.0j, 0.0]), np.array([3.0, 1.0]))],
+            )
+
     def test_overflowing_box_is_an_input_error(self):
         # every draw is +-inf or NaN, so no quotient is finite
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="too large"):
@@ -598,6 +617,11 @@ class TestValidation:
             ops.SignBlock(value, (0, 1))
         with pytest.raises(ValueError, match=f"scale factor must be positive and finite, got {value!r}"):
             ops.Scale(value, ops.identity_operator(2))
+
+    def test_complex_affine_offset_is_refused(self):
+        # Affine(I, [1j, 0]) kept the offset (0, 0)
+        with pytest.raises(ValueError, match="^complex values are not accepted, only real ones$"):
+            ops.Affine(np.eye(2), [1.0j, 0.0])
 
     def test_selector_must_be_permutation(self):
         with pytest.raises(ValueError):

@@ -1133,6 +1133,22 @@ class TestPatternFastPaths:
         assert (all_signed, False) in seen and (all_signed, True) in seen
         assert all_signed or (False, False) in seen and (False, True) in seen
 
+    @pytest.mark.parametrize("size", [1.0, 1e12])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_overflowed_entry_raises_on_both_paths_at_the_kink_pattern(self, n, size):
+        # a shift y = w - offset that overflowed to +-inf in one row passes
+        # that row's box by inf, and the acceptance bound refuses it
+        strategy = _seeded_sign_strategy(n, 20 + n, True, size)
+        kink = [p for p in strategy.patterns if p.factorization is None]
+        assert len(kink) == 1
+        for y in _edge_inputs(strategy.scales, 10, 30 + n):
+            for row, entry in itertools.product(range(n), (np.inf, -np.inf)):
+                y_over = y.copy()
+                y_over[row] = entry
+                for solve in (general_solve_pattern, resolvents._solve_pattern):
+                    with pytest.raises(NonFiniteIterateError, match="resolvent input minus the offset overflows"):
+                        solve(kink[0], y_over)
+
 
 class TestResolventInvariants:
     def test_membership_warped(self):

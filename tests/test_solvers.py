@@ -399,6 +399,21 @@ class TestLinearRateOnSignAffinePairs:
         assert self.check_rate(pair, cfg, [ops.evaluate_point(pair.v, z) for z in preimages]) >= 1
 
 
+def _symmetric_draw(n, seed):
+    """A seeded symmetric matrix, indefinite at n >= 2 with high probability, and a right-hand side."""
+    rng = SplitMix64(seed)
+    g = rng.normal(n * n).reshape(n, n) / np.sqrt(n)
+    return 0.5 * (g + g.T), rng.uniform(n, -1.0, 1.0)
+
+
+def _positive_definite_draw(n, seed):
+    """The fingerprint tool's DCA system: A = G G^T / n + I / 2 and b = A times a normal draw."""
+    rng = SplitMix64(seed)
+    g = rng.normal(n * n).reshape(n, n)
+    a = g @ g.T / n + 0.5 * np.eye(n)
+    return a, a @ rng.normal(n)
+
+
 class TestDcaBaseline:
     def test_identity_halves_error_each_step(self):
         n = 4
@@ -497,6 +512,50 @@ class TestDcaBaseline:
         assert res.iterations >= 4
         assert np.array(res.trace.iterates).tobytes() == np.array(xs).tobytes()
         assert np.array(res.trace.residuals).tobytes() == np.array(residuals).tobytes()
+
+    # (A, b, m, x0, max_iters): the fingerprint tool's n = 200 system (106
+    # steps), an indefinite n = 50 draw at m = 0.5 (diverges after 10),
+    # diag(2, 3) (23), the dca-divergence demo's run (diverges after 28) and
+    # a coupled n = 2 system (85)
+    WARPED_RUNS = {
+        "n200": lambda: (*_positive_definite_draw(200, 11), 2.0, None, 1000),
+        "n50-m0.5": lambda: (*_symmetric_draw(50, 11), 0.5, None, 100),
+        "diag23": lambda: (np.diag([2.0, 3.0]), np.array([1.0, -2.0]), 1.0, np.array([5.0, 5.0]), 100),
+        "diverging": lambda: (np.diag([1.0, -1.0]), np.zeros(2), 2.0, np.array([1.0, 1.0]), 1000),
+        "n2-coupled": lambda: (np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([1.0, 1.0]), 3.0, np.zeros(2), 1000),
+    }
+
+    @pytest.mark.parametrize("run", list(WARPED_RUNS))
+    def test_steps_equal_warped_steps_and_evaluate_v_once_each(self, run, monkeypatch):
+        # each step inverts at the image m x_k that the previous step
+        # returned; stepping with `warped` evaluated v(x_k) and v(x_{k+1})
+        a, b, m, x0, max_iters = self.WARPED_RUNS[run]()
+        x0 = np.zeros(a.shape[0]) if x0 is None else x0
+        cfg = solvers.SolverConfig(tol_residual=1e-10, max_iters=max_iters, trace_level=solvers.TraceLevel.FULL)
+        engine = resolvents.build_engine(ops.Affine(a, -b), ops.Scale(m, ops.Pointwise("identity")), 1.0)
+        calls = 0
+        evaluate_point = ops.evaluate_point
+
+        def counted(op, x):
+            nonlocal calls
+            calls += 1
+            return evaluate_point(op, x)
+
+        monkeypatch.setattr(ops, "evaluate_point", counted)
+        res = solvers.dca_baseline(a, b, m, x0, cfg)
+        assert res.iterations >= 3 and calls == res.iterations + 1
+        monkeypatch.setattr(ops, "evaluate_point", evaluate_point)
+        xs = [x0]
+        for _ in range(res.iterations):
+            xs.append(resolvents.warped(engine, xs[-1]).preimage)
+        assert np.array(res.trace.iterates).tobytes() == np.array(xs).tobytes()
+        assert res.trace.residuals == [linalg.norm(a @ x - b) for x in xs[1:]]
+        assert res.preimage.tobytes() == xs[-1].tobytes()
+
+    def test_complex_rhs_is_refused(self):
+        # b = (1 + 1j, 1) was cast to (1, 1), and the run returned Converged
+        with pytest.raises(ValueError, match="^complex values are not accepted, only real ones$"):
+            solvers.dca_baseline(np.eye(2), np.array([1.0 + 1.0j, 1.0]), 1.0, np.zeros(2))
 
     def test_zero_rhs_entries_differ_at_most_in_the_sign_of_zero(self):
         # where b_i = +0 and m x_i = -0, m x + b is +0 and m x - (-b + 0) is -0
@@ -1056,6 +1115,24 @@ class TestConfig:
     def test_string_schedule_is_refused(self, schedule):
         # "12" was read as the schedule (1, 2)
         with pytest.raises(ValueError, match="^gamma schedule must be a number or a sequence of numbers, got "):
+            solvers.SolverConfig(gamma_schedule=schedule)
+
+    @pytest.mark.parametrize(
+        "schedule, entry",
+        [
+            (1j, 1j),
+            (np.complex128(2.0 + 1.0j), np.complex128(2.0 + 1.0j)),
+            (np.array(2.0 + 0.0j), np.array(2.0 + 0.0j)),
+            ((1.0, 2.0 + 1.0j), 2.0 + 1.0j),
+            (("1", 2.0), "1"),
+            ((1.0, b"2"), b"2"),
+        ],
+        ids=["complex", "numpy-complex", "0-d-complex-array", "complex-entry", "str-entry", "bytes-entry"],
+    )
+    def test_complex_or_text_gamma_is_refused_by_name(self, schedule, entry):
+        # 1j was a bare TypeError from float(), np.complex128(2+1j) became
+        # (2.0,) with numpy's ComplexWarning, and ("1", 2.0) became (1.0, 2.0)
+        with pytest.raises(ValueError, match=f"^gamma must be a real number, got {re.escape(repr(entry))}$"):
             solvers.SolverConfig(gamma_schedule=schedule)
 
     @pytest.mark.parametrize("max_iters", [2.5, float("nan"), True, False], ids=["fraction", "nan", "true", "false"])
