@@ -122,7 +122,7 @@ class PairLemmaReport:
 def require_kappa(kappa: float) -> None:
     """The kernel shift rule 0 < 2 kappa < inf; NaN fails it too."""
     # 2 kappa is finite iff kappa <= max/2; no product, so a numpy scalar raises no overflow warning
-    if not 0.0 < kappa <= np.finfo(float).max / 2:
+    if not 0.0 < linalg.real_scalar("kappa", kappa) <= np.finfo(float).max / 2:
         raise ValueError(f"kappa must be positive, with 2*kappa finite, got {kappa!r}")
 
 

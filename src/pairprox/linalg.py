@@ -55,6 +55,19 @@ def as_real(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def real_scalar(name: str, value) -> float:
+    """`value` as a Python float, an integer beyond the float range as ±inf
+    for the caller's range check. A bool, a complex number (Python's, numpy's
+    or a 0-d array) and text are a ValueError naming `name`: float() would
+    read True as 1.0 and "1" as 1.0, and numpy orders a complex by its real part."""
+    if not isinstance(value, float) and np.asarray(value).dtype.kind in "bcSU":
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
@@ -347,7 +360,7 @@ def read_matrix(path) -> np.ndarray:
         flat = fh.read().split()
     if len(flat) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} entries, found {len(flat)}")
-    return np.fromiter(map(float, flat), dtype=float, count=len(flat)).reshape(rows, cols)
+    return _floats(path, flat).reshape(rows, cols)
 
 
 def write_vector(path, x: np.ndarray) -> None:
@@ -361,7 +374,16 @@ def read_vector(path) -> np.ndarray:
         toks = fh.read().split()
     if not toks:
         raise ValueError(f"{path}: empty vector file")
-    return np.fromiter(map(float, toks), dtype=float, count=len(toks))
+    return _floats(path, toks)
+
+
+def _floats(path, tokens: list[str]) -> np.ndarray:
+    """The tokens of a text file as floats, each read by float(); a token
+    that is no number is float's ValueError after the file's path."""
+    try:
+        return np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _is_number(t) -> bool:

@@ -153,8 +153,10 @@ class SignBlock(OperatorExpr):
     selector: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0.0 <= self.scale < np.inf:
+        scale = linalg.real_scalar("sign-block scale", self.scale)
+        if not 0.0 <= scale < np.inf:
             raise ValueError(f"sign-block scale must be nonnegative and finite, got {self.scale!r}")
+        object.__setattr__(self, "scale", scale)
         sel = tuple(int(i) for i in self.selector)
         if not sel or sorted(sel) != list(range(len(sel))):
             raise ValueError("selector must be a permutation of 0..n-1 with n >= 1")
@@ -238,8 +240,10 @@ class Scale(OperatorExpr):
     inner: OperatorExpr
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < np.inf:
+        gamma = linalg.real_scalar("scale factor", self.gamma)
+        if not 0.0 < gamma < np.inf:
             raise ValueError(f"scale factor must be positive and finite, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def dim(self) -> int | None:

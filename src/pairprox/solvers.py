@@ -5,8 +5,10 @@ drivers step with `resolvents.transformed` at the previous step's image v(x_n),
 so each evaluates v once per step.
 Each input rule is checked here once, before the first step: `_start`,
 `_point` (a reference, gppa2's anchor), `_unit_gamma` (DCA, applications) and
-`_gamma_entry` (each gamma of a schedule). A complex value is refused where it
-enters, not cast to its real part.
+`SolverConfig` (each gamma of a schedule, and tol_residual, through
+`linalg.real_scalar`). A complex value is refused where it enters, not cast to
+its real part. The loop, `_iterate`, reads each iterate's finiteness off the
+step norm it records, so a finite step costs no separate test.
 
 All solvers record per-iteration diagnostics driven by the residual
 u_n = (v(x_n) - v(x_{n+1})) / gamma_n   (warped iteration)
@@ -69,7 +71,7 @@ class SolverConfig:
         if isinstance(sched, (str, bytes)):
             raise ValueError(f"gamma schedule must be a number or a sequence of numbers, got {sched!r}")
         scalar = isinstance(sched, (int, float)) or np.ndim(sched) == 0
-        sched = tuple(map(_gamma_entry, (sched,) if scalar else sched))
+        sched = tuple(linalg.real_scalar("gamma", g) for g in ((sched,) if scalar else sched))
         if not sched:
             raise ValueError("gamma schedule must be nonempty")
         object.__setattr__(self, "gamma_schedule", sched)
@@ -77,22 +79,16 @@ class SolverConfig:
         for g in sched:
             if not 0.0 < g < math.inf:
                 raise ValueError(f"gamma must be positive and finite, got {g!r}")
+        tol = linalg.real_scalar("tol_residual", self.tol_residual)
         # NaN fails too: no residual would then ever be within it
-        if not self.tol_residual >= 0.0:
+        if not tol >= 0.0:
             raise ValueError(f"tol_residual must be nonnegative, got {self.tol_residual!r}")
+        object.__setattr__(self, "tol_residual", tol)
         _require_count("max_iters", self.max_iters)
 
     def gamma_at(self, n: int) -> float:
         sched = self.gamma_schedule
         return sched[n] if n < len(sched) else sched[-1]
-
-
-def _gamma_entry(g) -> float:
-    """One gamma as a float. A complex or text entry is a ValueError naming
-    it: float() would drop an imaginary part, or read "1" as 1.0."""
-    if not isinstance(g, (int, float)) and np.asarray(g).dtype.kind in "cSU":
-        raise ValueError(f"gamma must be a real number, got {g!r}")
-    return float(g)
 
 
 def _require_count(name: str, value) -> None:
@@ -195,7 +191,12 @@ def _iterate(
     `diverge_above`, when set, maps the first step's residual to the
     divergence bound. A step that overflows, raising NonFiniteIterateError
     or returning a non-finite x_next, stops the loop as Failed('Diverged')
-    without being counted. After a finite step is recorded, the first rule
+    without being counted. x_next's finiteness is read off the step norm
+    ||x - x_next||: x is finite, so a finite norm shows x_next is finite, and
+    only a norm of inf or NaN runs `linalg.all_finite` on x_next, which a
+    finite x_next whose norm overflows passes. On that last, uncounted step
+    the norm of a non-finite x_next may raise numpy's overflow warning, as
+    for x_next = (1e200, inf). After a finite step is recorded, the first rule
     that holds stops the loop: residual above the divergence bound
     (Diverged), residual within tol_residual (Converged), a step of norm
     zero (step-stalled). In the other iterations a zero step makes a zero
@@ -211,9 +212,10 @@ def _iterate(
             x_next, residual, image = step(n, x)
         except NonFiniteIterateError:
             return Status.FAILED, "Diverged", n, x, trace
-        if not linalg.all_finite(x_next):
-            return Status.FAILED, "Diverged", n, x, trace
+        # x is finite, so only a non-finite step norm leaves x_next in doubt
         dx = linalg.norm(x - x_next)
+        if not math.isfinite(dx) and not linalg.all_finite(x_next):
+            return Status.FAILED, "Diverged", n, x, trace
         if residual is None:
             residual = dx / cfg.gamma_at(n)
         trace.residuals.append(residual)
@@ -367,7 +369,7 @@ def dca_baseline(
     cfg = _unit_gamma(cfg)
     a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
     b = linalg.require_finite(linalg.as_vector(linalg.as_real(b)), "b")
-    if not 0.0 < m < math.inf:
+    if not 0.0 < linalg.real_scalar("m", m) < math.inf:
         raise ValueError(f"m must be positive and finite, got {m!r}")
     x = _start(x0)
     n = a.shape[0]

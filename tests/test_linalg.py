@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pairprox import linalg, operators
+from pairprox import applications, linalg, operators, solvers
 from pairprox.applications import QPProblem, generate_consistent_system, write_qp
 from pairprox.errors import (
     DimensionMismatchError,
@@ -613,10 +614,23 @@ class TestMatrixTextFormat:
         "read, text", [(linalg.read_matrix, "1 2\n1 abc\n"), (linalg.read_vector, "1\nabc\n")], ids=["matrix", "vector"]
     )
     def test_bad_token_is_float_own_error(self, read, text, tmp_path):
+        # float()'s message, after the file's path as in the header errors
         path = tmp_path / "bad.txt"
         path.write_text(text)
-        with pytest.raises(ValueError, match=r"^could not convert string to float: 'abc'$"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: could not convert string to float: 'abc'") + "$"):
             read(path)
+
+    def test_readers_give_the_bits_float_gives_each_token(self, tmp_path):
+        # the readers convert with numpy, which reads each token by float()'s rules
+        values = [5e-324, -5e-324, 2.2250738585072009e-308, 0.0, -0.0, np.inf, -np.inf, np.nan,
+                  1.7976931348623157e308, -1.7976931348623157e308, 0.1, -1.0 / 3.0]
+        path = tmp_path / "m.mat"
+        linalg.write_matrix(path, np.array(values).reshape(3, 4))
+        tokens = path.read_text().split()[2:]
+        expected = np.array([float(t) for t in tokens]).reshape(3, 4)
+        assert linalg.read_matrix(path).tobytes() == expected.tobytes()
+        linalg.write_vector(path, np.array(values))
+        assert linalg.read_vector(path).tobytes() == expected.reshape(-1).tobytes()
 
     def test_operator_json_text_is_unchanged(self, tmp_path):
         path = tmp_path / "op.json"
@@ -672,6 +686,50 @@ class TestRealInput:
     def test_real_values_of_any_dtype_convert_to_float(self):
         assert linalg.as_real(np.array([1, 2], dtype=np.int32)).dtype == np.float64
         assert linalg.as_matrix(np.eye(2, dtype=np.float32)).dtype == np.float64
+
+    # each site's parameter name and a call that reads the value there
+    SCALAR_SITES = {
+        "m": lambda m: solvers.dca_baseline(np.eye(2), np.ones(2), m, np.zeros(2)),
+        "kappa": applications.require_kappa,
+        "scale factor": lambda g: operators.Scale(g, operators.identity_operator(2)),
+        "sign-block scale": lambda s: operators.SignBlock(s, (0,)),
+        "tol_residual": lambda tol: solvers.SolverConfig(tol_residual=tol),
+    }
+
+    @pytest.mark.parametrize(
+        "value",
+        [1j, np.complex128(1 + 1j), np.array(1 + 0j), True, "1", b"1"],
+        ids=["complex", "numpy-complex", "0-d-complex", "bool", "str", "bytes"],
+    )
+    @pytest.mark.parametrize("name", sorted(SCALAR_SITES))
+    def test_complex_bool_and_text_scalars_are_refused(self, name, value):
+        # numpy orders a complex by its real part, so np.complex128(1 + 1j)
+        # passed each range check (DCA returned Converged, with a
+        # ComplexWarning at every step), True read as 1 and a Python complex
+        # or text was a bare TypeError from the comparison
+        with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be a real number, got {value!r}") + "$"):
+            self.SCALAR_SITES[name](value)
+
+    def test_integer_beyond_the_float_range_reads_as_inf(self):
+        # float() raised OverflowError for kappa, and Scale and SignBlock
+        # kept the integer
+        big = 10**400
+        with pytest.raises(ValueError, match="^kappa must be positive, with 2\\*kappa finite, got 1000"):
+            applications.require_kappa(big)
+        with pytest.raises(ValueError, match="^scale factor must be positive and finite, got 1000"):
+            operators.Scale(big, operators.identity_operator(2))
+        with pytest.raises(ValueError, match="^sign-block scale must be nonnegative and finite, got -1000"):
+            operators.SignBlock(-big, (0,))
+        assert solvers.SolverConfig(tol_residual=big).tol_residual == math.inf
+
+    @pytest.mark.parametrize("value", [2, np.float32(0.5), np.int64(3), np.array(2.0)], ids=["int", "float32", "int64", "0-d"])
+    def test_real_scalars_are_stored_as_floats(self, value):
+        stored = (
+            operators.Scale(value, operators.identity_operator(2)).gamma,
+            operators.SignBlock(value, (0,)).scale,
+            solvers.SolverConfig(tol_residual=value).tol_residual,
+        )
+        assert all(type(s) is float and s == float(value) for s in stored)
 
 
 class TestAllFinite:

@@ -934,6 +934,73 @@ class TestInvariants:
         assert trace.steps == trace.residuals == [0.0]
 
 
+# finite 100-step runs: (F, v) pairs and systems whose runs neither converge
+# nor stall within the cap
+STEP_CAP = solvers.SolverConfig(tol_residual=0.0, max_iters=100)
+FINITE_RUNS = {
+    "gppa": lambda: solvers.gppa(*qp_pair(np.diag([1.0, 0.01])), (0.3, -0.7), STEP_CAP),
+    "gppa1": lambda: solvers.gppa1(*qp_pair(np.diag([1.0, 0.01])), (0.3, -0.7), STEP_CAP),
+    "gppa2": lambda: solvers.gppa2(
+        *qp_pair(), (0.3, -0.7), dataclasses.replace(STEP_CAP, halpern=solvers.HalpernConfig(anchor=(1.0, 1.0)))
+    ),
+    "dca_baseline": lambda: solvers.dca_baseline(np.diag([2.0, 3.0]), np.ones(2), 100.0, np.zeros(2), STEP_CAP),
+    "least_squares_iterate": lambda: apps.least_squares_iterate(
+        np.diag([1.0, 0.01]), np.ones(2), 0.2, cfg=STEP_CAP
+    ).result,
+}
+
+
+class TestFinitenessFromStepNorm:
+    """`_iterate` reads x_next's finiteness off ||x - x_next||, which is
+    finite only for a finite x_next since x is finite, and tests x_next
+    itself only where that norm is inf or NaN."""
+
+    @pytest.mark.parametrize("solver", sorted(FINITE_RUNS))
+    def test_finite_run_makes_no_separate_test(self, solver, monkeypatch):
+        callers = []
+        all_finite = linalg.all_finite
+
+        def recorded(a):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return all_finite(a)
+
+        monkeypatch.setattr(linalg, "all_finite", recorded)
+        res = FINITE_RUNS[solver]()
+        assert (res.status, res.iterations) == (solvers.Status.MAX_ITERS, 100)
+        # the wrapper sees the other tests, `_start`'s and the resolvent's
+        assert "_start" in callers and "_iterate" not in callers
+
+    @pytest.mark.parametrize(
+        "x_next",
+        [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, np.nan), (1e200, np.inf)],
+        ids=["nan", "inf", "-inf-nan", "norm-overflows"],
+    )
+    def test_non_finite_step_is_diverged_uncounted(self, x_next):
+        cfg = solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL)
+        x = np.array([1.0, 1.0])
+        # the norm of (1 - 1e200, -inf) overflows in its dot product
+        with np.errstate(over="ignore"):
+            status, reason, iterations, last, trace = solvers._iterate(
+                cfg, x, lambda n, x: (np.array(x_next), None, x), reference=np.zeros(2)
+            )
+        assert (status, reason, iterations) == (solvers.Status.FAILED, "Diverged", 0)
+        assert last is x and np.array_equal(x, [1.0, 1.0])
+        assert trace.residuals == trace.steps == trace.seconds == trace.err_to_ref == []
+        assert len(trace.iterates) == 1
+
+    def test_finite_step_whose_norm_overflows_keeps_running(self):
+        # ||(1.5e308, 1.5e308)|| exceeds the float range, but (0, 0) is finite:
+        # the step is recorded with an infinite residual, and the next, of
+        # norm zero, converges
+        cfg = solvers.SolverConfig(tol_residual=0.0)
+        x = np.array([1.5e308, 1.5e308])
+        with np.errstate(over="ignore"):
+            status, reason, iterations, last, trace = solvers._iterate(cfg, x, lambda n, x: (np.zeros(2), None, x))
+        assert (status, reason, iterations) == (solvers.Status.CONVERGED, None, 2)
+        assert trace.steps == trace.residuals == [np.inf, 0.0]
+        assert np.array_equal(last, np.zeros(2))
+
+
 # every reachable stop path of each solver, pinned before the iteration loop
 # was shared: (status, reason, iterations); the trace holds one row per step
 STOP_CONFIGS = {
@@ -1126,12 +1193,16 @@ class TestConfig:
             ((1.0, 2.0 + 1.0j), 2.0 + 1.0j),
             (("1", 2.0), "1"),
             ((1.0, b"2"), b"2"),
+            (True, True),
+            ((2.0, np.True_), np.True_),
         ],
-        ids=["complex", "numpy-complex", "0-d-complex-array", "complex-entry", "str-entry", "bytes-entry"],
+        ids=["complex", "numpy-complex", "0-d-complex-array", "complex-entry", "str-entry", "bytes-entry",
+             "bool", "numpy-bool-entry"],
     )
     def test_complex_or_text_gamma_is_refused_by_name(self, schedule, entry):
         # 1j was a bare TypeError from float(), np.complex128(2+1j) became
-        # (2.0,) with numpy's ComplexWarning, and ("1", 2.0) became (1.0, 2.0)
+        # (2.0,) with numpy's ComplexWarning, ("1", 2.0) became (1.0, 2.0),
+        # and True became (1.0,)
         with pytest.raises(ValueError, match=f"^gamma must be a real number, got {re.escape(repr(entry))}$"):
             solvers.SolverConfig(gamma_schedule=schedule)
 
