@@ -99,6 +99,7 @@ class KappaSelection:
 
 def select_kappa(a: np.ndarray, fraction: float = DEFAULT_KAPPA_FRACTION) -> KappaSelection:
     """kappa = fraction * |alpha|, strictly inside (0, |alpha|/2) by default."""
+    fraction = linalg.real_scalar("fraction", fraction)
     if not 0.0 < fraction < 0.5:
         raise ValueError("fraction must lie in (0, 0.5)")
     alpha_abs = _smallest_nonzero_abs(linalg.jacobi_eigendecomposition(a).values)

@@ -65,7 +65,7 @@ class BenchSpec:
         if repeated:
             raise ValueError(f"sizes must be distinct, got {', '.join(map(str, repeated))} more than once")
         solvers._require_count("trials", self.trials)
-        if not self.tolerance > 0:
+        if not linalg.real_scalar("tolerance", self.tolerance) > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         if (self.kappa is None) == (self.kappa_fraction is None):
             raise ValueError("set exactly one of kappa (absolute) or kappa_fraction")
@@ -207,7 +207,7 @@ def _parse_box(text: str) -> tuple[float, float]:
 
 
 def _require_kappa_fraction(fraction: float) -> None:
-    if not 0.0 < fraction < 0.5:
+    if not 0.0 < linalg.real_scalar("--kappa-fraction", fraction) < 0.5:
         raise ValueError(f"--kappa-fraction must lie in (0, 0.5), got {fraction!r}")
 
 

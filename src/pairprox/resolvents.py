@@ -2,29 +2,33 @@
 
 Given operators F, v and a step gamma, the engine inverts (gamma*F + v)
 through a cached LU factorization (both operators affine), or, when the
-shifted operator reduces to Sign terms plus an invertible linear part, by
-one soft-threshold per coordinate (linear part diagonal) or by a table of
-sign patterns whose subsystems are factored when the engine is built.
-The build raises UnsupportedStructureError for any other pair: no generic
-inner root-finder is attempted. It raises SingularMatrixError for a
-singular affine gamma*F + v, so every engine it returns can be evaluated.
+shifted operator reduces to Sign terms plus a linear part, by one
+soft-threshold per coordinate (linear part diagonal with positive slopes)
+or, where the linear part is certified, by a table of sign patterns whose
+subsystems are factored when the engine is built. The certificate asks
+that the symmetric part of the linear term in the sign variables be
+positive definite past 1e-10 of its largest |eigenvalue|: gamma*F + v is
+then strongly and maximally monotone, so its inverse is single-valued on
+R^n, as the paper's iterations need. It is relative: diag(1e11, 1, 1)
+plus a small skew part fails it, and a unit diagonal with skew entries
++-1e13 passes. The build raises UnsupportedStructureError for an
+uncertified Sign system or any other pair (no generic root-finder is
+tried), and SingularMatrixError for a singular affine gamma*F + v, so
+every engine it returns can be evaluated.
 
-The pattern search tries the table in a fixed (+, -, 0) order and returns
-the first pattern whose x solves the inclusion for an input within the
-roundoff n*eps*(|y| + |M||x| + s) of y in the max norm; no other tolerance
-applies. The pattern that pins every row has x = 0 and needs no solve: its
-pinned residual is |y| - s, tested over Python floats. Near a kink at the
-origin every step takes it, and its image is the engine's v(0), computed on
-the first such step and copied out on each, so the build still evaluates no
-operator.
-Where the build certifies that the preimage is unique, a caller may name a
-pattern to try first, such as the one its previous step accepted; the
-result is the same point.
+The pattern search accepts a pattern whose x solves the inclusion for an
+input within the roundoff n*eps*(|y| + |M||x| + s) of y in the max norm;
+no other tolerance applies. It tries the pattern the caller names first,
+such as the one its previous step accepted, then the table in (+, -, 0)
+order; the start changes the point found by roundoff at most. The pattern
+that pins every row has x = 0 and needs no solve: its pinned residual is
+|y| - s, tested over Python floats. Near a kink at the origin every step
+takes it, and its image is the engine's v(0), computed on the first such
+step and copied out on each, so the build still evaluates no operator.
 
-An affine engine's gamma*F + v is nonsingular, so its range is R^n, and an
-accepted sign pattern satisfies the inclusion by construction; evaluations
-check nothing further per call. The structural reduction itself is
-trusted: the tests compare it with each tree's `evaluate`.
+An accepted sign pattern satisfies the inclusion by construction, and
+evaluations check nothing further per call. The structural reduction
+itself is trusted: the tests compare it with each tree's `evaluate`.
 """
 from __future__ import annotations
 
@@ -178,10 +182,6 @@ class _SignStrategy:
     offset: np.ndarray
     diagonal: np.ndarray | None  # M[i, sigma[i]] if these are M's only nonzeros, all > 0
     patterns: tuple[_SignPattern, ...]  # the nonsingular ones, in (+, -, 0) order
-    # sym(M[:, sigma]) is positive definite: u -> s*Sign(u) + M[:, sigma] u is
-    # then strongly monotone in u = x[sigma], so every input has exactly one
-    # preimage and the pattern search may start anywhere
-    unique_preimage: bool = False
 
 
 @dataclass(eq=False)
@@ -192,13 +192,6 @@ class ResolventEngine:
     dim: int
     kind: StrategyKind
     _strategy: _AffineStrategy | _SignStrategy
-
-    @property
-    def unique_preimage(self) -> bool:
-        """Whether the build proved that each input has exactly one
-        preimage: an affine system, which builds only when nonsingular, or a
-        Sign system certified as strongly monotone in its sign variables."""
-        return self.kind is StrategyKind.AFFINE_AFFINE or self._strategy.unique_preimage
 
     @functools.cached_property
     def kink_image(self) -> np.ndarray:
@@ -211,8 +204,9 @@ def build_engine(
 ) -> ResolventEngine:
     """Select an inversion strategy for gamma*F + v by pattern matching on
     the trees of F and v; no operator is evaluated. A pair that no strategy
-    inverts is an UnsupportedStructureError, a singular affine one a
-    SingularMatrixError, a non-finite one a ValueError."""
+    inverts, an uncertified Sign system among them, is an
+    UnsupportedStructureError, a singular affine one a SingularMatrixError,
+    a non-finite one a ValueError."""
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     n = f.dim if f.dim is not None else (v.dim if v.dim is not None else dim)
@@ -260,33 +254,33 @@ def _assemble_sign_strategy(
     permuted = matrix[:, sigma]
     diagonal = np.diag(permuted)
     if np.all(diagonal > 0.0) and np.all(permuted - np.diag(diagonal) == 0.0):
-        return _SignStrategy(scales, sigma, matrix, offset, diagonal, (), unique_preimage=True)
+        return _SignStrategy(scales, sigma, matrix, offset, diagonal, ())
     if n > _PATTERN_DIM_LIMIT:
         return None
-    full = linalg.lu_factorize(permuted)
-    if full.singular:
-        return None
+    # built first, so that a system whose norms or factors overflow is named as one
+    table = _pattern_table(scales, sigma, matrix)
     # halving first keeps the sum of two entries near the float maximum finite
     eig = np.linalg.eigvalsh(0.5 * permuted + 0.5 * permuted.T)
+    # sym(permuted) positive definite makes u -> s*Sign(u) + permuted u strongly
+    # monotone in u = x[sigma], so every input has exactly one preimage
     largest = np.abs(eig).max()
-    # past the roundoff n*eps*max|eig| of eig[0], sym(permuted) is positive
-    # definite, and so is the symmetric part of each kept subsystem, a
-    # principal submatrix: none is singular, however ill-conditioned. At
-    # scale 1e12 the relative pivot test dropped subsystems of condition
-    # 4e12 to 7e12, and inputs in range raised NotInRangeError
-    pivot_rtol = 0.0 if eig[0] > n * _EPS * largest else linalg.PIVOT_RTOL
-    table = _pattern_table(scales, sigma, matrix, full, pivot_rtol)
-    return _SignStrategy(
-        scales, sigma, matrix, offset, None, table, unique_preimage=bool(eig[0] > _CERTIFICATE_RTOL * largest)
-    )
+    if not eig[0] > _CERTIFICATE_RTOL * largest:
+        raise UnsupportedStructureError(
+            "(gamma*F + v)^-1 is not certified single-valued: the symmetric part of its linear term in the"
+            f" sign variables has least eigenvalue {eig[0]:.3g}, not above {_CERTIFICATE_RTOL:g} times"
+            f" its largest |eigenvalue| {largest:.3g}"
+        )
+    return _SignStrategy(scales, sigma, matrix, offset, None, table)
 
 
-def _pattern_table(scales, sigma, matrix, full, pivot_rtol=linalg.PIVOT_RTOL) -> tuple[_SignPattern, ...]:
+def _pattern_table(scales, sigma, matrix) -> tuple[_SignPattern, ...]:
     """Every sign pattern on the signed rows, in (+, -, 0) order, whose kept
-    subsystem `lu_factorize` does not flag as singular at `pivot_rtol`.
-    Patterns that pin the same rows share their kept rows, factorization and
-    pinned rows of M; `full`, the factorization of matrix[:, sigma], serves
-    every pattern that pins none."""
+    subsystem has no zero pivot. Patterns that pin the same rows share their
+    kept rows, factorization and pinned rows of M. On a certified system the
+    symmetric part of each kept subsystem, a principal submatrix of
+    sym(M[:, sigma]), is positive definite, so none is singular however
+    ill-conditioned: a relative pivot test dropped subsystems of condition
+    4e12 to 7e12 at scale 1e12, and inputs in range raised NotInRangeError."""
     signed = np.flatnonzero(scales > 0.0)
     entries = np.abs(matrix)
     norms = (float(entries.max(axis=0).sum()), float(entries.sum(axis=1).max()), float(scales.max()))
@@ -294,10 +288,7 @@ def _pattern_table(scales, sigma, matrix, full, pivot_rtol=linalg.PIVOT_RTOL) ->
     for zeros in itertools.product((False, True), repeat=signed.size):
         pinned = signed[np.array(zeros, dtype=bool)]
         rows = np.delete(np.arange(scales.size), pinned)
-        if not pinned.size:
-            fact = full
-        else:
-            fact = linalg.lu_factorize(matrix[np.ix_(rows, sigma[rows])], pivot_rtol=pivot_rtol) if rows.size else None
+        fact = linalg.lu_factorize(matrix[np.ix_(rows, sigma[rows])], pivot_rtol=0.0) if rows.size else None
         if fact is None or not fact.singular:
             shared[zeros] = (rows, sigma[rows], fact, pinned, matrix[pinned], scales[pinned])
     # column_total bounds matrix_norm; past the float maximum a norm makes
@@ -320,8 +311,9 @@ def _pattern_table(scales, sigma, matrix, full, pivot_rtol=linalg.PIVOT_RTOL) ->
 
 def _invert_sign(strategy: _SignStrategy, w: np.ndarray, start: int | None = None) -> tuple[np.ndarray, int | None]:
     """The preimage of w and the index of the table pattern that gave it
-    (None on the diagonal branch). On a certified strategy the search tries
-    pattern `start` first, when it names one; elsewhere `start` is ignored."""
+    (None on the diagonal branch). The search tries pattern `start` first,
+    when it names one. Every input is in the range of a certified system, so
+    a NotInRangeError here can come only from roundoff."""
     y = w - strategy.offset
     if strategy.diagonal is not None:
         # soft-threshold: row i gives the unique t = x[sigma[i]] with
@@ -331,7 +323,7 @@ def _invert_sign(strategy: _SignStrategy, w: np.ndarray, start: int | None = Non
         x[strategy.sigma] = np.where(y > s, y - s, np.where(y < -s, y + s, 0.0)) / strategy.diagonal
         return x, None
     order = range(len(strategy.patterns))
-    if strategy.unique_preimage and start is not None and 0 <= start < len(order):
+    if start is not None and 0 <= start < len(order):
         x = _solve_pattern(strategy.patterns[start], y)
         if x is not None:
             return x, start
@@ -418,16 +410,17 @@ def warped(engine: ResolventEngine, x: np.ndarray) -> ResolventOutput:
 
 def transformed(engine: ResolventEngine, x: np.ndarray, start_pattern: int | None = None) -> ResolventOutput:
     """v(z) with z in (gamma*F + v)^{-1}(x); fixed points are v-images of
-    zeros of F. Raises NotInRangeError when no sign pattern takes x, which
-    is then outside ran(gamma*F + v); `build_engine` refuses unsupported
-    pairs and singular affine ones.
+    zeros of F. Raises NotInRangeError when no sign pattern takes x within
+    roundoff; every engine that `build_engine` returns has range R^n, so
+    this can come only from roundoff. The build refuses unsupported pairs,
+    uncertified Sign systems and singular affine ones.
 
     z is not checked against F: the inversion solves the structural
     reduction of gamma*F + v exactly up to roundoff.
 
     `start_pattern` is a first guess for the sign pattern search, typically
-    the `pattern` of the previous output; engines with `unique_preimage`
-    try it first, others ignore it. It never changes which point is found.
+    the `pattern` of the previous output, which table engines try first. It
+    changes the point found by roundoff at most.
     """
     w = _checked_input(engine, x)
     strategy, pattern = engine._strategy, None

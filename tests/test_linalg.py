@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pairprox import applications, linalg, operators, solvers
+from pairprox import applications, cli, linalg, operators, solvers
 from pairprox.applications import QPProblem, generate_consistent_system, write_qp
 from pairprox.errors import (
     DimensionMismatchError,
@@ -694,6 +694,9 @@ class TestRealInput:
         "scale factor": lambda g: operators.Scale(g, operators.identity_operator(2)),
         "sign-block scale": lambda s: operators.SignBlock(s, (0,)),
         "tol_residual": lambda tol: solvers.SolverConfig(tol_residual=tol),
+        "fraction": lambda f: applications.select_kappa(np.diag([1.0, -1.0]), f),
+        "--kappa-fraction": lambda f: cli.BenchSpec(sizes=(4,), kappa=None, kappa_fraction=f),
+        "tolerance": lambda tol: cli.BenchSpec(sizes=(4,), tolerance=tol),
     }
 
     @pytest.mark.parametrize(

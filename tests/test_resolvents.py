@@ -68,16 +68,14 @@ class TestScalarSignAffineInverse:
         assert bisection_inverse(1.0, 2.0, 0.0, -5.0) == pytest.approx(-2.0, abs=1e-12)
         assert diagonal_inverse(1.0, 2.0, 0.0, -5.0) == pytest.approx(-2.0)
 
-    def test_nonpositive_slope_rejected(self):
+    @pytest.mark.parametrize("slope", [0.0, -2.0])
+    def test_nonpositive_slope_rejected(self, slope):
         # the diagonal branch divides by the slope, so the build takes it only
-        # for a positive one: slope 0 leaves a singular system, which no
-        # strategy inverts, and a negative slope goes to the pattern table
+        # for a positive one; a table needs a positive definite linear part,
+        # so slope 0, a singular system, and a negative slope are refused
         f = ops.SignBlock(1.0, (0,))
-        with pytest.raises(UnsupportedStructureError, match="no closed-form resolvent for F=SignBlock, v=Affine"):
-            resolvents.build_engine(f, ops.Affine(np.array([[0.0]]), np.array([0.0])), 1.0)
-        falling = resolvents.build_engine(f, ops.Affine(np.array([[-2.0]]), np.array([0.0])), 1.0)
-        assert falling.kind is resolvents.StrategyKind.SIGN_SEPARABLE
-        assert falling._strategy.diagonal is None and not falling.unique_preimage
+        with pytest.raises(UnsupportedStructureError, match=r"^\(gamma\*F \+ v\)\^-1 is not certified single-valued"):
+            resolvents.build_engine(f, ops.Affine(np.array([[slope]]), np.array([0.0])), 1.0)
 
     @given(
         st.floats(0.0, 5.0),
@@ -184,13 +182,34 @@ class TestBuildEngine:
         m = np.array([[1.5e308, 1e306, 0.0], [-1e306, 1e307, 0.0], [0.0, 1.0, 1e307]])
         f = ops.Sum((ops.SignBlock(1.0, (0, 1, 2)), ops.Affine(m)))
         engine = resolvents.build_engine(f, ops.identity_operator(3), 1.0)
-        assert engine.kind is resolvents.StrategyKind.SIGN_SEPARABLE
-        assert engine.unique_preimage
+        assert engine.kind is resolvents.StrategyKind.SIGN_SEPARABLE and engine._strategy.diagonal is None
         for w in (np.full(3, 3.0), np.array([-1e300, 2e299, 5.0]), np.zeros(3)):
             out = resolvents.transformed(engine, w)
             fz = f.evaluate(out.preimage)
             resid, tol = w - out.image, 1e-12 * (1.0 + np.abs(w))
             assert np.all(resid >= fz.lower - tol) and np.all(resid <= fz.upper + tol)
+
+    def test_certificate_is_relative(self):
+        # sym(M) = diag(1e11, 1, 1) + I is positive definite, but its least
+        # eigenvalue is 2e-11 of its largest; the build returned an engine
+        # that it could not certify as single-valued
+        skew = 1e-3 * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+        f = ops.Sum((ops.SignBlock(1.0, (0, 1, 2)), ops.Affine(np.diag([1e11, 1.0, 1.0]) + skew)))
+        with pytest.raises(
+            UnsupportedStructureError,
+            match=r"^\(gamma\*F \+ v\)\^-1 is not certified single-valued: .* least eigenvalue 2, not above 1e-10 times"
+            r" its largest \|eigenvalue\| 1e\+11$",
+        ):
+            resolvents.build_engine(f, ops.identity_operator(3), 1.0)
+
+    def test_row_scaled_system_near_the_float_maximum_is_refused(self):
+        # the engine built, and at (-1e300, 2e299, 5) the all-(+) pattern gave
+        # x_2 = -4e-307, a wrong sign that the max-norm roundoff bound of
+        # about 2e285 accepted: row 2 read 3, not 5
+        m = np.array([[-1.5e308, 1.0, 0.0], [2.0, 1e307, 0.0], [0.0, 1.0, -1e307]])
+        f = ops.Sum((ops.SignBlock(1.0, (0, 1, 2)), ops.Affine(m)))
+        with pytest.raises(UnsupportedStructureError, match="not certified single-valued"):
+            resolvents.build_engine(f, ops.identity_operator(3), 1.0)
 
     def test_trig_pair_unsupported(self):
         # refused at build: no engine exists that could fail at evaluation
@@ -332,6 +351,16 @@ AFFINE_TREES = [
 ]
 
 _SIGN_SWAP = ops.SignBlock(1.0, (1, 0))
+
+
+def _sign_kernel(perm):
+    """A kernel whose linear part is 5 I in the sign variables `perm`, plus
+    0.5 on every entry: it certifies the stack and nested trees below for
+    gamma up to 2. _V3 leaves their sym(M[:, sigma]) negative definite."""
+    linear = ops.Affine(0.5 * np.ones((3, 3)), np.array([0.0, 1.0, -1.0]))
+    return ops.Sum((ops.Scale(5.0, ops.Permutation(perm)), linear))
+
+
 SIGN_TREES = [
     # (id, F, v, Sign scale per row, variable per row or None if unsupported)
     ("sign-block", _SIGN_SWAP, ops.swap_operator(), [1.0, 1.0], [1, 0]),
@@ -352,14 +381,14 @@ SIGN_TREES = [
     (
         "stack",
         ops.Sum((ops.Stack(3, ((0, 2, _SIGN_SWAP), (2, 3, ops.Pointwise("negation")))), _PERM3)),
-        _V3,
+        _sign_kernel((1, 0, 2)),
         [1.0, 1.0, 0.0],
         [1, 0, 2],
     ),
     (
         "nested",
         ops.Scale(2.0, ops.Sum((ops.Stack(3, ((1, 3, ops.Scale(0.5, _SIGN_SWAP)),)), ops.Pointwise("identity")))),
-        _V3,
+        _sign_kernel((0, 2, 1)),
         [0.0, 1.0, 1.0],
         [0, 2, 1],
     ),
@@ -682,7 +711,7 @@ class TestTransformed:
             matrix=matrix,
             offset=np.zeros(2),
             diagonal=None,
-            patterns=resolvents._pattern_table(scales, sigma, matrix, linalg.lu_factorize(matrix[:, sigma])),
+            patterns=resolvents._pattern_table(scales, sigma, matrix),
         )
         # only the pattern pinning row 0 is solvable, and its box check fails
         assert [p.pinned.tolist() for p in strategy.patterns] == [[0]]
@@ -751,7 +780,7 @@ def _kink_engine(name):
     f, v, gamma = KINK_PAIRS[name]
     engine = resolvents.build_engine(f, v, gamma)
     strategy = engine._strategy
-    assert strategy.diagonal is None and engine.unique_preimage
+    assert strategy.diagonal is None
     kink = next(i for i, p in enumerate(strategy.patterns) if p.factorization is None)
     n = engine.dim
     boxed = [np.zeros(n), *(SplitMix64(41).uniform(8 * n, -0.99, 0.99).reshape(8, n))]
@@ -816,7 +845,7 @@ class TestKinkImage:
         f = ops.Sum((ops.SignBlock(1.0, (1, 0)), ops.Affine([[1.0, 1.0], [1.0, -1.0]], offset=(-1e308, 0.0))))
         engine = resolvents.build_engine(f, ops.swap_operator(), 1.0)
         kink = next(i for i, p in enumerate(engine._strategy.patterns) if p.factorization is None)
-        assert engine.unique_preimage and kink == 8
+        assert kink == 8
         for start in (kink, None):
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterateError):
                 resolvents.transformed(engine, np.array([1e308, 0.0]), start)
@@ -885,56 +914,31 @@ class TestPatternTable:
         assert xs, "a strongly monotone inclusion has a solution"
         assert all(np.allclose(x, xs[0], rtol=0.0, atol=1e-7) for x in xs)
 
-    def test_first_consistent_pattern_wins_where_the_preimage_is_not_unique(self):
-        # the stack tree's linear part is indefinite in its sign variables, so
-        # several patterns can be consistent; the (+, -, 0) order picks one
-        f, v = next(row[1:3] for row in SIGN_TREES if row[0] == "stack")
-        strategy = resolvents.build_engine(f, v, 2.0)._strategy
-        ambiguous = 0
-        for w in _seeded_inputs(3, 300, seed=31):
-            xs = _consistent_solutions(strategy, w)
-            ambiguous += any(not np.allclose(x, xs[0]) for x in xs)
-            assert np.array_equal(resolvents._invert_sign(strategy, w)[0], xs[0])
-        assert ambiguous > 0
-
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("row", [row for row in SIGN_TREES if row[3] is not None], ids=lambda row: row[0])
     def test_certificate(self, row, gamma):
-        # sym(B), B = M[:, sigma], is the identity on the monotone trees and
-        # has eigenvalues between -8 and -4.3 on the stack and nested trees
-        engine = resolvents.build_engine(row[1], row[2], gamma)
-        strategy = engine._strategy
+        # sym(B), B = M[:, sigma], is the identity on the sign-block and
+        # same-variable trees, and 5 I minus at most 2 gamma on the stack and
+        # nested trees, plus a semidefinite part
+        strategy = resolvents.build_engine(row[1], row[2], gamma)._strategy
         permuted = strategy.matrix[:, strategy.sigma]
-        lowest = np.linalg.eigvalsh(0.5 * (permuted + permuted.T))[0]
-        certified = row[0] in ("sign-block", "same-variable-terms-add")
-        assert engine.unique_preimage is certified
-        assert strategy.unique_preimage is certified
-        assert lowest > 0.5 if certified else -8.0 - 1e-9 <= lowest <= -4.2
+        assert np.linalg.eigvalsh(0.5 * (permuted + permuted.T))[0] > 0.5
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("name", ["stack", "nested"])
+    def test_uncertified_trees_are_refused(self, name, gamma):
+        # with _V3 as kernel, sym(B) has eigenvalues between -8 and -4.3:
+        # several sign patterns can be consistent with different x, and the
+        # first in (+, -, 0) order was returned
+        f = next(row[1] for row in SIGN_TREES if row[0] == name)
+        with pytest.raises(UnsupportedStructureError, match=r"^\(gamma\*F \+ v\)\^-1 is not certified single-valued"):
+            resolvents.build_engine(f, _V3, gamma)
 
     def test_certificate_on_other_engines(self):
-        assert qp_engine()[0].unique_preimage
+        assert qp_engine()[0].kind is resolvents.StrategyKind.AFFINE_AFFINE
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularMatrixError):
             resolvents.build_engine(ops.Affine(a), ops.Affine(a), 1.0)
-
-    @pytest.mark.parametrize("name", ["stack", "nested"])
-    def test_uncertified_engines_ignore_the_start_pattern(self, name):
-        # on the inputs where several patterns are consistent with different
-        # x, naming a later consistent pattern must not change the result
-        f, v = next(row[1:3] for row in SIGN_TREES if row[0] == name)
-        strategy = resolvents.build_engine(f, v, 2.0)._strategy
-        ambiguous = 0
-        for w in _seeded_inputs(3, 300, seed=31):
-            y = w - strategy.offset
-            consistent = [i for i, p in enumerate(strategy.patterns) if resolvents._solve_pattern(p, y) is not None]
-            first = resolvents._solve_pattern(strategy.patterns[consistent[0]], y)
-            ambiguous += any(
-                not np.allclose(resolvents._solve_pattern(strategy.patterns[i], y), first) for i in consistent
-            )
-            for start in consistent + [None, -1, len(strategy.patterns)]:
-                x, accepted = resolvents._invert_sign(strategy, w, start)
-                assert x.tobytes() == first.tobytes() and accepted == consistent[0]
-        assert ambiguous > 100
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("f, v", [row[1:] for row in MONOTONE_SIGN_PAIRS], ids=[row[0] for row in MONOTONE_SIGN_PAIRS])
@@ -943,7 +947,6 @@ class TestPatternTable:
         # consistent because some coordinate of x sits on a sign boundary
         engine = resolvents.build_engine(f, v, gamma)
         strategy = engine._strategy
-        assert strategy.unique_preimage
         grid = [np.array(p) for p in itertools.product(np.arange(-3.0, 3.5, 0.5) * gamma, repeat=2)]
         several = 0
         for w in _seeded_inputs(2, 300, seed=31) + grid:
@@ -1030,7 +1033,7 @@ class TestPatternTable:
         for matrix in (generic, np.vstack((np.eye(n)[:1], generic[1:]))):
             scales = np.where(rng.uniform(n) < 0.8, rng.uniform(n, 0.1, 2.0), 0.0)
             sigma = np.argsort(rng.uniform(n))
-            table = resolvents._pattern_table(scales, sigma, matrix, linalg.lu_factorize(matrix[:, sigma]))
+            table = resolvents._pattern_table(scales, sigma, matrix)
             reference = _pattern_by_pattern(scales, sigma, matrix)
             assert len(table) == len(reference)
             for pattern, expected in zip(table, reference):
@@ -1044,8 +1047,8 @@ class TestPatternTable:
 
 
 def _pattern_by_pattern(scales, sigma, matrix):
-    """Each nonsingular sign pattern's arrays in (+, -, 0) order, every
-    subsystem factored on its own."""
+    """Each sign pattern's arrays in (+, -, 0) order whose subsystem has no
+    zero pivot, every subsystem factored on its own."""
     signed = np.flatnonzero(scales > 0.0)
     found = []
     for pattern in itertools.product((1.0, -1.0, 0.0), repeat=signed.size):
@@ -1053,7 +1056,7 @@ def _pattern_by_pattern(scales, sigma, matrix):
         p[signed] = pattern
         pinned = signed[p[signed] == 0.0]
         rows = np.setdiff1d(np.arange(scales.size), pinned)
-        fact = linalg.lu_factorize(matrix[np.ix_(rows, sigma[rows])]) if rows.size else None
+        fact = linalg.lu_factorize(matrix[np.ix_(rows, sigma[rows])], pivot_rtol=0.0) if rows.size else None
         if fact is None or not fact.singular:
             signs = np.zeros(scales.size)
             signs[sigma] = p
@@ -1085,15 +1088,23 @@ def general_solve_pattern(pattern, y):
 
 def _seeded_sign_strategy(n, seed, all_signed, size):
     """A sign strategy on n rows from a seeded stream, with its scales and
-    normal matrix entries at magnitude `size`: every row signed, or the
-    first half of them."""
+    matrix entries at magnitude `size`: every row signed, or the first half
+    of them. M[:, sigma] is L L^T / n + 0.1 I plus a skew part, from normal
+    L and skew entries, so the build would certify it. Its table is built
+    directly: at n = 1 the build takes the soft-threshold instead."""
     rng = SplitMix64(seed)
     sigma = np.argsort(rng.uniform(n, 0.0, 1.0))
     scales = size * rng.uniform(n, 0.1, 2.0)
     if not all_signed:
         scales[(n + 1) // 2 :] = 0.0
-    matrix = size * rng.normal(n * n).reshape(n, n)
-    return resolvents._assemble_sign_strategy(scales, np.where(scales > 0.0, sigma, -1), matrix, np.zeros(n), n)
+        # rows without a Sign term take the leftover variables in increasing order
+        sigma[(n + 1) // 2 :] = np.sort(sigma[(n + 1) // 2 :])
+    low, skew = rng.normal(2 * n * n).reshape(2, n, n)
+    matrix = np.empty((n, n))
+    matrix[:, sigma] = size * (low @ low.T / n + 0.1 * np.eye(n) + skew - skew.T)
+    return resolvents._SignStrategy(
+        scales, sigma, matrix, np.zeros(n), None, resolvents._pattern_table(scales, sigma, matrix)
+    )
 
 
 def _edge_inputs(scales, count, seed):
@@ -1351,8 +1362,8 @@ class SignAffinePair:
 
 # n <= 8 is the sign-pattern table's limit. sym(M[:, sigma]) = I + scale *
 # sym(S) is definite, and the build certifies it except at scale 1e12 with
-# rank < n; certified engines let gppa and gppa1 warm-start the pattern
-# search. At scales 1e12 and 1e-6 the data are far from 1, so any absolute
+# rank < n, where it refuses the pair and the property rejects the draw.
+# At scales 1e12 and 1e-6 the data are far from 1, so any absolute
 # tolerance in _solve_pattern would be too tight at one and too loose at the
 # other; its roundoff bound scales with the data instead
 SIGN_AFFINE = st.integers(1, 8).flatmap(
@@ -1368,8 +1379,8 @@ SIGN_AFFINE = st.integers(1, 8).flatmap(
 
 
 def _supported(pair):
-    # at scale 1e12 a skew part can leave M nearly singular; the build then
-    # refuses the pair (UnsupportedStructureError), which is not a wrong answer
+    # at scale 1e12 with rank < n the build cannot certify the pair and
+    # refuses it (UnsupportedStructureError), which is not a wrong answer
     try:
         pair.engine
     except UnsupportedStructureError:
@@ -1421,7 +1432,6 @@ class TestSignAffineProperties:
         # 1e-13 to 1e-1 inside it; a certified engine has z as the only
         # preimage of w, so T(w) = v(z), and w is in range
         engine = _supported(pair).engine
-        assume(engine.unique_preimage)
         n, rng = engine.dim, pair.points
         for _ in range(8):
             zero = rng.uniform(n) < 0.5
@@ -1456,37 +1466,138 @@ class TestSignAffineProperties:
         pair = SignAffinePair([0, 2, 1, 3], 0, True, 1e12, 481)
         z, w = pair.planted_input(np.array([False, True, False, False]), np.array([0.0, 0.0, -0.99, 0.0]))
         strategy = pair.engine._strategy
-        assert strategy.unique_preimage and len(strategy.patterns) == 3**4
+        assert len(strategy.patterns) == 3**4
         out = resolvents.transformed(pair.engine, w)
         assert list(strategy.patterns[out.pattern].signs) == [-1.0, 0.0, -1.0, 1.0]
         assert np.linalg.norm(out.image - ops.evaluate_point(pair.v, z)) <= 10.0 * pair.planted_unit(w, z)
 
-    def test_ill_conditioned_subsystem_of_an_uncertified_engine(self):
+    def test_uncertified_engine_with_ill_conditioned_subsystems_is_refused(self):
         # a draw of the first property: sym(M[:, sigma]) = I + 1e12 * L L^T
-        # has eigenvalues from 1 to 7e12, too spread for the certificate but
-        # positive definite far past roundoff. Three subsystems have least
-        # singular value 1 against a largest of 4e12 to 7e12; a relative pivot
-        # test dropped their 48 patterns, and the second x raised
-        # NotInRangeError
+        # has eigenvalues from 1 to 7e12, too spread for the certificate.
+        # Three subsystems have least singular value 1 against a largest of
+        # 4e12 to 7e12; a relative pivot test dropped their 48 patterns, and
+        # a transformed input raised NotInRangeError
         pair = SignAffinePair([0, 3, 2, 1, 4], 3, False, 1e12, 115)
-        engine = pair.engine
-        assert not engine.unique_preimage and len(engine._strategy.patterns) == 3**5
-        for _ in range(2):
-            x, y = pair.points.uniform(5, -8.0, 8.0), pair.points.uniform(5, -8.0, 8.0)
-            ox, oy = resolvents.transformed(engine, x), resolvents.transformed(engine, y)
-            dx, dt = x - y, ox.image - oy.image
-            slack = 10.0 * (pair.unit(x, ox.preimage) + pair.unit(y, oy.preimage)) * np.linalg.norm(dx)
-            assert float(dt @ dt) <= float(dx @ dt) + slack
+        with pytest.raises(UnsupportedStructureError, match="not certified single-valued"):
+            pair.engine
 
     def test_pinned_row_on_its_box_bound_at_scale_1e12(self):
-        # a draw of the properties above: at step 9 the iteration reaches a
-        # kink, where the pinned pattern's residual passes its half-width s
-        # by 2.4e-4 of roundoff, more than an absolute box slack of 1e-9
-        # allows but within n*eps*(|y| + |M||x| + s), and the signed
-        # patterns miss the sign by 4.8e-5; an absolute slack raised
-        # NotInRangeError here
-        pair = SignAffinePair([0, 1, 2], 1, False, 1e12, 14666)
-        x0 = pair.points.uniform(3, -8.0, 8.0)
-        res = solvers.gppa(pair.f, pair.v, x0, solvers.SolverConfig(max_iters=50, tol_residual=0.0))
-        # it reaches an exact fixed point of T, residual 0
-        assert (res.status, res.iterations) == (solvers.Status.CONVERGED, 13)
+        # a planted input whose zero coordinate's row selects the box edge
+        # +1: the accepted pattern pins that row, and its residual passes the
+        # half-width s by 3.7e-4 of roundoff, more than an absolute box slack
+        # of 1e-9 allows but within n*eps*(|y| + |M||x| + s). A draw of rank
+        # 1 that hit such a kink in gppa is no longer built
+        pair = SignAffinePair([0, 1, 2], 3, False, 1e12, 0)
+        zero = np.array([False, False, True])
+        z, w = pair.planted_input(zero, np.array([0.0, 0.0, 1.0]))
+        out = resolvents.transformed(pair.engine, w)
+        pattern = pair.engine._strategy.patterns[out.pattern]
+        assert pattern.pinned.tolist() == [2] and out.preimage[2] == 0.0
+        y = w - pair.engine._strategy.offset
+        passed = np.abs(y[2] - pattern.pinned_matrix[0] @ out.preimage) - pattern.pinned_scales[0]
+        assert 1e-9 < passed <= resolvents._roundoff(pattern, y, out.preimage)
+        assert np.linalg.norm(out.image - ops.evaluate_point(pair.v, z)) <= 10.0 * pair.planted_unit(w, z)
+
+
+class RowScaledSign:
+    """F = SignBlock(s, perm) + Affine(m) and v = Affine(diag(c)) at step
+    gamma, from one of two scanned families, each drawn from numpy's
+    default_rng(seed) with n from 2 to 4 and s = 10^U(-4, 4):
+
+    - "row-scaled": m normal with each row scaled by 10^U(-8, 8), perm
+      random, c = 10^U(-1, 1) per coordinate. Few draws are certified;
+    - "skew": m = diag(10^U(4, 11.5), 1, ..., 1) plus B - B^T, B normal
+      scaled by 10^U(0, 13), perm the identity and c = 1. sym(gamma*m + I)
+      is then diagonal, and certified up to a first entry of about 1e10.
+
+    `certified` is the build's certificate on the array that the build
+    forms; `mu`, the least eigenvalue of sym((gamma*m + diag(c))[:, perm]),
+    is the strong monotonicity modulus of gamma*F + v in u = x[perm].
+    """
+
+    def __init__(self, m, s, perm, c, gamma, seed):
+        self.m, self.s, self.perm, self.c, self.gamma = m, s, list(perm), np.asarray(c, dtype=float), gamma
+        self.f = ops.Sum((ops.SignBlock(s, tuple(self.perm)), ops.Affine(m)))
+        self.v = ops.Affine(np.diag(self.c))
+        permuted = (gamma * m + np.diag(self.c))[:, self.perm]
+        eig = np.linalg.eigvalsh(0.5 * permuted + 0.5 * permuted.T)
+        self.certified = bool(eig[0] > resolvents._CERTIFICATE_RTOL * np.abs(eig).max())
+        self.mu = eig[0]
+        self.rng = np.random.default_rng(seed)
+
+    @classmethod
+    def draw(cls, kind, seed, gamma):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        s = 10.0 ** rng.uniform(-4.0, 4.0)
+        if kind == "row-scaled":
+            m = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, 1))
+            return cls(m, s, rng.permutation(n), 10.0 ** rng.uniform(-1.0, 1.0, n), gamma, seed)
+        b = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(0.0, 13.0)
+        m = np.diag([10.0 ** rng.uniform(4.0, 11.5)] + [1.0] * (n - 1)) + b - b.T
+        return cls(m, s, range(n), np.ones(n), gamma, seed)
+
+    def terms(self, w, x):
+        """Per row, the magnitudes |w| + gamma*(s + |m||x|) + c|x| of the
+        terms that w = gamma*F(x) + v(x) sums."""
+        return np.abs(w) + self.gamma * (self.s + np.abs(self.m) @ np.abs(x)) + self.c * np.abs(x)
+
+
+_SKEW_1E13 = np.array([[1.0, 1e13, 0.0], [-1e13, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+class TestRowScaledSignSystems:
+    @given(
+        st.builds(
+            RowScaledSign.draw,
+            st.sampled_from(["row-scaled", "skew"]),
+            st.integers(0, 2**32 - 1),
+            st.sampled_from([0.5, 1.0, 2.0]),
+        )
+    )
+    # sym(M) is the identity, so the system is certified, but the full LU's
+    # last pivot, 1, fell under a relative pivot test of 1e-12 * 1e13, and
+    # the build refused it
+    @example(RowScaledSign(_SKEW_1E13, 1.0, range(3), np.ones(3), 1.0, 0))
+    # the eighth planted input, z_0 = 0 with its row 1e-10 inside the box:
+    # the pattern that pins row 0 keeps an ill-conditioned 3x3 block, whose
+    # forward error moves row 0 past the roundoff bound, and the patterns
+    # that free x_0 return it as -1.4e-14 or 1.6e-15, a wrong sign that the
+    # bound misses by 0.3% at best. About 4e-5 of the planted inputs of
+    # certified "skew" draws end this way
+    @example(RowScaledSign.draw("skew", 1578, 1.0)).xfail(
+        raises=NotInRangeError, reason="roundoff of an ill-conditioned kept subsystem"
+    )
+    # derandomized, so that a run draws the same cases as every other run
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_certified_draws_invert_in_range_inputs_and_others_are_refused(self, case):
+        if not case.certified:
+            with pytest.raises(UnsupportedStructureError, match="not certified single-valued"):
+                resolvents.build_engine(case.f, case.v, case.gamma)
+            return
+        engine = resolvents.build_engine(case.f, case.v, case.gamma)
+        n, rng = engine.dim, case.rng
+        for _ in range(5):
+            # z free of zeros: gamma*F(z) is a point, and the preimage is z
+            z = rng.uniform(0.5, 3.0, n) * rng.choice([-1.0, 1.0], n)
+            w = case.gamma * case.f.evaluate(z).lower + ops.evaluate_point(case.v, z)
+            x = resolvents.transformed(engine, w).preimage
+            r, fx = w - ops.evaluate_point(case.v, x), case.f.evaluate(x)
+            miss = np.maximum(np.maximum(case.gamma * fx.lower - r, r - case.gamma * fx.upper), 0.0)
+            assert np.all(miss <= 1e-6 * case.terms(w, x))
+        for _ in range(8):
+            # planted zeros, whose rows select the box edge or 1e-13 to 1e-1
+            # inside it: a preimage off by roundoff may flip Sign there, so
+            # the image is measured by its distance to v(z). w' within
+            # n*eps*|terms| of w moves u = x[perm] by at most that over mu
+            z = rng.uniform(0.5, 3.0, n) * rng.choice([-1.0, 1.0], n)
+            z[rng.uniform(size=n) < 0.5] = 0.0
+            z[rng.integers(n)] = 0.0
+            depth = np.floor(rng.uniform(0.0, 14.0, n))
+            selection = rng.choice([-1.0, 1.0], n) * (1.0 - np.where(depth > 0.0, 10.0**-depth, 0.0))
+            picked = z[case.perm]
+            sel = np.where(picked == 0.0, selection, np.sign(picked))
+            w = case.gamma * (case.s * sel + case.m @ z) + case.c * z
+            image = resolvents.transformed(engine, w).image
+            bound = 10.0 * case.c.max() * n * EPS * np.linalg.norm(case.terms(w, z)) / case.mu
+            assert np.linalg.norm(image - ops.evaluate_point(case.v, z)) <= bound

@@ -14,7 +14,7 @@ from pairprox import operators as ops
 from pairprox import linalg, resolvents, solvers
 from pairprox.errors import DimensionMismatchError, NonFiniteIterateError, SingularMatrixError, UnsupportedStructureError
 from pairprox.rng import SplitMix64
-from test_resolvents import EPS, SignAffinePair
+from test_resolvents import EPS, SignAffinePair, _supported
 
 FULL = solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL)
 
@@ -206,7 +206,8 @@ class TestUnsupportedPair:
 
 
 # SignAffinePair draws of full rank: sym(P^T B) = scale * L L^T is definite,
-# so every build is certified and F has the one zero x*. At scale 1e-6, T is
+# so F has the one zero x*, and the build certifies the pair unless L is
+# nearly singular at scale 1e12, a draw that `_supported` rejects. At scale 1e-6, T is
 # within about 1e-6 of the identity and a run of 100 steps barely moves, so
 # the draws take scales 1 and 1e12 only
 def full_rank_sign_affine(max_n):
@@ -306,8 +307,7 @@ class TestGppa2:
         # p|| (1 + sigma) / sigma: the KKT test's bounds at rho = 1/(1 + sigma).
         # p solves the rounded data only within dp = delta (1 + sigma) /
         # sigma, and rounding by delta per step moves x_k by at most k delta
-        engine = pair.engine
-        assume(engine.kind is resolvents.StrategyKind.SIGN_SEPARABLE and engine.unique_preimage)
+        engine = _supported(pair).engine
         perm = pair.v.as_matrix()
         monotone_part = perm.T @ (pair.matrix - perm)
         sigma = np.linalg.eigvalsh(0.5 * (monotone_part + monotone_part.T))[0]
