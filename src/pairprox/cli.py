@@ -64,7 +64,7 @@ class BenchSpec:
         repeated = sorted({n for n in self.sizes if self.sizes.count(n) > 1})
         if repeated:
             raise ValueError(f"sizes must be distinct, got {', '.join(map(str, repeated))} more than once")
-        solvers._require_count("trials", self.trials)
+        linalg._require_count("trials", self.trials)
         if not linalg.real_scalar("tolerance", self.tolerance) > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         if (self.kappa is None) == (self.kappa_fraction is None):
@@ -78,7 +78,7 @@ class BenchSpec:
         # checked here as well as by the generator, so that a bad interval
         # ends the campaign before its first trial
         apps._check_spectrum(self.spectrum, self.zero_fraction)
-        solvers._require_count("max_iters", self.max_iters)
+        linalg._require_count("max_iters", self.max_iters)
         require_seed(self.seed)
 
 
@@ -314,8 +314,8 @@ def cmd_check_pair(args) -> int:
     f = ops.load_operator(args.f_operator)
     v = ops.load_operator(args.v_operator)
     include = [_parse_pair(p) for p in args.include_pair]
-    # products that overflow in a wide box become +-inf or NaN, which the
-    # check handles
+    # a pair whose products overflow in a wide box is no evidence either
+    # way; a box where every pair overflows is a ValueError, so exit 1
     report = ops.check_pair_monotone(f, v, box=box, samples=args.samples, seed=args.seed, include=include)
     print(f"verdict: {report.verdict.value}")
     print(f"pairs scanned: {report.samples}")

@@ -30,6 +30,7 @@ files check each value's shape here before converting it.
 from __future__ import annotations
 
 import math
+import numbers
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -66,6 +67,14 @@ def real_scalar(name: str, value) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _require_count(name: str, value) -> int:
+    """`value` if it is a count of iterations, trials or samples: an integer
+    >= 1 that is not a bool. Anything else is a ValueError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be >= 1 and an integer other than a bool, got {value!r}")
+    return value
 
 
 def as_vector(x) -> np.ndarray:

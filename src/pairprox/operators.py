@@ -397,7 +397,8 @@ def _first_minima(f: OperatorExpr, v: OperatorExpr, xs: np.ndarray, ys: np.ndarr
     Returns their count and, for <F(x)-F(y), v(x)-v(y)> and for its quotient
     by ||x-y||^2, the first strict minimum in (pair, selection product)
     order as (value, x, y, selections), or None where no value is below
-    +inf. NaN values never win, as in a scalar `<` comparison.
+    +inf. An inner product that is not finite (NaN or an overflow) is no
+    evidence and never wins, nor is its quotient by a distance that overflows.
     """
     dx2 = ((xs - ys) ** 2).sum(-1)
     keep = dx2 != 0.0
@@ -420,9 +421,10 @@ def _first_minima(f: OperatorExpr, v: OperatorExpr, xs: np.ndarray, ys: np.ndarr
     offered = (
         ofx[:, :, None, None, None] & ofy[:, None, :, None, None] & ovx[:, None, None, :, None] & ovy[:, None, None, None, :]
     ).reshape(count, -1)
+    finite = offered & np.isfinite(inner)
 
-    def first_min(values):
-        keyed = np.where(offered & ~np.isnan(values), values, np.inf)
+    def first_min(values, usable):
+        keyed = np.where(usable, values, np.inf)
         flat = int(np.argmin(keyed))
         if not keyed.flat[flat] < np.inf:
             return None
@@ -431,7 +433,7 @@ def _first_minima(f: OperatorExpr, v: OperatorExpr, xs: np.ndarray, ys: np.ndarr
         selections = tuple(_SLOTS[k][int(j)] for k, j in zip(shape[1:5], slots))
         return float(keyed.flat[flat]), xs[pair].copy(), ys[pair].copy(), selections
 
-    return count, first_min(inner), first_min(inner / dx2[:, None])
+    return count, first_min(inner, finite), first_min(inner / dx2[:, None], finite & np.isfinite(dx2)[:, None])
 
 
 def _resolve_box(
@@ -474,10 +476,11 @@ def check_pair_monotone(
     directions (kernel vectors, published counterexamples) can be pinned.
     Sample i is the pair of points that the (2i+1)-th and (2i+2)-th
     `uniform_box` calls on SplitMix64(seed) would draw. Coincident pairs are
-    skipped and not counted. Pairs are evaluated in batches; the minima and
+    skipped and not counted; products that overflow are counted as no
+    evidence. Pairs are evaluated in batches; the minima and
     witnesses are those of scanning the pairs one by one.
     """
-    if samples < 2:
+    if linalg._require_count("samples", samples) < 2:
         raise ValueError("need at least 2 samples")
     lower, upper = _resolve_box(f, v, box)
     dim = lower.size

@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -147,6 +148,7 @@ class StrategyKind(Enum):
 class _AffineStrategy:
     factorization: linalg.LUFactorization
     offset: np.ndarray  # solve M z = w - offset
+    zero_offset: bool = False  # see `_is_plus_zero`
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,13 +163,14 @@ class _SignPattern:
     # per variable, +1 if its sign must be >= 0, -1 if <= 0, else 0: the
     # sign conditions then hold when min(signs * x) >= 0
     signs: np.ndarray
-    # the next six are shared by the patterns that pin the same rows, the last three by the table
+    # the next seven are shared by the patterns that pin the same rows, the last three by the table
     rows: np.ndarray  # kept equation rows, ascending
     cols: np.ndarray  # their variables sigma[rows]
     factorization: linalg.LUFactorization | None  # of M[rows, cols]; None if no row is kept
     pinned: np.ndarray  # rows whose variable is pinned to zero
     pinned_matrix: np.ndarray  # M[pinned]
     pinned_scales: np.ndarray  # s[pinned], the box half-widths
+    pinned_floats: list[float]  # the same, as Python floats for the pattern that pins every row
     column_total: float  # sum_j max_i |M_ij|: zeroing entries |x_j| <= t moves M x by <= t * this
     matrix_norm: float  # the max norms of M and s
     scale_max: float
@@ -182,6 +185,7 @@ class _SignStrategy:
     offset: np.ndarray
     diagonal: np.ndarray | None  # M[i, sigma[i]] if these are M's only nonzeros, all > 0
     patterns: tuple[_SignPattern, ...]  # the nonsingular ones, in (+, -, 0) order
+    zero_offset: bool = False  # see `_is_plus_zero`
 
 
 @dataclass(eq=False)
@@ -232,11 +236,17 @@ def build_engine(
                 raise SingularMatrixError(
                     "gamma*F + v is singular affine; the range condition fails and no pseudo-solution is returned"
                 )
-            return ResolventEngine(v, n, StrategyKind.AFFINE_AFFINE, _AffineStrategy(fact, offset))
+            return ResolventEngine(v, n, StrategyKind.AFFINE_AFFINE, _AffineStrategy(fact, offset, _is_plus_zero(offset)))
         strategy = _assemble_sign_strategy(scales, form.sign_var, matrix, offset, n)
         if strategy is not None:
             return ResolventEngine(v, n, StrategyKind.SIGN_SEPARABLE, strategy)
     raise UnsupportedStructureError(f"no closed-form resolvent for F={type(f).__name__}, v={type(v).__name__}")
+
+
+def _is_plus_zero(offset: np.ndarray) -> bool:
+    """Whether every entry is +0, so that a step may use w for w - offset: bitwise
+    the same, NaN and -0 included. A -0 entry does not count: -0 - (-0) is +0."""
+    return not (np.any(offset) or np.any(np.signbit(offset)))
 
 
 def _assemble_sign_strategy(
@@ -254,7 +264,7 @@ def _assemble_sign_strategy(
     permuted = matrix[:, sigma]
     diagonal = np.diag(permuted)
     if np.all(diagonal > 0.0) and np.all(permuted - np.diag(diagonal) == 0.0):
-        return _SignStrategy(scales, sigma, matrix, offset, diagonal, ())
+        return _SignStrategy(scales, sigma, matrix, offset, diagonal, (), _is_plus_zero(offset))
     if n > _PATTERN_DIM_LIMIT:
         return None
     # built first, so that a system whose norms or factors overflow is named as one
@@ -270,7 +280,7 @@ def _assemble_sign_strategy(
             f" sign variables has least eigenvalue {eig[0]:.3g}, not above {_CERTIFICATE_RTOL:g} times"
             f" its largest |eigenvalue| {largest:.3g}"
         )
-    return _SignStrategy(scales, sigma, matrix, offset, None, table)
+    return _SignStrategy(scales, sigma, matrix, offset, None, table, _is_plus_zero(offset))
 
 
 def _pattern_table(scales, sigma, matrix) -> tuple[_SignPattern, ...]:
@@ -290,7 +300,7 @@ def _pattern_table(scales, sigma, matrix) -> tuple[_SignPattern, ...]:
         rows = np.delete(np.arange(scales.size), pinned)
         fact = linalg.lu_factorize(matrix[np.ix_(rows, sigma[rows])], pivot_rtol=0.0) if rows.size else None
         if fact is None or not fact.singular:
-            shared[zeros] = (rows, sigma[rows], fact, pinned, matrix[pinned], scales[pinned])
+            shared[zeros] = (rows, sigma[rows], fact, pinned, matrix[pinned], scales[pinned], scales[pinned].tolist())
     # column_total bounds matrix_norm; past the float maximum a norm makes
     # `_roundoff` inf, and `_solve_pattern` then rejects no pattern
     if not all(map(math.isfinite, norms)):
@@ -314,7 +324,7 @@ def _invert_sign(strategy: _SignStrategy, w: np.ndarray, start: int | None = Non
     (None on the diagonal branch). The search tries pattern `start` first,
     when it names one. Every input is in the range of a certified system, so
     a NotInRangeError here can come only from roundoff."""
-    y = w - strategy.offset
+    y = w if strategy.zero_offset else w - strategy.offset
     if strategy.diagonal is not None:
         # soft-threshold: row i gives the unique t = x[sigma[i]] with
         # y_i in s_i*Sign(t) + c_i*t, c_i > 0
@@ -345,11 +355,12 @@ def _solve_pattern(pattern: _SignPattern, y: np.ndarray) -> np.ndarray | None:
     the pinned residual is |y| - s, bitwise |y - M 0| - s for M finite.
     Its largest entry is taken over Python floats, cheaper on the at most
     _PATTERN_DIM_LIMIT rows and the same value provided y holds no NaN, as
-    `_invert_sign`'s y = w - offset does, both finite: an entry is at worst +-inf."""
+    `_invert_sign`'s y, w or w - offset with both finite, does: an entry is at
+    worst +-inf. y may be the caller's w, which nothing here writes."""
     x = np.zeros(y.size)
     if pattern.factorization is None:
-        # its pinned rows are all rows, in order
-        passed = max(abs(t) - s for t, s in zip(y.tolist(), pattern.pinned_scales.tolist()))
+        # its pinned rows are all rows, in order; map runs the loop in C
+        passed = max(map(operator.sub, map(abs, y.tolist()), pattern.pinned_floats))
         return None if passed > 0.0 and passed > _roundoff(pattern, y, x) else x
     x[pattern.cols] = linalg.lu_solve(pattern.factorization, y[pattern.rows] - pattern.shift)
     # ufunc reductions called directly skip ndarray.min's Python wrapper
@@ -425,7 +436,7 @@ def transformed(engine: ResolventEngine, x: np.ndarray, start_pattern: int | Non
     w = _checked_input(engine, x)
     strategy, pattern = engine._strategy, None
     if engine.kind is StrategyKind.AFFINE_AFFINE:
-        z = linalg.lu_solve(strategy.factorization, w - strategy.offset)
+        z = linalg.lu_solve(strategy.factorization, w if strategy.zero_offset else w - strategy.offset)
     else:
         z, pattern = _invert_sign(strategy, w, start_pattern)
         if pattern is not None and strategy.patterns[pattern].factorization is None:

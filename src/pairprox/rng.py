@@ -7,6 +7,7 @@ exactly, independent of numpy's global state or generator defaults.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -28,8 +29,10 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 
 def require_seed(seed: int) -> int:
-    """Return `seed` if it lies in [0, 2**64), the range of the splitmix64
-    state; raise ValueError otherwise."""
+    """Return `seed` if it is an integer, not a bool, in [0, 2**64), the range of the
+    splitmix64 state; raise ValueError otherwise (np.uint64 runs 2.5 as 2, True as 1)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer other than a bool, got {seed!r}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
     return seed

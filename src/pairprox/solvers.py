@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import numbers
 import sys
 import time
 from collections.abc import Callable
@@ -84,17 +83,11 @@ class SolverConfig:
         if not tol >= 0.0:
             raise ValueError(f"tol_residual must be nonnegative, got {self.tol_residual!r}")
         object.__setattr__(self, "tol_residual", tol)
-        _require_count("max_iters", self.max_iters)
+        linalg._require_count("max_iters", self.max_iters)
 
     def gamma_at(self, n: int) -> float:
         sched = self.gamma_schedule
         return sched[n] if n < len(sched) else sched[-1]
-
-
-def _require_count(name: str, value) -> None:
-    """An iteration or trial count: an integer >= 1 that is not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be >= 1 and an integer other than a bool, got {value!r}")
 
 
 @dataclass
@@ -205,6 +198,8 @@ def _iterate(
     whose `seconds` count from the start of the loop.
     """
     trace = _trace(cfg, x, reference)
+    # ||image - 0|| is ||image|| bitwise: subtracting a zero flips the sign of a zero at most
+    at_origin = reference is not None and not np.any(reference)
     t0 = time.perf_counter()
     bound = None
     for n in range(cfg.max_iters):
@@ -222,7 +217,7 @@ def _iterate(
         trace.steps.append(dx)
         trace.seconds.append(time.perf_counter() - t0)
         if reference is not None:
-            trace.err_to_ref.append(linalg.norm(image - reference))
+            trace.err_to_ref.append(linalg.norm(image if at_origin else image - reference))
         if trace.iterates is not None:
             trace.iterates.append(np.array(x_next, dtype=float))
         x = x_next

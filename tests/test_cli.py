@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from pairprox import applications as apps
 from pairprox import cli, linalg, operators as ops, solvers
+from pairprox.rng import SplitMix64
 
 
 BENCH_HEADER = ["n", "trial", "seed", "iters", "seconds", "ek", "status"]
@@ -706,6 +707,17 @@ class TestCheckPairCommand:
         code = cli.main(["check-pair", str(path), str(path), "--include-pair", "1,2"])
         assert code == 1
 
+    def test_box_where_every_pair_overflows_is_an_input_error(self, tmp_path, capsys):
+        # every squared distance overflows; the -inf inner products used to
+        # report a violation (exit 3) of the monotone sign-swap pair
+        f_path, v_path = tmp_path / "f.json", tmp_path / "v.json"
+        ops.save_operator(str(f_path), ops.sign_swap_operator())
+        ops.save_operator(str(v_path), ops.swap_operator())
+        assert cli.main(["check-pair", str(f_path), str(v_path), "--box", "1e308,1.7e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no pair gave a finite inner product quotient; the box is too large\n"
+
     @pytest.mark.parametrize("box", ["1", "1,2,3", "3,-3", "1,inf"])
     def test_box_must_be_a_finite_interval(self, box, tmp_path, capsys):
         path = tmp_path / "id.json"
@@ -737,6 +749,31 @@ class TestSeedRange:
         path = tmp_path / "id.json"
         ops.save_operator(str(path), ops.identity_operator(2))
         assert cli.main(["check-pair", str(path), str(path), "--samples=10", f"--seed={2**64 - 1}"]) == 0
+
+    # a float seed used to run its integer part and True ran seed 1
+    SEED_CALLS = {
+        "SplitMix64": lambda seed: SplitMix64(seed),
+        "check_pair_monotone": lambda seed: ops.check_pair_monotone(
+            ops.identity_operator(2), ops.identity_operator(2), samples=10, seed=seed
+        ),
+        "BenchSpec": lambda seed: cli.BenchSpec(sizes=(4,), seed=seed),
+    }
+
+    @pytest.mark.parametrize("seed", [2.5, 3.0, np.float64(1.0), True, False, "1", None], ids=repr)
+    @pytest.mark.parametrize("call", SEED_CALLS)
+    def test_seed_must_be_an_integer(self, call, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer other than a bool, got {re.escape(repr(seed))}$"):
+            self.SEED_CALLS[call](seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, np.int64(-1)], ids=repr)
+    @pytest.mark.parametrize("call", SEED_CALLS)
+    def test_seed_out_of_range_keeps_its_message(self, call, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must lie in [0, 2**64), got {seed!r}")):
+            self.SEED_CALLS[call](seed)
+
+    @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(7)], ids=repr)
+    def test_numpy_integer_seed_runs(self, seed):
+        assert np.array_equal(SplitMix64(seed).uniform(4), SplitMix64(int(seed)).uniform(4))
 
 
 _FLOAT_TEXT = st.one_of(

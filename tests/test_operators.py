@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -323,8 +324,59 @@ class TestPairMonotonicity:
         )
 
     def test_samples_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least 2 samples$"):
             ops.check_pair_monotone(ops.identity_operator(1), ops.identity_operator(1), samples=1)
+
+    @pytest.mark.parametrize("samples", [2.5, "10", None, True, np.float64(10.0)], ids=["fraction", "text", "none", "bool", "numpy-float"])
+    def test_samples_must_be_an_integer(self, samples):
+        # the count rule of max_iters and trials; these were a bare TypeError,
+        # or (True, 10.0) ran
+        with pytest.raises(ValueError, match=rf"^samples must be >= 1 and an integer other than a bool, got {re.escape(repr(samples))}$"):
+            ops.check_pair_monotone(ops.identity_operator(1), ops.identity_operator(1), samples=samples)
+
+    def test_numpy_integer_samples_run(self):
+        report = ops.check_pair_monotone(ops.identity_operator(2), ops.identity_operator(2), samples=np.int64(20), seed=1)
+        assert report.samples == 20
+
+    @pytest.mark.parametrize(
+        "scale, width", [(1.0, 1e200), (1e100, 1e150)], ids=["distance-overflows", "only-inner-overflows"]
+    )
+    def test_overflowing_pairs_are_no_violation(self, scale, width):
+        # each sampled pair's inner product overflows to -inf or NaN, and at
+        # width 1e200 its squared distance too: no evidence, so the box is too
+        # large, where a -inf inner product used to report a violation of a
+        # monotone pair
+        f = ops.Scale(scale, ops.sign_swap_operator())
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="the box is too large"):
+            ops.check_pair_monotone(f, ops.swap_operator(), box=(-width, width), samples=50, seed=0)
+
+    def test_quotient_by_an_overflowing_distance_is_no_evidence(self):
+        # <F(x)-F(y), x-y> = 1e-200 ||x-y||^2 is finite where ||x-y||^2 is
+        # not; the quotient used to read 0 and pass as monotone evidence
+        f, v = ops.Affine(1e-200 * np.eye(2)), ops.identity_operator(2)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="the box is too large"):
+            ops.check_pair_monotone(f, v, box=(-1e200, 1e200), samples=50, seed=0)
+
+    def test_finite_inner_product_is_evidence_where_the_distance_overflows(self):
+        f, v = ops.Affine(-1e-200 * np.eye(2)), ops.identity_operator(2)
+        with np.errstate(over="ignore"):
+            report = ops.check_pair_monotone(f, v, box=(-1e200, 1e200), samples=50, seed=0)
+        assert report.verdict is ops.Verdict.VIOLATION_FOUND
+        assert -np.inf < report.min_inner < -1e190 and report.min_quotient == np.inf
+        assert _witness_inner(f, v, report) == report.min_inner
+
+    def test_overflowing_pairs_are_counted_without_evidence(self):
+        # one finite included pair among overflowing draws decides the report
+        pair = (np.array([0.0, 1.0]), np.array([0.0, -1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = ops.check_pair_monotone(
+                ops.sign_swap_operator(), ops.swap_operator(), box=(-1e200, 1e200), samples=50, seed=0, include=[pair]
+            )
+        assert report.samples == 51
+        assert report.verdict is ops.Verdict.MONOTONE_EVIDENCE
+        # F(x) - F(y) has first entry 2 at every selection, v(x) - v(y) = (2, 0), ||x - y||^2 = 4
+        assert (report.min_inner, report.min_quotient) == (4.0, 1.0)
+        assert np.array_equal(report.witness_x, pair[0]) and np.array_equal(report.witness_y, pair[1])
 
 
 def _loop_check_pair_monotone(f, v, box=None, samples=10_000, seed=0, include=()):

@@ -743,6 +743,66 @@ class TestNonFiniteInput:
             evaluate(engine, np.array([1.0, bad]))
 
 
+# engines whose offset is all +0 from the build, so that a step may use its input w itself for w - offset
+ZERO_OFFSET_ENGINES = {
+    "affine": lambda: resolvents.build_engine(ops.Affine([[2.0, 1.0], [-1.0, 3.0]]), ops.Pointwise("identity"), 1.0, dim=2),
+    "diagonal": lambda: resolvents.build_engine(
+        ops.SignBlock(1.0, (0, 1)), ops.Scale(2.0, ops.Pointwise("identity")), 1.0, dim=2
+    ),
+    "table": lambda: sign_engine()[0],
+}
+
+
+def _with_offset(engine, offset, zero_offset):
+    """`engine` with its strategy's offset and skip flag replaced."""
+    strategy = dataclasses.replace(engine._strategy, offset=np.array(offset), zero_offset=zero_offset)
+    return dataclasses.replace(engine, _strategy=strategy)
+
+
+def _output_bits(out):
+    return out.preimage.tobytes(), out.image.tobytes(), out.pattern
+
+
+class TestOffsetSkip:
+    # a step on an offset of all +0 uses w for w - offset: x - (+0) is x
+    # bitwise, NaN and -0 included, while x - (-0) turns -0 into +0
+
+    @pytest.mark.parametrize(
+        "offset, skips",
+        [((0.0, 0.0), True), ((-0.0, -0.0), False), ((0.0, -0.0), False), ((1e-300, 0.0), False), ((np.nan, 0.0), False)],
+        ids=["plus-zero", "minus-zero", "mixed", "nonzero", "nan"],
+    )
+    def test_only_an_offset_of_plus_zeros_is_skipped(self, offset, skips):
+        assert resolvents._is_plus_zero(np.array(offset)) is skips
+
+    def test_the_build_records_the_skip(self):
+        assert all(make()._strategy.zero_offset for make in ZERO_OFFSET_ENGINES.values())
+        assert not qp_engine()[0]._strategy.zero_offset  # F(x) = Ax - b: its offset is -b = (-1, 0)
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0)], ids=["plus-zero", "minus-zero", "mixed"])
+    @pytest.mark.parametrize("kind", ZERO_OFFSET_ENGINES)
+    def test_same_bits_as_subtracting_the_offset(self, kind, offset):
+        built = ZERO_OFFSET_ENGINES[kind]()
+        engine = _with_offset(built, offset, resolvents._is_plus_zero(np.array(offset)))
+        subtracting = _with_offset(built, offset, False)
+        scales = getattr(built._strategy, "scales", np.ones(2))
+        inputs = [np.array([-0.0, -0.0]), np.array([-0.0, 0.5]), np.array([3.0, -0.0]), *_edge_inputs(scales, 60, 19)]
+        for w in inputs:
+            for start in (None, 0, 4):
+                expected = _output_bits(resolvents.transformed(subtracting, w, start))
+                assert _output_bits(resolvents.transformed(engine, w, start)) == expected
+
+    @pytest.mark.parametrize("kind", ZERO_OFFSET_ENGINES)
+    def test_the_input_is_not_written(self, kind):
+        engine = ZERO_OFFSET_ENGINES[kind]()
+        scales = getattr(engine._strategy, "scales", np.ones(2))
+        for w in [np.zeros(2), np.array([-0.0, 0.25]), *_edge_inputs(scales, 40, 23)]:
+            kept = w.copy()
+            out = resolvents.transformed(engine, w)
+            assert w.tobytes() == kept.tobytes()
+            assert not np.shares_memory(out.preimage, w) and not np.shares_memory(out.image, w)
+
+
 def _kink_pair_3d():
     # F's linear part puts sym(M[:, sigma]) at the identity, skew off it
     v = ops.Sum((ops.Permutation((2, 0, 1), (-1.0, 1.0, 1.0)), ops.Affine(np.zeros((3, 3)), offset=(0.0, 1.5, -2.0))))

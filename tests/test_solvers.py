@@ -1012,6 +1012,51 @@ STOP_CONFIGS = {
 }
 
 
+REFERENCES = {
+    "plus-zero": (0.0, 0.0),
+    "minus-zero": (-0.0, -0.0),
+    "mixed-zero": (0.0, -0.0),
+    "nonzero": (0.25, -0.0),
+    "tiny": (5e-324, 0.0),
+}
+
+
+class TestErrToRefAtOrigin:
+    """`_iterate` takes ||image|| for ||image - reference|| when no entry of
+    the reference is nonzero; the recorded bits must be the subtraction's."""
+
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_same_bits_as_subtracting_on_crafted_images(self, reference):
+        ref = np.array(REFERENCES[reference])
+        # signed zeros, a sum of squares that overflows and one that underflows
+        images = [np.array(p) for p in [(-0.0, -0.0), (-0.0, 3.0), (1e200, -1e200), (1e-170, -0.0), (-2.5, 1e-320)]]
+        cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=len(images))
+        # the norm scales a sum of squares that overflows, after numpy's warning
+        with np.errstate(over="ignore"):
+            _, _, iterations, _, trace = solvers._iterate(
+                cfg, np.zeros(2), lambda n, x: (x + 1.0, 1.0, images[n]), reference=ref
+            )
+            expected = [linalg.norm(image - ref) for image in images]
+        assert iterations == len(images)
+        assert np.array(trace.err_to_ref).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("reference", REFERENCES)
+    @pytest.mark.parametrize("solver", ["gppa1", "gppa2"])
+    def test_same_bits_as_subtracting_on_the_sign_pair(self, solver, reference):
+        # both record the image x_{n+1}, which FULL traces keep as iterates
+        ref = np.array(REFERENCES[reference])
+        cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=200, trace_level=solvers.TraceLevel.FULL)
+        f, v, x0 = ops.sign_swap_operator(), ops.swap_operator(), np.array([-0.0, 3.5])
+        if solver == "gppa1":
+            res = solvers.gppa1(f, v, x0, cfg, reference=ref)
+        else:
+            cfg = dataclasses.replace(cfg, halpern=solvers.HalpernConfig(anchor=(-0.0, 1.0)))
+            res = solvers.gppa2(f, v, x0, cfg, reference=ref)
+        expected = [linalg.norm(x - ref) for x in res.trace.iterates[1:]]
+        assert len(expected) == res.iterations > 0
+        assert np.array(res.trace.err_to_ref).tobytes() == np.array(expected).tobytes()
+
+
 class TestStopRules:
     @pytest.mark.parametrize(
         "solver, path, expected",
