@@ -148,7 +148,6 @@ class StrategyKind(Enum):
 class _AffineStrategy:
     factorization: linalg.LUFactorization
     offset: np.ndarray  # solve M z = w - offset
-    zero_offset: bool = False  # see `_is_plus_zero`
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +184,7 @@ class _SignStrategy:
     offset: np.ndarray
     diagonal: np.ndarray | None  # M[i, sigma[i]] if these are M's only nonzeros, all > 0
     patterns: tuple[_SignPattern, ...]  # the nonsingular ones, in (+, -, 0) order
-    zero_offset: bool = False  # see `_is_plus_zero`
+    zero_offset: bool  # see `_is_plus_zero`
 
 
 @dataclass(eq=False)
@@ -236,7 +235,7 @@ def build_engine(
                 raise SingularMatrixError(
                     "gamma*F + v is singular affine; the range condition fails and no pseudo-solution is returned"
                 )
-            return ResolventEngine(v, n, StrategyKind.AFFINE_AFFINE, _AffineStrategy(fact, offset, _is_plus_zero(offset)))
+            return ResolventEngine(v, n, StrategyKind.AFFINE_AFFINE, _AffineStrategy(fact, offset))
         strategy = _assemble_sign_strategy(scales, form.sign_var, matrix, offset, n)
         if strategy is not None:
             return ResolventEngine(v, n, StrategyKind.SIGN_SEPARABLE, strategy)
@@ -263,8 +262,9 @@ def _assemble_sign_strategy(
     sigma[~signed] = np.setdiff1d(np.arange(n), active)
     permuted = matrix[:, sigma]
     diagonal = np.diag(permuted)
+    zero_offset = _is_plus_zero(offset)
     if np.all(diagonal > 0.0) and np.all(permuted - np.diag(diagonal) == 0.0):
-        return _SignStrategy(scales, sigma, matrix, offset, diagonal, (), _is_plus_zero(offset))
+        return _SignStrategy(scales, sigma, matrix, offset, diagonal, (), zero_offset)
     if n > _PATTERN_DIM_LIMIT:
         return None
     # built first, so that a system whose norms or factors overflow is named as one
@@ -280,7 +280,7 @@ def _assemble_sign_strategy(
             f" sign variables has least eigenvalue {eig[0]:.3g}, not above {_CERTIFICATE_RTOL:g} times"
             f" its largest |eigenvalue| {largest:.3g}"
         )
-    return _SignStrategy(scales, sigma, matrix, offset, None, table, _is_plus_zero(offset))
+    return _SignStrategy(scales, sigma, matrix, offset, None, table, zero_offset)
 
 
 def _pattern_table(scales, sigma, matrix) -> tuple[_SignPattern, ...]:
@@ -436,7 +436,7 @@ def transformed(engine: ResolventEngine, x: np.ndarray, start_pattern: int | Non
     w = _checked_input(engine, x)
     strategy, pattern = engine._strategy, None
     if engine.kind is StrategyKind.AFFINE_AFFINE:
-        z = linalg.lu_solve(strategy.factorization, w if strategy.zero_offset else w - strategy.offset)
+        z = linalg.lu_solve(strategy.factorization, w - strategy.offset)
     else:
         z, pattern = _invert_sign(strategy, w, start_pattern)
         if pattern is not None and strategy.patterns[pattern].factorization is None:

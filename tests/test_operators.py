@@ -365,6 +365,13 @@ class TestPairMonotonicity:
         assert -np.inf < report.min_inner < -1e190 and report.min_quotient == np.inf
         assert _witness_inner(f, v, report) == report.min_inner
 
+    def test_violation_shown_only_by_an_overflowing_product_is_an_input_error(self):
+        # in 1-D a -inf inner product is one product below -DBL_MAX, a true
+        # violation; it is no evidence all the same, so the box is too large
+        f, v = ops.Affine(-np.eye(1)), ops.identity_operator(1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="the box is too large"):
+            ops.check_pair_monotone(f, v, box=(-1e200, 1e200), samples=50, seed=0)
+
     def test_overflowing_pairs_are_counted_without_evidence(self):
         # one finite included pair among overflowing draws decides the report
         pair = (np.array([0.0, 1.0]), np.array([0.0, -1.0]))

@@ -712,6 +712,7 @@ class TestTransformed:
             offset=np.zeros(2),
             diagonal=None,
             patterns=resolvents._pattern_table(scales, sigma, matrix),
+            zero_offset=True,
         )
         # only the pattern pinning row 0 is solvable, and its box check fails
         assert [p.pinned.tolist() for p in strategy.patterns] == [[0]]
@@ -743,13 +744,17 @@ class TestNonFiniteInput:
             evaluate(engine, np.array([1.0, bad]))
 
 
-# engines whose offset is all +0 from the build, so that a step may use its input w itself for w - offset
+# sign engines whose offset is all +0 from the build, so that a step may use its input w itself for w - offset
 ZERO_OFFSET_ENGINES = {
-    "affine": lambda: resolvents.build_engine(ops.Affine([[2.0, 1.0], [-1.0, 3.0]]), ops.Pointwise("identity"), 1.0, dim=2),
     "diagonal": lambda: resolvents.build_engine(
         ops.SignBlock(1.0, (0, 1)), ops.Scale(2.0, ops.Pointwise("identity")), 1.0, dim=2
     ),
     "table": lambda: sign_engine()[0],
+}
+# and an affine engine, which always subtracts its offset
+STEP_ENGINES = {
+    "affine": lambda: resolvents.build_engine(ops.Affine([[2.0, 1.0], [-1.0, 3.0]]), ops.Pointwise("identity"), 1.0, dim=2),
+    **ZERO_OFFSET_ENGINES,
 }
 
 
@@ -777,7 +782,9 @@ class TestOffsetSkip:
 
     def test_the_build_records_the_skip(self):
         assert all(make()._strategy.zero_offset for make in ZERO_OFFSET_ENGINES.values())
-        assert not qp_engine()[0]._strategy.zero_offset  # F(x) = Ax - b: its offset is -b = (-1, 0)
+        shifted = ops.Sum((ops.SignBlock(1.0, (0, 1)), ops.Affine(np.zeros((2, 2)), offset=(1.0, 0.0))))
+        engine = resolvents.build_engine(shifted, ops.Scale(2.0, ops.Pointwise("identity")), 1.0, dim=2)
+        assert engine.kind is resolvents.StrategyKind.SIGN_SEPARABLE and not engine._strategy.zero_offset
 
     @pytest.mark.parametrize("offset", [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0)], ids=["plus-zero", "minus-zero", "mixed"])
     @pytest.mark.parametrize("kind", ZERO_OFFSET_ENGINES)
@@ -785,16 +792,16 @@ class TestOffsetSkip:
         built = ZERO_OFFSET_ENGINES[kind]()
         engine = _with_offset(built, offset, resolvents._is_plus_zero(np.array(offset)))
         subtracting = _with_offset(built, offset, False)
-        scales = getattr(built._strategy, "scales", np.ones(2))
-        inputs = [np.array([-0.0, -0.0]), np.array([-0.0, 0.5]), np.array([3.0, -0.0]), *_edge_inputs(scales, 60, 19)]
+        edges = _edge_inputs(built._strategy.scales, 60, 19)
+        inputs = [np.array([-0.0, -0.0]), np.array([-0.0, 0.5]), np.array([3.0, -0.0]), *edges]
         for w in inputs:
             for start in (None, 0, 4):
                 expected = _output_bits(resolvents.transformed(subtracting, w, start))
                 assert _output_bits(resolvents.transformed(engine, w, start)) == expected
 
-    @pytest.mark.parametrize("kind", ZERO_OFFSET_ENGINES)
+    @pytest.mark.parametrize("kind", STEP_ENGINES)
     def test_the_input_is_not_written(self, kind):
-        engine = ZERO_OFFSET_ENGINES[kind]()
+        engine = STEP_ENGINES[kind]()
         scales = getattr(engine._strategy, "scales", np.ones(2))
         for w in [np.zeros(2), np.array([-0.0, 0.25]), *_edge_inputs(scales, 40, 23)]:
             kept = w.copy()
@@ -1163,7 +1170,7 @@ def _seeded_sign_strategy(n, seed, all_signed, size):
     matrix = np.empty((n, n))
     matrix[:, sigma] = size * (low @ low.T / n + 0.1 * np.eye(n) + skew - skew.T)
     return resolvents._SignStrategy(
-        scales, sigma, matrix, np.zeros(n), None, resolvents._pattern_table(scales, sigma, matrix)
+        scales, sigma, matrix, np.zeros(n), None, resolvents._pattern_table(scales, sigma, matrix), True
     )
 
 
