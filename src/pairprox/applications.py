@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import reprlib
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,13 +42,10 @@ class QPProblem:
     d: np.ndarray
 
     def __post_init__(self):
-        q = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(self.q), "Q"))
-        c = linalg.require_finite(linalg.as_vector(linalg.as_real(self.c)), "c")
-        con = linalg.as_real(self.constraint)
-        if con.ndim != 2:
-            raise DimensionMismatchError("C must be a 2-D matrix (possibly with 0 rows)")
-        linalg.require_finite(con, "C")
-        d = linalg.require_finite(linalg.as_real(self.d).reshape(-1), "d")
+        q = linalg.require_symmetric(linalg.real_array("Q", self.q, 2))
+        c = linalg.real_array("c", self.c, 1)
+        con = linalg.real_array("C", self.constraint, 2)
+        d = linalg.real_array("d", self.d, 1)
         if c.size != q.shape[0]:
             raise DimensionMismatchError("c length must match Q")
         if con.shape[1] != q.shape[0]:
@@ -97,15 +96,19 @@ class KappaSelection:
     kappa: float
 
 
-def select_kappa(a: np.ndarray, fraction: float = DEFAULT_KAPPA_FRACTION) -> KappaSelection:
-    """kappa = fraction * |alpha|, strictly inside (0, |alpha|/2) by default."""
-    fraction = linalg.real_scalar("fraction", fraction)
-    if not 0.0 < fraction < 0.5:
-        raise ValueError("fraction must lie in (0, 0.5)")
+def require_kappa_fraction(kappa_fraction: float) -> float:
+    """The rule 0 < kappa_fraction < 1/2, which keeps kappa = kappa_fraction * |alpha|
+    strictly inside (0, |alpha|/2)."""
+    return linalg.real_scalar("kappa_fraction", kappa_fraction, 0, 0.5, "()")
+
+
+def select_kappa(a: np.ndarray, kappa_fraction: float = DEFAULT_KAPPA_FRACTION) -> KappaSelection:
+    """kappa = kappa_fraction * |alpha|, strictly inside (0, |alpha|/2)."""
+    kappa_fraction = require_kappa_fraction(kappa_fraction)
     alpha_abs = _smallest_nonzero_abs(linalg.jacobi_eigendecomposition(a).values)
     if alpha_abs == 0.0:
         raise AllEigenvaluesZeroError("matrix has no eigenvalue above the zero threshold")
-    return KappaSelection(alpha_abs, fraction * alpha_abs)
+    return KappaSelection(alpha_abs, kappa_fraction * alpha_abs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,11 +123,9 @@ class PairLemmaReport:
     kappa_within_bound: bool
 
 
-def require_kappa(kappa: float) -> None:
-    """The kernel shift rule 0 < 2 kappa < inf; NaN fails it too."""
-    # 2 kappa is finite iff kappa <= max/2; no product, so a numpy scalar raises no overflow warning
-    if not 0.0 < linalg.real_scalar("kappa", kappa) <= np.finfo(float).max / 2:
-        raise ValueError(f"kappa must be positive, with 2*kappa finite, got {kappa!r}")
+def require_kappa(kappa: float) -> float:
+    """The kernel shift rule 0 < 2 kappa < inf: 2 kappa is finite iff kappa <= max/2."""
+    return linalg.real_scalar("kappa", kappa, 0, sys.float_info.max / 2, "(]")
 
 
 def verify_pair_lemma(a: np.ndarray, kappa: float) -> PairLemmaReport:
@@ -212,8 +213,8 @@ def least_squares_iterate(
     never increases and the run stops as Failed('Diverged') on gppa's bound.
     """
     cfg = solvers._unit_gamma(cfg)
-    a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
-    b = linalg.require_finite(linalg.as_vector(linalg.as_real(b)), "b")
+    a = linalg.require_symmetric(linalg.real_array("A", a, 2))
+    b = linalg.real_array("b", b, 1)
     n = a.shape[0]
     x = solvers._start(np.zeros(n) if x0 is None else x0)
     f, v = kkt_operator_pair(a, b, kappa)
@@ -260,17 +261,18 @@ def _random_orthogonal(n: int, rng: SplitMix64) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _check_spectrum(spectrum: tuple[float, float], zero_fraction: float) -> None:
-    lo, hi = spectrum
-    if not 0.0 < lo <= hi < float("inf"):
-        raise ValueError(f"spectrum interval must satisfy 0 < lo <= hi < inf, got {spectrum!r}")
-    if not 0.0 <= zero_fraction < 1.0:
-        raise ValueError(f"zero_fraction must lie in [0, 1), got {zero_fraction!r}")
+def _check_spectrum(spectrum: tuple[float, float], zero_fraction: float) -> tuple[float, float, float]:
+    """The bounds 0 < lo <= hi < inf of the absolute eigenvalues and the
+    zero fraction in [0, 1), as Python floats."""
+    if len(spectrum) != 2:
+        raise ValueError(f"spectrum must be an interval 'lo,hi', got {spectrum!r}")
+    lo = linalg.real_scalar("spectrum[0]", spectrum[0], 0, math.inf, "()")
+    hi = linalg.real_scalar("spectrum[1]", spectrum[1], lo, math.inf, "[)")
+    return lo, hi, linalg.real_scalar("zero_fraction", zero_fraction, 0, 1, "[)")
 
 
 def _spectrum(n: int, rng: SplitMix64, spectrum: tuple[float, float], zero_fraction: float) -> np.ndarray:
-    _check_spectrum(spectrum, zero_fraction)
-    lo, hi = spectrum
+    lo, hi, zero_fraction = _check_spectrum(spectrum, zero_fraction)
     k = int(round(zero_fraction * n))
     lam = np.zeros(n)
     if n > k:

@@ -56,25 +56,19 @@ class BenchSpec:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        if not self.sizes or any(n < 1 for n in self.sizes):
-            raise ValueError("sizes must be positive")
+        object.__setattr__(self, "sizes", tuple(int(linalg._require_count("sizes", n)) for n in self.sizes))
+        if not self.sizes:
+            raise ValueError("sizes must name at least one size")
         # a repeated size re-runs the same seeded trials, and every median of
         # the summary would count them twice
         repeated = sorted({n for n in self.sizes if self.sizes.count(n) > 1})
         if repeated:
             raise ValueError(f"sizes must be distinct, got {', '.join(map(str, repeated))} more than once")
         linalg._require_count("trials", self.trials)
-        if not linalg.real_scalar("tolerance", self.tolerance) > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
+        linalg.real_scalar("tolerance", self.tolerance, 0, float("inf"), "(]")
         if (self.kappa is None) == (self.kappa_fraction is None):
             raise ValueError("set exactly one of kappa (absolute) or kappa_fraction")
-        if self.kappa is not None:
-            apps.require_kappa(self.kappa)
-        if self.kappa_fraction is not None:
-            _require_kappa_fraction(self.kappa_fraction)
-        if len(self.spectrum) != 2:
-            raise ValueError(f"spectrum must be an interval 'lo,hi', got {self.spectrum!r}")
+        _check_kappa(self.kappa, self.kappa_fraction)
         # checked here as well as by the generator, so that a bad interval
         # ends the campaign before its first trial
         apps._check_spectrum(self.spectrum, self.zero_fraction)
@@ -120,7 +114,7 @@ def run_trial(spec: BenchSpec, n: int, trial: int) -> RunRecord:
         if spec.kappa is not None:
             kappa = spec.kappa
         else:
-            kappa = apps.select_kappa(system.matrix, fraction=spec.kappa_fraction).kappa
+            kappa = apps.select_kappa(system.matrix, kappa_fraction=spec.kappa_fraction).kappa
         t0 = time.perf_counter()
         sol = apps.solve_kkt(kkt, kappa, x0=np.zeros(n), cfg=cfg)
     except (PairproxError, ValueError) as exc:
@@ -206,21 +200,13 @@ def _parse_box(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _require_kappa_fraction(fraction: float) -> None:
-    if not 0.0 < linalg.real_scalar("--kappa-fraction", fraction) < 0.5:
-        raise ValueError(f"--kappa-fraction must lie in (0, 0.5), got {fraction!r}")
-
-
-def _check_solve_args(args) -> None:
-    """Reject out-of-range options before any file is read or solve runs."""
-    if args.kappa is not None:
-        apps.require_kappa(args.kappa)
-    if args.kappa_fraction is not None:
-        _require_kappa_fraction(args.kappa_fraction)
-    if not args.tol >= 0.0:
-        raise ValueError(f"--tol must be nonnegative, got {args.tol!r}")
-    if args.max_iters < 1:
-        raise ValueError(f"--max-iters must be >= 1, got {args.max_iters!r}")
+def _check_kappa(kappa: float | None, kappa_fraction: float | None) -> None:
+    """The library's rule for whichever of kappa and kappa_fraction is set.
+    The solve commands check it, and build their config, before reading any file."""
+    if kappa is not None:
+        apps.require_kappa(kappa)
+    if kappa_fraction is not None:
+        apps.require_kappa_fraction(kappa_fraction)
 
 
 def _resolve_kappa(args, matrix: np.ndarray) -> float:
@@ -236,7 +222,7 @@ def _resolve_kappa(args, matrix: np.ndarray) -> float:
             )
         return args.kappa
     fraction = args.kappa_fraction if args.kappa_fraction is not None else apps.DEFAULT_KAPPA_FRACTION
-    return apps.select_kappa(matrix, fraction=fraction).kappa
+    return apps.select_kappa(matrix, kappa_fraction=fraction).kappa
 
 
 def _last_residual(result: solvers.SolveResult) -> float:
@@ -258,11 +244,11 @@ def _finish(result: solvers.SolveResult, out: str | None, trace: str | None) -> 
 
 
 def cmd_solve_kkt(args) -> int:
-    _check_solve_args(args)
+    _check_kappa(args.kappa, args.kappa_fraction)
+    cfg = solvers.SolverConfig(tol_residual=args.tol, max_iters=args.max_iters)
     qp = apps.read_qp(args.problem)
     kkt = apps.build_kkt(qp)
     kappa = _resolve_kappa(args, kkt.matrix)
-    cfg = solvers.SolverConfig(tol_residual=args.tol, max_iters=args.max_iters)
     sol = apps.solve_kkt(kkt, kappa, cfg=cfg)
     print(f"status: {_status_label(sol.result)} after {sol.result.iterations} iterations (kappa={kappa:g})")
     print(f"final error ||Ax - b|| = {_last_residual(sol.result):.6e}")
@@ -272,11 +258,11 @@ def cmd_solve_kkt(args) -> int:
 
 
 def cmd_least_squares(args) -> int:
-    _check_solve_args(args)
+    _check_kappa(args.kappa, args.kappa_fraction)
+    cfg = solvers.SolverConfig(tol_residual=args.tol, max_iters=args.max_iters)
     a = linalg.read_matrix(args.matrix)
     b = linalg.read_vector(args.rhs)
     kappa = _resolve_kappa(args, a)
-    cfg = solvers.SolverConfig(tol_residual=args.tol, max_iters=args.max_iters)
     sol = apps.least_squares_iterate(a, b, kappa, cfg=cfg)
     res = sol.result
     print(f"status: {_status_label(res)} after {res.iterations} iterations (kappa={kappa:g})")

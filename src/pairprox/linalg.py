@@ -56,17 +56,24 @@ def as_real(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def real_scalar(name: str, value) -> float:
-    """`value` as a Python float, an integer beyond the float range as ±inf
-    for the caller's range check. A bool, a complex number (Python's, numpy's
-    or a 0-d array) and text are a ValueError naming `name`: float() would
-    read True as 1.0 and "1" as 1.0, and numpy orders a complex by its real part."""
-    if not isinstance(value, float) and np.asarray(value).dtype.kind in "bcSU":
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
+def real_scalar(name: str, value, low: float, high: float, ends: str) -> float:
+    """`value` as a Python float if it lies between `low` and `high`, each
+    end open or closed as `ends` writes it: "()", "[)", "(]" or "[]". An
+    integer beyond the float range reads as +-inf. Anything else is a
+    ValueError naming `name`: NaN, a value outside, None, a bool, a complex
+    number (Python's, numpy's or a 0-d array) and text, as float() would
+    read True and "1" as 1.0, and numpy orders a complex by its real part."""
+    x = math.nan
+    if isinstance(value, float) or np.asarray(value).dtype.kind not in "bcSU":
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf if value > 0 else -math.inf
+        except TypeError:  # None, or another object that float() cannot read
+            pass
+    if not ((low < x if ends[0] == "(" else low <= x) and (x < high if ends[1] == ")" else x <= high)):
+        raise ValueError(f"{name} must lie in {ends[0]}{low!r}, {high!r}{ends[1]}, got {value!r}")
+    return x
 
 
 def _require_count(name: str, value) -> int:
@@ -98,7 +105,17 @@ def all_finite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
-def require_finite(a: np.ndarray, name: str) -> np.ndarray:
+def real_array(name: str, value, ndim: int) -> np.ndarray:
+    """`value` as a float array of `ndim` dimensions with finite entries. A
+    complex value is `as_real`'s ValueError. A bool or text array, as
+    `real_scalar` refuses those, and a NaN or infinite entry are ValueErrors
+    naming `name`, and another ndim a DimensionMismatchError naming it."""
+    a = np.asarray(value)
+    if a.dtype.kind in "bSU":
+        raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    a = as_real(a)
+    if a.ndim != ndim:
+        raise DimensionMismatchError(f"{name} must be a {ndim}-D array, got shape {a.shape}")
     if not all_finite(a):
         raise ValueError(f"{name} has non-finite entries")
     return a
@@ -333,7 +350,7 @@ def jacobi_eigendecomposition(a: np.ndarray) -> SymmetricEigenDecomposition:
     that overflows, as for [[1e308, 1e308], [1e308, 1e308]], is a ValueError.
     """
     # LAPACK returns finite-looking eigenvalues for some NaN inputs
-    a = require_symmetric(require_finite(as_matrix(a), "matrix"))
+    a = require_symmetric(real_array("matrix", a, 2))
     # halving first keeps sums of entries near the float maximum finite;
     # halving a normal number is exact, so away from overflow and subnormals
     # this equals 0.5 * (a + a.T) bitwise

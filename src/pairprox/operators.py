@@ -153,10 +153,7 @@ class SignBlock(OperatorExpr):
     selector: tuple[int, ...]
 
     def __post_init__(self):
-        scale = linalg.real_scalar("sign-block scale", self.scale)
-        if not 0.0 <= scale < np.inf:
-            raise ValueError(f"sign-block scale must be nonnegative and finite, got {self.scale!r}")
-        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scale", linalg.real_scalar("sign-block scale", self.scale, 0, np.inf, "[)"))
         sel = tuple(int(i) for i in self.selector)
         if not sel or sorted(sel) != list(range(len(sel))):
             raise ValueError("selector must be a permutation of 0..n-1 with n >= 1")
@@ -190,7 +187,8 @@ class Permutation(OperatorExpr):
             raise ValueError("perm must be a permutation of 0..n-1 with n >= 1")
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "_picks", np.array(perm, dtype=np.intp))
-        signs = (1.0,) * len(perm) if self.signs is None else tuple(float(s) for s in self.signs)
+        signs = self.signs
+        signs = (1.0,) * len(perm) if signs is None else tuple(linalg.real_scalar("signs", s, -1, 1, "[]") for s in signs)
         if len(signs) != len(perm) or any(s not in (-1.0, 1.0) for s in signs):
             raise ValueError("signs must be +-1 per coordinate")
         object.__setattr__(self, "signs", signs)
@@ -240,10 +238,7 @@ class Scale(OperatorExpr):
     inner: OperatorExpr
 
     def __post_init__(self):
-        gamma = linalg.real_scalar("scale factor", self.gamma)
-        if not 0.0 < gamma < np.inf:
-            raise ValueError(f"scale factor must be positive and finite, got {self.gamma!r}")
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", linalg.real_scalar("scale factor", self.gamma, 0, np.inf, "()"))
 
     @property
     def dim(self) -> int | None:
@@ -446,18 +441,14 @@ def _resolve_box(
         if dim is None:
             raise DimensionMismatchError("box required when operator dimension is ambiguous")
         return np.full(dim, -10.0), np.full(dim, 10.0)
-    lower, upper = box
-    lower = np.atleast_1d(linalg.as_real(lower))
-    upper = np.atleast_1d(linalg.as_real(upper))
+    # an infinite bound would make the sampling warn
+    lower, upper = (linalg.real_array("box", np.atleast_1d(bound), 1) for bound in box)
     if lower.size == 1 and dim is not None:
         lower = np.full(dim, lower[0])
     if upper.size == 1 and dim is not None:
         upper = np.full(dim, upper[0])
     if lower.shape != upper.shape or np.any(lower > upper):
         raise ValueError("invalid sampling box")
-    # a NaN bound passes the order test, and an infinite one makes the sampling warn
-    if not (linalg.all_finite(lower) and linalg.all_finite(upper)):
-        raise ValueError(f"the sampling box must have finite bounds, got {box!r}")
     return lower, upper
 
 
@@ -573,7 +564,7 @@ def operator_from_json(doc: dict, base_dir: str = ".") -> OperatorExpr:
         if "matrix-file" in doc:
             path = os.path.join(base_dir, get(doc, "matrix-file", "string"))
             # finite, as the inline "matrix" key's "rows" shape requires
-            matrix = linalg.require_finite(linalg.read_matrix(path), f"operator matrix file {path}")
+            matrix = linalg.real_array(f"operator matrix file {path}", linalg.read_matrix(path), 2)
         elif "matrix" in doc:
             matrix = np.asarray(get(doc, "matrix", "rows"), dtype=float)
         else:

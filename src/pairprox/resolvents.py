@@ -210,8 +210,7 @@ def build_engine(
     inverts, an uncertified Sign system among them, is an
     UnsupportedStructureError, a singular affine one a SingularMatrixError,
     a non-finite one a ValueError."""
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    gamma = _require_gamma(gamma)
     n = f.dim if f.dim is not None else (v.dim if v.dim is not None else dim)
     if n is None:
         raise DimensionMismatchError("cannot infer dimension; pass dim explicitly")
@@ -240,6 +239,11 @@ def build_engine(
         if strategy is not None:
             return ResolventEngine(v, n, StrategyKind.SIGN_SEPARABLE, strategy)
     raise UnsupportedStructureError(f"no closed-form resolvent for F={type(f).__name__}, v={type(v).__name__}")
+
+
+# the step rule, which solvers.SolverConfig reads each gamma of a schedule
+# through: an infinite gamma leaves gamma*F + v non-finite
+_require_gamma = functools.partial(linalg.real_scalar, "gamma", low=0, high=math.inf, ends="()")
 
 
 def _is_plus_zero(offset: np.ndarray) -> bool:

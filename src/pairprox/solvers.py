@@ -5,10 +5,11 @@ drivers step with `resolvents.transformed` at the previous step's image v(x_n),
 so each evaluates v once per step.
 Each input rule is checked here once, before the first step: `_start`,
 `_point` (a reference, gppa2's anchor), `_unit_gamma` (DCA, applications) and
-`SolverConfig` (each gamma of a schedule, and tol_residual, through
-`linalg.real_scalar`). A complex value is refused where it enters, not cast to
-its real part. The loop, `_iterate`, reads each iterate's finiteness off the
-step norm it records, so a finite step costs no separate test.
+`SolverConfig` (each gamma of a schedule, by the rule `build_engine` reads
+too, and tol_residual, through `linalg.real_scalar`). A complex value is
+refused where it enters, not cast to its real part. The loop, `_iterate`,
+reads each iterate's finiteness off the step norm it records, so a finite
+step costs no separate test.
 
 All solvers record per-iteration diagnostics driven by the residual
 u_n = (v(x_n) - v(x_{n+1})) / gamma_n   (warped iteration)
@@ -66,23 +67,13 @@ class SolverConfig:
 
     def __post_init__(self):
         sched = self.gamma_schedule
-        # "12" is no schedule (1, 2); any real scalar, 0-d arrays included, is a constant gamma
-        if isinstance(sched, (str, bytes)):
-            raise ValueError(f"gamma schedule must be a number or a sequence of numbers, got {sched!r}")
-        scalar = isinstance(sched, (int, float)) or np.ndim(sched) == 0
-        sched = tuple(linalg.real_scalar("gamma", g) for g in ((sched,) if scalar else sched))
+        # a 0-d value, such as 2, np.array(2.0) or "12" (no schedule (1, 2)), is a constant gamma
+        scalar = isinstance(sched, float) or np.ndim(sched) == 0
+        sched = tuple(map(resolvents._require_gamma, (sched,) if scalar else sched))
         if not sched:
             raise ValueError("gamma schedule must be nonempty")
         object.__setattr__(self, "gamma_schedule", sched)
-        # NaN fails too, and an infinite gamma leaves gamma*F + v non-finite
-        for g in sched:
-            if not 0.0 < g < math.inf:
-                raise ValueError(f"gamma must be positive and finite, got {g!r}")
-        tol = linalg.real_scalar("tol_residual", self.tol_residual)
-        # NaN fails too: no residual would then ever be within it
-        if not tol >= 0.0:
-            raise ValueError(f"tol_residual must be nonnegative, got {self.tol_residual!r}")
-        object.__setattr__(self, "tol_residual", tol)
+        object.__setattr__(self, "tol_residual", linalg.real_scalar("tol_residual", self.tol_residual, 0, math.inf, "[]"))
         linalg._require_count("max_iters", self.max_iters)
 
     def gamma_at(self, n: int) -> float:
@@ -362,10 +353,9 @@ def dca_baseline(
     Non-finite or complex A or b, m outside (0, inf) and a gamma other than 1
     are ValueErrors; `build_engine` refuses a singular or overflowing A + m I."""
     cfg = _unit_gamma(cfg)
-    a = linalg.require_symmetric(linalg.require_finite(linalg.as_matrix(a), "A"))
-    b = linalg.require_finite(linalg.as_vector(linalg.as_real(b)), "b")
-    if not 0.0 < linalg.real_scalar("m", m) < math.inf:
-        raise ValueError(f"m must be positive and finite, got {m!r}")
+    a = linalg.require_symmetric(linalg.real_array("A", a, 2))
+    b = linalg.real_array("b", b, 1)
+    linalg.real_scalar("m", m, 0, math.inf, "()")
     x = _start(x0)
     n = a.shape[0]
     if b.size != n or x.size != n:

@@ -10,6 +10,8 @@ from pairprox import linalg, operators as ops, resolvents, solvers
 from pairprox.errors import AllEigenvaluesZeroError, NonFiniteIterateError, NotSymmetricError, SingularMatrixError
 from pairprox.rng import SplitMix64
 
+KAPPA_HIGH = "8.988465674311579e+307"  # the largest kappa with 2 * kappa finite, half the float maximum
+
 FULL = solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL)
 EPS = np.finfo(float).eps
 
@@ -96,6 +98,31 @@ class TestComplexData:
             apps.solve_kkt(kkt, 0.2)
 
 
+class TestGeneratorInputs:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"spectrum": (np.complex128(0.5 + 1j), 2.0)}, "spectrum[0] must lie in (0, inf), got np.complex128(0.5+1j)"),
+            ({"spectrum": (True, 2.0)}, "spectrum[0] must lie in (0, inf), got True"),
+            ({"spectrum": (0.5, np.complex128(2.0 + 1j))}, "spectrum[1] must lie in [0.5, inf), got np.complex128(2+1j)"),
+            ({"zero_fraction": np.complex128(0.1 + 1j)}, "zero_fraction must lie in [0, 1), got np.complex128(0.1+1j)"),
+            ({"spectrum": (0.5, 1.0, 2.0)}, "spectrum must be an interval 'lo,hi', got (0.5, 1.0, 2.0)"),
+        ],
+        ids=["complex-low", "bool-low", "complex-high", "complex-zero-fraction", "three-bounds"],
+    )
+    @pytest.mark.parametrize("generate", [apps.generate_consistent_system, apps.generate_inconsistent_system])
+    def test_bounds_are_read_before_any_draw(self, generate, kwargs, message, monkeypatch):
+        # the complex bound lost its imaginary part with numpy's
+        # ComplexWarning, True ran as 1, and three bounds were a bare unpacking error
+        def fail(*args, **kwargs):
+            raise AssertionError("a value was drawn for a refused input")
+
+        monkeypatch.setattr(SplitMix64, "_raw", fail)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            generate(6, 0, **kwargs)
+
+
 class TestSelectKappa:
     def test_reference_spectrum(self):
         sel = apps.select_kappa(np.diag([1.0, 0.0, -0.5]))
@@ -112,8 +139,8 @@ class TestSelectKappa:
             apps.select_kappa(np.zeros((3, 3)))
 
     def test_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            apps.select_kappa(np.eye(2), fraction=0.5)
+        with pytest.raises(ValueError, match=r"^kappa_fraction must lie in \(0, 0\.5\), got 0\.5$"):
+            apps.select_kappa(np.eye(2), kappa_fraction=0.5)
 
     def test_entries_near_the_float_maximum(self):
         # symmetrizing as 0.5 * (A + A^T) overflowed here, and every
@@ -171,7 +198,7 @@ class TestKappaRule:
     def test_kappa_out_of_range_is_rejected(self, driver, kappa):
         # these used to blame the data ("gamma*F + v overflows the float
         # range"), run a pair outside the lemma to Converged, or return a report
-        with pytest.raises(ValueError, match=r"kappa must be positive, with 2\*kappa finite, got " + re.escape(repr(kappa)) + "$"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"kappa must lie in (0, {KAPPA_HIGH}], got {kappa!r}") + "$"):
             self.DRIVERS[driver](kappa)
 
 

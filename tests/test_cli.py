@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from pairprox import applications as apps
 from pairprox import cli, linalg, operators as ops, solvers
 from pairprox.rng import SplitMix64
+from test_applications import KAPPA_HIGH
 
 
 BENCH_HEADER = ["n", "trial", "seed", "iters", "seconds", "ek", "status"]
@@ -304,8 +305,28 @@ class TestBenchCommand:
         with pytest.raises(ValueError, match=rf"{field} must be >= 1 and an integer other than a bool, got {value!r}$"):
             cli.BenchSpec(sizes=(4,), **{field: value})
 
+    @pytest.mark.parametrize("size", [2.5, "3", True, 0, np.float64(4.0)], ids=["fraction", "str", "bool", "zero", "numpy-float"])
+    def test_spec_sizes_must_be_counts(self, size):
+        # int() ran 2.5 as n = 2, "3" as n = 3 and True as n = 1
+        message = f"sizes must be >= 1 and an integer other than a bool, got {size!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            cli.BenchSpec(sizes=(4, size))
+
+    def test_spec_refuses_a_complex_zero_fraction(self, monkeypatch):
+        # it was accepted, and round() then raised a bare TypeError in generation
+        def fail(*args, **kwargs):
+            raise AssertionError("a system was generated for a refused spec")
+
+        monkeypatch.setattr(apps, "generate_consistent_system", fail)
+        with pytest.raises(ValueError, match=r"^zero_fraction must lie in \[0, 1\), got np\.complex128\(0\.1\+1j\)$"):
+            cli.BenchSpec(sizes=(4,), zero_fraction=np.complex128(0.1 + 1j))
+
+    def test_spec_sizes_are_stored_as_ints(self):
+        sizes = cli.BenchSpec(sizes=[np.int64(4), 6]).sizes
+        assert sizes == (4, 6) and all(type(n) is int for n in sizes)
+
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sizes must name at least one size$"):
             cli.BenchSpec(sizes=(), trials=1)
         with pytest.raises(ValueError):
             cli.BenchSpec(sizes=(4,), trials=0)
@@ -349,12 +370,12 @@ class TestOutOfRangeOptions:
     @pytest.mark.parametrize("name", ["solve-kkt", "least-squares", "bench"])
     def test_kappa_must_be_positive(self, name, kappa, tmp_path, capsys):
         assert cli.main([*self.command(name, tmp_path), f"--kappa={kappa}"]) == 1
-        assert "kappa must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: kappa must lie in (0, {KAPPA_HIGH}], got {float(kappa)!r}\n"
 
     @pytest.mark.parametrize("name", ["solve-kkt", "least-squares"])
     def test_negative_tol_rejected(self, name, tmp_path, capsys):
         assert cli.main([*self.command(name, tmp_path), "--tol=-1e-8"]) == 1
-        assert "--tol must be nonnegative" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: tol_residual must lie in [0, inf], got -1e-08\n"
 
     @pytest.mark.parametrize("spectrum", ["1", "0.5,1,2"])
     def test_bench_spectrum_must_be_an_interval(self, spectrum, tmp_path, capsys):
@@ -376,7 +397,7 @@ class TestOutOfRangeOptions:
     def test_max_iters_checked_before_files_are_read(self, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli.main([*argv, "--max-iters", "0"]) == 1
-        assert "--max-iters must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: max_iters must be >= 1 and an integer other than a bool, got 0\n"
 
     def test_bench_spec_rejects_max_iters(self):
         with pytest.raises(ValueError, match="max_iters"):
@@ -387,7 +408,7 @@ class TestOutOfRangeOptions:
     @pytest.mark.parametrize("name", ["solve-kkt", "least-squares", "bench"])
     def test_kappa_fraction_must_lie_in_open_interval(self, name, fraction, tmp_path, capsys):
         assert cli.main([*self.command(name, tmp_path), f"--kappa-fraction={fraction}"]) == 1
-        assert "--kappa-fraction must lie in (0, 0.5)" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: kappa_fraction must lie in (0, 0.5), got {float(fraction)!r}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -397,7 +418,7 @@ class TestOutOfRangeOptions:
     def test_kappa_fraction_checked_before_files_are_read(self, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli.main([*argv, "--kappa-fraction", "0.7"]) == 1
-        assert "--kappa-fraction must lie in (0, 0.5), got 0.7" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: kappa_fraction must lie in (0, 0.5), got 0.7\n"
 
     def test_bench_kappa_fraction_checked_before_generation(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -405,18 +426,24 @@ class TestOutOfRangeOptions:
 
         monkeypatch.setattr(apps, "generate_consistent_system", fail)
         assert cli.main(["bench", "--sizes", "4", "--trials", "1", "--kappa-fraction", "0.7"]) == 1
-        assert "--kappa-fraction must lie in (0, 0.5), got 0.7" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: kappa_fraction must lie in (0, 0.5), got 0.7\n"
 
-    @pytest.mark.parametrize(
-        "flag", ["--spectrum=2,1", "--spectrum=0,1", "--spectrum=1,inf", "--zero-fraction=1", "--zero-fraction=nan"]
-    )
+    SPECTRUM_ERRORS = {
+        "--spectrum=2,1": "spectrum[1] must lie in [2.0, inf), got 1.0",
+        "--spectrum=0,1": "spectrum[0] must lie in (0, inf), got 0.0",
+        "--spectrum=1,inf": "spectrum[1] must lie in [1.0, inf), got inf",
+        "--zero-fraction=1": "zero_fraction must lie in [0, 1), got 1.0",
+        "--zero-fraction=nan": "zero_fraction must lie in [0, 1), got nan",
+    }
+
+    @pytest.mark.parametrize("flag", list(SPECTRUM_ERRORS))
     def test_bench_spectrum_checked_before_generation(self, flag, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("a system was generated for rejected options")
 
         monkeypatch.setattr(apps, "generate_consistent_system", fail)
         assert cli.main(["bench", "--sizes", "4", "--trials", "1", flag]) == 1
-        assert re.search(r"error: (spectrum interval|zero_fraction) must", capsys.readouterr().err)
+        assert capsys.readouterr().err == f"error: {self.SPECTRUM_ERRORS[flag]}\n"
 
     def test_bench_out_checked_before_generation(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -440,7 +467,7 @@ class TestOutOfRangeOptions:
         assert "not allowed with argument" in capsys.readouterr().err
 
     def test_bench_spec_rejects_kappa_fraction(self):
-        with pytest.raises(ValueError, match=r"--kappa-fraction must lie in \(0, 0\.5\)"):
+        with pytest.raises(ValueError, match=r"^kappa_fraction must lie in \(0, 0\.5\), got 0\.7$"):
             cli.BenchSpec(sizes=(4,), kappa=None, kappa_fraction=0.7)
 
     @pytest.mark.parametrize("flags", [[], ["--kappa", "0.2"]], ids=["selected", "explicit"])
@@ -521,12 +548,12 @@ class TestMalformedFiles:
 
         monkeypatch.setattr(apps, "generate_consistent_system", fail)
         assert cli.main(["bench", "--sizes", "4", "--trials", "1", "--tol", "nan"]) == 1
-        assert capsys.readouterr().err == "error: tolerance must be positive, got nan\n"
+        assert capsys.readouterr().err == "error: tolerance must lie in (0, inf], got nan\n"
 
     def test_kappa_whose_shift_overflows_is_rejected(self, tmp_path, capsys):
         # with 2 * kappa = inf the kernel's zero entries would be 0 * inf = NaN
         assert cli.main(["least-squares", *write_least_squares_files(tmp_path), "--kappa=1e308"]) == 1
-        assert "with 2*kappa finite, got 1e+308" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: kappa must lie in (0, {KAPPA_HIGH}], got 1e+308\n"
 
 
 class TestPairLemmaWarning:

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+import pathlib
 import re
 import sys
 import tracemalloc
@@ -10,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pairprox import applications, cli, linalg, operators, solvers
+from pairprox import applications, cli, linalg, operators, resolvents, rng, solvers
 from pairprox.applications import QPProblem, generate_consistent_system, write_qp
 from pairprox.errors import (
     DimensionMismatchError,
@@ -19,9 +21,57 @@ from pairprox.errors import (
     SingularMatrixError,
 )
 from pairprox.rng import SplitMix64
+from test_applications import KAPPA_HIGH
 from test_resolvents import _kkt_type_pair
 
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "pairprox"
 KKT_EXAMPLE = np.array([[2.0, 0.0, 1.0], [0.0, 2.0, 1.0], [1.0, 1.0, 0.0]])
+
+
+def _is_float_annotation(node) -> bool:
+    """Whether an annotation is float or tuple[float, ...], or a union with
+    one of them, such as float | None."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _is_float_annotation(node.left) or _is_float_annotation(node.right)
+    if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "tuple":
+        entries = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        return all(getattr(e, "id", None) == "float" or getattr(e, "value", None) is Ellipsis for e in entries)
+    return getattr(node, "id", None) == "float"
+
+
+def _float_parameters() -> list[str]:
+    """The labels of pairprox's public parameters and dataclass fields
+    annotated float or tuple[float, ...]: of functions, of methods and of
+    the fields of classes, whose names do not start with an underscore."""
+    labels = []
+
+    def visit(label, node):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            labels.extend(f"{label}.{node.name}.{a.arg}" for a in args if a.annotation and _is_float_annotation(a.annotation))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and _is_float_annotation(item.annotation):
+                    labels.append(f"{label}.{node.name}.{item.target.id}")
+                elif isinstance(item, (ast.FunctionDef, ast.ClassDef)) and not item.name.startswith("_"):
+                    visit(f"{label}.{node.name}", item)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                visit(path.stem, node)
+    return labels
+
+
+def _catalogue_cases(sites, values, none_unsets):
+    """Each site with each bad value, but for None where None is a value of
+    the parameter and for inf where the interval holds it."""
+    return [
+        pytest.param(site, value, id=f"{site[0]}-{key}")
+        for site in sites
+        for key, value in values.items()
+        if not (value is None and site[0] in none_unsets) and not (value == math.inf and site[2].endswith("inf]"))
+    ]
 
 
 def random_spd_spectrum_matrix(n, seed, lo, hi):
@@ -687,41 +737,131 @@ class TestRealInput:
         assert linalg.as_real(np.array([1, 2], dtype=np.int32)).dtype == np.float64
         assert linalg.as_matrix(np.eye(2, dtype=np.float32)).dtype == np.float64
 
-    # each site's parameter name and a call that reads the value there
-    SCALAR_SITES = {
-        "m": lambda m: solvers.dca_baseline(np.eye(2), np.ones(2), m, np.zeros(2)),
-        "kappa": applications.require_kappa,
-        "scale factor": lambda g: operators.Scale(g, operators.identity_operator(2)),
-        "sign-block scale": lambda s: operators.SignBlock(s, (0,)),
-        "tol_residual": lambda tol: solvers.SolverConfig(tol_residual=tol),
-        "fraction": lambda f: applications.select_kappa(np.diag([1.0, -1.0]), f),
-        "--kappa-fraction": lambda f: cli.BenchSpec(sizes=(4,), kappa=None, kappa_fraction=f),
-        "tolerance": lambda tol: cli.BenchSpec(sizes=(4,), tolerance=tol),
+    # The catalogue: each public float parameter or field of pairprox, by
+    # its label "module.function.parameter" or "module.Class.field", with the
+    # name its refusal gives, the interval it must lie in and a call that
+    # reads a value there. A sequence takes the value as the entry that the
+    # label's "[i]" names, one row per entry rule.
+    SCALAR_SITES = [
+        ("applications.require_kappa.kappa", "kappa", f"(0, {KAPPA_HIGH}]", applications.require_kappa),
+        ("applications.verify_pair_lemma.kappa", "kappa", f"(0, {KAPPA_HIGH}]",
+         lambda x: applications.verify_pair_lemma(np.diag([1.0, -1.0]), x)),
+        ("applications.kkt_operator_pair.kappa", "kappa", f"(0, {KAPPA_HIGH}]",
+         lambda x: applications.kkt_operator_pair(np.eye(2), np.ones(2), x)),
+        ("applications.solve_kkt.kappa", "kappa", f"(0, {KAPPA_HIGH}]",
+         lambda x: applications.solve_kkt(applications.KKTSystem(np.eye(2), np.ones(2), 1), x)),
+        ("applications.least_squares_iterate.kappa", "kappa", f"(0, {KAPPA_HIGH}]",
+         lambda x: applications.least_squares_iterate(np.eye(2), np.ones(2), x)),
+        ("applications.require_kappa_fraction.kappa_fraction", "kappa_fraction", "(0, 0.5)",
+         applications.require_kappa_fraction),
+        ("applications.select_kappa.kappa_fraction", "kappa_fraction", "(0, 0.5)",
+         lambda x: applications.select_kappa(np.diag([1.0, -1.0]), x)),
+        *(
+            row
+            for generate in ("generate_consistent_system", "generate_inconsistent_system")
+            for row in (
+                (f"applications.{generate}.spectrum[0]", "spectrum[0]", "(0, inf)",
+                 lambda x, g=generate: getattr(applications, g)(6, 0, spectrum=(x, 2.0))),
+                (f"applications.{generate}.spectrum[1]", "spectrum[1]", "[0.5, inf)",
+                 lambda x, g=generate: getattr(applications, g)(6, 0, spectrum=(0.5, x))),
+                (f"applications.{generate}.zero_fraction", "zero_fraction", "[0, 1)",
+                 lambda x, g=generate: getattr(applications, g)(6, 0, zero_fraction=x)),
+            )
+        ),
+        ("cli.BenchSpec.kappa", "kappa", f"(0, {KAPPA_HIGH}]", lambda x: cli.BenchSpec(sizes=(4,), kappa=x)),
+        ("cli.BenchSpec.kappa_fraction", "kappa_fraction", "(0, 0.5)",
+         lambda x: cli.BenchSpec(sizes=(4,), kappa=None, kappa_fraction=x)),
+        ("cli.BenchSpec.tolerance", "tolerance", "(0, inf]", lambda x: cli.BenchSpec(sizes=(4,), tolerance=x)),
+        ("cli.BenchSpec.spectrum[0]", "spectrum[0]", "(0, inf)", lambda x: cli.BenchSpec(sizes=(4,), spectrum=(x, 2.0))),
+        ("cli.BenchSpec.spectrum[1]", "spectrum[1]", "[0.5, inf)", lambda x: cli.BenchSpec(sizes=(4,), spectrum=(0.5, x))),
+        ("cli.BenchSpec.zero_fraction", "zero_fraction", "[0, 1)", lambda x: cli.BenchSpec(sizes=(4,), zero_fraction=x)),
+        ("operators.SignBlock.scale", "sign-block scale", "[0, inf)", lambda x: operators.SignBlock(x, (0,))),
+        ("operators.Scale.gamma", "scale factor", "(0, inf)", lambda x: operators.Scale(x, operators.identity_operator(2))),
+        ("operators.Permutation.signs[0]", "signs", "[-1, 1]", lambda x: operators.Permutation((1, 0), (x, 1.0))),
+        ("resolvents.build_engine.gamma", "gamma", "(0, inf)",
+         lambda x: resolvents.build_engine(operators.Affine(np.eye(2)), operators.identity_operator(2), x, dim=2)),
+        ("solvers.SolverConfig.gamma_schedule", "gamma", "(0, inf)", lambda x: solvers.SolverConfig(gamma_schedule=x)),
+        ("solvers.SolverConfig.gamma_schedule[1]", "gamma", "(0, inf)", lambda x: solvers.SolverConfig(gamma_schedule=(1.0, x))),
+        ("solvers.SolverConfig.tol_residual", "tol_residual", "[0, inf]", lambda x: solvers.SolverConfig(tol_residual=x)),
+        ("solvers.dca_baseline.m", "m", "(0, inf)", lambda x: solvers.dca_baseline(np.eye(2), np.ones(2), x, np.zeros(2))),
+    ]
+    # public float parameters and fields outside the catalogue, each with its reason
+    NOT_READ = {
+        **dict.fromkeys(
+            [
+                "applications.KappaSelection.alpha_abs", "applications.KappaSelection.kappa",
+                "applications.PairLemmaReport.min_value", "applications.PairLemmaReport.kappa",
+                "applications.PairLemmaReport.alpha_abs", "applications.GeneratedSystem.range_distance",
+                "cli.RunRecord.seconds", "cli.RunRecord.ek",
+                "operators.PairMonotonicityReport.min_quotient", "operators.PairMonotonicityReport.min_inner",
+            ],
+            "a field of an output record, which the library fills",
+        ),
+        "linalg.real_scalar.low": "an end of the interval that the reader itself checks against",
+        "linalg.real_scalar.high": "an end of the interval that the reader itself checks against",
+        "linalg.lu_factorize.pivot_rtol": "a threshold of the factorization: the library passes its default or 0.0",
+        "rng.SplitMix64.uniform.low": "a bound of a draw: its only caller passes a spectrum bound it has read",
+        "rng.SplitMix64.uniform.high": "a bound of a draw: its only caller passes a spectrum bound it has read",
+        "solvers.HalpernConfig.anchor": "a point, which solvers._point reads as an array of the start's shape",
+    }
+    # where None is a value of the parameter: no kappa, or no kappa fraction
+    NONE_UNSETS = {"cli.BenchSpec.kappa", "cli.BenchSpec.kappa_fraction"}
+    BAD_VALUES = {
+        "complex": 1j,
+        "numpy-complex": np.complex128(1 + 1j),
+        "0-d-complex": np.array(1 + 0j),
+        "str": "1",
+        "bytes": b"1",
+        "bool": True,
+        "nan": math.nan,
+        "inf": math.inf,
+        "-inf": -math.inf,
+        "None": None,
     }
 
-    @pytest.mark.parametrize(
-        "value",
-        [1j, np.complex128(1 + 1j), np.array(1 + 0j), True, "1", b"1"],
-        ids=["complex", "numpy-complex", "0-d-complex", "bool", "str", "bytes"],
-    )
-    @pytest.mark.parametrize("name", sorted(SCALAR_SITES))
-    def test_complex_bool_and_text_scalars_are_refused(self, name, value):
-        # numpy orders a complex by its real part, so np.complex128(1 + 1j)
-        # passed each range check (DCA returned Converged, with a
-        # ComplexWarning at every step), True read as 1 and a Python complex
-        # or text was a bare TypeError from the comparison
-        with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be a real number, got {value!r}") + "$"):
-            self.SCALAR_SITES[name](value)
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work ran on a refused value")
+
+        monkeypatch.setattr(operators.OperatorExpr, "evaluate", fail)
+        monkeypatch.setattr(resolvents, "_try_sign_affine", fail)
+        monkeypatch.setattr(linalg, "jacobi_eigendecomposition", fail)
+        monkeypatch.setattr(rng.SplitMix64, "_raw", fail)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("site, value", _catalogue_cases(SCALAR_SITES, BAD_VALUES, NONE_UNSETS))
+    def test_bad_scalar_is_refused_by_name(self, site, value, no_work):
+        # before the interval, numpy complex scalars passed the range checks
+        # of m, kappa, Scale, SignBlock and tol_residual; build_engine ran at
+        # gamma = 1 for np.complex128(1+1j) and for True; the generators ran
+        # np.complex128(0.5+1j) and True as spectrum bounds; BenchSpec took a
+        # complex zero_fraction and failed in generation
+        _, name, interval, call = site
+        with pytest.raises(ValueError, match="^" + re.escape(f"{name} must lie in {interval}, got {value!r}") + "$"):
+            call(value)
+
+    def test_every_public_float_parameter_is_catalogued(self):
+        labels = set(_float_parameters())
+        catalogued = {row[0].partition("[")[0] for row in self.SCALAR_SITES}
+        assert not catalogued & set(self.NOT_READ)
+        known = catalogued | set(self.NOT_READ)
+        # a catalogued or exempted label that is gone is stale too
+        assert labels == known, (
+            f"not catalogued: {sorted(labels - known)}, stale: {sorted(known - labels)}; a public parameter or field"
+            " annotated float or tuple[float, ...] must be read through linalg.real_scalar and added to"
+            " SCALAR_SITES, or be listed in NOT_READ with a reason"
+        )
 
     def test_integer_beyond_the_float_range_reads_as_inf(self):
         # float() raised OverflowError for kappa, and Scale and SignBlock
         # kept the integer
         big = 10**400
-        with pytest.raises(ValueError, match="^kappa must be positive, with 2\\*kappa finite, got 1000"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"kappa must lie in (0, {KAPPA_HIGH}], got {big}") + "$"):
             applications.require_kappa(big)
-        with pytest.raises(ValueError, match="^scale factor must be positive and finite, got 1000"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"scale factor must lie in (0, inf), got {big}") + "$"):
             operators.Scale(big, operators.identity_operator(2))
-        with pytest.raises(ValueError, match="^sign-block scale must be nonnegative and finite, got -1000"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"sign-block scale must lie in [0, inf), got {-big}") + "$"):
             operators.SignBlock(-big, (0,))
         assert solvers.SolverConfig(tol_residual=big).tol_residual == math.inf
 

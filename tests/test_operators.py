@@ -512,7 +512,7 @@ class TestBatchedCheckMatchesLoop:
     def test_non_finite_box_is_refused_by_name(self, box):
         # a NaN bound passed the order test, and the report said the box was
         # too large; an infinite one made numpy warn on inf - inf first
-        with pytest.raises(ValueError, match="^the sampling box must have finite bounds, got "):
+        with pytest.raises(ValueError, match="^box has non-finite entries$"):
             ops.check_pair_monotone(ops.sign_swap_operator(), ops.swap_operator(), box=box, samples=10)
 
     @pytest.mark.parametrize(
@@ -524,6 +524,20 @@ class TestBatchedCheckMatchesLoop:
         # a complex scalar bound was a bare TypeError from the float cast,
         # and a complex array was cast to its real part
         with pytest.raises(ValueError, match="^complex values are not accepted, only real ones$"):
+            ops.check_pair_monotone(ops.sign_swap_operator(), ops.swap_operator(), box=box, samples=10)
+
+    @pytest.mark.parametrize(
+        "box, dtype",
+        [((True, 2), "bool"), ((-1.0, np.array([True, True])), "bool"), (("0", 2.0), "<U1")],
+        ids=["bool", "per-coordinate-bool", "str"],
+    )
+    def test_bool_or_text_box_is_refused_before_any_draw(self, box, dtype, monkeypatch):
+        # (True, 2) sampled the box [1, 2], and ("0", 2.0) the box [0, 2]
+        def fail(*args, **kwargs):
+            raise AssertionError("a point was drawn in a refused box")
+
+        monkeypatch.setattr(SplitMix64, "_raw", fail)
+        with pytest.raises(ValueError, match=f"^box must hold real numbers, got dtype {dtype}$"):
             ops.check_pair_monotone(ops.sign_swap_operator(), ops.swap_operator(), box=box, samples=10)
 
     def test_complex_include_pair_is_refused(self):
@@ -672,9 +686,9 @@ class TestValidation:
     def test_scales_must_be_finite(self, value):
         # both passed `scale < 0` and `gamma <= 0`; a NaN Sign scale plus I
         # built a diagonal engine that mapped every input to 0
-        with pytest.raises(ValueError, match=f"sign-block scale must be nonnegative and finite, got {value!r}"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"sign-block scale must lie in [0, inf), got {value!r}") + "$"):
             ops.SignBlock(value, (0, 1))
-        with pytest.raises(ValueError, match=f"scale factor must be positive and finite, got {value!r}"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"scale factor must lie in (0, inf), got {value!r}") + "$"):
             ops.Scale(value, ops.identity_operator(2))
 
     def test_complex_affine_offset_is_refused(self):

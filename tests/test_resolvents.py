@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import re
 import sys
 import threading
 import tracemalloc
@@ -233,8 +234,22 @@ class TestBuildEngine:
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
     def test_gamma_must_be_finite(self, gamma):
         # checked first: the overflow check of gamma*F + v would blame the data
-        with pytest.raises(ValueError, match=f"gamma must be positive and finite, got {gamma!r}"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"gamma must lie in (0, inf), got {gamma!r}") + "$"):
             resolvents.build_engine(ops.sign_swap_operator(), ops.swap_operator(), gamma)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [np.complex128(1 + 1j), True, "1"], ids=["numpy-complex", "bool", "str"])
+    @pytest.mark.parametrize(
+        "f, v",
+        [(ops.Affine(np.eye(2)), ops.identity_operator(2)), (ops.sign_swap_operator(), ops.swap_operator())],
+        ids=["affine", "sign-swap"],
+    )
+    def test_gamma_reads_through_the_step_rule(self, f, v, gamma):
+        # the affine pair built and solved at gamma = 1 for np.complex128(1+1j),
+        # with numpy's ComplexWarning from inside the LU, and the sign-swap pair
+        # raised a bare TypeError from signbit; True built at gamma = 1.0
+        with pytest.raises(ValueError, match="^" + re.escape(f"gamma must lie in (0, inf), got {gamma!r}") + "$"):
+            resolvents.build_engine(f, v, gamma, dim=2)
 
     def test_dim_inference_failure(self):
         with pytest.raises(DimensionMismatchError):

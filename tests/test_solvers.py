@@ -465,7 +465,7 @@ class TestDcaBaseline:
     @pytest.mark.parametrize("m", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
     def test_non_finite_shift_is_named(self, m):
         # m * I turned A + m I non-finite, and the LU blamed the matrix
-        with pytest.raises(ValueError, match=f"m must be positive and finite, got {m!r}"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"m must lie in (0, inf), got {m!r}") + "$"):
             solvers.dca_baseline(np.diag([1.0, 2.0]), np.ones(2), m, np.zeros(2))
 
     @pytest.mark.parametrize("a", [np.diag([1e308, 1.0]), np.diag([1.0, 1e308])], ids=["first", "last"])
@@ -485,7 +485,7 @@ class TestDcaBaseline:
     def test_nonpositive_shift_is_named(self, a, m):
         # v = m I is no positive kernel: m = 0 made one step x = A^{-1} b
         # and returned Converged, m = -1 ran to MaxIters
-        with pytest.raises(ValueError, match=f"m must be positive and finite, got {m!r}"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"m must lie in (0, inf), got {m!r}") + "$"):
             solvers.dca_baseline(a, np.ones(2), m, np.zeros(2))
 
     @staticmethod
@@ -1208,7 +1208,7 @@ class TestConfig:
     def test_gamma_must_be_positive_and_finite(self, schedule, shown):
         # rejected with the config, before an engine build would blame the
         # data with "gamma*F + v overflows the float range"
-        with pytest.raises(ValueError, match=f"gamma must be positive and finite, got {shown}$"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"gamma must lie in (0, inf), got {shown}") + "$"):
             solvers.SolverConfig(gamma_schedule=schedule)
 
     @pytest.mark.parametrize(
@@ -1226,7 +1226,7 @@ class TestConfig:
     @pytest.mark.parametrize("schedule", ["12", b"12"], ids=["str", "bytes"])
     def test_string_schedule_is_refused(self, schedule):
         # "12" was read as the schedule (1, 2)
-        with pytest.raises(ValueError, match="^gamma schedule must be a number or a sequence of numbers, got "):
+        with pytest.raises(ValueError, match="^" + re.escape(f"gamma must lie in (0, inf), got {schedule!r}") + "$"):
             solvers.SolverConfig(gamma_schedule=schedule)
 
     @pytest.mark.parametrize(
@@ -1248,7 +1248,7 @@ class TestConfig:
         # 1j was a bare TypeError from float(), np.complex128(2+1j) became
         # (2.0,) with numpy's ComplexWarning, ("1", 2.0) became (1.0, 2.0),
         # and True became (1.0,)
-        with pytest.raises(ValueError, match=f"^gamma must be a real number, got {re.escape(repr(entry))}$"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"gamma must lie in (0, inf), got {entry!r}") + "$"):
             solvers.SolverConfig(gamma_schedule=schedule)
 
     @pytest.mark.parametrize("max_iters", [2.5, float("nan"), True, False], ids=["fraction", "nan", "true", "false"])
@@ -1265,7 +1265,7 @@ class TestConfig:
     def test_tolerance_must_be_nonnegative(self, tol):
         # no residual is within such a tolerance, so a run that reached its
         # fixed point exactly would stop as step-stalled
-        with pytest.raises(ValueError, match="tol_residual must be nonnegative"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"tol_residual must lie in [0, inf], got {tol!r}") + "$"):
             solvers.SolverConfig(tol_residual=tol)
 
     def test_zero_tolerance_converges_at_an_exact_fixed_point(self):
