@@ -52,10 +52,8 @@ class QPProblem:
             raise DimensionMismatchError("C columns must match Q")
         if d.size != con.shape[0]:
             raise DimensionMismatchError("d length must match C rows")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "constraint", con)
-        object.__setattr__(self, "d", d)
+        for name, value in (("q", q), ("c", c), ("constraint", con), ("d", d)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +149,8 @@ def verify_pair_lemma(a: np.ndarray, kappa: float) -> PairLemmaReport:
 def kkt_operator_pair(a: np.ndarray, b: np.ndarray, kappa: float) -> tuple[ops.Affine, ops.Affine]:
     """F(x) = Ax - b and the shifted kernel v(x) = (A + 2 kappa I) x."""
     require_kappa(kappa)
-    a = linalg.as_matrix(a)
-    b = linalg.as_vector(linalg.as_real(b))
+    a = linalg.as_matrix(a, "A")
+    b = linalg.real_array("b", b, 1)
     n = a.shape[0]
     if a.shape[0] != a.shape[1] or b.size != n:
         raise DimensionMismatchError("A must be square and match b")
@@ -334,16 +332,9 @@ def write_qp(path: str, qp: QPProblem) -> None:
     """JSON with matrix-file references for Q and C, inline vectors c and d."""
     base = os.path.dirname(os.path.abspath(path))
     stem = os.path.splitext(os.path.basename(path))[0]
-    q_file = f"{stem}-Q.mat"
-    c_file = f"{stem}-C.mat"
-    linalg.write_matrix(os.path.join(base, q_file), qp.q)
-    linalg.write_matrix(os.path.join(base, c_file), qp.constraint)
-    doc = {
-        "Q": q_file,
-        "C": c_file,
-        "c": qp.c.tolist(),
-        "d": qp.d.tolist(),
-    }
+    doc = {"Q": f"{stem}-Q.mat", "C": f"{stem}-C.mat", "c": qp.c.tolist(), "d": qp.d.tolist()}
+    for key, matrix in (("Q", qp.q), ("C", qp.constraint)):
+        linalg.write_matrix(os.path.join(base, doc[key]), matrix)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

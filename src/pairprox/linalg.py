@@ -49,11 +49,15 @@ _SYMMETRY_RTOL = 1e-10
 _SMALLEST_NORMAL = sys.float_info.min
 
 
-def as_real(x) -> np.ndarray:
-    """`x` as a float array; a complex value is a ValueError, not cast to its real part."""
-    if np.iscomplexobj(x):
+def as_real(x, name: str = "value") -> np.ndarray:
+    """`x` as a float array. A complex value is a ValueError, not cast to its real
+    part; so is a bool or text array, named `name`, which the cast reads as 0s and 1s or parses."""
+    a = np.asarray(x)
+    if a.dtype.kind == "c":
         raise ValueError("complex values are not accepted, only real ones")
-    return np.asarray(x, dtype=float)
+    if a.dtype.kind in "bSU":
+        raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    return np.asarray(a, dtype=float)
 
 
 def real_scalar(name: str, value, low: float, high: float, ends: str) -> float:
@@ -91,8 +95,8 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def as_matrix(a) -> np.ndarray:
-    m = as_real(a)
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    m = as_real(a, name)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
     return m
@@ -106,14 +110,10 @@ def all_finite(a: np.ndarray) -> bool:
 
 
 def real_array(name: str, value, ndim: int) -> np.ndarray:
-    """`value` as a float array of `ndim` dimensions with finite entries. A
-    complex value is `as_real`'s ValueError. A bool or text array, as
-    `real_scalar` refuses those, and a NaN or infinite entry are ValueErrors
+    """`value` as a float array of `ndim` dimensions with finite entries. What
+    `as_real` refuses is its ValueError, a NaN or infinite entry a ValueError
     naming `name`, and another ndim a DimensionMismatchError naming it."""
-    a = np.asarray(value)
-    if a.dtype.kind in "bSU":
-        raise ValueError(f"{name} must hold real numbers, got dtype {a.dtype}")
-    a = as_real(a)
+    a = as_real(value, name)
     if a.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be a {ndim}-D array, got shape {a.shape}")
     if not all_finite(a):

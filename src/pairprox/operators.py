@@ -117,12 +117,13 @@ class Affine(OperatorExpr):
     offset: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", linalg.as_matrix(self.matrix))
+        object.__setattr__(self, "matrix", linalg.as_matrix(self.matrix, "affine matrix"))
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise DimensionMismatchError(f"affine matrix must be square, got shape {self.matrix.shape}")
         if not self.matrix.size:
             raise DimensionMismatchError("affine matrix must be nonempty")
-        off = np.zeros(self.matrix.shape[0]) if self.offset is None else linalg.as_vector(linalg.as_real(self.offset))
+        off = self.offset
+        off = np.zeros(self.matrix.shape[0]) if off is None else linalg.as_vector(linalg.as_real(off, "affine offset"))
         if off.size != self.matrix.shape[0]:
             raise DimensionMismatchError("offset length must match matrix rows")
         object.__setattr__(self, "offset", off)
@@ -443,10 +444,7 @@ def _resolve_box(
         return np.full(dim, -10.0), np.full(dim, 10.0)
     # an infinite bound would make the sampling warn
     lower, upper = (linalg.real_array("box", np.atleast_1d(bound), 1) for bound in box)
-    if lower.size == 1 and dim is not None:
-        lower = np.full(dim, lower[0])
-    if upper.size == 1 and dim is not None:
-        upper = np.full(dim, upper[0])
+    lower, upper = (np.full(dim, b[0]) if b.size == 1 and dim is not None else b for b in (lower, upper))
     if lower.shape != upper.shape or np.any(lower > upper):
         raise ValueError("invalid sampling box")
     return lower, upper
@@ -479,7 +477,7 @@ def check_pair_monotone(
 
     def batches():
         if include:
-            sides = [linalg.as_vector(linalg.as_real(p)) for pair in include for p in pair]
+            sides = [linalg.as_vector(linalg.as_real(p, "include pairs")) for pair in include for p in pair]
             if any(p.size != dim for p in sides):
                 raise DimensionMismatchError(f"include pairs must have {dim} coordinates, as the box")
             pts = np.array(sides).reshape(-1, 2, dim)

@@ -84,11 +84,8 @@ def _try_sign_affine(op: ops.OperatorExpr, dim: int) -> _SignAffineForm | None:
     if isinstance(op, ops.Permutation):
         return _affine_form(op.as_matrix(), np.zeros(dim))
     if isinstance(op, ops.Pointwise):
-        if op.name == "identity":
-            return _affine_form(np.eye(dim), np.zeros(dim))
-        if op.name == "negation":
-            return _affine_form(-np.eye(dim), np.zeros(dim))
-        return None
+        sign = {"identity": 1.0, "negation": -1.0}.get(op.name)
+        return None if sign is None else _affine_form(sign * np.eye(dim), np.zeros(dim))
     if isinstance(op, ops.SignBlock):
         return _SignAffineForm(
             np.full(dim, op.scale),
@@ -224,10 +221,10 @@ def build_engine(
         # which an affine engine's factorization then keeps as `packed`
         matrix = gamma * form.matrix + va.matrix
         if not linalg.all_finite(matrix):
-            raise ValueError("gamma*F + v overflows the float range: its matrix has non-finite entries")
+            raise _not_finite(form, va, "its matrix has non-finite entries")
         offset, scales = gamma * form.offset + va.offset, gamma * form.scales
         if not (linalg.all_finite(offset) and linalg.all_finite(scales)):
-            raise ValueError("gamma*F + v overflows the float range: its offset or Sign scales are not finite")
+            raise _not_finite(form, va, "its offset or Sign scales are not finite")
         if not np.any(form.scales):
             fact = linalg._factorize_in_place(matrix)
             if fact.singular:
@@ -239,6 +236,13 @@ def build_engine(
         if strategy is not None:
             return ResolventEngine(v, n, StrategyKind.SIGN_SEPARABLE, strategy)
     raise UnsupportedStructureError(f"no closed-form resolvent for F={type(f).__name__}, v={type(v).__name__}")
+
+
+def _not_finite(form: _SignAffineForm, va: _SignAffineForm, what: str) -> ValueError:
+    """A NaN in F's or v's own data, tested on this error path only, is named; anything else overflowed."""
+    data = {"F's matrix": form.matrix, "F's offset": form.offset, "v's matrix": va.matrix, "v's offset": va.offset}
+    nan = [name for name, values in data.items() if np.isnan(values).any()]
+    return ValueError(f"{nan[0]} holds NaN" if nan else f"gamma*F + v overflows the float range: {what}")
 
 
 # the step rule, which solvers.SolverConfig reads each gamma of a schedule
@@ -327,15 +331,21 @@ def _invert_sign(strategy: _SignStrategy, w: np.ndarray, start: int | None = Non
     """The preimage of w and the index of the table pattern that gave it
     (None on the diagonal branch). The search tries pattern `start` first,
     when it names one. Every input is in the range of a certified system, so
-    a NotInRangeError here can come only from roundoff."""
+    a NotInRangeError here can come only from roundoff. A non-finite w, or y =
+    w - offset, is a NonFiniteIterateError from any start: a table tests y's
+    floats before any pattern is solved, and w only to pick the message."""
     y = w if strategy.zero_offset else w - strategy.offset
     if strategy.diagonal is not None:
+        _require_finite(w)
         # soft-threshold: row i gives the unique t = x[sigma[i]] with
         # y_i in s_i*Sign(t) + c_i*t, c_i > 0
         s = strategy.scales
         x = np.zeros_like(y)
         x[strategy.sigma] = np.where(y > s, y - s, np.where(y < -s, y + s, 0.0)) / strategy.diagonal
         return x, None
+    if not all(map(math.isfinite, y.tolist())):
+        _require_finite(w)
+        raise NonFiniteIterateError("resolvent input minus the offset overflows the float range")
     order = range(len(strategy.patterns))
     if start is not None and 0 <= start < len(order):
         x = _solve_pattern(strategy.patterns[start], y)
@@ -359,8 +369,8 @@ def _solve_pattern(pattern: _SignPattern, y: np.ndarray) -> np.ndarray | None:
     the pinned residual is |y| - s, bitwise |y - M 0| - s for M finite.
     Its largest entry is taken over Python floats, cheaper on the at most
     _PATTERN_DIM_LIMIT rows and the same value provided y holds no NaN, as
-    `_invert_sign`'s y, w or w - offset with both finite, does: an entry is at
-    worst +-inf. y may be the caller's w, which nothing here writes."""
+    `_invert_sign`'s y, tested finite before any pattern, does. y may be the
+    caller's w, which nothing here writes."""
     x = np.zeros(y.size)
     if pattern.factorization is None:
         # its pinned rows are all rows, in order; map runs the loop in C
@@ -405,9 +415,14 @@ class ResolventOutput:
 
 
 def _checked_input(engine: ResolventEngine, x: np.ndarray) -> np.ndarray:
+    """x as a float vector of the engine's dimension; each branch tests its finiteness."""
     x = linalg.as_vector(x)
     if x.size != engine.dim:
         raise DimensionMismatchError(f"engine dim {engine.dim}, input dim {x.size}")
+    return x
+
+
+def _require_finite(x: np.ndarray) -> np.ndarray:
     if not linalg.all_finite(x):
         raise NonFiniteIterateError("resolvent input contains NaN/Inf")
     return x
@@ -420,7 +435,8 @@ def warped(engine: ResolventEngine, x: np.ndarray) -> ResolventOutput:
     as the image of its previous step, should call `transformed` on it
     directly and save one evaluation of v per step.
     """
-    return transformed(engine, ops.evaluate_point(engine.v, _checked_input(engine, x)))
+    # tested before v is evaluated: an affine v warns on inf
+    return transformed(engine, ops.evaluate_point(engine.v, _require_finite(_checked_input(engine, x))))
 
 
 def transformed(engine: ResolventEngine, x: np.ndarray, start_pattern: int | None = None) -> ResolventOutput:
@@ -440,7 +456,7 @@ def transformed(engine: ResolventEngine, x: np.ndarray, start_pattern: int | Non
     w = _checked_input(engine, x)
     strategy, pattern = engine._strategy, None
     if engine.kind is StrategyKind.AFFINE_AFFINE:
-        z = linalg.lu_solve(strategy.factorization, w - strategy.offset)
+        z = linalg.lu_solve(strategy.factorization, _require_finite(w) - strategy.offset)
     else:
         z, pattern = _invert_sign(strategy, w, start_pattern)
         if pattern is not None and strategy.patterns[pattern].factorization is None:

@@ -135,9 +135,9 @@ def _unit_gamma(cfg: SolverConfig | None) -> SolverConfig:
 
 
 def _start(x0: np.ndarray) -> np.ndarray:
-    """A copy of the start point as a float vector; complex values and NaN/Inf
-    are rejected (here, not in `as_vector`, which every resolvent step runs)."""
-    x = linalg.as_vector(linalg.as_real(x0)).copy()
+    """A copy of the start point as a float vector; what `as_real` refuses and
+    NaN/Inf are rejected (here, not in `as_vector`, which every resolvent step runs)."""
+    x = linalg.as_vector(linalg.as_real(x0, "x0")).copy()
     if not linalg.all_finite(x):
         raise NonFiniteIterateError("x0 contains NaN/Inf")
     return x
@@ -148,7 +148,7 @@ def _point(name: str, value, x: np.ndarray) -> np.ndarray:
     before any operator is evaluated at it. None has shape (): a None anchor
     is refused, and callers pass no None reference (it means none)."""
     try:
-        value = linalg.as_real(value)
+        value = linalg.as_real(value, "its entries")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} is not a numeric vector: {exc}") from None
     if value.shape != x.shape:
@@ -186,12 +186,18 @@ def _iterate(
     zero (step-stalled). In the other iterations a zero step makes a zero
     residual, so only DCA, whose residual is ||A x - b||, stops on that
     rule. Returns (status, reason, iterations, last finite iterate, trace),
-    whose `seconds` count from the start of the loop.
+    whose `seconds` count from the start of the loop. A FULL trace records a
+    copy of each x_next. The loop's own lookups are bound once per solve.
     """
     trace = _trace(cfg, x, reference)
     # ||image - 0|| is ||image|| bitwise: subtracting a zero flips the sign of a zero at most
     at_origin = reference is not None and not np.any(reference)
-    t0 = time.perf_counter()
+    add_residual, add_step, add_second = trace.residuals.append, trace.steps.append, trace.seconds.append
+    add_err = None if reference is None else trace.err_to_ref.append
+    add_iterate = None if trace.iterates is None else trace.iterates.append
+    norm, isfinite, clock = linalg.norm, math.isfinite, time.perf_counter
+    gamma_at, tol = cfg.gamma_at, cfg.tol_residual
+    t0 = clock()
     bound = None
     for n in range(cfg.max_iters):
         try:
@@ -199,25 +205,25 @@ def _iterate(
         except NonFiniteIterateError:
             return Status.FAILED, "Diverged", n, x, trace
         # x is finite, so only a non-finite step norm leaves x_next in doubt
-        dx = linalg.norm(x - x_next)
-        if not math.isfinite(dx) and not linalg.all_finite(x_next):
+        dx = norm(x - x_next)
+        if not isfinite(dx) and not linalg.all_finite(x_next):
             return Status.FAILED, "Diverged", n, x, trace
         if residual is None:
-            residual = dx / cfg.gamma_at(n)
-        trace.residuals.append(residual)
-        trace.steps.append(dx)
-        trace.seconds.append(time.perf_counter() - t0)
-        if reference is not None:
-            trace.err_to_ref.append(linalg.norm(image if at_origin else image - reference))
-        if trace.iterates is not None:
-            trace.iterates.append(np.array(x_next, dtype=float))
+            residual = dx / gamma_at(n)
+        add_residual(residual)
+        add_step(dx)
+        add_second(clock() - t0)
+        if add_err is not None:
+            add_err(norm(image if at_origin else image - reference))
+        if add_iterate is not None:
+            add_iterate(x_next.copy())
         x = x_next
         if diverge_above is not None:
             if bound is None:
                 bound = diverge_above(residual)
             if residual > bound:
                 return Status.FAILED, "Diverged", n + 1, x, trace
-        if residual <= cfg.tol_residual:
+        if residual <= tol:
             return Status.CONVERGED, None, n + 1, x, trace
         if dx == 0.0:
             return Status.FAILED, "step-stalled", n + 1, x, trace

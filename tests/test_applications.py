@@ -98,6 +98,31 @@ class TestComplexData:
             apps.solve_kkt(kkt, 0.2)
 
 
+class TestKktData:
+    @pytest.mark.parametrize("name", ["A", "b"])
+    def test_kkt_solve_refuses_bool_data_by_name(self, name):
+        # KKTSystem(bool I, [True, True], 1) was solved as (I, (1, 1)) and returned Converged
+        data = {"A": np.eye(2), "b": np.ones(2)}
+        data[name] = data[name].astype(bool)
+        with pytest.raises(ValueError, match=f"^{name} must hold real numbers, got dtype bool$"):
+            apps.solve_kkt(apps.KKTSystem(data["A"], data["b"], 1), 0.2)
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (np.eye(2), np.array([np.nan, 1.0]), "b has non-finite entries"),
+            (np.eye(2), np.array([1.0, np.inf]), "b has non-finite entries"),
+            (np.array([[1.0, 0.0], [np.nan, 1.0]]), np.ones(2), "F's matrix holds NaN"),
+        ],
+        ids=["nan-b", "inf-b", "nan-A"],
+    )
+    def test_kkt_solve_names_non_finite_data(self, a, b, message):
+        # each was "gamma*F + v overflows the float range: its offset or Sign
+        # scales are not finite" (or "... its matrix has non-finite entries")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apps.solve_kkt(apps.KKTSystem(a, b, 1), 0.2)
+
+
 class TestGeneratorInputs:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

@@ -540,6 +540,20 @@ class TestBatchedCheckMatchesLoop:
         with pytest.raises(ValueError, match=f"^box must hold real numbers, got dtype {dtype}$"):
             ops.check_pair_monotone(ops.sign_swap_operator(), ops.swap_operator(), box=box, samples=10)
 
+    @pytest.mark.parametrize(
+        "pair, dtype",
+        [(([True, False], [False, True]), "bool"), ((np.array([1.0, 0.0]), ("0", "1")), "<U1")],
+        ids=["bool", "text"],
+    )
+    def test_bool_or_text_include_pair_is_refused_before_any_evaluation(self, pair, dtype, monkeypatch):
+        # the pair ([True, False], [False, True]) was scanned as ((1, 0), (0, 1))
+        def fail(*args, **kwargs):
+            raise AssertionError("an operator was evaluated")
+
+        monkeypatch.setattr(ops.Affine, "_eval", fail)
+        with pytest.raises(ValueError, match=f"^include pairs must hold real numbers, got dtype {dtype}$"):
+            ops.check_pair_monotone(ops.identity_operator(2), ops.identity_operator(2), samples=10, include=[pair])
+
     def test_complex_include_pair_is_refused(self):
         # the pair was scanned as its real part
         with pytest.raises(ValueError, match="^complex values are not accepted, only real ones$"):
@@ -690,6 +704,16 @@ class TestValidation:
             ops.SignBlock(value, (0, 1))
         with pytest.raises(ValueError, match="^" + re.escape(f"scale factor must lie in (0, inf), got {value!r}") + "$"):
             ops.Scale(value, ops.identity_operator(2))
+
+    @pytest.mark.parametrize("value, dtype", [((True, False), "bool"), (("1", "0"), "<U1")], ids=["bool", "text"])
+    @pytest.mark.parametrize("field", ["matrix", "offset"])
+    def test_bool_or_text_affine_data_is_refused_by_name(self, field, value, dtype):
+        # Affine(I, [True, False]) kept the offset (1, 0), and a text matrix was parsed
+        data = {"matrix": np.eye(2), "offset": value}
+        if field == "matrix":
+            data = {"matrix": np.array([value, value[::-1]])}
+        with pytest.raises(ValueError, match=f"^affine {field} must hold real numbers, got dtype {dtype}$"):
+            ops.Affine(**data)
 
     def test_complex_affine_offset_is_refused(self):
         # Affine(I, [1j, 0]) kept the offset (0, 0)

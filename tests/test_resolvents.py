@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,7 @@ def sign_engine(gamma=1.0):
     return resolvents.build_engine(f, v, gamma), f, v
 
 
+OVERFLOWING_OFFSET = "gamma*F + v overflows the float range: its offset or Sign scales are not finite"
 _OVERFLOWING_NORMS = 1e308 * np.array([[-0.8, -1.6, -1.6], [1.1, 1.4, 0.4], [0.8, 0.1, 1.5]])
 # partial pivoting doubles the last column at each of three steps
 _OVERFLOWING_GROWTH = 4e307 * np.array(
@@ -156,25 +158,35 @@ class TestBuildEngine:
             resolvents.build_engine(f, ops.identity_operator(f.dim), 1.0)
 
     @pytest.mark.parametrize(
-        "f, v, gamma",
+        "f, v, gamma, message",
         [
             # the soft-threshold read the NaN row as 0: gppa from (1, 2)
             # returned Converged at (0, 0), where F has a NaN row
             (ops.Sum((ops.SignBlock(1.0, (0, 1)), ops.Affine(np.eye(2), offset=(np.nan, 0.0)))),
-             ops.identity_operator(2), 1.0),
+             ops.identity_operator(2), 1.0, "F's offset holds NaN"),
             # affine and tabled engines built, and gppa reported Failed(Diverged) after 0 steps
-            (ops.Affine(np.eye(2), offset=(np.nan, 0.0)), ops.identity_operator(2), 1.0),
-            (ops.Affine(np.eye(2), offset=(0.0, -np.inf)), ops.identity_operator(2), 1.0),
+            (ops.Affine(np.eye(2), offset=(np.nan, 0.0)), ops.identity_operator(2), 1.0, "F's offset holds NaN"),
+            (ops.Affine(np.eye(2), offset=(0.0, -np.inf)), ops.identity_operator(2), 1.0, OVERFLOWING_OFFSET),
             (ops.Sum((ops.SignBlock(1.0, (1, 0)), ops.Affine(np.diag([1.0, -1.0]), offset=(np.inf, 0.0)))),
-             ops.swap_operator(), 1.0),
+             ops.swap_operator(), 1.0, OVERFLOWING_OFFSET),
             # gamma * 1e300 is inf: the soft-threshold mapped every input to 0
-            (ops.SignBlock(1e300, (0, 1)), ops.identity_operator(2), 1e10),
+            (ops.SignBlock(1e300, (0, 1)), ops.identity_operator(2), 1e10, OVERFLOWING_OFFSET),
         ],
         ids=["diagonal-nan-offset", "affine-nan-offset", "affine-inf-offset", "tabled-inf-offset", "inf-sign-scale"],
     )
-    def test_non_finite_offset_or_sign_scale_is_rejected(self, f, v, gamma):
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="its offset or Sign scales are not finite"):
+    def test_non_finite_offset_or_sign_scale_is_rejected(self, f, v, gamma, message):
+        # a NaN in F's own data is named on the error path, not blamed on an overflow
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             resolvents.build_engine(f, v, gamma)
+
+    @pytest.mark.parametrize("owner, field", [("F", "matrix"), ("F", "offset"), ("v", "matrix"), ("v", "offset")])
+    def test_nan_data_is_named_not_blamed_on_an_overflow(self, owner, field):
+        data = {"matrix": np.eye(2), "offset": np.zeros(2)}
+        data[field] = data[field].copy()
+        data[field][1] = np.nan
+        bad, good = ops.Affine(data["matrix"], data["offset"]), ops.Affine(np.eye(2))
+        with pytest.raises(ValueError, match=f"^{owner}'s {field} holds NaN$"):
+            resolvents.build_engine(*((bad, good) if owner == "F" else (good, bad)), 1.0)
 
     def test_sign_engine_near_the_float_maximum_is_certified(self):
         # 2 * M[0, 0] overflows but every norm is finite; sym(M) halved
@@ -736,27 +748,42 @@ class TestTransformed:
 
 
 class TestNonFiniteInput:
-    # the input check is the only guard on the diagonal branch, whose
-    # soft-threshold maps NaN to 0
+    # the affine and diagonal branches test the input with numpy, the
+    # diagonal one because its soft-threshold maps NaN to 0; a table engine
+    # tests it over the floats of its kink test, before any pattern is
+    # solved; warped tests it before it evaluates v. Warnings are errors
+    # here, so no branch may compute on a non-finite input first
     ENGINES = {
         "affine": lambda: qp_engine()[0],
         "diagonal": lambda: resolvents.build_engine(
             ops.SignBlock(1.0, (0, 1)), ops.Scale(2.0, ops.Pointwise("identity")), 1.0, dim=2
         ),
         "table": lambda: sign_engine()[0],
+        # a nonzero offset, and a v whose Affine has zero entries: 0 * inf
+        # in v(inf) would warn, so warped's own test is pinned
+        "table-offset": lambda: resolvents.build_engine(*KINK_PAIRS["scale"]),
     }
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("evaluate", [resolvents.transformed, resolvents.warped], ids=["transformed", "warped"])
+    @pytest.mark.parametrize("row", [0, 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kind", ENGINES)
-    def test_nan_and_inf_input_is_rejected(self, kind, bad, evaluate):
+    def test_nan_and_inf_input_is_rejected(self, kind, bad, row, evaluate):
         engine = self.ENGINES[kind]()
+        strategy = engine._strategy
         affine = engine.kind is resolvents.StrategyKind.AFFINE_AFFINE
-        assert kind == ("affine" if affine else "diagonal" if engine._strategy.diagonal is not None else "table")
-        # warped checks its input before it maps it through v, where an
-        # affine v would turn inf into NaN with an invalid-value warning
-        with pytest.raises(NonFiniteIterateError, match="resolvent input contains NaN/Inf"):
-            evaluate(engine, np.array([1.0, bad]))
+        assert kind.startswith("affine" if affine else "diagonal" if strategy.diagonal is not None else "table")
+        assert kind != "table-offset" or (not strategy.zero_offset and isinstance(engine.v.inner, ops.Affine))
+        starts = [None] if affine or strategy.diagonal is not None else [None, *range(len(strategy.patterns))]
+        w = np.ones(2)
+        w[row] = bad
+        for start in starts:
+            with pytest.raises(NonFiniteIterateError, match="^resolvent input contains NaN/Inf$"):
+                if evaluate is resolvents.transformed:
+                    evaluate(engine, w, start)
+                else:
+                    evaluate(engine, w)
 
 
 # sign engines whose offset is all +0 from the build, so that a step may use its input w itself for w - offset
@@ -919,6 +946,22 @@ class TestKinkImage:
         for w in other_inputs:
             resolvents.transformed(other, w)
         assert len(points) == 3
+
+    def test_overflowing_shift_is_refused_alike_from_every_start(self):
+        # y = w - offset overflows in row 0: the solve of a pattern that
+        # frees a row turned it into a NaN x, which passed the sign and box
+        # comparisons, and numpy's "invalid value encountered in dot" came
+        # before "resolvent produced a non-finite point"; a start at the
+        # kink pattern refused the shift itself
+        f = ops.Sum((ops.SignBlock(1.0, (1, 0)), ops.Affine(np.diag([1.0, -1.0]), (-1e308, 0.0))))
+        engine = resolvents.build_engine(f, ops.swap_operator(), 1.0)
+        assert len(engine._strategy.patterns) == 9
+        for start in (None, *range(9)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(NonFiniteIterateError, match="^resolvent input minus the offset overflows the float range$"):
+                    resolvents.transformed(engine, np.array([1e308, 0.5]), start)
+            assert [str(w.message) for w in caught] == ["overflow encountered in subtract"]
 
     def test_overflowing_shifted_input_is_refused_warm_or_cold(self):
         # y = w - offset overflows to inf; an infinite roundoff bound then

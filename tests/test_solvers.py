@@ -691,13 +691,19 @@ class TestSharedDriverJobs:
 
     @pytest.mark.parametrize(
         "value, error",
-        [("ab", "could not convert string to float: 'ab'"), ((1.0 + 5.0j, 0.0), "complex values are not accepted, only real ones")],
-        ids=["string", "complex"],
+        [
+            ("ab", "its entries must hold real numbers, got dtype <U2"),
+            (("1", "2"), "its entries must hold real numbers, got dtype <U1"),
+            ((True, False), "its entries must hold real numbers, got dtype bool"),
+            ((1.0 + 5.0j, 0.0), "complex values are not accepted, only real ones"),
+        ],
+        ids=["string", "numeric-text", "bool", "complex"],
     )
     @pytest.mark.parametrize("name", ["anchor", "reference"])
     def test_a_point_that_is_not_numeric_is_refused_by_name(self, name, value, error, monkeypatch):
         # numpy's "could not convert string to float" named neither argument,
-        # and a complex point was cast to its real part
+        # a complex point was cast to its real part, and a bool or numeric
+        # text point was read as 0s and 1s or parsed
         calls = self._count_evaluations(monkeypatch)
         halpern = solvers.HalpernConfig(anchor=value if name == "anchor" else (1.0, 1.0))
         with pytest.raises(ValueError, match=rf"^{name} is not a numeric vector: {re.escape(error)}$"):
@@ -705,6 +711,15 @@ class TestSharedDriverJobs:
                 ops.sign_swap_operator(), ops.swap_operator(), np.array([1.0, 2.0]), solvers.SolverConfig(halpern=halpern),
                 reference=value if name == "reference" else None,
             )
+        assert calls == []
+
+    @pytest.mark.parametrize("x0, dtype", [(np.array([True, False]), "bool"), (("1", "0"), "<U1")], ids=["bool", "text"])
+    @pytest.mark.parametrize("driver", list(TRACED_DRIVERS))
+    def test_bool_or_text_start_is_refused_before_the_first_step(self, driver, x0, dtype, monkeypatch):
+        # gppa on the sign-swap pair from (True, False) started at (1, 0)
+        calls = self._count_evaluations(monkeypatch)
+        with pytest.raises(ValueError, match=f"^x0 must hold real numbers, got dtype {dtype}$"):
+            TRACED_DRIVERS[driver](x0, solvers.SolverConfig())
         assert calls == []
 
     @pytest.mark.parametrize("x0", [np.array([1.0 + 5.0j, 2.0]), (1.0 + 5.0j, 2.0)], ids=["array", "tuple"])
@@ -1317,6 +1332,43 @@ def _csv_columns(path):
 
 def _floats(column):
     return np.array([float(c) for c in column]).tobytes()
+
+
+class TestTraceContract:
+    # perfbench's tracer wraps `resolvents.transformed` by module attribute
+    # and counts its calls, one per step of every driver; a FULL trace
+    # records copies, so no array that a run hands out aliases an iterate
+    STEPS = 6
+    RUNS = {
+        "gppa": lambda cfg: solvers.gppa(ops.sign_swap_operator(), ops.swap_operator(), np.array([40.0, -30.0]), cfg),
+        "gppa1": lambda cfg: solvers.gppa1(ops.sign_swap_operator(), ops.swap_operator(), np.array([40.0, -30.0]), cfg),
+        "gppa2": lambda cfg: solvers.gppa2(
+            ops.sign_swap_operator(), ops.swap_operator(), np.array([40.0, -30.0]),
+            dataclasses.replace(cfg, halpern=solvers.HalpernConfig(anchor=(1.0, 1.0))),
+        ),
+        "dca_baseline": lambda cfg: solvers.dca_baseline(np.diag([3.0, -1.0]), np.ones(2), 2.0, np.zeros(2), cfg),
+    }
+
+    @pytest.mark.parametrize("driver", RUNS)
+    def test_one_wrapped_call_per_step_and_a_full_trace_of_copies(self, driver, monkeypatch):
+        outputs = []
+        transformed = resolvents.transformed
+
+        def wrapped(*args, **kwargs):
+            outputs.append(transformed(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(resolvents, "transformed", wrapped)
+        cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=self.STEPS, trace_level=solvers.TraceLevel.FULL)
+        result = self.RUNS[driver](cfg)
+        assert (result.status, result.iterations) == (solvers.Status.MAX_ITERS, self.STEPS)
+        assert len(outputs) == self.STEPS
+        iterates = result.trace.iterates
+        assert len(iterates) == self.STEPS + 1
+        recorded = [x.tobytes() for x in iterates]
+        for array in (result.preimage, result.image, *(a for out in outputs for a in (out.preimage, out.image))):
+            array[...] = 7.0
+        assert [x.tobytes() for x in iterates] == recorded
 
 
 class TestTraceCsv:
