@@ -95,10 +95,10 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
+def as_matrix(a, name: str) -> np.ndarray:
     m = as_real(a, name)
     if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
+        raise DimensionMismatchError(f"{name} must be a 2-D array, got shape {m.shape}")
     return m
 
 
@@ -147,7 +147,7 @@ def norm(x: np.ndarray) -> float:
 
 
 def require_symmetric(a: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
+    a = as_matrix(a, "matrix")
     if a.shape[0] != a.shape[1]:
         raise NonSquareError(f"matrix is {a.shape[0]}x{a.shape[1]}")
     if a.size:
@@ -192,7 +192,7 @@ def lu_factorize(a: np.ndarray, block: int = 64, pivot_rtol: float = PIVOT_RTOL)
     one whose factors, or the inverses of their diagonal blocks, overflow
     the float range.
     """
-    a = as_matrix(a)
+    a = as_matrix(a, "matrix")
     n, m = a.shape
     if n != m:
         raise NonSquareError(f"matrix is {n}x{m}")
@@ -364,7 +364,7 @@ def write_matrix(path, a: np.ndarray) -> None:
     """Text format: first line "rows cols", one whitespace-separated row per
     line. Each row is formatted from Python floats with one "%.17g" template,
     the same routine and bytes as f"{x:.17g}", non-finite values included."""
-    a = as_matrix(a)
+    a = as_matrix(a, "matrix")
     line = " ".join(["%.17g"] * a.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")

@@ -187,7 +187,7 @@ def _iterate(
     residual, so only DCA, whose residual is ||A x - b||, stops on that
     rule. Returns (status, reason, iterations, last finite iterate, trace),
     whose `seconds` count from the start of the loop. A FULL trace records a
-    copy of each x_next. The loop's own lookups are bound once per solve.
+    copy of each x_next. Its lookups, the gamma schedule too, are bound once per solve.
     """
     trace = _trace(cfg, x, reference)
     # ||image - 0|| is ||image|| bitwise: subtracting a zero flips the sign of a zero at most
@@ -196,7 +196,7 @@ def _iterate(
     add_err = None if reference is None else trace.err_to_ref.append
     add_iterate = None if trace.iterates is None else trace.iterates.append
     norm, isfinite, clock = linalg.norm, math.isfinite, time.perf_counter
-    gamma_at, tol = cfg.gamma_at, cfg.tol_residual
+    gammas, last, tol = cfg.gamma_schedule, len(cfg.gamma_schedule) - 1, cfg.tol_residual
     t0 = clock()
     bound = None
     for n in range(cfg.max_iters):
@@ -209,7 +209,7 @@ def _iterate(
         if not isfinite(dx) and not linalg.all_finite(x_next):
             return Status.FAILED, "Diverged", n, x, trace
         if residual is None:
-            residual = dx / gamma_at(n)
+            residual = dx / gammas[min(n, last)]
         add_residual(residual)
         add_step(dx)
         add_second(clock() - t0)

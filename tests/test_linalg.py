@@ -722,8 +722,8 @@ class TestRealInput:
             (linalg.as_real, (1.0 + 5.0j, 2.0)),
             (linalg.as_real, np.array([1.0, 2.0], dtype=np.complex64)),
             (linalg.as_real, 1.0 + 0.0j),
-            (linalg.as_matrix, np.eye(2) * (1.0 + 0.0j)),
-            (linalg.as_matrix, [[1.0, 2.0j], [0.0, 1.0]]),
+            (lambda a: linalg.as_matrix(a, "matrix"), np.eye(2) * (1.0 + 0.0j)),
+            (lambda a: linalg.as_matrix(a, "matrix"), [[1.0, 2.0j], [0.0, 1.0]]),
         ],
         ids=["vector", "tuple", "zero-imaginary", "scalar", "matrix", "nested-list"],
     )
@@ -733,9 +733,28 @@ class TestRealInput:
         with pytest.raises(ValueError, match="^complex values are not accepted, only real ones$"):
             convert(value)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda a: operators.Affine(a), "affine matrix"),
+            (lambda a: applications.kkt_operator_pair(a, np.ones(2), 0.2), "A"),
+            (linalg.lu_factorize, "matrix"),
+            (linalg.require_symmetric, "matrix"),
+            (lambda a: linalg.write_matrix("unwritten.mat", a), "matrix"),
+        ],
+        ids=["Affine", "kkt_operator_pair", "lu_factorize", "require_symmetric", "write_matrix"],
+    )
+    @pytest.mark.parametrize("shape", [(2,), (1, 2, 2), ()], ids=["vector", "3-D", "scalar"])
+    def test_a_matrix_of_another_ndim_is_named(self, call, name, shape, tmp_path, monkeypatch):
+        # was "expected a 2-D matrix, got shape (2,)", which named no argument
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(DimensionMismatchError, match="^" + re.escape(f"{name} must be a 2-D array, got shape {shape}") + "$"):
+            call(np.ones(shape))
+        assert not (tmp_path / "unwritten.mat").exists()
+
     def test_real_values_of_any_dtype_convert_to_float(self):
         assert linalg.as_real(np.array([1, 2], dtype=np.int32)).dtype == np.float64
-        assert linalg.as_matrix(np.eye(2, dtype=np.float32)).dtype == np.float64
+        assert linalg.as_matrix(np.eye(2, dtype=np.float32), "matrix").dtype == np.float64
 
     # The catalogue: each public float parameter or field of pairprox, by
     # its label "module.function.parameter" or "module.Class.field", with the

@@ -131,6 +131,23 @@ class TestBuildEngine:
         engine, _, _ = sign_engine()
         assert engine.kind is resolvents.StrategyKind.SIGN_SEPARABLE
 
+    @pytest.mark.parametrize(
+        "branch, build",
+        [
+            ("affine", qp_engine),
+            ("diagonal", lambda: (resolvents.build_engine(ops.SignBlock(1.0, (0, 1)), ops.identity_operator(2), 1.0),)),
+            ("table", sign_engine),
+        ],
+        ids=["affine", "diagonal", "table"],
+    )
+    def test_kind_agrees_with_the_strategy_type(self, branch, build):
+        # `transformed` dispatches on the strategy's type; `kind` is the label
+        engine = build()[0]
+        strategy, kind = engine._strategy, engine.kind
+        affine = type(strategy) is resolvents._AffineStrategy
+        assert (kind is resolvents.StrategyKind.AFFINE_AFFINE) == affine
+        assert branch == ("affine" if affine else "diagonal" if strategy.diagonal is not None else "table")
+
     def test_overflowing_shifted_operator_is_named(self):
         # A is finite, but gamma*F + v = 2A + 2 kappa I is not
         f, v = apps.kkt_operator_pair(np.diag([1e308, -1e308]), np.ones(2), 0.2)
@@ -922,6 +939,21 @@ class TestKinkImage:
         second = resolvents.transformed(engine, inputs[0])
         assert second.preimage.tobytes() == np.zeros(engine.dim).tobytes()
         assert second.image.tobytes() == expected.tobytes()
+
+    def test_the_cached_kink_image_is_never_handed_out(self):
+        # an output's fields are rebindable and its arrays writable: each
+        # kink step copies the engine's v(0), so neither reaches the cache
+        engine, _, v = sign_engine()
+        kink = next(i for i, p in enumerate(engine._strategy.patterns) if p.factorization is None)
+        w, expected = np.array([0.25, -0.5]), ops.evaluate_point(v, np.zeros(2)).tobytes()
+        first = resolvents.transformed(engine, w, kink)
+        assert first.pattern == kink and first.image.tobytes() == expected
+        first.image[:] = 7.0
+        first.preimage, first.image, first.pattern = np.full(2, 7.0), np.full(2, 7.0), None
+        second = resolvents.transformed(engine, w, kink)
+        assert second.pattern == kink and second.image.tobytes() == expected
+        assert not np.shares_memory(second.image, engine.kink_image) and second.image is not first.image
+        assert engine.kink_image.tobytes() == expected
 
     def test_v_is_evaluated_once_per_engine_and_not_by_the_build(self, monkeypatch):
         points = []

@@ -1209,6 +1209,15 @@ class TestConfig:
         assert cfg.gamma_at(1) == 2.0
         assert cfg.gamma_at(7) == 2.0
 
+    def test_the_loop_reads_each_gamma_of_the_schedule(self):
+        # gppa1's residual is ||x_n - x_{n+1}|| / gamma_n, read in `_iterate`
+        # off the bound schedule; from step 2 on gamma_n is its last value
+        cfg = solvers.SolverConfig(gamma_schedule=(1.0, 2.0, 0.5), tol_residual=0.0, max_iters=6)
+        res = solvers.gppa1(*qp_pair(), np.array([0.3, -0.7]), cfg)
+        assert (res.status, res.iterations) == (solvers.Status.MAX_ITERS, 6)
+        gammas = (1.0, 2.0, 0.5, 0.5, 0.5, 0.5)
+        assert res.trace.residuals == [step / gamma for step, gamma in zip(res.trace.steps, gammas)]
+
     def test_invalid_gammas_rejected(self):
         with pytest.raises(ValueError):
             solvers.SolverConfig(gamma_schedule=0.0)

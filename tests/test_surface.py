@@ -1,6 +1,6 @@
 """Every module-level function, class and constant of pairprox must be named
 by the library, the benchmark or the scripts, outside its own definition,
-and every defaulted parameter or frozen-dataclass field must be set by one
+and every defaulted parameter or frozen- or slotted-dataclass field must be set by one
 of their calls, so that code which only tests call, constants that nothing
 reads and options that nothing sets do not build up again."""
 import ast
@@ -87,17 +87,19 @@ ALLOWED_OPTIONS = {
 }
 
 
-def _is_frozen_dataclass(node):
+def _is_record_dataclass(node):
+    """A dataclass declared frozen or slotted: a record whose fields its
+    callers set, unlike a mutable dataclass built up field by field."""
     for deco in node.decorator_list:
         if isinstance(deco, ast.Call) and getattr(deco.func, "id", None) == "dataclass":
-            if any(k.arg == "frozen" and getattr(k.value, "value", False) is True for k in deco.keywords):
+            if any(k.arg in ("frozen", "slots") and getattr(k.value, "value", False) is True for k in deco.keywords):
                 return True
     return False
 
 
 def _options(module, node, owner=None):
     """(label, callee, position, name) of each defaulted parameter of a
-    function or method, or defaulted field of a frozen dataclass; position
+    function or method, or defaulted field of a frozen or slotted dataclass; position
     is its index among a call's positional arguments, None when only a
     keyword can pass it."""
     if isinstance(node, ast.FunctionDef):
@@ -116,7 +118,7 @@ def _options(module, node, owner=None):
             if default is not None:
                 yield f"{label}.{arg.arg}", callee, None, arg.arg
     elif isinstance(node, ast.ClassDef):
-        if _is_frozen_dataclass(node):
+        if _is_record_dataclass(node):
             fields = [s for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
             for i, item in enumerate(fields):
                 if item.value is not None:
@@ -158,3 +160,10 @@ def test_every_option_is_set_by_a_caller_outside_tests():
         f"defaulted parameters or fields that no call in src/, perfbench/ or scripts/ sets: {unset}; "
         "delete each, or list it in ALLOWED_OPTIONS with a reason"
     )
+
+
+def test_frozen_and_slotted_dataclass_fields_are_options():
+    # ResolventOutput is slotted, not frozen: its defaulted `pattern` stays checked
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    labels = {label for stem, tree in trees.items() for node in tree.body for label, *_ in _options(stem, node)}
+    assert {"resolvents.ResolventOutput.pattern", "solvers.SolverConfig.max_iters"} <= labels
