@@ -212,7 +212,6 @@ def least_squares_iterate(
     """
     cfg = solvers._unit_gamma(cfg)
     a = linalg.require_symmetric(linalg.real_array("A", a, 2))
-    b = linalg.real_array("b", b, 1)
     n = a.shape[0]
     x = solvers._start(np.zeros(n) if x0 is None else x0)
     f, v = kkt_operator_pair(a, b, kappa)

@@ -88,10 +88,10 @@ def _require_count(name: str, value) -> int:
     return value
 
 
-def as_vector(x) -> np.ndarray:
+def as_vector(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
-        raise DimensionMismatchError(f"expected a 1-D vector, got shape {v.shape}")
+        raise DimensionMismatchError(f"{name} must be a nonempty 1-D array, got shape {v.shape}")
     return v
 
 
@@ -314,7 +314,7 @@ def _factorize_in_place(lu: np.ndarray, block: int = 64, pivot_rtol: float = PIV
 
 def lu_solve(fact: LUFactorization, b: np.ndarray) -> np.ndarray:
     """Solve A x = b by blocked substitution; `b` is left unmodified."""
-    b = as_vector(b)
+    b = as_vector(b, "rhs")
     if fact.singular:
         raise SingularMatrixError("factorization is singular")
     if b.size != fact.dim:
@@ -390,7 +390,7 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_vector(path, x: np.ndarray) -> None:
-    x = as_vector(x)
+    x = as_vector(x, "vector")
     with open(path, "w") as fh:
         fh.write(("%.17g\n" * x.size) % tuple(x.tolist()))
 

@@ -123,7 +123,7 @@ class Affine(OperatorExpr):
         if not self.matrix.size:
             raise DimensionMismatchError("affine matrix must be nonempty")
         off = self.offset
-        off = np.zeros(self.matrix.shape[0]) if off is None else linalg.as_vector(linalg.as_real(off, "affine offset"))
+        off = np.zeros(self.matrix.shape[0]) if off is None else linalg.as_vector(linalg.as_real(off, "affine offset"), "affine offset")
         if off.size != self.matrix.shape[0]:
             raise DimensionMismatchError("offset length must match matrix rows")
         object.__setattr__(self, "offset", off)
@@ -477,7 +477,7 @@ def check_pair_monotone(
 
     def batches():
         if include:
-            sides = [linalg.as_vector(linalg.as_real(p, "include pairs")) for pair in include for p in pair]
+            sides = [linalg.as_vector(linalg.as_real(p, "include pairs"), "include pairs") for pair in include for p in pair]
             if any(p.size != dim for p in sides):
                 raise DimensionMismatchError(f"include pairs must have {dim} coordinates, as the box")
             pts = np.array(sides).reshape(-1, 2, dim)

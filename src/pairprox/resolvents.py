@@ -177,7 +177,6 @@ class _SignStrategy:
     # normal form: y_i in s_i*Sign(x_{sigma[i]}) + (M x)_i + d_i
     scales: np.ndarray
     sigma: np.ndarray  # a permutation extending the rows' sign variables
-    matrix: np.ndarray
     offset: np.ndarray
     diagonal: np.ndarray | None  # M[i, sigma[i]] if these are M's only nonzeros, all > 0
     patterns: tuple[_SignPattern, ...]  # the nonsingular ones, in (+, -, 0) order
@@ -272,7 +271,7 @@ def _assemble_sign_strategy(
     diagonal = np.diag(permuted)
     zero_offset = _is_plus_zero(offset)
     if np.all(diagonal > 0.0) and np.all(permuted - np.diag(diagonal) == 0.0):
-        return _SignStrategy(scales, sigma, matrix, offset, diagonal, (), zero_offset)
+        return _SignStrategy(scales, sigma, offset, diagonal, (), zero_offset)
     if n > _PATTERN_DIM_LIMIT:
         return None
     # built first, so that a system whose norms or factors overflow is named as one
@@ -288,7 +287,7 @@ def _assemble_sign_strategy(
             f" sign variables has least eigenvalue {eig[0]:.3g}, not above {_CERTIFICATE_RTOL:g} times"
             f" its largest |eigenvalue| {largest:.3g}"
         )
-    return _SignStrategy(scales, sigma, matrix, offset, None, table, zero_offset)
+    return _SignStrategy(scales, sigma, offset, None, table, zero_offset)
 
 
 def _pattern_table(scales, sigma, matrix) -> tuple[_SignPattern, ...]:
@@ -416,7 +415,7 @@ class ResolventOutput:
 
 def _checked_input(engine: ResolventEngine, x: np.ndarray) -> np.ndarray:
     """x as a float vector of the engine's dimension; each branch tests its finiteness."""
-    x = linalg.as_vector(x)
+    x = linalg.as_vector(x, "resolvent input")
     if x.size != engine.dim:
         raise DimensionMismatchError(f"engine dim {engine.dim}, input dim {x.size}")
     return x

@@ -1,8 +1,9 @@
 """Proximal point iterations on warped / transformed resolvents, an anchored
 (Halpern) variant, and a difference-of-convex (DC) baseline for linear
-systems: the warped iteration on F(x) = Ax - b with kernel m I. The warped
-drivers step with `resolvents.transformed` at the previous step's image v(x_n),
-so each evaluates v once per step.
+systems: the warped iteration on F(x) = Ax - b with kernel m I. One loop,
+`_iterate`, calls `resolvents.transformed` for every driver, at the image
+that the previous step returned (v(x_n) for the warped drivers, so each
+evaluates v once per step), warm-started at the pattern that step accepted.
 Each input rule is checked here once, before the first step: `_start`,
 `_point` (a reference, gppa2's anchor), `_unit_gamma` (DCA, applications) and
 `SolverConfig` (each gamma of a schedule, by the rule `build_engine` reads
@@ -76,10 +77,6 @@ class SolverConfig:
         object.__setattr__(self, "tol_residual", linalg.real_scalar("tol_residual", self.tol_residual, 0, math.inf, "[]"))
         linalg._require_count("max_iters", self.max_iters)
 
-    def gamma_at(self, n: int) -> float:
-        sched = self.gamma_schedule
-        return sched[n] if n < len(sched) else sched[-1]
-
 
 @dataclass
 class IterationTrace:
@@ -137,7 +134,7 @@ def _unit_gamma(cfg: SolverConfig | None) -> SolverConfig:
 def _start(x0: np.ndarray) -> np.ndarray:
     """A copy of the start point as a float vector; what `as_real` refuses and
     NaN/Inf are rejected (here, not in `as_vector`, which every resolvent step runs)."""
-    x = linalg.as_vector(linalg.as_real(x0, "x0")).copy()
+    x = linalg.as_vector(linalg.as_real(x0, "x0"), "x0").copy()
     if not linalg.all_finite(x):
         raise NonFiniteIterateError("x0 contains NaN/Inf")
     return x
@@ -161,17 +158,24 @@ def _point(name: str, value, x: np.ndarray) -> np.ndarray:
 def _iterate(
     cfg: SolverConfig,
     x: np.ndarray,
-    step: Callable[[int, np.ndarray], tuple],
+    w: np.ndarray,
+    engines: Callable[[float], resolvents.ResolventEngine],
+    finish: Callable[[int, float, np.ndarray, resolvents.ResolventOutput], tuple],
     reference: np.ndarray | None = None,
     diverge_above: Callable[[float], float] | None = None,
-) -> tuple[Status, str | None, int, np.ndarray, IterationTrace]:
-    """The proximal-point loop every solver runs, and the one that records it.
+) -> tuple[Status, str | None, int, np.ndarray, resolvents.ResolventOutput, IterationTrace]:
+    """The proximal-point loop every solver runs, the only caller of the
+    resolvent, and the only code that records a solve.
 
-    `step(n, x)` takes iteration n from the iterate x and returns
-    (x_next, residual, image); the image only feeds the trace, as its
-    distance to `reference` when given. A residual of None stands for
-    ||x - x_next|| / gamma_n, the residual of the transformed iterations,
-    so that the loop computes that norm once, as the step norm.
+    Step n evaluates `resolvents.transformed(engines(gamma_n), w, pattern)`
+    at its input w (first the given w, which belongs to the iterate x),
+    warm-started at the pattern the previous step accepted, and passes the
+    output to `finish(n, gamma_n, w, out)`, which returns (x_next, residual,
+    image). The image is the next step's input, and the trace records its
+    distance to `reference` when given. gamma_n is the schedule's entry n,
+    or its last; `engines` is called once per entry. A residual of None
+    stands for ||x - x_next|| / gamma_n, the residual of the transformed
+    iterations, so that the loop computes that norm once, as the step norm.
     `diverge_above`, when set, maps the first step's residual to the
     divergence bound. A step that overflows, raising NonFiniteIterateError
     or returning a non-finite x_next, stops the loop as Failed('Diverged')
@@ -185,9 +189,10 @@ def _iterate(
     (Diverged), residual within tol_residual (Converged), a step of norm
     zero (step-stalled). In the other iterations a zero step makes a zero
     residual, so only DCA, whose residual is ||A x - b||, stops on that
-    rule. Returns (status, reason, iterations, last finite iterate, trace),
-    whose `seconds` count from the start of the loop. A FULL trace records a
-    copy of each x_next. Its lookups, the gamma schedule too, are bound once per solve.
+    rule. Returns (status, reason, iterations, last finite iterate, last
+    resolvent output, trace), whose `seconds` count from the start of the
+    loop. A FULL trace records a copy of each x_next. Its lookups are bound
+    once per solve.
     """
     trace = _trace(cfg, x, reference)
     # ||image - 0|| is ||image|| bitwise: subtracting a zero flips the sign of a zero at most
@@ -197,24 +202,29 @@ def _iterate(
     add_iterate = None if trace.iterates is None else trace.iterates.append
     norm, isfinite, clock = linalg.norm, math.isfinite, time.perf_counter
     gammas, last, tol = cfg.gamma_schedule, len(cfg.gamma_schedule) - 1, cfg.tol_residual
+    out = resolvents.ResolventOutput(x, w)
     t0 = clock()
     bound = None
     for n in range(cfg.max_iters):
         try:
-            x_next, residual, image = step(n, x)
+            if n <= last:
+                gamma = gammas[n]
+                engine = engines(gamma)
+            out = resolvents.transformed(engine, w, out.pattern)
+            x_next, residual, w = finish(n, gamma, w, out)
         except NonFiniteIterateError:
-            return Status.FAILED, "Diverged", n, x, trace
+            return Status.FAILED, "Diverged", n, x, out, trace
         # x is finite, so only a non-finite step norm leaves x_next in doubt
         dx = norm(x - x_next)
         if not isfinite(dx) and not linalg.all_finite(x_next):
-            return Status.FAILED, "Diverged", n, x, trace
+            return Status.FAILED, "Diverged", n, x, out, trace
         if residual is None:
-            residual = dx / gammas[min(n, last)]
+            residual = dx / gamma
         add_residual(residual)
         add_step(dx)
         add_second(clock() - t0)
         if add_err is not None:
-            add_err(norm(image if at_origin else image - reference))
+            add_err(norm(w if at_origin else w - reference))
         if add_iterate is not None:
             add_iterate(x_next.copy())
         x = x_next
@@ -222,12 +232,12 @@ def _iterate(
             if bound is None:
                 bound = diverge_above(residual)
             if residual > bound:
-                return Status.FAILED, "Diverged", n + 1, x, trace
+                return Status.FAILED, "Diverged", n + 1, x, out, trace
         if residual <= tol:
-            return Status.CONVERGED, None, n + 1, x, trace
+            return Status.CONVERGED, None, n + 1, x, out, trace
         if dx == 0.0:
-            return Status.FAILED, "step-stalled", n + 1, x, trace
-    return Status.MAX_ITERS, None, cfg.max_iters, x, trace
+            return Status.FAILED, "step-stalled", n + 1, x, out, trace
+    return Status.MAX_ITERS, None, cfg.max_iters, x, out, trace
 
 
 _DIVERGENCE_FACTOR = 1e8
@@ -267,16 +277,14 @@ def gppa(
     engines = functools.cache(lambda gamma: resolvents.build_engine(f, v, gamma, dim=x.size))
     if reference is not None:
         reference = ops.evaluate_point(v, _point("reference", reference, x))
-    out = resolvents.ResolventOutput(x, ops.evaluate_point(v, x))
 
-    def step(n, x):
-        nonlocal out
-        gamma, w = cfg.gamma_at(n), out.image
-        out = resolvents.transformed(engines(gamma), w, out.pattern)
+    def finish(n, gamma, w, out):
         u = w - out.image
         return out.preimage, linalg.norm(u) / gamma if residual is None else residual(u), out.image
 
-    status, reason, iterations, x, trace = _iterate(cfg, x, step, reference, _divergence_bound)
+    status, reason, iterations, x, out, trace = _iterate(
+        cfg, x, ops.evaluate_point(v, x), engines, finish, reference, _divergence_bound
+    )
     return SolveResult(status, reason, x, out.image, iterations, trace)
 
 
@@ -299,14 +307,9 @@ def gppa1(
     x = _start(x0)
     engines = functools.cache(lambda gamma: resolvents.build_engine(f, v, gamma, dim=x.size))
     reference = None if reference is None else _point("reference", reference, x)
-    out = resolvents.ResolventOutput(x, x)
-
-    def step(n, x):
-        nonlocal out
-        out = resolvents.transformed(engines(cfg.gamma_at(n)), x, out.pattern)
-        return out.image, None, out.image
-
-    status, reason, iterations, x, trace = _iterate(cfg, x, step, reference, _divergence_bound)
+    status, reason, iterations, x, out, trace = _iterate(
+        cfg, x, x, engines, lambda n, gamma, w, out: (out.image, None, out.image), reference, _divergence_bound
+    )
     return SolveResult(status, reason, out.preimage, x, iterations, trace)
 
 
@@ -331,16 +334,13 @@ def gppa2(
     anchor = _point("anchor", cfg.halpern.anchor, x)
     engine = resolvents.build_engine(f, v, cfg.gamma_schedule[0], dim=x.size)
     reference = None if reference is None else _point("reference", reference, x)
-    out = resolvents.ResolventOutput(x, x)
 
-    def step(k, x):
-        nonlocal out
-        out = resolvents.transformed(engine, x, out.pattern)
+    def finish(k, gamma, w, out):
         alpha = 1.0 / (k + 1)
         x_next = alpha * anchor + (1.0 - alpha) * out.image
         return x_next, None, x_next
 
-    status, reason, iterations, _, trace = _iterate(cfg, x, step, reference)
+    status, reason, iterations, _, out, trace = _iterate(cfg, x, x, lambda gamma: engine, finish, reference)
     return SolveResult(status, reason, out.preimage, out.image, iterations, trace)
 
 
@@ -369,14 +369,11 @@ def dca_baseline(
     # the right-hand side m x - (-b) is m x + b bitwise, but for the sign of a zero
     engine = resolvents.build_engine(ops.Affine(a, -b), ops.Scale(m, ops.Pointwise("identity")), 1.0)
     e0 = linalg.norm(a @ x - b)
-    out = resolvents.ResolventOutput(x, ops.evaluate_point(engine.v, x))
-
-    def step(k, x):
-        nonlocal out
-        out = resolvents.transformed(engine, out.image)
-        return out.preimage, linalg.norm(a @ out.preimage - b), out.preimage
-
-    status, reason, iterations, x, trace = _iterate(cfg, x, step, diverge_above=lambda _r0: _divergence_bound(e0))
+    status, reason, iterations, x, _, trace = _iterate(
+        cfg, x, ops.evaluate_point(engine.v, x), lambda gamma: engine,
+        lambda k, gamma, w, out: (out.preimage, linalg.norm(a @ out.preimage - b), out.image),
+        diverge_above=lambda _r0: _divergence_bound(e0),
+    )
     return SolveResult(status, reason, x, x, iterations, trace)
 
 

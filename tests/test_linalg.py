@@ -752,6 +752,31 @@ class TestRealInput:
             call(np.ones(shape))
         assert not (tmp_path / "unwritten.mat").exists()
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda x: solvers.gppa1(operators.sign_swap_operator(), operators.swap_operator(), x), "x0"),
+            (lambda x: operators.Affine(np.eye(2), x), "affine offset"),
+            (lambda x: operators.check_pair_monotone(
+                operators.sign_swap_operator(), operators.swap_operator(), samples=2, include=[(x, x)]
+            ), "include pairs"),
+            (lambda x: resolvents.transformed(
+                resolvents.build_engine(operators.sign_swap_operator(), operators.swap_operator(), 1.0), x
+            ), "resolvent input"),
+            (lambda x: linalg.lu_solve(linalg.lu_factorize(np.eye(2)), x), "rhs"),
+            (lambda x: linalg.write_vector("unwritten.vec", x), "vector"),
+        ],
+        ids=["x0", "affine-offset", "include-pairs", "resolvent-input", "rhs", "vector"],
+    )
+    @pytest.mark.parametrize("shape", [(2, 2), (), (0,)], ids=["matrix", "scalar", "empty"])
+    def test_a_vector_of_another_shape_is_named(self, call, name, shape, tmp_path, monkeypatch):
+        # was "expected a 1-D vector, got shape (2, 2)", which named no argument
+        monkeypatch.chdir(tmp_path)
+        message = f"{name} must be a nonempty 1-D array, got shape {shape}"
+        with pytest.raises(DimensionMismatchError, match="^" + re.escape(message) + "$"):
+            call(np.ones(shape))
+        assert not (tmp_path / "unwritten.vec").exists()
+
     def test_real_values_of_any_dtype_convert_to_float(self):
         assert linalg.as_real(np.array([1, 2], dtype=np.int32)).dtype == np.float64
         assert linalg.as_matrix(np.eye(2, dtype=np.float32), "matrix").dtype == np.float64

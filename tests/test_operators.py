@@ -426,7 +426,7 @@ def _loop_check_pair_monotone(f, v, box=None, samples=10_000, seed=0, include=()
                 best["inner_w"] = (x.copy(), y.copy(), sel)
 
     for x, y in include:
-        scan(linalg.as_vector(x), linalg.as_vector(y))
+        scan(linalg.as_vector(x, "x"), linalg.as_vector(y, "y"))
     for _ in range(samples):
         scan(rng.uniform_box(lower, upper), rng.uniform_box(lower, upper))
     if count == 0:

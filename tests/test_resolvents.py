@@ -752,7 +752,6 @@ class TestTransformed:
         strategy = resolvents._SignStrategy(
             scales=scales,
             sigma=sigma,
-            matrix=matrix,
             offset=np.zeros(2),
             diagonal=None,
             patterns=resolvents._pattern_table(scales, sigma, matrix),
@@ -1077,8 +1076,10 @@ class TestPatternTable:
         # sym(B), B = M[:, sigma], is the identity on the sign-block and
         # same-variable trees, and 5 I minus at most 2 gamma on the stack and
         # nested trees, plus a semidefinite part
-        strategy = resolvents.build_engine(row[1], row[2], gamma)._strategy
-        permuted = strategy.matrix[:, strategy.sigma]
+        engine = resolvents.build_engine(row[1], row[2], gamma)
+        # M = gamma B_F + B_v, rebuilt from the structural reductions of F and v
+        form, va = (resolvents._try_sign_affine(op, engine.dim) for op in row[1:3])
+        permuted = (gamma * form.matrix + va.matrix)[:, engine._strategy.sigma]
         assert np.linalg.eigvalsh(0.5 * (permuted + permuted.T))[0] > 0.5
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
@@ -1260,7 +1261,7 @@ def _seeded_sign_strategy(n, seed, all_signed, size):
     matrix = np.empty((n, n))
     matrix[:, sigma] = size * (low @ low.T / n + 0.1 * np.eye(n) + skew - skew.T)
     return resolvents._SignStrategy(
-        scales, sigma, matrix, np.zeros(n), None, resolvents._pattern_table(scales, sigma, matrix), True
+        scales, sigma, np.zeros(n), None, resolvents._pattern_table(scales, sigma, matrix), True
     )
 
 

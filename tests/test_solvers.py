@@ -19,6 +19,19 @@ from test_resolvents import EPS, SignAffinePair, _supported
 FULL = solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL)
 
 
+def schedule_gamma(cfg, n):
+    """gamma_n: entry n of the schedule, or its last entry."""
+    return cfg.gamma_schedule[min(n, len(cfg.gamma_schedule) - 1)]
+
+
+def run_loop(monkeypatch, cfg, x, finish, reference=None, engines=lambda gamma: None):
+    """`_iterate` from the iterate x, its own first input, with
+    `resolvents.transformed` stubbed to return its input w as both views:
+    `finish(n, gamma_n, w, out)` makes each step."""
+    monkeypatch.setattr(resolvents, "transformed", lambda engine, w, start_pattern: resolvents.ResolventOutput(w, w))
+    return solvers._iterate(cfg, x, x, engines, finish, reference)
+
+
 def qp_pair(a=None, b=None, kappa=0.2):
     a = np.diag([1.0, 0.0]) if a is None else a
     b = np.array([1.0, 0.0]) if b is None else b
@@ -133,7 +146,7 @@ class TestGppa:
             x0, schedule = np.array([5.0, -3.0]), (0.5, 1.0, 2.0, 0.75)
         cfg = solvers.SolverConfig(gamma_schedule=schedule, tol_residual=1e-12, trace_level=solvers.TraceLevel.FULL)
         step = iter(range(cfg.max_iters))
-        hooked = solvers.gppa(f, v, x0, cfg, residual=lambda u: linalg.norm(u) / cfg.gamma_at(next(step)))
+        hooked = solvers.gppa(f, v, x0, cfg, residual=lambda u: linalg.norm(u) / schedule_gamma(cfg, next(step)))
         default = solvers.gppa(f, v, x0, cfg)
         assert (hooked.status, hooked.reason, hooked.iterations) == (default.status, default.reason, default.iterations)
         assert next(step) == hooked.iterations > 1
@@ -367,7 +380,7 @@ class TestLinearRateOnSignAffinePairs:
         sigma = cls.sigma(pair)
         p = ops.evaluate_point(pair.v, pair.x_star)
         big = max(np.linalg.norm(x) for x in images)
-        gammas = [cfg.gamma_at(k) for k in range(len(images) - 1)]
+        gammas = [schedule_gamma(cfg, k) for k in range(len(images) - 1)]
         delta = 10.0 * max(cls.roundoff(pair, g, big) for g in gammas)
         # T_gamma(p) is within delta of p, so p is within delta / (1 - rho) of the fixed point
         slack = delta + 2.0 * max(delta * (1.0 + g * sigma) / (g * sigma) for g in gammas)
@@ -929,22 +942,22 @@ class TestInvariants:
             assert res.status is solvers.Status.CONVERGED
             assert res.trace.residuals[-1] <= solvers.SolverConfig().tol_residual
 
-    def test_step_stall_is_not_reported_converged(self):
+    def test_step_stall_is_not_reported_converged(self, monkeypatch):
         # a step that leaves x where it is while its residual stays above the
         # tolerance ends the shared loop as step-stalled, whatever the solver
         cfg = solvers.SolverConfig(tol_residual=1e-8, max_iters=100)
         x = np.array([1.0, -2.0])
-        status, reason, iterations, last, trace = solvers._iterate(cfg, x, lambda n, x: (x.copy(), 1.0, x))
+        status, reason, iterations, last, _, trace = run_loop(monkeypatch, cfg, x, lambda n, g, w, out: (w.copy(), 1.0, w))
         assert (status, reason, iterations) == (solvers.Status.FAILED, "step-stalled", 1)
         assert trace.steps == [0.0] and trace.residuals == [1.0]
         assert np.array_equal(last, x)
 
-    def test_zero_step_of_a_transformed_iteration_is_converged(self):
+    def test_zero_step_of_a_transformed_iteration_is_converged(self, monkeypatch):
         # a residual of None is ||x - x_next|| / gamma_n, which a zero step
         # makes 0: the run has converged, even at tol_residual = 0
         cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=100, gamma_schedule=0.5)
         x = np.array([1.0, -2.0])
-        status, reason, iterations, _, trace = solvers._iterate(cfg, x, lambda n, x: (x.copy(), None, x))
+        status, reason, iterations, _, _, trace = run_loop(monkeypatch, cfg, x, lambda n, g, w, out: (w.copy(), None, w))
         assert (status, reason, iterations) == (solvers.Status.CONVERGED, None, 1)
         assert trace.steps == trace.residuals == [0.0]
 
@@ -990,27 +1003,29 @@ class TestFinitenessFromStepNorm:
         [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, np.nan), (1e200, np.inf)],
         ids=["nan", "inf", "-inf-nan", "norm-overflows"],
     )
-    def test_non_finite_step_is_diverged_uncounted(self, x_next):
+    def test_non_finite_step_is_diverged_uncounted(self, x_next, monkeypatch):
         cfg = solvers.SolverConfig(trace_level=solvers.TraceLevel.FULL)
         x = np.array([1.0, 1.0])
         # the norm of (1 - 1e200, -inf) overflows in its dot product
         with np.errstate(over="ignore"):
-            status, reason, iterations, last, trace = solvers._iterate(
-                cfg, x, lambda n, x: (np.array(x_next), None, x), reference=np.zeros(2)
+            status, reason, iterations, last, _, trace = run_loop(
+                monkeypatch, cfg, x, lambda n, g, w, out: (np.array(x_next), None, w), reference=np.zeros(2)
             )
         assert (status, reason, iterations) == (solvers.Status.FAILED, "Diverged", 0)
         assert last is x and np.array_equal(x, [1.0, 1.0])
         assert trace.residuals == trace.steps == trace.seconds == trace.err_to_ref == []
         assert len(trace.iterates) == 1
 
-    def test_finite_step_whose_norm_overflows_keeps_running(self):
+    def test_finite_step_whose_norm_overflows_keeps_running(self, monkeypatch):
         # ||(1.5e308, 1.5e308)|| exceeds the float range, but (0, 0) is finite:
         # the step is recorded with an infinite residual, and the next, of
         # norm zero, converges
         cfg = solvers.SolverConfig(tol_residual=0.0)
         x = np.array([1.5e308, 1.5e308])
         with np.errstate(over="ignore"):
-            status, reason, iterations, last, trace = solvers._iterate(cfg, x, lambda n, x: (np.zeros(2), None, x))
+            status, reason, iterations, last, _, trace = run_loop(
+                monkeypatch, cfg, x, lambda n, g, w, out: (np.zeros(2), None, w)
+            )
         assert (status, reason, iterations) == (solvers.Status.CONVERGED, None, 2)
         assert trace.steps == trace.residuals == [np.inf, 0.0]
         assert np.array_equal(last, np.zeros(2))
@@ -1041,15 +1056,15 @@ class TestErrToRefAtOrigin:
     the reference is nonzero; the recorded bits must be the subtraction's."""
 
     @pytest.mark.parametrize("reference", REFERENCES)
-    def test_same_bits_as_subtracting_on_crafted_images(self, reference):
+    def test_same_bits_as_subtracting_on_crafted_images(self, reference, monkeypatch):
         ref = np.array(REFERENCES[reference])
         # signed zeros, a sum of squares that overflows and one that underflows
         images = [np.array(p) for p in [(-0.0, -0.0), (-0.0, 3.0), (1e200, -1e200), (1e-170, -0.0), (-2.5, 1e-320)]]
         cfg = solvers.SolverConfig(tol_residual=0.0, max_iters=len(images))
         # the norm scales a sum of squares that overflows, after numpy's warning
         with np.errstate(over="ignore"):
-            _, _, iterations, _, trace = solvers._iterate(
-                cfg, np.zeros(2), lambda n, x: (x + 1.0, 1.0, images[n]), reference=ref
+            _, _, iterations, _, _, trace = run_loop(
+                monkeypatch, cfg, np.zeros(2), lambda n, g, w, out: (np.full(2, n + 1.0), 1.0, images[n]), reference=ref
             )
             expected = [linalg.norm(image - ref) for image in images]
         assert iterations == len(images)
@@ -1203,11 +1218,21 @@ class TestStopRules:
 
 
 class TestConfig:
-    def test_sequence_schedule_extends_with_last_value(self):
+    def test_sequence_schedule_extends_with_last_value(self, monkeypatch):
+        # the loop hands step n gamma_n and asks for an engine once per entry
         cfg = solvers.SolverConfig(gamma_schedule=(0.5, 2.0), max_iters=10)
-        assert cfg.gamma_at(0) == 0.5
-        assert cfg.gamma_at(1) == 2.0
-        assert cfg.gamma_at(7) == 2.0
+        gammas, built = [], []
+
+        def finish(n, gamma, w, out):
+            gammas.append(gamma)
+            return np.full(2, n + 1.0), 1.0, w
+
+        status, _, iterations, _, _, _ = run_loop(monkeypatch, cfg, np.zeros(2), finish, engines=built.append)
+        assert (status, iterations) == (solvers.Status.MAX_ITERS, 10)
+        assert gammas[0] == 0.5
+        assert gammas[1] == 2.0
+        assert gammas[7] == 2.0
+        assert gammas == [0.5] + [2.0] * 9 and built == [0.5, 2.0]
 
     def test_the_loop_reads_each_gamma_of_the_schedule(self):
         # gppa1's residual is ||x_n - x_{n+1}|| / gamma_n, read in `_iterate`
@@ -1345,8 +1370,9 @@ def _floats(column):
 
 class TestTraceContract:
     # perfbench's tracer wraps `resolvents.transformed` by module attribute
-    # and counts its calls, one per step of every driver; a FULL trace
-    # records copies, so no array that a run hands out aliases an iterate
+    # and counts its calls, one per step of every driver; each call starts at
+    # the pattern the previous one returned; a FULL trace records copies, so
+    # no array that a run hands out aliases an iterate
     STEPS = 6
     RUNS = {
         "gppa": lambda cfg: solvers.gppa(ops.sign_swap_operator(), ops.swap_operator(), np.array([40.0, -30.0]), cfg),
@@ -1360,11 +1386,12 @@ class TestTraceContract:
 
     @pytest.mark.parametrize("driver", RUNS)
     def test_one_wrapped_call_per_step_and_a_full_trace_of_copies(self, driver, monkeypatch):
-        outputs = []
+        outputs, starts = [], []
         transformed = resolvents.transformed
 
-        def wrapped(*args, **kwargs):
-            outputs.append(transformed(*args, **kwargs))
+        def wrapped(engine, x, start_pattern=None):
+            starts.append(start_pattern)
+            outputs.append(transformed(engine, x, start_pattern))
             return outputs[-1]
 
         monkeypatch.setattr(resolvents, "transformed", wrapped)
@@ -1372,6 +1399,10 @@ class TestTraceContract:
         result = self.RUNS[driver](cfg)
         assert (result.status, result.iterations) == (solvers.Status.MAX_ITERS, self.STEPS)
         assert len(outputs) == self.STEPS
+        # the warm start: None first, then the pattern of the call before;
+        # the sign-swap table engine returns a pattern, DCA's affine engine None
+        assert starts == [None] + [out.pattern for out in outputs[:-1]]
+        assert all((out.pattern is None) == (driver == "dca_baseline") for out in outputs)
         iterates = result.trace.iterates
         assert len(iterates) == self.STEPS + 1
         recorded = [x.tobytes() for x in iterates]
